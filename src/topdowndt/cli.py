@@ -10,8 +10,9 @@ config file that flags override) and produces a ResultBundle on disk:
       plotdata/*.csv  (x, y, series) files for external plotting
 
 All randomness flows from the single --seed through named substreams, one
-per trial, so --threads changes wall time but never results.  Re-running
-an identical config byte-reproduces every file.
+per trial, so --threads changes wall time but never results; it runs at
+most min(threads, trials, CPU count) worker threads.  Re-running an
+identical config byte-reproduces every file.
 
 Exit status: 0 when every enabled check passes, 1 when a check fails
 (the bundle is still written), 2 for an invalid config.
@@ -24,6 +25,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -59,7 +61,7 @@ from .realvalued import (
     grow_real,
     round_thresholds,
 )
-from .tree import PartialTree, label_leaves, random_monotone_tree
+from .tree import Frontier, PartialTree, label_leaves, random_monotone_tree
 
 
 class ConfigError(ValueError):
@@ -190,9 +192,10 @@ def _trial_seed(cfg: ExperimentConfig, index: int) -> int:
 
 
 def _parallel(fn, count: int, threads: int) -> list:
-    if threads <= 1 or count <= 1:
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, range(count)))
 
 
@@ -517,16 +520,16 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
     want = set(_hard_checkpoints(report.final_size))
     completions = {}
     states = [h.root_cursor()]
-    pt = PartialTree.empty()
+    frontier = Frontier()
     if 1 in want:
-        completions[1] = label_leaves(pt, [1 if 2 * states[0].expectation() >= 1 else 0])
+        completions[1] = frontier.build([1 if 2 * states[0].expectation() >= 1 else 0])
     for st in trace.steps:
         hi, lo = states[st.leaf_id].split(st.coord)
         states[st.leaf_id : st.leaf_id + 1] = [hi, lo]
-        pt = treemod.split(pt, st.leaf_id, st.coord)
+        frontier.split(st.leaf_id, st.coord)
         if len(states) in want:
-            completions[len(states)] = label_leaves(
-                pt, [1 if 2 * c.expectation() >= 1 else 0 for c in states]
+            completions[len(states)] = frontier.build(
+                [1 if 2 * c.expectation() >= 1 else 0 for c in states]
             )
 
     rows = []

@@ -49,7 +49,7 @@ from typing import Sequence
 from . import tree as treemod
 from .boolfn import BoolFunc, SubcubeView, is_monotone
 from .impurity import ImpuritySpec, evaluate
-from .tree import DecisionTree, Internal, Leaf, PartialTree
+from .tree import DecisionTree, Frontier, PartialTree
 
 GAIN_TOL = 1e-12
 CHECK_TOL = 1e-12
@@ -269,7 +269,7 @@ def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
     spec = cfg.impurity
     root = _LeafState(_root_cursor(f), 0, spec, frozenset())
     states: list[_LeafState] = [root]
-    t = PartialTree.empty()
+    frontier = Frontier()
 
     g_imp = root.g_term
     u_f = root.u_term
@@ -324,7 +324,7 @@ def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
         if spec is not None:
             g_imp = g_imp - st.best_gain  # telescoping: potential drops by the gain
 
-        t = treemod.split(t, best_idx, coord)
+        frontier.split(best_idx, coord)
         states[best_idx : best_idx + 1] = [hi, lo]
 
         trace.steps.append(
@@ -345,17 +345,8 @@ def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
             )
         )
 
-    labels = iter([1 if 2 * st.expectation >= 1 else 0 for st in states])
-    completed = DecisionTree(_label_preorder(t.root, labels))
+    completed = frontier.build([1 if 2 * st.expectation >= 1 else 0 for st in states])
     return completed, trace
-
-
-def _label_preorder(node, labels) -> "treemod.Node":
-    if isinstance(node, Leaf):
-        return Leaf(next(labels))
-    return Internal(
-        node.coord, node.theta, _label_preorder(node.hi, labels), _label_preorder(node.lo, labels)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,12 @@ size; to_boolfunc() materializes the table (arity <= 24 only) to
 cross-check the formulas by brute force.
 
 Parameter choice: w is picked so Pr[T] is as close to 1/2 as possible
-subject to m = ell//w >= 2, and m' so Pr[T'] lands near (but a hair
-under) 1/2, giving the y-block a real share of the function's mass:
-dist(f, T) = Pr[T and not T'] / 2 exactly.
+subject to m = ell//w >= 2, and m' < m so Pr[T'] is nearest 499/1000
+(from either side).  The y-block decides f exactly where T holds and T'
+does not, so its share of the function's mass is
+p_rest = Pr[T and not T'], and dist(f, T) = p_rest / 2 exactly.  That
+share is small when m is large: at ell = 8 (m = 4, m' = 2) p_rest is
+0.246, but at ell = 44 (m = 11, m' = 10) it is 0.033.
 
 lower_bound_experiment() grows a budgeted tree on an instance, tracks the
 exact error curve, Monte-Carlo checks it, and measures how often the
@@ -76,7 +79,11 @@ def _or_prob(w: int, terms: int) -> Fraction:
 
 
 def tribes_params(ell: int) -> TribesParams:
-    """Width w: Pr[T] nearest 1/2 with at least two terms; then m' near 1/2."""
+    """Term layout on ell x's.
+
+    Width w: Pr[T] nearest 1/2 with at least two terms; then m' < m with
+    Pr[T'] nearest 499/1000.
+    """
     if ell < 2:
         raise ValueError("need ell >= 2 to fit two terms")
     best = None

@@ -46,7 +46,7 @@ from . import tree as treemod
 from .boolfn import derived_rng
 from .grower import GAIN_TOL, GrowthConfig, GrowthTrace, TraceStep
 from .impurity import ImpuritySpec, evaluate as g_eval
-from .tree import DecisionTree, Internal, Leaf, PartialTree
+from .tree import DecisionTree, Frontier, Internal, Leaf
 
 MAX_BITS = 53  # beyond float precision the grid is not representable
 BOOLEANIZE_NODE_CAP = 200_000
@@ -531,7 +531,7 @@ def _grow_empirical(sample: RealSample, cfg: GrowthConfig, policy, grid_w):
     total = len(sample)
     root = _SampleLeaf(sample, tuple(range(total)), total, spec, policy, grid_w)
     states = [root]
-    t = PartialTree.empty()
+    frontier = Frontier()
     g_imp = root.g_term
     dist = Fraction(root.err_count, total)
     trace = GrowthTrace(
@@ -573,7 +573,7 @@ def _grow_empirical(sample: RealSample, cfg: GrowthConfig, policy, grid_w):
         dist = dist + Fraction(hi.err_count + lo.err_count - st.err_count, total)
         g_imp = g_imp - st.best_gain
 
-        t = treemod.split(t, best_idx, coord, theta)
+        frontier.split(best_idx, coord, theta)
         states[best_idx : best_idx + 1] = [hi, lo]
         trace.steps.append(
             TraceStep(
@@ -591,7 +591,7 @@ def _grow_empirical(sample: RealSample, cfg: GrowthConfig, policy, grid_w):
             )
         )
 
-    completed = treemod.label_leaves(t, [st.majority() for st in states])
+    completed = frontier.build([st.majority() for st in states])
     return completed, trace
 
 
@@ -688,7 +688,7 @@ def _grow_analytic(teacher: DecisionTree, d: ProductDistribution, cfg: GrowthCon
     unit = tuple((Fraction(0), Fraction(1)) for _ in range(n))
     root = _BoxLeaf(teacher, d, unit, spec, grid_w)
     states = [root]
-    t = PartialTree.empty()
+    frontier = Frontier()
     g_imp = root.g_term
     dist = root.err_frac
     trace = GrowthTrace(
@@ -729,7 +729,7 @@ def _grow_analytic(teacher: DecisionTree, d: ProductDistribution, cfg: GrowthCon
         g_imp = g_imp - st.best_gain
 
         # the tree tests raw quantile coordinates: threshold is u itself
-        t = treemod.split(t, best_idx, coord, float(u))
+        frontier.split(best_idx, coord, float(u))
         states[best_idx : best_idx + 1] = [hi, lo]
         trace.steps.append(
             TraceStep(
@@ -747,7 +747,7 @@ def _grow_analytic(teacher: DecisionTree, d: ProductDistribution, cfg: GrowthCon
             )
         )
 
-    completed = treemod.label_leaves(t, [1 if 2 * st.expectation >= 1 else 0 for st in states])
+    completed = frontier.build([1 if 2 * st.expectation >= 1 else 0 for st in states])
     return completed, trace
 
 

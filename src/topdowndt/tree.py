@@ -7,11 +7,19 @@ Two tree flavors share one node representation:
   * real mode: internal nodes query 1[x_i >= theta]; coordinates may repeat
     with different thresholds.
 
-Trees are immutable values: split() returns a new tree sharing structure
-with the old one, so a growth procedure can keep every intermediate tree
-for the cost of the path it rewrote.  A PartialTree has unlabeled leaves;
-complete() turns it into a DecisionTree by labeling each leaf with the
-rounded conditional expectation of a reference function (ties round to 1).
+Trees are immutable values.  split() returns a new tree sharing structure
+with the old one, but it walks every leaf to find its target and
+re-validates the whole result, so one call costs O(size).  The growth
+loops therefore edit a Frontier instead: a preorder list of open leaves
+where a split is one list splice, from which build() assembles the labeled
+tree once, in one pass, validated once by the DecisionTree constructor.
+A PartialTree has unlabeled leaves; complete() turns it into a
+DecisionTree by labeling each leaf with the rounded conditional
+expectation of a reference function (ties round to 1).
+
+Every node knows its leaf count (Internal caches it outside the dataclass
+fields), so size() is O(1) and path_of() recovers the preorder id of the
+leaf it reaches in O(depth).
 
 Size always means number of leaves.  Leaf ids are DFS preorder positions
 (hi child before lo child), recomputed on the current tree; they are the
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 from .boolfn import BoolFunc, Restriction, SubcubeView, derived_rng
 
@@ -30,6 +38,7 @@ from .boolfn import BoolFunc, Restriction, SubcubeView, derived_rng
 @dataclass(frozen=True)
 class Leaf:
     label: int | None = None
+    _size: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.label not in (None, 0, 1):
@@ -46,6 +55,8 @@ class Internal:
     def __post_init__(self):
         if self.coord < 1:
             raise ValueError(f"query coordinate must be >= 1, got {self.coord}")
+        # leaf count of the subtree: not a field, so it stays out of eq, hash and repr
+        object.__setattr__(self, "_size", self.hi._size + self.lo._size)
 
 
 Node = Union[Leaf, Internal]
@@ -170,7 +181,7 @@ def leaves(t: Tree) -> list[LeafInfo]:
 
 
 def size(t: Tree) -> int:
-    return sum(1 for _ in _walk_leaves(t.root))
+    return t.root._size
 
 
 def depth(t: Tree) -> int:
@@ -181,6 +192,7 @@ def path_of(t: Tree, x: Sequence) -> LeafInfo:
     """Walk the tree on input x and return the leaf reached, with its path."""
     node = t.root
     path: list[PathStep] = []
+    leaf_id = 0
     while isinstance(node, Internal):
         v = x[node.coord - 1]
         if node.theta is None:
@@ -188,13 +200,12 @@ def path_of(t: Tree, x: Sequence) -> LeafInfo:
         else:
             side = 1 if v >= node.theta else -1
         path.append(PathStep(node.coord, node.theta, side))
-        node = node.hi if side == 1 else node.lo
-    # recover the preorder id of the reached leaf
-    target = tuple(path)
-    for info in _walk_leaves(t.root):
-        if info.path == target:
-            return info
-    raise AssertionError("unreachable: walked path not found among leaves")
+        if side == 1:
+            node = node.hi
+        else:
+            leaf_id += node.hi._size  # preorder visits the whole hi subtree first
+            node = node.lo
+    return LeafInfo(leaf_id, tuple(path), node)
 
 
 def evaluate(t: DecisionTree, x: Sequence) -> int:
@@ -217,6 +228,7 @@ def split(t: PartialTree, leaf_id: int, coord: int, theta: float | None = None) 
     """Replace the identified leaf with a query node over two fresh leaves.
 
     Binary mode forbids re-querying a coordinate already on the leaf's path.
+    A one-off edit: it costs O(size), so growth loops use a Frontier.
     """
     infos = leaves(t)
     if not 0 <= leaf_id < len(infos):
@@ -239,6 +251,51 @@ def _rebuild(node: Node, path: tuple[PathStep, ...], replacement: Node) -> Node:
     if step.side == 1:
         return Internal(node.coord, node.theta, _rebuild(node.hi, rest, replacement), node.lo)
     return Internal(node.coord, node.theta, node.hi, _rebuild(node.lo, rest, replacement))
+
+
+class _Slot:
+    """One node of a Frontier: open until split, then a query over two slots."""
+
+    __slots__ = ("coord", "theta", "hi", "lo")
+
+    def __init__(self):
+        self.hi = None
+
+
+class Frontier:
+    """A tree being grown, kept as the preorder list of its open leaves.
+
+    split(leaf_id, ...) replaces the leaf_id-th open leaf (the id the
+    function split() takes) with its hi and lo children, in that order, so
+    the list stays in preorder.  It does no validation beyond the id range;
+    build() checks the whole tree once, through the DecisionTree
+    constructor, which rejects a coordinate repeated on a binary path.
+    """
+
+    def __init__(self):
+        self._root = _Slot()
+        self._open = [self._root]
+
+    def split(self, leaf_id: int, coord: int, theta: float | None = None) -> None:
+        if not 0 <= leaf_id < len(self._open):
+            raise ValueError(f"no leaf with id {leaf_id} (tree has {len(self._open)} leaves)")
+        slot = self._open[leaf_id]
+        slot.coord, slot.theta, slot.hi, slot.lo = coord, theta, _Slot(), _Slot()
+        self._open[leaf_id : leaf_id + 1] = [slot.hi, slot.lo]
+
+    def build(self, labels: Sequence[int]) -> DecisionTree:
+        """The tree with its open leaves labeled in preorder by labels."""
+        labels = list(labels)
+        if len(labels) != len(self._open):
+            raise ValueError(f"{len(self._open)} leaves but {len(labels)} labels")
+        it = iter(labels)
+
+        def walk(slot: _Slot) -> Node:
+            if slot.hi is None:
+                return Leaf(next(it))
+            return Internal(slot.coord, slot.theta, walk(slot.hi), walk(slot.lo))
+
+        return DecisionTree(walk(self._root))
 
 
 # ---------------------------------------------------------------------------

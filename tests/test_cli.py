@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from topdowndt import cli
 from topdowndt.cli import ExperimentConfig, _sweep_budget, main, run
 
 
@@ -180,6 +182,23 @@ class TestDeterminism:
         assert main(base + ["--threads", "2", "--out", str(out_b)]) == 0
         assert (out_a / "rows.csv").read_bytes() == (out_b / "rows.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (1, None)])
+    def test_workers_capped_by_trials_and_cpus(self, tmp_path, monkeypatch, cpus, expected):
+        real_executor = cli.ThreadPoolExecutor
+        asked = []
+
+        def recording_executor(max_workers):
+            asked.append(max_workers)
+            return real_executor(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_executor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rc = main(["agnostic-sweep", "--arity", "4", "--trials", "3", "--sizes", "2",
+                   "--threads", "64", "--out", str(tmp_path / "ag")])
+        assert rc == 0
+        assert asked == ([] if expected is None else [expected])
 
 
 class TestExitContract:

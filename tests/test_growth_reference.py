@@ -1,0 +1,157 @@
+"""Growth loops against the slow reference they replaced.
+
+The loops keep their tree as a tree.Frontier and build it once.  The
+reference is the old algorithm: every split goes through tree.split, which
+re-walks and re-validates the whole PartialTree, and label_leaves labels
+the result.  Each case checks the new loop two ways:
+
+  * it runs the same loop with a Frontier stand-in that edits through
+    tree.split, and asserts an equal tree and an identical trace;
+  * it replays the trace's (leaf_id, coord, theta) from PartialTree.empty()
+    through tree.split, labels the leaves, and asserts an equal tree.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from topdowndt import grower, hardinstance, realvalued
+from topdowndt import tree as treemod
+from topdowndt.boolfn import BoolFunc, derived_rng, random_monotone
+from topdowndt.cli import main
+from topdowndt.grower import GrowthConfig, grow
+from topdowndt.impurity import BUILTIN_NAMES, builtin
+from topdowndt.realvalued import (
+    ProductDistribution,
+    balanced_random_tree,
+    grow_real,
+    sample_teacher,
+)
+from topdowndt.tree import PartialTree, complete, label_leaves, leaves
+
+RULES = BUILTIN_NAMES + ("influence",)
+
+
+class _SplitFrontier:
+    """The old per-step edit behind the Frontier interface."""
+
+    def __init__(self):
+        self.t = PartialTree.empty()
+
+    def split(self, leaf_id, coord, theta=None):
+        self.t = treemod.split(self.t, leaf_id, coord, theta)
+
+    def build(self, labels):
+        return label_leaves(self.t, labels)
+
+
+def _reference_run(run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grower, "Frontier", _SplitFrontier)
+        mp.setattr(realvalued, "Frontier", _SplitFrontier)
+        return run()
+
+
+def _replay(trace) -> PartialTree:
+    t = PartialTree.empty()
+    for step in trace.steps:
+        t = treemod.split(t, step.leaf_id, step.coord, step.theta)
+    return t
+
+
+def _check(run):
+    """Assert the loop matches the reference; return its tree and trace."""
+    t, trace = run()
+    ref_t, ref_trace = _reference_run(run)
+    assert t == ref_t
+    assert trace == ref_trace
+    labels = [info.node.label for info in leaves(t)]
+    assert label_leaves(_replay(trace), labels) == t
+    assert treemod.size(t) == trace.final_size
+    return t, trace
+
+
+def _config(budget, rule):
+    return GrowthConfig(budget=budget, impurity=None if rule == "influence" else builtin(rule))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    monotone=st.booleans(),
+    budget=st.integers(1, 40),
+    rule=st.sampled_from(RULES),
+)
+def test_table_growth_matches_reference(n, seed, monotone, budget, rule):
+    if monotone:
+        f = random_monotone(n, seed=seed)
+    else:
+        f = BoolFunc(n, derived_rng(seed, "table").getrandbits(1 << n))
+    t, trace = _check(lambda: grow(f, _config(budget, rule)))
+    # the f-completion, computed from the truth table, labels the replay the same way
+    assert complete(_replay(trace), f) == t
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ell=st.integers(2, 8),
+    k=st.sampled_from((1, 3, 5, 7)),
+    budget=st.integers(1, 48),
+    rule=st.sampled_from(RULES),
+)
+def test_hard_instance_growth_matches_reference(ell, k, budget, rule):
+    h = hardinstance.choose_params(ell, k)
+    t, trace = _check(lambda: grow(h, _config(budget, rule)))
+    assert complete(_replay(trace), hardinstance.to_boolfunc(h)) == t
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    teacher_leaves=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    count=st.integers(1, 60),
+    budget=st.integers(1, 16),
+    policy=st.sampled_from(("midpoints", "grid:2", "grid:3")),
+)
+def test_sample_growth_matches_reference(n, teacher_leaves, seed, count, budget, policy):
+    teacher = balanced_random_tree(n, teacher_leaves, seed)
+    sample = sample_teacher(teacher, ProductDistribution.uniform(n), count, seed)
+    _check(lambda: grow_real(sample, _config(budget, "gini"), policy))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 2),
+    teacher_leaves=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    budget=st.integers(1, 10),
+    grid=st.integers(1, 3),
+    rule=st.sampled_from(BUILTIN_NAMES),
+)
+def test_analytic_growth_matches_reference(n, teacher_leaves, seed, budget, grid, rule):
+    teacher = balanced_random_tree(n, teacher_leaves, seed)
+    source = (teacher, ProductDistribution.uniform(n))
+    _check(lambda: grow_real(source, _config(budget, rule), f"grid:{grid}"))
+
+
+def test_growth_never_edits_through_tree_split(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("growth called tree.split")
+
+    monkeypatch.setattr(treemod, "split", refuse)
+    f = BoolFunc(8, derived_rng(4, "guard").getrandbits(1 << 8))
+    _, trace = grow(f, _config(24, "gini"))
+    assert trace.final_size == 24
+    teacher = balanced_random_tree(2, 5, 3)
+    sample = sample_teacher(teacher, ProductDistribution.uniform(2), 80, 3)
+    _, trace = grow_real(sample, _config(8, "gini"))
+    assert trace.steps
+    _, trace = grow_real((teacher, ProductDistribution.uniform(2)), _config(8, "gini"), "grid:3")
+    assert trace.steps
+    out = tmp_path / "hard"
+    rc = main(["hard", "--l", "6", "--k", "5", "--budget", "24", "--samples", "200",
+               "--out", str(out)])
+    assert rc == 0
+    assert (out / "rows.csv").read_text().count("\n") > 2
+

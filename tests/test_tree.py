@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from topdowndt import tree as treemod
 from topdowndt.boolfn import conjunction, derived_rng, is_monotone, majority, random_monotone
 from topdowndt.tree import (
     DecisionTree,
+    Frontier,
     Internal,
     Leaf,
     PartialTree,
@@ -68,6 +70,100 @@ class TestSplit:
     def test_bad_leaf_id(self):
         with pytest.raises(ValueError):
             split(PartialTree.empty(), 3, 1)
+
+
+class TestFrontier:
+    SPLITS = [(0, 1), (0, 2), (2, 3), (1, 3)]
+
+    def test_build_matches_split_then_label(self):
+        fr = Frontier()
+        for i, (leaf_id, coord) in enumerate(self.SPLITS):
+            fr.split(leaf_id, coord)
+            labels = [(i + j) % 2 for j in range(i + 2)]
+            # build leaves the frontier open: every prefix builds its own tree
+            assert fr.build(labels) == label_leaves(grow_by_splits(self.SPLITS[: i + 1]), labels)
+
+    def test_single_leaf(self):
+        assert Frontier().build([1]) == DecisionTree(Leaf(1))
+
+    def test_real_mode_may_requery(self):
+        fr = Frontier()
+        fr.split(0, 1, 0.5)
+        fr.split(0, 1, 0.25)
+        assert fr.build([0, 1, 0]) == DecisionTree(
+            Internal(1, 0.5, Internal(1, 0.25, Leaf(0), Leaf(1)), Leaf(0))
+        )
+
+    def test_repeat_on_path_rejected_at_build(self):
+        fr = Frontier()
+        fr.split(0, 1)
+        fr.split(0, 1)
+        with pytest.raises(ValueError, match="repeats"):
+            fr.build([0, 1, 0])
+
+    def test_bad_leaf_id(self):
+        fr = Frontier()
+        for leaf_id in (1, -1):
+            with pytest.raises(ValueError):
+                fr.split(leaf_id, 1)
+
+    def test_wrong_label_count(self):
+        fr = Frontier()
+        fr.split(0, 1)
+        with pytest.raises(ValueError):
+            fr.build([1])
+
+
+class TestLeafCount:
+    def test_cached_count_is_not_a_field(self):
+        a = Internal(1, None, Internal(2, None, Leaf(1), Leaf(0)), Leaf(1))
+        b = Internal(1, None, Internal(2, None, Leaf(1), Leaf(0)), Leaf(1))
+        assert size(DecisionTree(a)) == 3
+        assert [f.name for f in dataclasses.fields(Internal)] == ["coord", "theta", "hi", "lo"]
+        assert "_size" not in repr(a)
+        assert a == b and hash(a) == hash(b)
+        assert to_json(DecisionTree(a)) == {
+            "q": 1, "hi": {"q": 2, "hi": {"label": 1}, "lo": {"label": 0}}, "lo": {"label": 1}
+        }
+
+    @given(st.integers(0, 40))
+    def test_size_matches_walk(self, seed):
+        t = random_monotone_tree(6, 20, seed)
+        assert size(t) == len(leaves(t))
+
+
+def _random_points(rng, n, count, real):
+    if real:
+        return [tuple(rng.random() for _ in range(n)) for _ in range(count)]
+    return [tuple(rng.choice((-1, 1)) for _ in range(n)) for _ in range(count)]
+
+
+class TestPathOf:
+    def _check(self, t, points):
+        infos = leaves(t)
+        for x in points:
+            info = path_of(t, x)
+            assert info == infos[info.leaf_id]
+            assert info.node.label == evaluate(t, x)
+
+    @given(st.integers(0, 10**6))
+    def test_binary_trees(self, seed):
+        rng = derived_rng(seed, "path-of")
+        t = PartialTree.empty()
+        for _ in range(rng.randint(0, 30)):
+            infos = [i for i in leaves(t) if len(i.path) < 6]
+            info = infos[rng.randrange(len(infos))]
+            free = [c for c in range(1, 7) if c not in {s.coord for s in info.path}]
+            t = split(t, info.leaf_id, rng.choice(free))
+        t = label_leaves(t, [rng.randint(0, 1) for _ in range(size(t))])
+        self._check(t, _random_points(rng, 6, 40, real=False))
+
+    @given(st.integers(0, 10**6), st.integers(1, 40))
+    def test_threshold_trees(self, seed, leaf_count):
+        from topdowndt.realvalued import balanced_random_tree
+
+        t = balanced_random_tree(3, leaf_count, seed)
+        self._check(t, _random_points(derived_rng(seed, "points"), 3, 40, real=True))
 
 
 class TestEvaluate:
