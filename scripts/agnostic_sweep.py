@@ -16,7 +16,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true", help="8 trials instead of 200")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="results/agnostic-sweep")
     args = ap.parse_args(argv)
 
@@ -27,7 +26,6 @@ def main(argv=None) -> int:
         sizes=(2, 4, 8),
         epsilon=0.1,
         seed=args.seed,
-        threads=args.threads,
         out=args.out,
     )
     bundle = run(cfg)

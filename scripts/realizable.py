@@ -16,7 +16,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true", help="10 trials instead of 100")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="results/realizable")
     args = ap.parse_args(argv)
 
@@ -28,7 +27,6 @@ def main(argv=None) -> int:
         target=0.05,
         budget=1 << 16,
         seed=args.seed,
-        threads=args.threads,
         out=args.out,
     )
     bundle = run(cfg)

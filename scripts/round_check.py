@@ -18,7 +18,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true", help="10 trials instead of 100")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="results/round-check")
     args = ap.parse_args(argv)
 
@@ -30,7 +29,6 @@ def main(argv=None) -> int:
         trials=10 if args.quick else 100,
         samples=4000,
         seed=args.seed,
-        threads=args.threads,
         out=args.out,
     )
     bundle = run(cfg)

@@ -10,9 +10,13 @@ config file that flags override) and produces a ResultBundle on disk:
       plotdata/*.csv  (x, y, series) files for external plotting
 
 All randomness flows from the single --seed through named substreams, one
-per trial, so --threads changes wall time but never results; it runs at
-most min(threads, trials, CPU count) worker threads.  Re-running an
-identical config byte-reproduces every file.
+per trial, and trials run one after another.  Re-running an identical
+config byte-reproduces every file.
+
+The runners only assemble experiments: growth is grower.grow or
+realvalued.grow_real (one greedy loop), the trees at the hard run's
+checkpoint sizes come from grower.tree_at, and its Monte-Carlo error and
+xi fraction from hardinstance.mc_check.
 
 Exit status: 0 when every enabled check passes, 1 when a check fails
 (the bundle is still written), 2 for an invalid config.
@@ -25,9 +29,7 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +47,7 @@ from .grower import (
     Monitor,
     grow,
     rule_agreement,
+    tree_at,
     verify_split_inequalities,
     write_trace_csv,
 )
@@ -61,7 +64,7 @@ from .realvalued import (
     grow_real,
     round_thresholds,
 )
-from .tree import Frontier, PartialTree, label_leaves, random_monotone_tree
+from .tree import PartialTree, label_leaves, random_monotone_tree
 
 
 class ConfigError(ValueError):
@@ -88,7 +91,6 @@ class ExperimentConfig:
     kind: str
     seed: int = 0
     out: str = ""
-    threads: int = 1
     fn: str = ""  # function spec JSON (boolfn serialization)
     arity: int = 8
     impurity: str = "gini"  # an impurity name, or "influence"
@@ -120,7 +122,6 @@ class ExperimentConfig:
             ("budget", 1),
             ("trials", 1),
             ("samples", 1),
-            ("threads", 1),
             ("size", 1),
             ("leaves", 1),
             ("teacher_leaves", 1),
@@ -144,6 +145,10 @@ class ExperimentConfig:
                 builtin(name)
             except (KeyError, ValueError):
                 raise ConfigError(f"unknown impurity {name!r}") from None
+        try:
+            realvalued.parse_policy(self.thresholds)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
 
 @dataclass
@@ -191,16 +196,22 @@ def _trial_seed(cfg: ExperimentConfig, index: int) -> int:
     return cfg.seed * 1_000_003 + index
 
 
-def _parallel(fn, count: int, threads: int) -> list:
-    workers = min(threads, count, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
-
-
 def _impurity_or_none(name: str):
     return None if name == "influence" else builtin(name)
+
+
+def _check_table_arity(n: int) -> None:
+    # refuse before building a 2^n table
+    if n > boolfn.MAX_ARITY:
+        raise ConfigError(f"arity {n} exceeds the truth-table cap {boolfn.MAX_ARITY}")
+
+
+def _check_monitor(s: int, eps: Fraction) -> None:
+    # refuse a bad monitor size before the oracle runs
+    try:
+        Monitor(s, eps, Fraction(0))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _load_function(cfg: ExperimentConfig) -> tuple[BoolFunc, str]:
@@ -215,6 +226,7 @@ def _load_function(cfg: ExperimentConfig) -> tuple[BoolFunc, str]:
         except (KeyError, ValueError) as e:
             raise ConfigError(f"bad function spec {path}: {e}") from None
         return f, path.stem
+    _check_table_arity(cfg.arity)
     f = random_monotone(cfg.arity, seed=cfg.seed)
     return f, f"random-monotone-n{cfg.arity}-seed{cfg.seed}"
 
@@ -248,8 +260,10 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
             raise ConfigError("the growth monitor needs an impurity rule")
         if f.n > oracle.OPT_MAX_ARITY:
             raise ConfigError("monitoring needs the exact oracle; reduce arity")
+        eps = Fraction(cfg.epsilon).limit_denominator(10**9)
+        _check_monitor(cfg.monitor_size, eps)
         opt_s, _ = oracle.opt(f, cfg.monitor_size)
-        monitor = Monitor(cfg.monitor_size, Fraction(cfg.epsilon).limit_denominator(10**9), opt_s)
+        monitor = Monitor(cfg.monitor_size, eps, opt_s)
     dtree, trace = grow(
         f, GrowthConfig(budget=cfg.budget, impurity=spec, stop_on_zero_gain=True, monitor=monitor)
     )
@@ -428,7 +442,7 @@ def _run_jz_sweep(cfg: ExperimentConfig, out: Path):
         rep = oracle.verify_jz(f, g)
         return (i, rep.lhs, rep.numerator, rep.tree_size, rep.rhs, rep.passed)
 
-    rows = _parallel(one, cfg.trials, cfg.threads)
+    rows = [one(i) for i in range(cfg.trials)]
     _write_csv(out / "rows.csv", ("trial", "lhs", "numerator", "size", "rhs", "passed"), rows)
     violations = sum(1 for r in rows if not r[5])
     summary = {"arity": n, "trials": cfg.trials, "violations": violations}
@@ -442,6 +456,8 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
         raise ConfigError(f"agnostic-sweep needs the exact oracle; arity <= {oracle.OPT_MAX_ARITY}")
     eps = Fraction(cfg.epsilon).limit_denominator(10**9)
     names = tuple(cfg.impurities)
+    for s in cfg.sizes:
+        _check_monitor(s, eps)
 
     def one(i: int):
         f = random_monotone(n, seed=_trial_seed(cfg, i))
@@ -469,7 +485,7 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
             out_rows.append((i, s, opt_s, *errs))
         return out_rows, flags
 
-    results = _parallel(one, cfg.trials, cfg.threads)
+    results = [one(i) for i in range(cfg.trials)]
     rows = [row for out_rows, _ in results for row in out_rows]
     flags = [fl for _, fls in results for fl in fls]
     header = ("trial", "s", "opt_s", *(f"err_{name}" for name in names))
@@ -505,51 +521,17 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
         raise ConfigError("k must be odd (majority needs an odd vote count)")
     h = hardinstance.choose_params(cfg.ell, cfg.k)
     spec = _impurity_or_none(cfg.impurity)
-    report, dtree, trace = hardinstance.lower_bound_experiment(
+    report, _, trace = hardinstance.lower_bound_experiment(
         h, spec, cfg.budget, mc_samples=cfg.samples, seed=cfg.seed, threshold=cfg.threshold
     )
 
-    # shared evaluation sample across checkpoint sizes
-    rng = derived_rng(cfg.seed, "hard", "curve")
-    points = [
-        [1 if rng.random() < 0.5 else -1 for _ in range(h.arity)] for _ in range(cfg.samples)
+    # one evaluation sample, its truths computed once, shared by every checkpoint
+    points = hardinstance.random_points(h, cfg.samples, derived_rng(cfg.seed, "hard", "curve"))
+    labeled = [(x, hardinstance.evaluate(h, x)) for x in points]
+    rows = [
+        (size, *hardinstance.mc_check(h, tree_at(trace, size), labeled, report.xi_cutoff))
+        for size in _hard_checkpoints(report.final_size)
     ]
-    truths = [hardinstance.evaluate(h, x) for x in points]
-    halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * cfg.samples))
-
-    want = set(_hard_checkpoints(report.final_size))
-    completions = {}
-    states = [h.root_cursor()]
-    frontier = Frontier()
-    if 1 in want:
-        completions[1] = frontier.build([1 if 2 * states[0].expectation() >= 1 else 0])
-    for st in trace.steps:
-        hi, lo = states[st.leaf_id].split(st.coord)
-        states[st.leaf_id : st.leaf_id + 1] = [hi, lo]
-        frontier.split(st.leaf_id, st.coord)
-        if len(states) in want:
-            completions[len(states)] = frontier.build(
-                [1 if 2 * c.expectation() >= 1 else 0 for c in states]
-            )
-
-    rows = []
-    for size_ in sorted(completions):
-        ct = completions[size_]
-        errors = 0
-        early_x = 0
-        for x, truth in zip(points, truths):
-            if treemod.evaluate(ct, x) != truth:
-                errors += 1
-            y_seen = 0
-            for step in treemod.path_of(ct, x).path:
-                if step.coord > cfg.ell:
-                    y_seen += 1
-                    if y_seen > report.xi_cutoff:
-                        break
-                else:
-                    early_x += 1
-                    break
-        rows.append((size_, errors / cfg.samples, halfwidth, early_x / cfg.samples))
     _write_csv(out / "rows.csv", ("size", "error_estimate", "error_ci", "xi_fraction"), rows)
     _write_csv(
         out / "exact_curve.csv",
@@ -592,6 +574,7 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
 
 def _run_realizable(cfg: ExperimentConfig, out: Path):
     n = cfg.arity
+    _check_table_arity(n)
     budget = min(1 << n, cfg.budget)
     names = tuple(cfg.impurities)
 
@@ -624,7 +607,7 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
         )
         return out_rows, reached_all, mismatches
 
-    results = _parallel(one, cfg.trials, cfg.threads)
+    results = [one(i) for i in range(cfg.trials)]
     rows = [row for out_rows, _, _ in results for row in out_rows]
     _write_csv(
         out / "rows.csv",
@@ -671,7 +654,7 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
                 fails += 1
         return (i, depth, w, est, hw, fails)
 
-    rows = _parallel(one, cfg.trials, cfg.threads)
+    rows = [one(i) for i in range(cfg.trials)]
     _write_csv(
         out / "rows.csv",
         ("trial", "depth", "w", "estimate", "halfwidth", "agreement_failures"),
@@ -821,7 +804,6 @@ def run(config: ExperimentConfig) -> ResultBundle:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p.add_argument("--out", default=None, help="output directory (default results/<kind>)")
-    p.add_argument("--threads", type=int, default=None, help="parallel trials (default 1)")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.add_argument(
         "--inject-failure",

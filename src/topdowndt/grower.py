@@ -1,6 +1,14 @@
 """Greedy top-down tree growth with exact per-iteration accounting.
 
-Two split rules share one loop:
+Every grower in the package runs one loop, _greedy: split the leaf with
+the best score, repeat until the leaf budget is spent.  It works on leaf
+states (see _LeafState for the protocol); grow() runs it over cursor
+leaves, realvalued.grow_real() over sample and box leaves.  The loop
+records each split, with its children's majority labels, in the trace, and
+tree_at() rebuilds the tree at any size from that record; the loop's own
+result is tree_at() at the final size.
+
+Two split rules drive grow():
 
   * impurity rule: split the (leaf, coordinate) pair maximizing the purity
     gain  2^-|l| * ( G(E[f_l]) - E_b[ G(E[f_l restricted to x_i=b]) ] ),
@@ -17,7 +25,7 @@ loop halts regardless of the remaining budget.  With stop_on_zero_gain
 unset (the default) zero-gain splits of impure leaves do happen, in
 tie-break order, until the leaf budget is spent.
 
-The grower runs on any function exposing the cursor interface below;
+grow() runs on any function exposing the cursor interface below;
 boolfn truth tables and the structured hard instances both do.
 
 Growth is monitored: every iteration appends a TraceStep carrying the
@@ -153,7 +161,10 @@ class TraceStep:
     g_impurity: float | None  # potential after the split (None: influence rule)
     u_f: Fraction | None  # influence potential after the split
     distance: Fraction  # exact distance of the f-completion after the split
-    # verification extras, not part of the CSV schema:
+    # not part of the CSV schema: the children's majority labels (tree_at
+    # rebuilds the tree from them), then verification extras
+    hi_label: int = field(repr=False, default=0)
+    lo_label: int = field(repr=False, default=0)
     distance_before: Fraction = field(repr=False, default=Fraction(0))
     depth: int = field(repr=False, default=0)
     inf_split: Fraction | None = field(repr=False, default=None)
@@ -174,6 +185,7 @@ class GrowthTrace:
     initial_g_impurity: float | None
     initial_u_f: Fraction | None
     initial_distance: Fraction
+    initial_label: int  # majority label of the root
     steps: list[TraceStep] = field(default_factory=list)
     stop_reason: str = "budget"
     threshold_policy: str | None = None  # real-valued runs record their grid here
@@ -205,34 +217,56 @@ class GrowthTrace:
 
 
 class _LeafState:
+    """A leaf over a cursor (truth table or hard instance), for _greedy.
+
+    The leaf-state protocol, shared with realvalued's _SampleLeaf and
+    _BoxLeaf: active; score, the selection key (best_gain under an
+    impurity, the exact 2^-depth * Inf under the influence rule); the best
+    split best_gain, best_coord, best_theta, best_median; err_frac, the
+    exact error mass of the majority label; the potential terms g_term and
+    u_term (None when untracked); label; the TraceStep extras depth,
+    path_key, expectation, inf_split; and children(), called once, on the
+    leaf being split.
+    """
+
     __slots__ = (
         "cursor",
+        "spec",
         "depth",
         "expectation",
         "bias",
+        "label",
         "err_frac",
         "g_term",
         "u_term",
         "active",
+        "score",
         "best_gain",
         "best_coord",
         "best_inf",
         "path_key",
+        "inf_split",
     )
+
+    best_theta = None
+    best_median = None
 
     def __init__(self, cursor, depth: int, spec: ImpuritySpec | None, path_key: frozenset):
         self.cursor = cursor
+        self.spec = spec
         self.depth = depth
         self.path_key = path_key
+        self.inf_split = None
         e = cursor.expectation()
         self.expectation = e
+        self.label = 1 if 2 * e.numerator >= e.denominator else 0  # 2e >= 1, no new Fraction
         self.bias = min(e, 1 - e)
         self.err_frac = Fraction(1, 1 << depth) * self.bias
         self.g_term = None if spec is None else math.ldexp(evaluate(spec, e), -depth)
         self.u_term = Fraction(1, 1 << depth) * cursor.total_influence()
         free = cursor.free_coords()
         self.active = bool(free) and self.bias != 0
-        self.best_gain = -math.inf
+        self.score = self.best_gain = -math.inf
         self.best_coord = None
         self.best_inf = Fraction(0)
         if not self.active:
@@ -248,7 +282,7 @@ class _LeafState:
                 if gain > best + GAIN_TOL:
                     best = gain
                     best_coord = coord
-            self.best_gain = best
+            self.score = self.best_gain = best
             self.best_coord = best_coord
         else:
             best_inf = Fraction(-1)
@@ -260,23 +294,36 @@ class _LeafState:
                     best_coord = coord
             self.best_inf = best_inf
             self.best_coord = best_coord
-            # score = 2^-depth * best_inf; gain column records its float value
+            self.score = Fraction(1, 1 << depth) * best_inf
+            # the gain column records the score's float value
             self.best_gain = math.ldexp(1.0, -depth) * float(best_inf)
 
+    def children(self) -> tuple["_LeafState", "_LeafState"]:
+        coord = self.best_coord
+        self.inf_split = self.cursor.influence(coord)
+        hi_cur, lo_cur = self.cursor.split(coord)
+        depth = self.depth + 1
+        return (
+            _LeafState(hi_cur, depth, self.spec, self.path_key | {(coord, 1)}),
+            _LeafState(lo_cur, depth, self.spec, self.path_key | {(coord, -1)}),
+        )
 
-def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
-    """Run top-down growth to the leaf budget; return (f-completion, trace)."""
+
+def _greedy(
+    root, cfg: GrowthConfig, arity: int, mode: str, threshold_policy: str | None = None
+) -> tuple[DecisionTree, GrowthTrace]:
+    """The greedy loop every grower runs: split the best leaf until the budget.
+
+    root is a leaf state (see _LeafState).  The leader is the first active
+    leaf in preorder whose score beats the best so far by more than
+    GAIN_TOL, or, under the influence rule, by any amount (its scores are
+    exact).
+    """
     spec = cfg.impurity
-    root = _LeafState(_root_cursor(f), 0, spec, frozenset())
-    states: list[_LeafState] = [root]
-    frontier = Frontier()
-
-    g_imp = root.g_term
-    u_f = root.u_term
-    dist = root.err_frac
+    g_imp, u_f, dist = root.g_term, root.u_term, root.err_frac
     trace = GrowthTrace(
-        arity=len(root.cursor.free_coords()),
-        mode=cfg.rule,
+        arity=arity,
+        mode=mode,
         impurity_name=spec.name if spec else None,
         kappa=spec.kappa if spec else None,
         budget=cfg.budget,
@@ -285,25 +332,20 @@ def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
         initial_g_impurity=g_imp,
         initial_u_f=u_f,
         initial_distance=dist,
+        initial_label=root.label,
+        threshold_policy=threshold_policy,
     )
+    tol = 0 if mode == "influence" else GAIN_TOL
+    states = [root]
+    steps = trace.steps
 
-    while 1 + len(trace.steps) < cfg.budget:
+    while 1 + len(steps) < cfg.budget:
         best_idx = -1
-        if spec is not None:
-            best_gain = -math.inf
-            for idx, st in enumerate(states):
-                if st.active and st.best_gain > best_gain + GAIN_TOL:
-                    best_gain = st.best_gain
-                    best_idx = idx
-        else:
-            best_score = None
-            for idx, st in enumerate(states):
-                if not st.active:
-                    continue
-                score = Fraction(1, 1 << st.depth) * st.best_inf
-                if best_score is None or score > best_score:
-                    best_score = score
-                    best_idx = idx
+        bar = -math.inf
+        for idx, st in enumerate(states):
+            if st.active and st.score > bar:
+                bar = st.score + tol
+                best_idx = idx
         if best_idx < 0:
             trace.stop_reason = "no-candidates"
             break
@@ -312,41 +354,59 @@ def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
             trace.stop_reason = "zero-gain"
             break
 
-        coord = st.best_coord
-        inf_split = st.cursor.influence(coord)
-        hi_cur, lo_cur = st.cursor.split(coord)
-        hi = _LeafState(hi_cur, st.depth + 1, spec, st.path_key | {(coord, 1)})
-        lo = _LeafState(lo_cur, st.depth + 1, spec, st.path_key | {(coord, -1)})
-
+        hi, lo = st.children()
         dist_before = dist
         dist = dist - st.err_frac + hi.err_frac + lo.err_frac
-        u_f = u_f - st.u_term + hi.u_term + lo.u_term
-        if spec is not None:
+        if u_f is not None:
+            u_f = u_f - st.u_term + hi.u_term + lo.u_term
+        if g_imp is not None:
             g_imp = g_imp - st.best_gain  # telescoping: potential drops by the gain
-
-        frontier.split(best_idx, coord)
         states[best_idx : best_idx + 1] = [hi, lo]
 
-        trace.steps.append(
+        steps.append(
             TraceStep(
-                iteration=len(trace.steps) + 1,
+                iteration=len(steps) + 1,
                 leaf_id=best_idx,
-                coord=coord,
-                theta=None,
+                coord=st.best_coord,
+                theta=st.best_theta,
                 gain=st.best_gain,
                 g_impurity=g_imp,
                 u_f=u_f,
                 distance=dist,
+                hi_label=hi.label,
+                lo_label=lo.label,
                 distance_before=dist_before,
                 depth=st.depth,
-                inf_split=inf_split,
+                inf_split=st.inf_split,
                 expectation_leaf=st.expectation,
                 path_key=st.path_key,
+                median_split=st.best_median,
             )
         )
 
-    completed = frontier.build([1 if 2 * st.expectation >= 1 else 0 for st in states])
-    return completed, trace
+    return tree_at(trace, trace.final_size), trace
+
+
+def tree_at(trace: GrowthTrace, size: int) -> DecisionTree:
+    """The grown tree when it first had `size` leaves, labeled by majority.
+
+    Replays the trace's splits on a Frontier; at the final size this is the
+    tree the grower returned (the f-completion for binary growth).
+    """
+    if not 1 <= size <= trace.final_size:
+        raise ValueError(f"size must be in 1..{trace.final_size}, got {size}")
+    frontier = Frontier()
+    labels = [trace.initial_label]
+    for st in trace.steps[: size - 1]:
+        frontier.split(st.leaf_id, st.coord, st.theta)
+        labels[st.leaf_id : st.leaf_id + 1] = [st.hi_label, st.lo_label]
+    return frontier.build(labels)
+
+
+def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
+    """Run top-down growth to the leaf budget; return (f-completion, trace)."""
+    root = _LeafState(_root_cursor(f), 0, cfg.impurity, frozenset())
+    return _greedy(root, cfg, len(root.cursor.free_coords()), cfg.rule)
 
 
 # ---------------------------------------------------------------------------

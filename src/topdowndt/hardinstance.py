@@ -29,6 +29,8 @@ share is small when m is large: at ell = 8 (m = 4, m' = 2) p_rest is
 lower_bound_experiment() grows a budgeted tree on an instance, tracks the
 exact error curve, Monte-Carlo checks it, and measures how often the
 grown tree queries an x coordinate before its path has seen many y's.
+mc_check() is that Monte-Carlo loop, over any stream of (x, f(x)) pairs;
+the hard CLI runs it again at checkpoint sizes on one shared sample.
 """
 
 from __future__ import annotations
@@ -190,8 +192,6 @@ def choose_params(ell: int, k: int, c1: float = 1.0) -> HardInstance:
     """Pick tribes parameters for ell and pair them with a k-bit majority block."""
     return HardInstance(tribes_params(ell), k, c1)
 
-
-make_instance = choose_params
 
 
 def _term_factors(h: HardInstance, fixed: dict[int, int]) -> list[Fraction]:
@@ -465,29 +465,22 @@ def xi_cutoff(k: int, c3: float = 0.5) -> int:
     return int(c3 * k / math.log2(k))
 
 
-def lower_bound_experiment(
-    h: HardInstance,
-    spec: ImpuritySpec | None,
-    budget: int,
-    mc_samples: int = 20000,
-    seed: int = 0,
-    threshold: float = 0.4,
-    c3: float = 0.5,
-) -> tuple[ExperimentReport, DecisionTree, GrowthTrace]:
-    """Grow on the instance, then measure how far the result stays from f."""
-    dtree, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
+def mc_check(h: HardInstance, t: DecisionTree, labeled, cutoff: int) -> tuple[float, float, float]:
+    """Monte-Carlo error of t against f, and its xi fraction.
 
-    rng = derived_rng(seed, "hard", "mc")
+    labeled is an iterable of (x, f(x)) pairs.  Returns the fraction of
+    them t gets wrong, the distribution-free 99% half-width for that many
+    samples, and the fraction whose path in t queries an x coordinate
+    before it has queried more than `cutoff` y's.
+    """
     ell = h.params.ell
-    cutoff = xi_cutoff(h.k, c3)
-    errors = 0
-    early_x = 0
-    for _ in range(mc_samples):
-        x = [1 if rng.random() < 0.5 else -1 for _ in range(h.arity)]
-        if treemod.evaluate(dtree, x) != evaluate(h, x):
+    count = errors = early_x = 0
+    for x, fx in labeled:
+        count += 1
+        if treemod.evaluate(t, x) != fx:
             errors += 1
         y_seen = 0
-        for step in treemod.path_of(dtree, x).path:
+        for step in treemod.path_of(t, x).path:
             if step.coord > ell:
                 y_seen += 1
                 if y_seen > cutoff:
@@ -495,10 +488,33 @@ def lower_bound_experiment(
             else:
                 early_x += 1
                 break
-    halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * mc_samples))
+    halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * count))
+    return errors / count, halfwidth, early_x / count
 
+
+def random_points(h: HardInstance, count: int, rng):
+    """count uniform points of {-1, +1}^arity, drawn lazily from rng."""
+    for _ in range(count):
+        yield [1 if rng.random() < 0.5 else -1 for _ in range(h.arity)]
+
+
+def lower_bound_experiment(
+    h: HardInstance,
+    spec: ImpuritySpec | None,
+    budget: int,
+    mc_samples: int = 20000,
+    seed: int = 0,
+    threshold: float = 0.4,
+) -> tuple[ExperimentReport, DecisionTree, GrowthTrace]:
+    """Grow on the instance, then measure how far the result stays from f."""
+    dtree, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
+    cutoff = xi_cutoff(h.k)
+    points = random_points(h, mc_samples, derived_rng(seed, "hard", "mc"))
+    mc_error, halfwidth, xi_fraction = mc_check(
+        h, dtree, ((x, evaluate(h, x)) for x in points), cutoff
+    )
     report = ExperimentReport(
-        ell=ell,
+        ell=h.params.ell,
         w=h.params.w,
         m=h.params.m,
         m_prime=h.params.m_prime,
@@ -511,10 +527,10 @@ def lower_bound_experiment(
         initial_distance=trace.initial_distance,
         final_distance=trace.final_distance(),
         terms_distance=h.distance_to_terms,
-        mc_estimate=errors / mc_samples,
+        mc_estimate=mc_error,
         mc_halfwidth=halfwidth,
         xi_cutoff=cutoff,
-        xi_fraction=early_x / mc_samples,
+        xi_fraction=xi_fraction,
         error_curve=tuple([trace.initial_distance] + [st.distance for st in trace.steps]),
     )
     return report, dtree, trace

@@ -17,8 +17,9 @@ quantile in [0,1) is approximated by its first w bits.  Concretely:
     booleanized_evaluate() walks the same construction lazily when a tree
     is too large to materialize.
 
-grow_real runs the same greedy loop as grower.grow over (coordinate,
-threshold) candidates.  Two sources are supported:
+grow_real runs grower's one greedy loop (the one grower.grow runs) over
+leaf states that score (coordinate, threshold) candidates: it only builds
+the root leaf and the trace header.  Two sources are supported:
 
   * a RealSample, treated as the exact distribution (empirical mode:
     expectations are exact frequencies over the sample, so statistical
@@ -44,9 +45,9 @@ from typing import Sequence
 
 from . import tree as treemod
 from .boolfn import derived_rng
-from .grower import GAIN_TOL, GrowthConfig, GrowthTrace, TraceStep
-from .impurity import ImpuritySpec, evaluate as g_eval
-from .tree import DecisionTree, Frontier, Internal, Leaf
+from .grower import GAIN_TOL, GrowthConfig, _greedy
+from .impurity import evaluate as g_eval
+from .tree import DecisionTree, Internal, Leaf
 
 MAX_BITS = 53  # beyond float precision the grid is not representable
 BOOLEANIZE_NODE_CAP = 200_000
@@ -426,64 +427,65 @@ def sample_teacher(t: DecisionTree, d: ProductDistribution, count: int, seed: in
 # ---------------------------------------------------------------------------
 
 
-def _parse_policy(policy: str) -> tuple[str, int | None]:
+def parse_policy(policy: str) -> tuple[str, int | None]:
+    """("midpoints", None) or ("grid", w); ValueError for anything else."""
     if policy == "midpoints":
         return "midpoints", None
     if policy.startswith("grid:"):
-        w = int(policy.split(":", 1)[1])
-        _check_width(w)
-        return "grid", w
+        try:
+            w = int(policy.split(":", 1)[1])
+        except ValueError:
+            w = None
+        if w is not None:
+            _check_width(w)
+            return "grid", w
     raise ValueError(f"unknown threshold policy {policy!r}; use 'midpoints' or 'grid:w'")
 
 
 # ---------------------------------------------------------------------------
-# greedy growth, empirical mode
+# leaf states for grower._greedy: empirical mode (a sample) and analytic mode
+# (a teacher tree and a product distribution)
 # ---------------------------------------------------------------------------
 
 
 class _SampleLeaf:
-    __slots__ = (
-        "idx",
-        "count",
-        "ones",
-        "expectation",
-        "err_count",
-        "g_term",
-        "active",
-        "label_override",
-        "best_gain",
-        "best_coord",
-        "best_theta",
-        "best_median",
-    )
+    """The sample points reaching one leaf, as grower._greedy's leaf state.
 
-    def __init__(self, sample, idx, total, spec, policy, grid_w, parent_label=None):
+    run is (sample, spec, policy, grid_w), shared by every leaf.  A split
+    that isolates no point leaves an empty leaf: it is frozen, never split,
+    and labeled with its parent's majority.
+    """
+
+    u_term = None
+    path_key = frozenset()
+    inf_split = None
+
+    def __init__(self, run, idx, depth=0, parent_label=None):
+        sample, spec, policy, grid_w = run
+        total = len(sample)
+        self.run = run
         self.idx = idx
+        self.depth = depth
         self.count = len(idx)
+        self.score = self.best_gain = -math.inf
+        self.best_coord = None
+        self.best_theta = None
+        self.best_median = None
         if self.count == 0:
-            # frozen: inherits the parent's majority label, never split
             self.ones = 0
             self.expectation = None
-            self.err_count = 0
+            self.label = parent_label
+            self.err_frac = Fraction(0)
             self.g_term = 0.0
             self.active = False
-            self.label_override = parent_label
-            self.best_gain = -math.inf
-            self.best_coord = None
-            self.best_theta = None
-            self.best_median = None
             return
         pts = sample.points
         self.ones = sum(pts[i][1] for i in idx)
         self.expectation = Fraction(self.ones, self.count)
-        self.err_count = min(self.ones, self.count - self.ones)
+        self.label = 1 if 2 * self.ones >= self.count else 0
+        self.err_frac = Fraction(min(self.ones, self.count - self.ones), total)
         g_here = g_eval(spec, self.expectation)
         self.g_term = self.count / total * g_here
-        self.label_override = None
-        self.best_gain = -math.inf
-        self.best_coord = None
-        self.best_theta = None
-        self.best_median = None
         self.active = 0 < self.ones < self.count
         if not self.active:
             return
@@ -515,89 +517,21 @@ class _SampleLeaf:
                     total_g -= hi_n * g_eval(spec, Fraction(hi_ones, hi_n))
                 gain = total_g / total
                 if gain > self.best_gain + GAIN_TOL:
-                    self.best_gain = gain
+                    self.score = self.best_gain = gain
                     self.best_coord = coord
                     self.best_theta = theta
                     self.best_median = 2 * lo_n <= self.count and 2 * hi_n <= self.count
 
-    def majority(self) -> int:
-        if self.label_override is not None:
-            return self.label_override
-        return 1 if 2 * self.ones >= self.count else 0
-
-
-def _grow_empirical(sample: RealSample, cfg: GrowthConfig, policy, grid_w):
-    spec = cfg.impurity
-    total = len(sample)
-    root = _SampleLeaf(sample, tuple(range(total)), total, spec, policy, grid_w)
-    states = [root]
-    frontier = Frontier()
-    g_imp = root.g_term
-    dist = Fraction(root.err_count, total)
-    trace = GrowthTrace(
-        arity=sample.n,
-        mode="real-empirical",
-        impurity_name=spec.name,
-        kappa=spec.kappa,
-        budget=cfg.budget,
-        monitor=None,
-        initial_expectation=root.expectation,
-        initial_g_impurity=g_imp,
-        initial_u_f=None,
-        initial_distance=dist,
-        threshold_policy="midpoints" if policy == "midpoints" else f"grid:{grid_w}",
-    )
-
-    while 1 + len(trace.steps) < cfg.budget:
-        best_idx = -1
-        best_gain = -math.inf
-        for i, st in enumerate(states):
-            if st.active and st.best_gain > best_gain + GAIN_TOL:
-                best_gain = st.best_gain
-                best_idx = i
-        if best_idx < 0:
-            trace.stop_reason = "no-candidates"
-            break
-        st = states[best_idx]
-        if cfg.stop_on_zero_gain and st.best_gain <= GAIN_TOL:
-            trace.stop_reason = "zero-gain"
-            break
-        coord, theta = st.best_coord, st.best_theta
-        parent_label = st.majority()
-        hi_idx = tuple(i for i in st.idx if sample.points[i][0][coord - 1] >= theta)
-        lo_idx = tuple(i for i in st.idx if sample.points[i][0][coord - 1] < theta)
-        hi = _SampleLeaf(sample, hi_idx, total, spec, policy, grid_w, parent_label)
-        lo = _SampleLeaf(sample, lo_idx, total, spec, policy, grid_w, parent_label)
-
-        dist_before = dist
-        dist = dist + Fraction(hi.err_count + lo.err_count - st.err_count, total)
-        g_imp = g_imp - st.best_gain
-
-        frontier.split(best_idx, coord, theta)
-        states[best_idx : best_idx + 1] = [hi, lo]
-        trace.steps.append(
-            TraceStep(
-                iteration=len(trace.steps) + 1,
-                leaf_id=best_idx,
-                coord=coord,
-                theta=theta,
-                gain=st.best_gain,
-                g_impurity=g_imp,
-                u_f=None,
-                distance=dist,
-                distance_before=dist_before,
-                expectation_leaf=st.expectation,
-                median_split=st.best_median,
-            )
+    def children(self) -> tuple["_SampleLeaf", "_SampleLeaf"]:
+        pts = self.run[0].points
+        coord, theta = self.best_coord, self.best_theta
+        hi_idx = tuple(i for i in self.idx if pts[i][0][coord - 1] >= theta)
+        lo_idx = tuple(i for i in self.idx if pts[i][0][coord - 1] < theta)
+        depth = self.depth + 1
+        return (
+            _SampleLeaf(self.run, hi_idx, depth, self.label),
+            _SampleLeaf(self.run, lo_idx, depth, self.label),
         )
-
-    completed = frontier.build([st.majority() for st in states])
-    return completed, trace
-
-
-# ---------------------------------------------------------------------------
-# greedy growth, analytic mode (teacher tree + product distribution)
-# ---------------------------------------------------------------------------
 
 
 def _quantile_threshold(d: ProductDistribution, coord: int, theta) -> Fraction:
@@ -622,30 +556,33 @@ def _box_ones(node, box, d) -> Fraction:
 
 
 class _BoxLeaf:
-    __slots__ = (
-        "box",
-        "mass",
-        "expectation",
-        "err_frac",
-        "g_term",
-        "active",
-        "best_gain",
-        "best_coord",
-        "best_theta",
-        "best_median",
-    )
+    """A quantile-space box, as grower._greedy's leaf state.
 
-    def __init__(self, teacher, d, box, spec, grid_w):
+    run is (teacher, distribution, spec, grid_w), shared by every leaf.
+    The split point best_u is exact; the tree tests the raw quantile
+    coordinate against best_theta = float(best_u).
+    """
+
+    u_term = None
+    path_key = frozenset()
+    inf_split = None
+
+    def __init__(self, run, box, depth=0):
+        teacher, d, spec, grid_w = run
+        self.run = run
         self.box = box
+        self.depth = depth
         self.mass = math.prod((b - a for a, b in box), start=Fraction(1))
         ones = _box_ones(teacher.root, box, d)
         self.expectation = ones / self.mass
+        self.label = 1 if 2 * self.expectation >= 1 else 0
         bias = min(self.expectation, 1 - self.expectation)
         self.err_frac = self.mass * bias
         g_here = g_eval(spec, self.expectation)
         self.g_term = float(self.mass) * g_here
-        self.best_gain = -math.inf
+        self.score = self.best_gain = -math.inf
         self.best_coord = None
+        self.best_u = None
         self.best_theta = None
         self.best_median = None
         self.active = bias != 0
@@ -670,85 +607,21 @@ class _BoxLeaf:
                     lo_mass
                 ) * g_eval(spec, e_lo)
                 if gain > self.best_gain + GAIN_TOL:
-                    self.best_gain = gain
+                    self.score = self.best_gain = gain
                     self.best_coord = coord
-                    self.best_theta = u
+                    self.best_u = u
                     self.best_median = 2 * u == a + b
+        if self.best_u is not None:
+            self.best_theta = float(self.best_u)
 
-
-def _grow_analytic(teacher: DecisionTree, d: ProductDistribution, cfg: GrowthConfig, grid_w):
-    spec = cfg.impurity
-    for c in d.coords:
-        if not c.strictly_increasing:
-            raise ValueError(
-                "analytic growth needs invertible coordinate CDFs "
-                "(uniform01 or strictly increasing cdf_table)"
-            )
-    n = d.n
-    unit = tuple((Fraction(0), Fraction(1)) for _ in range(n))
-    root = _BoxLeaf(teacher, d, unit, spec, grid_w)
-    states = [root]
-    frontier = Frontier()
-    g_imp = root.g_term
-    dist = root.err_frac
-    trace = GrowthTrace(
-        arity=n,
-        mode="real-analytic",
-        impurity_name=spec.name,
-        kappa=spec.kappa,
-        budget=cfg.budget,
-        monitor=None,
-        initial_expectation=root.expectation,
-        initial_g_impurity=g_imp,
-        initial_u_f=None,
-        initial_distance=dist,
-        threshold_policy=f"grid:{grid_w}",
-    )
-
-    while 1 + len(trace.steps) < cfg.budget:
-        best_idx = -1
-        best_gain = -math.inf
-        for i, st in enumerate(states):
-            if st.active and st.best_gain > best_gain + GAIN_TOL:
-                best_gain = st.best_gain
-                best_idx = i
-        if best_idx < 0:
-            trace.stop_reason = "no-candidates"
-            break
-        st = states[best_idx]
-        if cfg.stop_on_zero_gain and st.best_gain <= GAIN_TOL:
-            trace.stop_reason = "zero-gain"
-            break
-        coord, u = st.best_coord, st.best_theta
-        a, b = st.box[coord - 1]
-        hi = _BoxLeaf(teacher, d, st.box[: coord - 1] + ((u, b),) + st.box[coord:], spec, grid_w)
-        lo = _BoxLeaf(teacher, d, st.box[: coord - 1] + ((a, u),) + st.box[coord:], spec, grid_w)
-
-        dist_before = dist
-        dist = dist - st.err_frac + hi.err_frac + lo.err_frac
-        g_imp = g_imp - st.best_gain
-
-        # the tree tests raw quantile coordinates: threshold is u itself
-        frontier.split(best_idx, coord, float(u))
-        states[best_idx : best_idx + 1] = [hi, lo]
-        trace.steps.append(
-            TraceStep(
-                iteration=len(trace.steps) + 1,
-                leaf_id=best_idx,
-                coord=coord,
-                theta=float(u),
-                gain=st.best_gain,
-                g_impurity=g_imp,
-                u_f=None,
-                distance=dist,
-                distance_before=dist_before,
-                expectation_leaf=st.expectation,
-                median_split=st.best_median,
-            )
+    def children(self) -> tuple["_BoxLeaf", "_BoxLeaf"]:
+        coord, u, box = self.best_coord, self.best_u, self.box
+        a, b = box[coord - 1]
+        depth = self.depth + 1
+        return (
+            _BoxLeaf(self.run, box[: coord - 1] + ((u, b),) + box[coord:], depth),
+            _BoxLeaf(self.run, box[: coord - 1] + ((a, u),) + box[coord:], depth),
         )
-
-    completed = frontier.build([1 if 2 * st.expectation >= 1 else 0 for st in states])
-    return completed, trace
 
 
 def grow_real(source, cfg: GrowthConfig, policy: str = "midpoints"):
@@ -758,20 +631,30 @@ def grow_real(source, cfg: GrowthConfig, policy: str = "midpoints"):
     mapped through the coordinate CDFs and the returned tree queries
     quantile-transformed inputs on the grid.
     """
-    if cfg.impurity is None:
+    spec = cfg.impurity
+    if spec is None:
         raise ValueError(
             "real-valued growth scores (coordinate, threshold) candidates by "
             "purity gain; configure an impurity"
         )
     if cfg.monitor is not None:
         raise ValueError("growth monitors apply to binary-feature growth only")
-    kind, grid_w = _parse_policy(policy)
+    kind, grid_w = parse_policy(policy)
+    policy_name = "midpoints" if kind == "midpoints" else f"grid:{grid_w}"
     if isinstance(source, RealSample):
-        return _grow_empirical(source, cfg, kind, grid_w)
+        root = _SampleLeaf((source, spec, kind, grid_w), tuple(range(len(source))))
+        return _greedy(root, cfg, source.n, "real-empirical", policy_name)
     if isinstance(source, tuple) and len(source) == 2:
         teacher, d = source
         if isinstance(teacher, DecisionTree) and isinstance(d, ProductDistribution):
             if kind != "grid":
                 raise ValueError("analytic growth needs the grid policy (no sample to take midpoints from)")
-            return _grow_analytic(teacher, d, cfg, grid_w)
+            if not all(c.strictly_increasing for c in d.coords):
+                raise ValueError(
+                    "analytic growth needs invertible coordinate CDFs "
+                    "(uniform01 or strictly increasing cdf_table)"
+                )
+            unit = tuple((Fraction(0), Fraction(1)) for _ in range(d.n))
+            root = _BoxLeaf((teacher, d, spec, grid_w), unit)
+            return _greedy(root, cfg, d.n, "real-analytic", policy_name)
     raise TypeError("source must be a RealSample or a (DecisionTree, ProductDistribution) pair")

@@ -9,10 +9,11 @@ Two tree flavors share one node representation:
 
 Trees are immutable values.  split() returns a new tree sharing structure
 with the old one, but it walks every leaf to find its target and
-re-validates the whole result, so one call costs O(size).  The growth
-loops therefore edit a Frontier instead: a preorder list of open leaves
-where a split is one list splice, from which build() assembles the labeled
-tree once, in one pass, validated once by the DecisionTree constructor.
+re-validates the whole result, so one call costs O(size).  Growth
+therefore builds its trees on a Frontier instead (grower.tree_at): a
+preorder list of open leaves where a split is one list splice, from which
+build() assembles the labeled tree once, in one pass, validated once by
+the DecisionTree constructor.
 A PartialTree has unlabeled leaves; complete() turns it into a
 DecisionTree by labeling each leaf with the rounded conditional
 expectation of a reference function (ties round to 1).

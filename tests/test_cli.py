@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -174,32 +173,6 @@ class TestDeterminism:
             else:
                 assert files_a[name] == files_b[name], name
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        base = ["agnostic-sweep", "--arity", "4", "--trials", "3", "--sizes", "2,4",
-                "--seed", "2"]
-        out_a, out_b = tmp_path / "t1", tmp_path / "t2"
-        assert main(base + ["--threads", "1", "--out", str(out_a)]) == 0
-        assert main(base + ["--threads", "2", "--out", str(out_b)]) == 0
-        assert (out_a / "rows.csv").read_bytes() == (out_b / "rows.csv").read_bytes()
-        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
-
-
-    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (1, None)])
-    def test_workers_capped_by_trials_and_cpus(self, tmp_path, monkeypatch, cpus, expected):
-        real_executor = cli.ThreadPoolExecutor
-        asked = []
-
-        def recording_executor(max_workers):
-            asked.append(max_workers)
-            return real_executor(max_workers=max_workers)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_executor)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rc = main(["agnostic-sweep", "--arity", "4", "--trials", "3", "--sizes", "2",
-                   "--threads", "64", "--out", str(tmp_path / "ag")])
-        assert rc == 0
-        assert asked == ([] if expected is None else [expected])
-
 
 class TestExitContract:
     def test_injected_failure_returns_one_and_writes_bundle(self, tmp_path, capsys):
@@ -236,6 +209,51 @@ class TestExitContract:
         rc = main(["grow", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grow-real", "--thresholds", "bogus"],
+            ["grow-real", "--thresholds", "grid:x"],
+            ["grow-real", "--thresholds", "grid:99"],
+            ["grow", "--arity", "4", "--monitor-size", "1"],
+            ["agnostic-sweep", "--arity", "4", "--trials", "1", "--sizes", "1,2"],
+            ["agnostic-sweep", "--arity", "4", "--trials", "1", "--sizes", "0"],
+        ],
+        ids=["thresholds-bogus", "thresholds-grid-x", "thresholds-grid-99",
+             "monitor-size-1", "sizes-1-2", "sizes-0"],
+    )
+    def test_bad_value_exits_two(self, tmp_path, capsys, argv):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n0.2,0\n0.8,1\n")
+        if argv[0] == "grow-real":
+            argv = argv + ["--data", str(data)]
+        rc = main(argv + ["--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_config_key_threads_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        rc = main(["grow", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["grow", "--arity", "25"], ["realizable", "--arity", "25", "--trials", "1"]],
+        ids=["grow", "realizable"],
+    )
+    def test_arity_above_table_cap_refused_up_front(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a truth table before checking the arity")
+
+        monkeypatch.setattr(cli, "random_monotone", refuse)
+        monkeypatch.setattr(cli, "random_monotone_tree", refuse)
+        rc = main(argv + ["--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "arity 25" in capsys.readouterr().err
 
     def test_bad_csv_diagnoses_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"

@@ -1,24 +1,28 @@
-"""Growth loops against the slow reference they replaced.
+"""Growth against the slow reference it replaced.
 
-The loops keep their tree as a tree.Frontier and build it once.  The
+Every grower runs one greedy loop, which records its splits in the trace
+and builds the tree once, in grower.tree_at, on a tree.Frontier.  The
 reference is the old algorithm: every split goes through tree.split, which
 re-walks and re-validates the whole PartialTree, and label_leaves labels
-the result.  Each case checks the new loop two ways:
+the result.  Each case checks the loop two ways:
 
   * it runs the same loop with a Frontier stand-in that edits through
     tree.split, and asserts an equal tree and an identical trace;
   * it replays the trace's (leaf_id, coord, theta) from PartialTree.empty()
     through tree.split, labels the leaves, and asserts an equal tree.
+
+The hard CLI's checkpoint trees, once rebuilt by replaying cursor splits,
+now come from tree_at; they are checked against that replay.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topdowndt import grower, hardinstance, realvalued
+from topdowndt import grower, hardinstance
 from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, derived_rng, random_monotone
-from topdowndt.cli import main
-from topdowndt.grower import GrowthConfig, grow
+from topdowndt.cli import _hard_checkpoints, main
+from topdowndt.grower import GrowthConfig, grow, tree_at
 from topdowndt.impurity import BUILTIN_NAMES, builtin
 from topdowndt.realvalued import (
     ProductDistribution,
@@ -47,7 +51,6 @@ class _SplitFrontier:
 def _reference_run(run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grower, "Frontier", _SplitFrontier)
-        mp.setattr(realvalued, "Frontier", _SplitFrontier)
         return run()
 
 
@@ -155,3 +158,58 @@ def test_growth_never_edits_through_tree_split(monkeypatch, tmp_path):
     assert rc == 0
     assert (out / "rows.csv").read_text().count("\n") > 2
 
+
+
+def _cursor_replay(h, trace, sizes):
+    """The old checkpoint trees: replay cursor splits, label by rounded expectation."""
+    want = set(sizes)
+    cursors = [h.root_cursor()]
+    t = PartialTree.empty()
+
+    def labeled():
+        return label_leaves(t, [1 if 2 * c.expectation() >= 1 else 0 for c in cursors])
+
+    out = {1: labeled()} if 1 in want else {}
+    for step in trace.steps:
+        cursors[step.leaf_id : step.leaf_id + 1] = cursors[step.leaf_id].split(step.coord)
+        t = treemod.split(t, step.leaf_id, step.coord)
+        if len(cursors) in want:
+            out[len(cursors)] = labeled()
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    ell=st.integers(2, 10),
+    k=st.sampled_from((1, 3, 5, 7, 9)),
+    budget=st.integers(1, 64),
+    rule=st.sampled_from(RULES),
+)
+def test_tree_at_checkpoints_match_cursor_replay(ell, k, budget, rule):
+    h = hardinstance.choose_params(ell, k)
+    _, trace = grow(h, _config(budget, rule))
+    sizes = _hard_checkpoints(trace.final_size)
+    expected = _cursor_replay(h, trace, sizes)
+    assert sorted(expected) == sizes
+    for size in sizes:
+        assert tree_at(trace, size) == expected[size]
+
+
+def test_tree_at_checkpoints_on_benchmark_instance():
+    h = hardinstance.choose_params(8, 63)
+    _, trace = grow(h, _config(64, "gini"))
+    sizes = _hard_checkpoints(trace.final_size)
+    expected = _cursor_replay(h, trace, sizes)
+    assert [tree_at(trace, size) for size in sizes] == [expected[size] for size in sizes]
+
+
+def test_tree_at_every_size_is_the_table_completion():
+    f = BoolFunc(6, derived_rng(9, "tree-at").getrandbits(1 << 6))
+    _, trace = grow(f, _config(30, "entropy"))
+    t = PartialTree.empty()
+    assert tree_at(trace, 1) == complete(t, f)
+    for size, step in enumerate(trace.steps, start=2):
+        t = treemod.split(t, step.leaf_id, step.coord)
+        assert tree_at(trace, size) == complete(t, f)
+    with pytest.raises(ValueError):
+        tree_at(trace, trace.final_size + 1)
