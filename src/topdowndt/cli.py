@@ -9,6 +9,12 @@ config file that flags override) and produces a ResultBundle on disk:
       *.csv           experiment rows and growth traces
       plotdata/*.csv  (x, y, series) files for external plotting
 
+Each subcommand is declared once, in SUBCOMMANDS: its runner, its help
+line and the ExperimentConfig fields it takes as flags.  The parser is
+built from that table; a flag's name is its field's name with "_" as "-"
+(ell is --l) and its type comes from the field's annotation.  A runner
+writes its own CSVs and plot files and returns (summary, checks, files).
+
 All randomness flows from the single --seed through named substreams, one
 per trial, and trials run one after another.  Re-running an identical
 config byte-reproduces every file.
@@ -30,9 +36,10 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from . import boolfn
@@ -71,18 +78,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit status 2."""
 
 
-KINDS = (
-    "grow",
-    "grow-real",
-    "opt",
-    "jz-sweep",
-    "agnostic-sweep",
-    "hard",
-    "realizable",
-    "round-check",
-    "verify-impurity",
-)
-
 DEFAULT_IMPURITIES = ("gini", "entropy", "kearns-mansour")
 
 
@@ -114,7 +109,7 @@ class ExperimentConfig:
     inject_failure: bool = False  # self-test hook: adds one always-failing check
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SUBCOMMANDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.out:
             self.out = f"results/{self.kind}"
@@ -157,7 +152,6 @@ class ResultBundle:
     summary: dict
     checks: dict[str, bool]
     files: list[str]
-    payload: dict = field(default_factory=dict, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -189,6 +183,13 @@ def _write_csv(path: Path, header, rows) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([_cell(v) for v in row])
+
+
+def _plot(out: Path, name: str, header, rows) -> str:
+    """Write an (x, y, series) CSV for external plotting; returns its bundle path."""
+    (out / "plotdata").mkdir(exist_ok=True)
+    _write_csv(out / "plotdata" / name, header, rows)
+    return f"plotdata/{name}"
 
 
 def _trial_seed(cfg: ExperimentConfig, index: int) -> int:
@@ -242,12 +243,24 @@ def _nonincreasing(curve) -> bool:
     return all(b <= a for (_, a), (_, b) in zip(curve, curve[1:]))
 
 
+def _write_trace(out: Path, trace: GrowthTrace) -> list[str]:
+    """trace.csv and its two plots, as grow and grow-real write them."""
+    write_trace_csv(trace, out / "trace.csv")
+    potential = [(0, trace.initial_g_impurity)]
+    potential += [(st.iteration, st.g_impurity) for st in trace.steps]
+    return [
+        "trace.csv",
+        _plot(out, "error_vs_size.csv", ("size", "distance"), _distance_curve(trace)),
+        _plot(out, "potential_vs_iteration.csv", ("iteration", "g_impurity"), potential),
+    ]
+
+
 def _sweep_budget(s: int, n: int) -> int:
     return min(1 << n, s ** math.ceil(math.log2(s)) if s > 1 else 1)
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (summary, checks, files, payload)
+# experiment runners: each returns (summary, checks, files)
 # ---------------------------------------------------------------------------
 
 
@@ -264,17 +277,15 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
         _check_monitor(cfg.monitor_size, eps)
         opt_s, _ = oracle.opt(f, cfg.monitor_size)
         monitor = Monitor(cfg.monitor_size, eps, opt_s)
-    dtree, trace = grow(
-        f, GrowthConfig(budget=cfg.budget, impurity=spec, stop_on_zero_gain=True, monitor=monitor)
-    )
-    write_trace_csv(trace, out / "trace.csv")
-    curve = _distance_curve(trace)
-    checks = {"distance-nonincreasing": _nonincreasing(curve)}
-    payload = {"curve": curve, "trace": trace}
+    _, trace = grow(f, GrowthConfig(budget=cfg.budget, impurity=spec, stop_on_zero_gain=True))
+    files = _write_trace(out, trace)
+    checks = {"distance-nonincreasing": _nonincreasing(_distance_curve(trace))}
     if monitor is not None and is_monotone(f):
-        report = verify_split_inequalities(trace, f, spec)
+        report = verify_split_inequalities(trace, f, spec, monitor)
         checks["split-inequalities"] = report.passed
-        payload["inequalities"] = report
+        rows = [(c.iteration, c.gain, c.score_bound, c.monitored) for c in report.checks]
+        header = ("iteration", "gain", "bound", "monitored")
+        files.append(_plot(out, "gain_vs_bound.csv", header, rows))
     summary = {
         "function": fname,
         "arity": f.n,
@@ -284,7 +295,7 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
         "final_distance": _dyadic(trace.final_distance()),
         "stop_reason": trace.stop_reason,
     }
-    return summary, checks, ["trace.csv"], payload
+    return summary, checks, files
 
 
 def _coordinate_from_spec(entry: dict, columns: dict[str, list[float]]) -> CoordinateDist:
@@ -363,11 +374,10 @@ def _run_grow_real(cfg: ExperimentConfig, out: Path):
         GrowthConfig(budget=cfg.budget, impurity=builtin(cfg.impurity), stop_on_zero_gain=True),
         policy=cfg.thresholds,
     )
-    write_trace_csv(trace, out / "trace.csv")
+    files = _write_trace(out, trace)
     with open(out / "tree.json", "w") as fh:
         json.dump(treemod.to_json(dtree), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    curve = _distance_curve(trace)
     medians = [st.median_split for st in trace.steps]
     summary = {
         "dataset": sample.provenance,
@@ -381,9 +391,8 @@ def _run_grow_real(cfg: ExperimentConfig, out: Path):
         "median_split_fraction": (sum(1 for m in medians if m) / len(medians)) if medians else None,
         "stop_reason": trace.stop_reason,
     }
-    checks = {"distance-nonincreasing": _nonincreasing(curve)}
-    payload = {"curve": curve, "trace": trace}
-    return summary, checks, ["trace.csv", "tree.json"], payload
+    checks = {"distance-nonincreasing": _nonincreasing(_distance_curve(trace))}
+    return summary, checks, [*files, "tree.json"]
 
 
 def _run_opt(cfg: ExperimentConfig, out: Path):
@@ -413,7 +422,7 @@ def _run_opt(cfg: ExperimentConfig, out: Path):
         "error": _dyadic(err),
         "witness_size": treemod.size(witness),
     }
-    return summary, checks, ["witness.json"], {"opt_line": f"opt_{cfg.size} = {_dyadic(err)}"}
+    return summary, checks, ["witness.json"]
 
 
 def _random_binary_tree(n: int, max_leaves: int, rng) -> treemod.DecisionTree:
@@ -447,7 +456,7 @@ def _run_jz_sweep(cfg: ExperimentConfig, out: Path):
     violations = sum(1 for r in rows if not r[5])
     summary = {"arity": n, "trials": cfg.trials, "violations": violations}
     checks = {"jz-zero-violations": violations == 0}
-    return summary, checks, ["rows.csv"], {}
+    return summary, checks, ["rows.csv"]
 
 
 def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
@@ -467,18 +476,15 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
             opt_s, _ = oracle.opt(f, s)
             budget = _sweep_budget(s, n)
             errs = []
+            monitor = Monitor(s, eps, opt_s)
             for name in names:
                 spec = builtin(name)
-                monitor = Monitor(s, eps, opt_s)
                 _, trace = grow(
-                    f,
-                    GrowthConfig(
-                        budget=budget, impurity=spec, stop_on_zero_gain=True, monitor=monitor
-                    ),
+                    f, GrowthConfig(budget=budget, impurity=spec, stop_on_zero_gain=True)
                 )
                 err = trace.final_distance()
                 errs.append(err)
-                report = verify_split_inequalities(trace, f, spec)
+                report = verify_split_inequalities(trace, f, spec, monitor)
                 flags.append(
                     (err <= opt_s + eps, report.passed, _nonincreasing(_distance_curve(trace)))
                 )
@@ -503,8 +509,14 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
         "split-inequalities": all(fl[1] for fl in flags),
         "distance-nonincreasing": all(fl[2] for fl in flags),
     }
-    payload = {"agnostic_rows": rows, "agnostic_names": names, "sizes": cfg.sizes}
-    return summary, checks, ["rows.csv"], payload
+    means = []
+    for s in cfg.sizes:
+        group = [r for r in rows if r[1] == s]
+        mean_opt = sum(float(r[2]) for r in group) / len(group)
+        errs = [sum(float(r[3 + j]) for r in group) / len(group) for j in range(len(names))]
+        means.append((s, mean_opt, *errs))
+    plot = _plot(out, "agnostic.csv", ("s", "opt_s", *header[3:]), means)
+    return summary, checks, ["rows.csv", plot]
 
 
 def _hard_checkpoints(final_size: int) -> list[int]:
@@ -568,8 +580,8 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
         "mc-within-ci": abs(report.mc_estimate - float(report.final_distance))
         <= 4 * report.mc_halfwidth,
     }
-    payload = {"hard_rows": rows}
-    return summary, checks, ["rows.csv", "exact_curve.csv"], payload
+    plot = _plot(out, "error_vs_size.csv", ("size", "error_estimate", "ci"), [r[:3] for r in rows])
+    return summary, checks, ["rows.csv", "exact_curve.csv", plot]
 
 
 def _run_realizable(cfg: ExperimentConfig, out: Path):
@@ -629,7 +641,7 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
         "realizable-reaches-target": reached,
         "rule-agreement": mismatches == 0,
     }
-    return summary, checks, ["rows.csv"], {}
+    return summary, checks, ["rows.csv"]
 
 
 def _run_round_check(cfg: ExperimentConfig, out: Path):
@@ -673,7 +685,7 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
         "round-dist-within-eps": all(r[3] <= eps / 2 + r[4] for r in rows),
         "s-construction-agreement": all(r[5] == 0 for r in rows),
     }
-    return summary, checks, ["rows.csv"], {}
+    return summary, checks, ["rows.csv"]
 
 
 def _run_verify_impurity(cfg: ExperimentConfig, out: Path):
@@ -692,76 +704,74 @@ def _run_verify_impurity(cfg: ExperimentConfig, out: Path):
         }
         checks[f"concavity-{name}"] = rep.passed
         checks[f"shape-{name}"] = not problems
-    return summary, checks, [], {}
+    return summary, checks, []
 
 
-_RUNNERS = {
-    "grow": _run_grow,
-    "grow-real": _run_grow_real,
-    "opt": _run_opt,
-    "jz-sweep": _run_jz_sweep,
-    "agnostic-sweep": _run_agnostic_sweep,
-    "hard": _run_hard,
-    "realizable": _run_realizable,
-    "round-check": _run_round_check,
-    "verify-impurity": _run_verify_impurity,
+# ---------------------------------------------------------------------------
+# the subcommand table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    runner: Callable  # (config, out dir) -> (summary, checks, bundle files written)
+    help: str
+    flags: tuple[str, ...]  # ExperimentConfig fields it takes as flags, besides COMMON_FLAGS
+    defaults: tuple[tuple[str, object], ...] = ()  # its own field defaults, as (name, value)
+    echo: str = ""  # line printed after the run, formatted from the summary
+
+
+COMMON_FLAGS = ("seed", "out", "inject_failure")
+
+SUBCOMMANDS = {
+    "grow": Subcommand(
+        _run_grow,
+        "grow a tree for a boolean function",
+        ("fn", "arity", "impurity", "budget", "monitor_size", "epsilon"),
+    ),
+    "grow-real": Subcommand(
+        _run_grow_real,
+        "grow a threshold tree from a CSV dataset",
+        ("data", "dist", "impurity", "budget", "thresholds"),
+    ),
+    "opt": Subcommand(
+        _run_opt,
+        "exact smallest-error tree of a given size",
+        ("fn", "size"),
+        echo="opt_{size} = {error}",
+    ),
+    "jz-sweep": Subcommand(
+        _run_jz_sweep,
+        "two-function inequality over random pairs",
+        ("arity", "trials", "leaves"),
+    ),
+    "agnostic-sweep": Subcommand(
+        _run_agnostic_sweep,
+        "greedy vs exact optimum on random monotone targets",
+        ("arity", "trials", "sizes", "epsilon", "impurities"),
+    ),
+    "hard": Subcommand(
+        _run_hard,
+        "growth on the conjunctions-plus-majority instance",
+        ("ell", "k", "impurity", "budget", "samples", "threshold"),
+    ),
+    "realizable": Subcommand(
+        _run_realizable,
+        "growth on random monotone tree targets",
+        ("arity", "trials", "teacher_leaves", "target", "budget", "impurities"),
+    ),
+    "round-check": Subcommand(
+        _run_round_check,
+        "threshold rounding and bit-encoding agreement",
+        ("arity", "trials", "leaves", "epsilon", "samples"),
+    ),
+    "verify-impurity": Subcommand(
+        _run_verify_impurity,
+        "strong concavity and shape checks",
+        ("impurity",),
+        defaults=(("impurity", "all"),),
+    ),
 }
-
-
-# ---------------------------------------------------------------------------
-# plot data
-# ---------------------------------------------------------------------------
-
-
-def emit_plotdata(bundle: ResultBundle) -> list[str]:
-    """Write (x, y, series) CSVs for external plotting tools; returns the files."""
-    plot_dir = bundle.out_dir / "plotdata"
-    written = []
-
-    def emit(name, header, rows):
-        plot_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(plot_dir / name, header, rows)
-        written.append(f"plotdata/{name}")
-
-    payload = bundle.payload
-    if "curve" in payload:
-        emit("error_vs_size.csv", ("size", "distance"), payload["curve"])
-    if "trace" in payload:
-        trace = payload["trace"]
-        rows = [(0, trace.initial_g_impurity)]
-        rows += [(st.iteration, st.g_impurity) for st in trace.steps]
-        emit("potential_vs_iteration.csv", ("iteration", "g_impurity"), rows)
-    if "inequalities" in payload:
-        rows = [
-            (c.iteration, c.gain, c.score_bound, c.monitored)
-            for c in payload["inequalities"].checks
-        ]
-        emit("gain_vs_bound.csv", ("iteration", "gain", "bound", "monitored"), rows)
-    if "agnostic_rows" in payload:
-        names = payload["agnostic_names"]
-        by_s = {}
-        for row in payload["agnostic_rows"]:
-            by_s.setdefault(row[1], []).append(row)
-        rows = []
-        for s in payload["sizes"]:
-            group = by_s.get(s, [])
-            if not group:
-                continue
-            mean_opt = sum(float(r[2]) for r in group) / len(group)
-            means = [sum(float(r[3 + j]) for r in group) / len(group) for j in range(len(names))]
-            rows.append((s, mean_opt, *means))
-        emit(
-            "agnostic.csv",
-            ("s", "opt_s", *(f"err_{name}" for name in names)),
-            rows,
-        )
-    if "hard_rows" in payload:
-        emit(
-            "error_vs_size.csv",
-            ("size", "error_estimate", "ci"),
-            [(r[0], r[1], r[2]) for r in payload["hard_rows"]],
-        )
-    return written
 
 
 # ---------------------------------------------------------------------------
@@ -770,14 +780,12 @@ def emit_plotdata(bundle: ResultBundle) -> list[str]:
 
 
 def run(config: ExperimentConfig) -> ResultBundle:
-    """Dispatch to the named experiment and write its ResultBundle."""
+    """Run the named experiment and write its ResultBundle."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary, checks, files, payload = _RUNNERS[config.kind](config, out)
+    summary, checks, files = SUBCOMMANDS[config.kind].runner(config, out)
     if config.inject_failure:
         checks["injected-failure"] = False
-    bundle = ResultBundle(out_dir=out, summary=summary, checks=checks, files=files, payload=payload)
-    bundle.files.extend(emit_plotdata(bundle))
 
     with open(out / "config.json", "w") as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
@@ -790,28 +798,14 @@ def run(config: ExperimentConfig) -> ResultBundle:
                 "seed": config.seed,
                 "summary": summary,
                 "checks": checks,
-                "files": sorted(bundle.files),
+                "files": sorted(files),
             },
             fh,
             indent=2,
             sort_keys=True,
         )
         fh.write("\n")
-    bundle.files.extend(["config.json", "summary.json"])
-    return bundle
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--out", default=None, help="output directory (default results/<kind>)")
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument(
-        "--inject-failure",
-        action="store_const",
-        const=True,
-        default=None,
-        help="add an always-failing check (exit-contract self-test)",
-    )
+    return ResultBundle(out, summary, checks, [*files, "config.json", "summary.json"])
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -822,85 +816,59 @@ def _csv_names(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+# flag parsers by ExperimentConfig annotation; bool fields are switches
+_FLAG_TYPES = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _csv_ints,
+    "tuple[str, ...]": _csv_names,
+}
+
+_FLAG_HELP = {
+    "seed": "master seed (default 0)",
+    "out": "output directory (default results/<kind>)",
+    "inject_failure": "add an always-failing check (exit-contract self-test)",
+    "fn": "function spec JSON (default: random monotone)",
+    "impurity": "gini|entropy|kearns-mansour, or influence / all where taken",
+    "impurities": "comma-separated impurity names",
+    "budget": "leaf budget",
+    "size": "leaf budget s",
+    "sizes": "comma-separated opt sizes",
+    "data": "CSV with feature columns + {0,1} label",
+    "dist": "per-coordinate distribution spec JSON",
+    "thresholds": "midpoints | grid:w",
+    "leaves": "max random-tree leaves",
+    "ell": "conjunction block width",
+    "k": "majority block width (odd)",
+    "target": "distance to reach",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topdowndt", description="Top-down decision tree growth experiments."
     )
     parser.add_argument("--version", action="version", version=f"topdowndt {__version__}")
     sub = parser.add_subparsers(dest="kind", required=True)
-
-    p = sub.add_parser("grow", help="grow a tree for a boolean function")
-    p.add_argument("--fn", default=None, help="function spec JSON (default: random monotone)")
-    p.add_argument("--arity", type=int, default=None)
-    p.add_argument("--impurity", default=None, help="gini|entropy|kearns-mansour|influence")
-    p.add_argument("--budget", type=int, default=None, help="leaf budget")
-    p.add_argument("--monitor-size", type=int, default=None, dest="monitor_size")
-    p.add_argument("--epsilon", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("grow-real", help="grow a threshold tree from a CSV dataset")
-    p.add_argument("--data", default=None, help="CSV with feature columns + {0,1} label")
-    p.add_argument("--dist", default=None, help="per-coordinate distribution spec JSON")
-    p.add_argument("--impurity", default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--thresholds", default=None, help="midpoints | grid:w")
-    _add_common(p)
-
-    p = sub.add_parser("opt", help="exact smallest-error tree of a given size")
-    p.add_argument("--fn", default=None, required=False)
-    p.add_argument("--size", type=int, default=None, help="leaf budget s")
-    _add_common(p)
-
-    p = sub.add_parser("jz-sweep", help="two-function inequality over random pairs")
-    p.add_argument("--arity", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--leaves", type=int, default=None, help="max random-tree leaves")
-    _add_common(p)
-
-    p = sub.add_parser("agnostic-sweep", help="greedy vs exact optimum on random monotone targets")
-    p.add_argument("--arity", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--sizes", type=_csv_ints, default=None, help="comma-separated opt sizes")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--impurities", type=_csv_names, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("hard", help="growth on the conjunctions-plus-majority instance")
-    p.add_argument("--l", type=int, default=None, dest="ell", help="conjunction block width")
-    p.add_argument("--k", type=int, default=None, help="majority block width (odd)")
-    p.add_argument("--impurity", default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("realizable", help="growth on random monotone tree targets")
-    p.add_argument("--arity", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--teacher-leaves", type=int, default=None, dest="teacher_leaves")
-    p.add_argument("--target", type=float, default=None, help="distance to reach")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--impurities", type=_csv_names, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("round-check", help="threshold rounding and bit-encoding agreement")
-    p.add_argument("--arity", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--leaves", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("verify-impurity", help="strong concavity and shape checks")
-    p.add_argument("--impurity", default=None, help="a builtin name, or 'all'")
-    _add_common(p)
-
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for kind, command in SUBCOMMANDS.items():
+        p = sub.add_parser(kind, help=command.help)
+        for name in (*command.flags, *COMMON_FLAGS):
+            flag = "--l" if name == "ell" else "--" + name.replace("_", "-")
+            # an unset flag parses to None and leaves the config file's value
+            kw = {"dest": name, "help": _FLAG_HELP.get(name)}
+            if types[name] == "bool":
+                p.add_argument(flag, action="store_const", const=True, **kw)
+            else:
+                p.add_argument(flag, type=_FLAG_TYPES[types[name]], **kw)
+        p.add_argument("--config", help="JSON config file; flags override it")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    merged: dict = {"kind": args.kind}
+    merged: dict = {"kind": args.kind, **dict(SUBCOMMANDS[args.kind].defaults)}
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -920,8 +888,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     for key, val in vars(args).items():
         if key in fields and val is not None:
             merged[key] = val
-    if args.kind == "verify-impurity" and "impurity" not in merged:
-        merged["impurity"] = "all"
     return ExperimentConfig(**merged)
 
 
@@ -933,8 +899,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if "opt_line" in bundle.payload:
-        print(bundle.payload["opt_line"])
+    echo = SUBCOMMANDS[config.kind].echo
+    if echo:
+        print(echo.format(**bundle.summary))
     verdicts = "  ".join(
         f"{name}={'PASS' if ok else 'FAIL'}" for name, ok in sorted(bundle.checks.items())
     )

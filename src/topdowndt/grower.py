@@ -86,10 +86,11 @@ class TableCursor:
     def free_coords(self) -> tuple[int, ...]:
         return tuple(sorted(self.view.free))
 
-    def child_expectations(self, coord: int) -> tuple[Fraction, Fraction]:
+    def child_expectations(self, coord: int) -> tuple[float, float]:
+        # int / int is correctly rounded: the float of the exact ratio
         hi_ones, lo_ones = self.view.child_ones(coord)
         half = self.view.size >> 1
-        return Fraction(hi_ones, half), Fraction(lo_ones, half)
+        return hi_ones / half, lo_ones / half
 
     def influence(self, coord: int) -> Fraction:
         return self.view.influence(coord)
@@ -140,7 +141,6 @@ class GrowthConfig:
     budget: int
     impurity: ImpuritySpec | None = None  # None selects the influence rule
     stop_on_zero_gain: bool = False
-    monitor: Monitor | None = None
 
     def __post_init__(self):
         if self.budget < 1:
@@ -168,7 +168,6 @@ class TraceStep:
     distance_before: Fraction = field(repr=False, default=Fraction(0))
     depth: int = field(repr=False, default=0)
     inf_split: Fraction | None = field(repr=False, default=None)
-    expectation_leaf: Fraction | None = field(repr=False, default=None)
     path_key: frozenset = field(repr=False, default=frozenset())
     median_split: bool | None = field(repr=False, default=None)
 
@@ -180,7 +179,6 @@ class GrowthTrace:
     impurity_name: str | None
     kappa: float | None
     budget: int
-    monitor: Monitor | None
     initial_expectation: Fraction
     initial_g_impurity: float | None
     initial_u_f: Fraction | None
@@ -262,7 +260,8 @@ class _LeafState:
         self.label = 1 if 2 * e.numerator >= e.denominator else 0  # 2e >= 1, no new Fraction
         self.bias = min(e, 1 - e)
         self.err_frac = Fraction(1, 1 << depth) * self.bias
-        self.g_term = None if spec is None else math.ldexp(evaluate(spec, e), -depth)
+        g_here = None if spec is None else evaluate(spec, e)
+        self.g_term = None if g_here is None else math.ldexp(g_here, -depth)
         self.u_term = Fraction(1, 1 << depth) * cursor.total_influence()
         free = cursor.free_coords()
         self.active = bool(free) and self.bias != 0
@@ -272,7 +271,6 @@ class _LeafState:
         if not self.active:
             return
         if spec is not None:
-            g_here = evaluate(spec, e)
             best = -math.inf
             best_coord = None
             for coord in free:
@@ -327,7 +325,6 @@ def _greedy(
         impurity_name=spec.name if spec else None,
         kappa=spec.kappa if spec else None,
         budget=cfg.budget,
-        monitor=cfg.monitor,
         initial_expectation=root.expectation,
         initial_g_impurity=g_imp,
         initial_u_f=u_f,
@@ -378,7 +375,6 @@ def _greedy(
                 distance_before=dist_before,
                 depth=st.depth,
                 inf_split=st.inf_split,
-                expectation_leaf=st.expectation,
                 path_key=st.path_key,
                 median_split=st.best_median,
             )
@@ -436,28 +432,6 @@ def influence_potential(t: treemod.Tree, f: BoolFunc) -> Fraction:
     return total
 
 
-def purity_gain(
-    t: treemod.Tree, f: BoolFunc, spec: ImpuritySpec, leaf_id: int, coord: int
-) -> float:
-    """Potential decrease from splitting the identified leaf on coord."""
-    infos = treemod.leaves(t)
-    if not 0 <= leaf_id < len(infos):
-        raise ValueError(f"no leaf with id {leaf_id}")
-    info = infos[leaf_id]
-    for step in info.path:
-        if step.coord == coord:
-            raise ValueError(f"coordinate {coord} already queried on this path")
-    view = SubcubeView.of_function(f).restrict(info.restriction())
-    cursor = TableCursor(view)
-    if coord not in cursor.free_coords():
-        raise ValueError(f"coordinate {coord} not free at this leaf")
-    e_hi, e_lo = cursor.child_expectations(coord)
-    local = evaluate(spec, view.expectation()) - 0.5 * (
-        evaluate(spec, e_hi) + evaluate(spec, e_lo)
-    )
-    return math.ldexp(local, -info.depth)
-
-
 # ---------------------------------------------------------------------------
 # per-iteration guarantee verification
 # ---------------------------------------------------------------------------
@@ -501,7 +475,8 @@ def verify_split_inequalities(
 ) -> SplitInequalityReport:
     """Check the recorded growth against the per-step guarantees.
 
-    Guarantees hold for monotone targets only; a non-monotone f is refused.
+    monitor (s, eps and the budget-s optimum opt_s) is required.  Guarantees
+    hold for monotone targets only; a non-monotone f is refused.
     """
     if trace.mode != "impurity":
         raise ValueError("split inequalities apply to impurity-rule traces")
@@ -510,7 +485,6 @@ def verify_split_inequalities(
             raise ValueError("refused: target function is not monotone")
     elif f is not None and not getattr(f, "monotone", True):
         raise ValueError("refused: target function is not monotone")
-    monitor = monitor or trace.monitor
     if monitor is None:
         raise ValueError("no monitor parameters supplied")
     kappa = spec.kappa if spec is not None else trace.kappa

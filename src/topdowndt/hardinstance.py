@@ -50,6 +50,7 @@ from .tree import DecisionTree, Internal, Leaf
 
 _HALF_TARGET = Fraction(1, 2)
 _PRIME_TARGET = Fraction(499, 1000)
+C1 = 1.0  # the constant of shape_satisfied's regime condition
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,10 @@ def _tie_prob(u: int, sigma: int) -> Fraction:
 class HardInstance:
     params: TribesParams
     k: int
-    c1: float = 1.0
 
     def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError("majority arity k must be odd and positive")
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
 
     @property
     def arity(self) -> int:
@@ -168,9 +166,9 @@ class HardInstance:
 
     @property
     def shape_satisfied(self) -> bool:
-        """Whether k is small enough for the intended regime: log2(ell)/ell <= c1/sqrt(k)."""
+        """Whether k is small enough for the intended regime: log2(ell)/ell <= C1/sqrt(k)."""
         ell = self.params.ell
-        return math.log2(ell) / ell <= self.c1 / math.sqrt(self.k)
+        return math.log2(ell) / ell <= C1 / math.sqrt(self.k)
 
     @property
     def expectation(self) -> Fraction:
@@ -188,9 +186,9 @@ class HardInstance:
         return _HardCursor(self, {})
 
 
-def choose_params(ell: int, k: int, c1: float = 1.0) -> HardInstance:
+def choose_params(ell: int, k: int) -> HardInstance:
     """Pick tribes parameters for ell and pair them with a k-bit majority block."""
-    return HardInstance(tribes_params(ell), k, c1)
+    return HardInstance(tribes_params(ell), k)
 
 
 
@@ -477,10 +475,11 @@ def mc_check(h: HardInstance, t: DecisionTree, labeled, cutoff: int) -> tuple[fl
     count = errors = early_x = 0
     for x, fx in labeled:
         count += 1
-        if treemod.evaluate(t, x) != fx:
+        leaf = treemod.path_of(t, x)
+        if leaf.node.label != fx:
             errors += 1
         y_seen = 0
-        for step in treemod.path_of(t, x).path:
+        for step in leaf.path:
             if step.coord > ell:
                 y_seen += 1
                 if y_seen > cutoff:

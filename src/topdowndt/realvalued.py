@@ -512,9 +512,9 @@ class _SampleLeaf:
                 hi_ones = self.ones - lo_ones
                 total_g = self.count * g_here
                 if lo_n:
-                    total_g -= lo_n * g_eval(spec, Fraction(lo_ones, lo_n))
+                    total_g -= lo_n * g_eval(spec, lo_ones / lo_n)
                 if hi_n:
-                    total_g -= hi_n * g_eval(spec, Fraction(hi_ones, hi_n))
+                    total_g -= hi_n * g_eval(spec, hi_ones / hi_n)
                 gain = total_g / total
                 if gain > self.best_gain + GAIN_TOL:
                     self.score = self.best_gain = gain
@@ -637,8 +637,6 @@ def grow_real(source, cfg: GrowthConfig, policy: str = "midpoints"):
             "real-valued growth scores (coordinate, threshold) candidates by "
             "purity gain; configure an impurity"
         )
-    if cfg.monitor is not None:
-        raise ValueError("growth monitors apply to binary-feature growth only")
     kind, grid_w = parse_policy(policy)
     policy_name = "midpoints" if kind == "midpoints" else f"grid:{grid_w}"
     if isinstance(source, RealSample):

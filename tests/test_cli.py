@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -300,3 +301,67 @@ class TestSweepBudget:
         assert _sweep_budget(2, 8) == 2
         assert _sweep_budget(4, 8) == 16
         assert _sweep_budget(8, 8) == 256  # 8^3 = 512 capped at 2^8
+
+
+class TestParser:
+    # every flag each subcommand has taken, besides --seed, --out,
+    # --inject-failure and --config
+    FLAGS = {
+        "grow": ("--fn", "--arity", "--impurity", "--budget", "--monitor-size", "--epsilon"),
+        "grow-real": ("--data", "--dist", "--impurity", "--budget", "--thresholds"),
+        "opt": ("--fn", "--size"),
+        "jz-sweep": ("--arity", "--trials", "--leaves"),
+        "agnostic-sweep": ("--arity", "--trials", "--sizes", "--epsilon", "--impurities"),
+        "hard": ("--l", "--k", "--impurity", "--budget", "--samples", "--threshold"),
+        "realizable": (
+            "--arity", "--trials", "--teacher-leaves", "--target", "--budget", "--impurities"
+        ),
+        "round-check": ("--arity", "--trials", "--leaves", "--epsilon", "--samples"),
+        "verify-impurity": ("--impurity",),
+    }
+    # (flag text, parsed value) by ExperimentConfig annotation
+    VALUES = {
+        "int": ("7", 7),
+        "float": ("0.25", 0.25),
+        "str": ("abc", "abc"),
+        "tuple[int, ...]": ("2,4", (2, 4)),
+        "tuple[str, ...]": ("gini,entropy", ("gini", "entropy")),
+    }
+    TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+    @staticmethod
+    def field_of(flag: str) -> str:
+        return "ell" if flag == "--l" else flag[2:].replace("-", "_")
+
+    @pytest.mark.parametrize("kind", sorted(FLAGS))
+    def test_each_flag_parses_into_its_field(self, kind):
+        parser = cli.build_parser()
+        for flag in (*self.FLAGS[kind], "--seed", "--out"):
+            name = self.field_of(flag)
+            text, value = self.VALUES[self.TYPES[name]]
+            args = parser.parse_args([kind, flag, text])
+            parsed = getattr(args, name)
+            assert parsed == value and type(parsed) is type(value), (kind, flag)
+        args = parser.parse_args([kind, "--inject-failure", "--config", "c.json"])
+        assert args.inject_failure is True and args.config == "c.json"
+        # no other field is a flag, and unset flags stay None, so they leave
+        # a config file's values alone
+        args = vars(parser.parse_args([kind]))
+        taken = {self.field_of(flag) for flag in self.FLAGS[kind]}
+        assert args.keys() == taken | {"kind", "seed", "out", "inject_failure", "config"}
+        assert all(v is None for key, v in args.items() if key != "kind")
+
+    def test_parser_has_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["--help"])
+        listed = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert sorted(listed.split(",")) == sorted(self.FLAGS)
+
+    def test_verify_impurity_defaults_to_all(self, tmp_path):
+        parser = cli.build_parser()
+        assert cli._resolve_config(parser.parse_args(["verify-impurity"])).impurity == "all"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"impurity": "gini"}))
+        args = parser.parse_args(["verify-impurity", "--config", str(cfg)])
+        assert cli._resolve_config(args).impurity == "gini"
+        assert cli._resolve_config(parser.parse_args(["grow"])).impurity == "gini"

@@ -159,8 +159,8 @@ class TestSplitInequalities:
     def test_monitored_run_passes(self):
         f = majority(3)
         mon = Monitor(s=2, eps=Fraction(1, 10), opt_s=Fraction(1, 4))
-        _, trace = grow(f, GrowthConfig(budget=4, impurity=GINI, monitor=mon))
-        report = verify_split_inequalities(trace, f, GINI)
+        _, trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
+        report = verify_split_inequalities(trace, f, GINI, monitor=mon)
         assert report.passed
         # initial distance 1/2 exceeds opt_2 + eps = 7/20, so step 1 is monitored
         assert report.monitored_count == 1
@@ -172,8 +172,8 @@ class TestSplitInequalities:
     def test_gain_beats_claim3_bound_everywhere(self):
         f = random_monotone(6, seed=11)
         mon = Monitor(s=4, eps=Fraction(1, 10), opt_s=Fraction(0))
-        _, trace = grow(f, GrowthConfig(budget=12, impurity=GINI, monitor=mon))
-        report = verify_split_inequalities(trace, f, GINI)
+        _, trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
+        report = verify_split_inequalities(trace, f, GINI, monitor=mon)
         assert report.passed
         for check in report.checks:
             assert check.gain >= check.claim3_bound - 1e-9

@@ -104,8 +104,6 @@ class TestInstanceBasics:
             choose_params(8, 4)  # even k
         with pytest.raises(ValueError):
             choose_params(8, -1)
-        with pytest.raises(ValueError):
-            choose_params(8, 3, c1=0)
 
     def test_shape_condition(self):
         assert choose_params(8, 3).shape_satisfied

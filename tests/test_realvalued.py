@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
-from topdowndt.grower import GrowthConfig, Monitor, grow
+from topdowndt.grower import GrowthConfig, grow
 from topdowndt.impurity import builtin
 from topdowndt.realvalued import (
     MAX_BITS,
@@ -356,12 +356,6 @@ class TestGrowRealRefusals:
         sample = RealSample((((0.1,), 0), ((0.9,), 1)))
         with pytest.raises(ValueError, match="impurity"):
             grow_real(sample, GrowthConfig(budget=2, impurity=None))
-
-    def test_refuses_monitor(self):
-        sample = RealSample((((0.1,), 0), ((0.9,), 1)))
-        mon = Monitor(2, Fraction(1, 10), Fraction(0))
-        with pytest.raises(ValueError, match="binary-feature"):
-            grow_real(sample, GrowthConfig(budget=2, impurity=GINI, monitor=mon))
 
     def test_analytic_needs_grid(self):
         teacher = DecisionTree(Internal(1, 0.5, Leaf(1), Leaf(0)))
