@@ -444,14 +444,13 @@ def _run_jz_sweep(cfg: ExperimentConfig, out: Path):
     if n > 16:
         raise ConfigError("jz-sweep enumerates truth tables; keep arity <= 16")
 
-    def one(i: int):
+    rows = []
+    for i in range(cfg.trials):
         rng = derived_rng(_trial_seed(cfg, i), "jz")
         f = BoolFunc(n, rng.getrandbits(1 << n))
         g = _random_binary_tree(n, max(2, min(cfg.leaves, 1 << n)), rng)
         rep = oracle.verify_jz(f, g)
-        return (i, rep.lhs, rep.numerator, rep.tree_size, rep.rhs, rep.passed)
-
-    rows = [one(i) for i in range(cfg.trials)]
+        rows.append((i, rep.lhs, rep.numerator, rep.tree_size, rep.rhs, rep.passed))
     _write_csv(out / "rows.csv", ("trial", "lhs", "numerator", "size", "rhs", "passed"), rows)
     violations = sum(1 for r in rows if not r[5])
     summary = {"arity": n, "trials": cfg.trials, "violations": violations}
@@ -468,10 +467,10 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
     for s in cfg.sizes:
         _check_monitor(s, eps)
 
-    def one(i: int):
+    rows = []
+    flags = []
+    for i in range(cfg.trials):
         f = random_monotone(n, seed=_trial_seed(cfg, i))
-        out_rows = []
-        flags = []
         for s in cfg.sizes:
             opt_s, _ = oracle.opt(f, s)
             budget = _sweep_budget(s, n)
@@ -488,12 +487,7 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
                 flags.append(
                     (err <= opt_s + eps, report.passed, _nonincreasing(_distance_curve(trace)))
                 )
-            out_rows.append((i, s, opt_s, *errs))
-        return out_rows, flags
-
-    results = [one(i) for i in range(cfg.trials)]
-    rows = [row for out_rows, _ in results for row in out_rows]
-    flags = [fl for _, fls in results for fl in fls]
+            rows.append((i, s, opt_s, *errs))
     header = ("trial", "s", "opt_s", *(f"err_{name}" for name in names))
     _write_csv(out / "rows.csv", header, rows)
     summary = {
@@ -590,17 +584,16 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
     budget = min(1 << n, cfg.budget)
     names = tuple(cfg.impurities)
 
-    def one(i: int):
+    rows = []
+    mismatches = 0
+    for i in range(cfg.trials):
         teacher = random_monotone_tree(n, cfg.teacher_leaves, _trial_seed(cfg, i))
         f = treemod.to_boolfunc(teacher, n)
-        out_rows = []
-        reached_all = True
-        traces = {}
+        _, inf_trace = grow(f, GrowthConfig(budget=budget, impurity=None, stop_on_zero_gain=True))
         for name in names:
             _, trace = grow(
                 f, GrowthConfig(budget=budget, impurity=builtin(name), stop_on_zero_gain=True)
             )
-            traces[name] = trace
             reached = None
             if float(trace.initial_distance) <= cfg.target:
                 reached = 1
@@ -609,25 +602,13 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
                     if float(st.distance) <= cfg.target:
                         reached = st.iteration + 1
                         break
-            reached_all &= reached is not None
-            out_rows.append(
-                (i, treemod.size(teacher), name, reached, trace.final_distance())
-            )
-        _, inf_trace = grow(f, GrowthConfig(budget=budget, impurity=None, stop_on_zero_gain=True))
-        mismatches = sum(
-            len(rule_agreement(traces[name], inf_trace)[1]) for name in names
-        )
-        return out_rows, reached_all, mismatches
-
-    results = [one(i) for i in range(cfg.trials)]
-    rows = [row for out_rows, _, _ in results for row in out_rows]
+            rows.append((i, treemod.size(teacher), name, reached, trace.final_distance()))
+            mismatches += len(rule_agreement(trace, inf_trace)[1])
     _write_csv(
         out / "rows.csv",
         ("trial", "teacher_leaves", "impurity", "reached_size", "final_distance"),
         rows,
     )
-    reached = all(r for _, r, _ in results)
-    mismatches = sum(m for _, _, m in results)
     summary = {
         "arity": n,
         "trials": cfg.trials,
@@ -638,7 +619,7 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
         "max_reached_size": max((r[3] for r in rows if r[3] is not None), default=None),
     }
     checks = {
-        "realizable-reaches-target": reached,
+        "realizable-reaches-target": all(r[3] is not None for r in rows),
         "rule-agreement": mismatches == 0,
     }
     return summary, checks, ["rows.csv"]
@@ -650,7 +631,8 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
     d = ProductDistribution.uniform(n)
     agree_per_trial = max(1, math.ceil(10**4 / cfg.trials))
 
-    def one(i: int):
+    rows = []
+    for i in range(cfg.trials):
         seed = _trial_seed(cfg, i)
         t = balanced_random_tree(n, cfg.leaves, seed)
         depth = treemod.depth(t)
@@ -664,9 +646,7 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
             bits = encode_point(x, w)
             if treemod.evaluate(tr, x) != booleanized_evaluate(tr, w, bits):
                 fails += 1
-        return (i, depth, w, est, hw, fails)
-
-    rows = [one(i) for i in range(cfg.trials)]
+        rows.append((i, depth, w, est, hw, fails))
     _write_csv(
         out / "rows.csv",
         ("trial", "depth", "w", "estimate", "halfwidth", "agreement_failures"),
@@ -846,14 +826,17 @@ _FLAG_HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an abbreviated flag is an error, not another field
     parser = argparse.ArgumentParser(
-        prog="topdowndt", description="Top-down decision tree growth experiments."
+        prog="topdowndt",
+        description="Top-down decision tree growth experiments.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"topdowndt {__version__}")
     sub = parser.add_subparsers(dest="kind", required=True)
     types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     for kind, command in SUBCOMMANDS.items():
-        p = sub.add_parser(kind, help=command.help)
+        p = sub.add_parser(kind, help=command.help, allow_abbrev=False)
         for name in (*command.flags, *COMMON_FLAGS):
             flag = "--l" if name == "ell" else "--" + name.replace("_", "-")
             # an unset flag parses to None and leaves the config file's value

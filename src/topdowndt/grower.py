@@ -221,10 +221,10 @@ class _LeafState:
     _BoxLeaf: active; score, the selection key (best_gain under an
     impurity, the exact 2^-depth * Inf under the influence rule); the best
     split best_gain, best_coord, best_theta, best_median; err_frac, the
-    exact error mass of the majority label; the potential terms g_term and
-    u_term (None when untracked); label; the TraceStep extras depth,
-    path_key, expectation, inf_split; and children(), called once, on the
-    leaf being split.
+    exact error mass of the majority label; the potential terms u_term and
+    g_term (None when untracked; _greedy reads g_term only at the root);
+    label; the TraceStep extras depth, path_key, expectation, inf_split;
+    and children(), called once, on the leaf being split.
     """
 
     __slots__ = (
@@ -260,11 +260,14 @@ class _LeafState:
         self.label = 1 if 2 * e.numerator >= e.denominator else 0  # 2e >= 1, no new Fraction
         self.bias = min(e, 1 - e)
         self.err_frac = Fraction(1, 1 << depth) * self.bias
-        g_here = None if spec is None else evaluate(spec, e)
-        self.g_term = None if g_here is None else math.ldexp(g_here, -depth)
         self.u_term = Fraction(1, 1 << depth) * cursor.total_influence()
         free = cursor.free_coords()
         self.active = bool(free) and self.bias != 0
+        # G(E[f_l]) is read by the gain scan and, at the root, by _greedy
+        g_here = None
+        if spec is not None and (self.active or depth == 0):
+            g_here = evaluate(spec, e)
+        self.g_term = None if g_here is None else math.ldexp(g_here, -depth)
         self.score = self.best_gain = -math.inf
         self.best_coord = None
         self.best_inf = Fraction(0)

@@ -18,6 +18,14 @@ grower cursor, so greedy growth runs on instances far beyond truth-table
 size; to_boolfunc() materializes the table (arity <= 24 only) to
 cross-check the formulas by brute force.
 
+The cursor holds what the closed forms read: per term, the number of its
+free coordinates, or None once one of them is fixed to -1 (the term is
+dead); the number u of free y's and the sum sigma of the fixed ones; and
+the set of fixed coordinates.  Fixing a coordinate changes one term's
+count or (u, sigma), so a split or a scored candidate costs O(m), with no
+rescan of the restriction.  All free x's of a live term share one
+influence, and so do all free y's.
+
 Parameter choice: w is picked so Pr[T] is as close to 1/2 as possible
 subject to m = ell//w >= 2, and m' < m so Pr[T'] is nearest 499/1000
 (from either side).  The y-block decides f exactly where T holds and T'
@@ -183,7 +191,8 @@ class HardInstance:
         return range(self.params.ell + 1, self.arity + 1)
 
     def root_cursor(self) -> "_HardCursor":
-        return _HardCursor(self, {})
+        p = self.params
+        return _HardCursor(self, frozenset(), (p.w,) * p.m, self.k, 0)
 
 
 def choose_params(ell: int, k: int) -> HardInstance:
@@ -191,122 +200,51 @@ def choose_params(ell: int, k: int) -> HardInstance:
     return HardInstance(tribes_params(ell), k)
 
 
-
-def _term_factors(h: HardInstance, fixed: dict[int, int]) -> list[Fraction]:
-    """Per term, Pr[term unsatisfied] given the assignment (1 for dead terms)."""
-    factors = []
-    for j in range(1, h.params.m + 1):
-        dead = False
-        free = 0
-        for c in h.params.term_coords(j):
-            v = fixed.get(c)
-            if v == -1:
-                dead = True
-                break
-            if v is None:
-                free += 1
-        if dead:
-            factors.append(Fraction(1))
-        else:
-            factors.append(1 - Fraction(1, 1 << free))
-    return factors
+def _misses(m_prime: int, live: tuple) -> tuple[Fraction, Fraction]:
+    """(Pr[not T'], Pr[not T]) for the cursor state's live counts."""
+    qp = _miss(live[:m_prime])
+    return qp, qp * _miss(live[m_prime:])
 
 
-def _y_profile(h: HardInstance, fixed: dict[int, int]) -> tuple[int, int]:
-    """(free y count, signed sum of fixed y's)."""
-    sigma = 0
-    free = h.k
-    for c in h.y_coords():
-        v = fixed.get(c)
-        if v is not None:
-            sigma += v
-            free -= 1
-    return free, sigma
+def _miss(live: tuple) -> Fraction:
+    """Pr[no term fires]: a term with `free` free coordinates misses with
+    probability (2^free - 1) / 2^free, a dead term (None) always."""
+    num, bits = 1, 0
+    for free in live:
+        if free is not None:
+            num *= (1 << free) - 1
+            bits += free
+    return Fraction(num, 1 << bits)
 
 
-def _as_fixed(h: HardInstance, r: Restriction | None) -> dict[int, int]:
-    if r is None:
-        return {}
-    for c, _ in r.fixed:
-        if not 1 <= c <= h.arity:
-            raise ValueError(f"coordinate {c} out of range 1..{h.arity}")
-    return dict(r.fixed)
-
-
-def _expectation(h: HardInstance, fixed: dict[int, int]) -> Fraction:
-    factors = _term_factors(h, fixed)
-    qp = math.prod(factors[: h.params.m_prime], start=Fraction(1))
-    q = qp * math.prod(factors[h.params.m_prime :], start=Fraction(1))
-    u, sigma = _y_profile(h, fixed)
+def _mean(m_prime: int, live: tuple, u: int, sigma: int) -> Fraction:
+    """E[f] on a restriction with cursor state (live, u, sigma)."""
+    qp, q = _misses(m_prime, live)
     return (1 - qp) + (qp - q) * _maj_prob(u, sigma)
 
 
-def _influence(h: HardInstance, fixed: dict[int, int], i: int) -> Fraction:
-    if not 1 <= i <= h.arity:
-        raise ValueError(f"coordinate {i} out of range 1..{h.arity}")
-    if fixed.get(i) is not None:
-        raise ValueError(f"coordinate {i} is fixed by the restriction")
-    ell = h.params.ell
-    factors = _term_factors(h, fixed)
-    u, sigma = _y_profile(h, fixed)
-    if i > ell:
-        # y flip matters iff the rest event holds and the other y's tie
-        qp = math.prod(factors[: h.params.m_prime], start=Fraction(1))
-        q = qp * math.prod(factors[h.params.m_prime :], start=Fraction(1))
-        return (qp - q) * _tie_prob(u - 1, sigma)
-    if i > h.params.m * h.params.w:
-        return Fraction(0)  # slack coordinate, not in any term
-    j = (i - 1) // h.params.w + 1
-    pivot = Fraction(1)
-    for c in h.params.term_coords(j):
-        if c == i:
-            continue
-        v = fixed.get(c)
-        if v == -1:
-            return Fraction(0)
-        if v is None:
-            pivot /= 2
-    a = math.prod(
-        (factors[jj] for jj in range(h.params.m_prime) if jj != j - 1), start=Fraction(1)
-    )
-    b = a * math.prod(
-        (factors[jj] for jj in range(h.params.m_prime, h.params.m) if jj != j - 1),
-        start=Fraction(1),
-    )
-    mp = _maj_prob(u, sigma)
-    if j <= h.params.m_prime:
-        # flip moves T'; f changes unless another prime term fires, or a
-        # plain term fires together with a positive majority
-        return pivot * (b + (a - b) * (1 - mp))
-    # flip moves T only; f changes iff no other term fires and Maj = 1
-    return pivot * b * mp
-
-
-def _total_influence(h: HardInstance, fixed: dict[int, int]) -> Fraction:
-    total = Fraction(0)
-    for c in range(1, h.params.ell + 1):
-        if fixed.get(c) is None:
-            total += _influence(h, fixed, c)
-    free_y = [c for c in h.y_coords() if fixed.get(c) is None]
-    if free_y:
-        # all free y's share one influence value
-        total += len(free_y) * _influence(h, fixed, free_y[0])
-    return total
+def _restricted(h: HardInstance, r: Restriction | None) -> "_HardCursor":
+    cursor = h.root_cursor()
+    for c, v in r.fixed if r else ():
+        cursor = cursor._fix(c, v)
+    return cursor
 
 
 def restricted_expectation(h: HardInstance, r: Restriction | None = None) -> Fraction:
     """E[f given r] = Pr[T'] + Pr[T and not T'] * Pr[Maj], all exact."""
-    return _expectation(h, _as_fixed(h, r))
+    c = _restricted(h, r)
+    # the closed form itself: cursor method calls are growth work, which traced runs count
+    return _mean(h.params.m_prime, c.live, c.u, c.sigma)
 
 
 def restricted_influence(h: HardInstance, r: Restriction | None, i: int) -> Fraction:
     """Pr[f changes when coordinate i is flipped], given the restriction."""
-    return _influence(h, _as_fixed(h, r), i)
+    return _restricted(h, r).influence(i)
 
 
 def restricted_total_influence(h: HardInstance, r: Restriction | None = None) -> Fraction:
     """Sum of the influences of all free coordinates."""
-    return _total_influence(h, _as_fixed(h, r))
+    return _restricted(h, r).total_influence()
 
 
 def evaluate(h: HardInstance, x) -> int:
@@ -328,38 +266,96 @@ def evaluate(h: HardInstance, x) -> int:
         return 0
     return 1 if sum(x[c - 1] for c in h.y_coords()) > 0 else 0
 
-
 class _HardCursor:
-    """Grower cursor backed by the closed-form restricted statistics."""
+    """Grower cursor over the closed forms: the state of one restriction.
 
-    __slots__ = ("inst", "fixed")
+    live[j] is the number of free coordinates of term j + 1, or None once
+    one of them is fixed to -1 (the term is dead); u is the number of free
+    y's and sigma the sum of the fixed ones; fixed is the set of fixed
+    coordinates.
+    """
 
-    def __init__(self, inst: HardInstance, fixed: dict[int, int]):
+    __slots__ = ("inst", "fixed", "live", "u", "sigma")
+
+    def __init__(self, inst: HardInstance, fixed: frozenset, live: tuple, u: int, sigma: int):
         self.inst = inst
         self.fixed = fixed
+        self.live = live
+        self.u = u
+        self.sigma = sigma
+
+    def _check_free(self, coord: int) -> None:
+        if not 1 <= coord <= self.inst.arity:
+            raise ValueError(f"coordinate {coord} out of range 1..{self.inst.arity}")
+        if coord in self.fixed:
+            raise ValueError(f"coordinate {coord} is fixed by the restriction")
+
+    def _step(self, coord: int, v: int) -> tuple[tuple, int, int]:
+        """(live, u, sigma) once the free coordinate coord is fixed to v."""
+        self._check_free(coord)
+        p = self.inst.params
+        if coord > p.ell:
+            return self.live, self.u - 1, self.sigma + v
+        live = self.live
+        j = (coord - 1) // p.w
+        if j < p.m and live[j] is not None:  # not a slack coordinate, term not dead
+            live = live[:j] + (live[j] - 1 if v == 1 else None,) + live[j + 1 :]
+        return live, self.u, self.sigma
+
+    def _fix(self, coord: int, v: int) -> "_HardCursor":
+        return _HardCursor(self.inst, self.fixed | {coord}, *self._step(coord, v))
+
+    def _x_influence(self, j: int) -> Fraction:
+        """Influence of each free coordinate of the live term j + 1."""
+        p = self.inst.params
+        # Pr[no other prime term fires], Pr[no other term fires]
+        a, b = _misses(p.m_prime, self.live[:j] + (None,) + self.live[j + 1 :])
+        pivot = Fraction(1, 1 << (self.live[j] - 1))  # the term's other free coordinates are +1
+        mp = _maj_prob(self.u, self.sigma)
+        if j < p.m_prime:
+            # flip moves T'; f changes unless another prime term fires, or a
+            # plain term fires together with a positive majority
+            return pivot * (b + (a - b) * (1 - mp))
+        # flip moves T only; f changes iff no other term fires and Maj = 1
+        return pivot * b * mp
+
+    def _y_influence(self) -> Fraction:
+        # a y flip matters iff the rest event holds and the other y's tie
+        qp, q = _misses(self.inst.params.m_prime, self.live)
+        return (qp - q) * _tie_prob(self.u - 1, self.sigma)
 
     def expectation(self) -> Fraction:
-        return _expectation(self.inst, self.fixed)
+        return _mean(self.inst.params.m_prime, self.live, self.u, self.sigma)
 
     def free_coords(self) -> tuple[int, ...]:
         return tuple(c for c in range(1, self.inst.arity + 1) if c not in self.fixed)
 
     def child_expectations(self, coord: int) -> tuple[Fraction, Fraction]:
-        hi = _expectation(self.inst, {**self.fixed, coord: 1})
-        lo = _expectation(self.inst, {**self.fixed, coord: -1})
-        return hi, lo
+        m_prime = self.inst.params.m_prime
+        return _mean(m_prime, *self._step(coord, 1)), _mean(m_prime, *self._step(coord, -1))
 
     def influence(self, coord: int) -> Fraction:
-        return _influence(self.inst, self.fixed, coord)
+        self._check_free(coord)
+        p = self.inst.params
+        if coord > p.ell:
+            return self._y_influence()
+        j = (coord - 1) // p.w
+        if j >= p.m or self.live[j] is None:
+            return Fraction(0)  # slack coordinate, or its term is dead
+        return self._x_influence(j)
 
     def total_influence(self) -> Fraction:
-        return _total_influence(self.inst, self.fixed)
+        # every free x of a live term shares its term's value, every free y one value
+        total = sum(
+            (free * self._x_influence(j) for j, free in enumerate(self.live) if free),
+            Fraction(0),
+        )
+        if self.u:
+            total += self.u * self._y_influence()
+        return total
 
     def split(self, coord: int) -> tuple["_HardCursor", "_HardCursor"]:
-        return (
-            _HardCursor(self.inst, {**self.fixed, coord: 1}),
-            _HardCursor(self.inst, {**self.fixed, coord: -1}),
-        )
+        return self._fix(coord, 1), self._fix(coord, -1)
 
 
 # ---------------------------------------------------------------------------

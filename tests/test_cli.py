@@ -351,6 +351,14 @@ class TestParser:
         assert args.keys() == taken | {"kind", "seed", "out", "inject_failure", "config"}
         assert all(v is None for key, v in args.items() if key != "kind")
 
+    @pytest.mark.parametrize("argv", (["jz-sweep", "--l", "7"], ["hard", "--thr", "0.3"]))
+    def test_abbreviated_flags_are_refused(self, argv, capsys):
+        # argparse would read --l as --leaves and --thr as --threshold
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
     def test_parser_has_exactly_the_subcommands(self, capsys):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["--help"])

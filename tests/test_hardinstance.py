@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from topdowndt import boolfn
 from topdowndt import tree as treemod
-from topdowndt.boolfn import Restriction, is_monotone, point_of
+from topdowndt.boolfn import Restriction, SubcubeView, is_monotone, point_of
 from topdowndt.grower import GrowthConfig, grow
 from topdowndt.hardinstance import (
     HardInstance,
@@ -160,6 +160,42 @@ class TestAgainstEnumeration:
         free = sorted(set(range(1, n + 1)) - set(coords))
         for i in free:
             assert restricted_influence(h, r, i) == boolfn.influence(F, r, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ell=st.integers(2, 10),
+    k=st.sampled_from((1, 3, 5, 7)),
+    data=st.data(),
+)
+def test_cursor_split_chains_match_table(ell, k, data):
+    """Every cursor method, along random split chains, against the truth table."""
+    h = choose_params(ell, k)
+    n = h.arity
+    cursor = h.root_cursor()
+    view = SubcubeView.of_function(to_boolfunc(h))
+    fixed = []
+    steps = data.draw(st.integers(0, n))
+    while True:
+        free = cursor.free_coords()
+        assert free == tuple(sorted(view.free))
+        assert cursor.expectation() == view.expectation()
+        half = view.size >> 1
+        for c in free:
+            hi_ones, lo_ones = view.child_ones(c)
+            assert cursor.child_expectations(c) == (Fraction(hi_ones, half), Fraction(lo_ones, half))
+            assert cursor.influence(c) == view.influence(c)
+        assert cursor.total_influence() == view.total_influence()
+        for c in (*fixed, 0, n + 1):
+            with pytest.raises(ValueError):
+                cursor.influence(c)
+        if len(fixed) == steps:
+            break
+        c = data.draw(st.sampled_from(free))
+        side = data.draw(st.sampled_from((0, 1)))  # 0: fix c to +1, 1: to -1
+        cursor = cursor.split(c)[side]
+        view = view.split(c)[side]
+        fixed.append(c)
 
 
 class TestTermsTree:
