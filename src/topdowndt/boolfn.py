@@ -46,16 +46,17 @@ def _full_mask(nbits_log: int) -> int:
 
 
 def _mask_set(f: int, a: int) -> int:
-    """Mask of index positions p in [0, 2^f) whose bit a is 1."""
+    """Mask of index positions p in [0, 2^f) whose bit a (< f) is 1."""
     key = (f, a)
     m = _MASK_CACHE.get(key)
     if m is None:
         stride = 1 << a
+        # one period: `stride` zeros then `stride` ones; double it up to 2^f bits
+        m = ((1 << stride) - 1) << stride
         period = stride << 1
-        # one period: `stride` zeros then `stride` ones, repeated 2^f/period times
-        chunk = ((1 << stride) - 1) << stride
-        rep = ((1 << (1 << f)) - 1) // ((1 << period) - 1)
-        m = rep * chunk
+        while period < 1 << f:
+            m |= m << period
+            period <<= 1
         _MASK_CACHE[key] = m
     return m
 
@@ -433,16 +434,6 @@ def derived_rng(seed: int, *names) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _upward_closure(table: int, n: int) -> int:
-    # one smearing pass per coordinate ORs every point into its upward cone
-    full = _full_mask(n)
-    for i in range(n):
-        stride = 1 << i
-        lo = table & ~_mask_set(n, i) & full
-        table |= lo << stride
-    return table
-
-
 def _reflect_coordinate(table: int, n: int, i: int) -> int:
     stride = 1 << i
     mset = _mask_set(n, i)
@@ -450,44 +441,26 @@ def _reflect_coordinate(table: int, n: int, i: int) -> int:
     return ((table & mset) >> stride) | ((table & ~mset & full) << stride)
 
 
-def random_monotone(
-    n: int,
-    seed: int,
-    density: float = 0.5,
-    strategy: str = "dnf",
-    orient: bool = True,
-) -> BoolFunc:
+def random_monotone(n: int, seed: int, orient: bool = True) -> BoolFunc:
     """Random monotone (unate) function.
 
-    strategy="dnf" draws a random monotone DNF whose term count is tuned so
-    the acceptance probability is roughly `density`; strategy="closure"
-    seeds each point with probability `density` and closes upward.  With
-    orient=True each coordinate's polarity is then flipped with probability
-    1/2, so the result is unate rather than coordinate-wise non-decreasing.
+    Draws a random monotone DNF whose term count is tuned so the acceptance
+    probability is roughly 1/2.  With orient=True each coordinate's polarity
+    is then flipped with probability 1/2, so the result is unate rather than
+    coordinate-wise non-decreasing.
     """
-    if not 0 < density < 1:
-        raise ValueError("density must be strictly between 0 and 1")
-    rng = derived_rng(seed, "random-monotone", n, strategy)
-    if strategy == "closure":
-        t = 0
-        for idx in range(1 << n):
-            if rng.random() < density:
-                t |= 1 << idx
-        t = _upward_closure(t, n)
-    elif strategy == "dnf":
-        w = max(1, min(n, (n + 1) // 2))
-        term_p = 2.0 ** (-w)
-        m = max(1, round(math.log1p(-density) / math.log1p(-term_p)))
-        t = 0
-        for _ in range(m):
-            width = max(1, min(n, w + rng.choice((-1, 0, 0, 1))))
-            coords = rng.sample(range(n), width)
-            tm = _full_mask(n)
-            for c in coords:
-                tm &= _mask_set(n, c)
-            t |= tm
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    rng = derived_rng(seed, "random-monotone", n, "dnf")
+    w = max(1, min(n, (n + 1) // 2))
+    term_p = 2.0 ** (-w)
+    m = max(1, round(math.log1p(-0.5) / math.log1p(-term_p)))
+    t = 0
+    for _ in range(m):
+        width = max(1, min(n, w + rng.choice((-1, 0, 0, 1))))
+        coords = rng.sample(range(n), width)
+        tm = _full_mask(n)
+        for c in coords:
+            tm &= _mask_set(n, c)
+        t |= tm
     if orient:
         for i in range(n):
             if rng.random() < 0.5:

@@ -106,7 +106,6 @@ class ExperimentConfig:
     teacher_leaves: int = 16
     target: float = 0.05
     monitor_size: int = 0  # 0 disables the monitor
-    inject_failure: bool = False  # self-test hook: adds one always-failing check
 
     def __post_init__(self):
         if self.kind not in SUBCOMMANDS:
@@ -701,7 +700,7 @@ class Subcommand:
     echo: str = ""  # line printed after the run, formatted from the summary
 
 
-COMMON_FLAGS = ("seed", "out", "inject_failure")
+COMMON_FLAGS = ("seed", "out")
 
 SUBCOMMANDS = {
     "grow": Subcommand(
@@ -764,8 +763,6 @@ def run(config: ExperimentConfig) -> ResultBundle:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     summary, checks, files = SUBCOMMANDS[config.kind].runner(config, out)
-    if config.inject_failure:
-        checks["injected-failure"] = False
 
     with open(out / "config.json", "w") as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
@@ -796,7 +793,7 @@ def _csv_names(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-# flag parsers by ExperimentConfig annotation; bool fields are switches
+# flag parsers by ExperimentConfig annotation
 _FLAG_TYPES = {
     "int": int,
     "float": float,
@@ -808,7 +805,6 @@ _FLAG_TYPES = {
 _FLAG_HELP = {
     "seed": "master seed (default 0)",
     "out": "output directory (default results/<kind>)",
-    "inject_failure": "add an always-failing check (exit-contract self-test)",
     "fn": "function spec JSON (default: random monotone)",
     "impurity": "gini|entropy|kearns-mansour, or influence / all where taken",
     "impurities": "comma-separated impurity names",
@@ -840,11 +836,9 @@ def build_parser() -> argparse.ArgumentParser:
         for name in (*command.flags, *COMMON_FLAGS):
             flag = "--l" if name == "ell" else "--" + name.replace("_", "-")
             # an unset flag parses to None and leaves the config file's value
-            kw = {"dest": name, "help": _FLAG_HELP.get(name)}
-            if types[name] == "bool":
-                p.add_argument(flag, action="store_const", const=True, **kw)
-            else:
-                p.add_argument(flag, type=_FLAG_TYPES[types[name]], **kw)
+            p.add_argument(
+                flag, dest=name, type=_FLAG_TYPES[types[name]], help=_FLAG_HELP.get(name)
+            )
         p.add_argument("--config", help="JSON config file; flags override it")
     return parser
 

@@ -41,9 +41,7 @@ replays the per-step guarantees for monotone targets:
                  gain > kappa * eps^2 / (32 * j * (log2 s)^2)
                  at the j-th split (j = size of the tree before it).
 
-The kappa/32 constant is the one the guarantees are stated with; the
-tighter kappa/2 variant of the chosen-split bound is recorded alongside
-for reporting but never gates.
+The kappa/32 constant is the one the guarantees are stated with.
 """
 
 from __future__ import annotations
@@ -52,11 +50,10 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from . import tree as treemod
 from .boolfn import BoolFunc, SubcubeView, is_monotone
-from .impurity import ImpuritySpec, evaluate
+from .impurity import BUILTIN_NAMES, ImpuritySpec, builtin, evaluate
 from .tree import DecisionTree, Frontier, PartialTree
 
 GAIN_TOL = 1e-12
@@ -176,7 +173,6 @@ class TraceStep:
 class GrowthTrace:
     arity: int
     mode: str  # "impurity" | "influence"
-    impurity_name: str | None
     kappa: float | None
     budget: int
     initial_expectation: Fraction
@@ -325,7 +321,6 @@ def _greedy(
     trace = GrowthTrace(
         arity=arity,
         mode=mode,
-        impurity_name=spec.name if spec else None,
         kappa=spec.kappa if spec else None,
         budget=cfg.budget,
         initial_expectation=root.expectation,
@@ -449,8 +444,6 @@ class IterationCheck:
     score_ok: bool
     claim3_bound: float  # 2^-depth * (kappa/32) * Inf^2  (gates)
     claim3_ok: bool
-    claim3_tight_bound: float  # 2^-depth * (kappa/2) * Inf^2  (reported only)
-    claim3_tight_ok: bool
     claim2_ok: bool  # distance <= G-impurity after this split
 
 
@@ -516,7 +509,6 @@ def verify_split_inequalities(
             score_ok = True
         inf_sq = float(st.inf_split) ** 2
         b32 = math.ldexp(kappa / 32.0 * inf_sq, -st.depth)
-        b2 = math.ldexp(kappa / 2.0 * inf_sq, -st.depth)
         claim3_ok = st.gain >= b32 - CHECK_TOL
         claim2_ok = float(st.distance) <= st.g_impurity + CHECK_TOL
         checks.append(
@@ -528,8 +520,6 @@ def verify_split_inequalities(
                 score_ok=score_ok,
                 claim3_bound=b32,
                 claim3_ok=claim3_ok,
-                claim3_tight_bound=b2,
-                claim3_tight_ok=st.gain >= b2 - CHECK_TOL,
                 claim2_ok=claim2_ok,
             )
         )
@@ -547,26 +537,19 @@ class AgreementReport:
     gain_argmax: dict  # impurity name -> (chosen coord, tied set)
     influence_pick: int
     influence_argmax: tuple[int, ...]
-    correlation_argmax: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
         return all(pick == self.influence_pick for pick, _ in self.gain_argmax.values())
 
 
-def argmax_agreement(
-    f: BoolFunc, t: PartialTree, leaf_id: int, specs: Sequence[ImpuritySpec] | None = None
-) -> AgreementReport:
+def argmax_agreement(f: BoolFunc, t: PartialTree, leaf_id: int) -> AgreementReport:
     """At one leaf, compare the purity-gain argmax against the influence argmax.
 
     For monotone f the most influential coordinate is the most correlated
     one, and any concave impurity's best split is the most correlated
     coordinate, so all picks must agree (up to the shared tie-break).
     """
-    if specs is None:
-        from .impurity import BUILTIN_NAMES, builtin
-
-        specs = [builtin(name) for name in BUILTIN_NAMES]
     if not is_monotone(f):
         raise ValueError("argmax agreement is only guaranteed for monotone f")
     infos = treemod.leaves(t)
@@ -583,12 +566,8 @@ def argmax_agreement(
     max_inf = max(influences.values())
     inf_set = tuple(c for c in free if influences[c] == max_inf)
 
-    correlations = {c: abs(view.correlation(c)) for c in free}
-    max_corr = max(correlations.values())
-    corr_set = tuple(c for c in free if correlations[c] == max_corr)
-
     gain_argmax = {}
-    for spec in specs:
+    for spec in map(builtin, BUILTIN_NAMES):
         g_here = evaluate(spec, cursor.expectation())
         gains = {}
         for coord in free:
@@ -603,7 +582,6 @@ def argmax_agreement(
         gain_argmax=gain_argmax,
         influence_pick=inf_set[0],
         influence_argmax=inf_set,
-        correlation_argmax=corr_set,
     )
 
 

@@ -15,8 +15,10 @@ the uniform distribution factor over terms (their coordinate sets are
 disjoint), which gives closed forms for the expectation and every
 coordinate influence under any restriction.  Those closed forms back a
 grower cursor, so greedy growth runs on instances far beyond truth-table
-size; to_boolfunc() materializes the table (arity <= 24 only) to
-cross-check the formulas by brute force.
+size.  to_boolfunc() materializes the table (arity <= 24 only) from two
+boolfn.from_dnf tables over the x's, T where Maj_k(y) = 1 and T' elsewhere,
+to cross-check the formulas by brute force; terms_tree() is
+tree.chain_tree over the m terms.
 
 The cursor holds what the closed forms read: per term, the number of its
 free coordinates, or None once one of them is fixed to -1 (the term is
@@ -48,13 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import tree as treemod
-from .boolfn import MAX_ARITY, BoolFunc, Restriction, derived_rng
+from .boolfn import MAX_ARITY, BoolFunc, Restriction, derived_rng, from_dnf
 from .grower import GrowthConfig, GrowthTrace, grow
 from .impurity import ImpuritySpec
-from .tree import DecisionTree, Internal, Leaf
+from .tree import DecisionTree, chain_tree
 
 _HALF_TARGET = Fraction(1, 2)
 _PRIME_TARGET = Fraction(499, 1000)
@@ -252,19 +252,17 @@ def evaluate(h: HardInstance, x) -> int:
         raise ValueError(f"expected {h.arity} coordinates, got {len(x)}")
     if any(v not in (-1, 1) for v in x):
         raise ValueError("coordinates must be -1 or +1")
-    t_prime = False
+    p = h.params
     t_full = False
-    for j in range(1, h.params.m + 1):
-        if all(x[c - 1] == 1 for c in h.params.term_coords(j)):
+    for j in range(p.m):
+        if -1 not in x[j * p.w : (j + 1) * p.w]:
+            if j < p.m_prime:
+                return 1  # T' holds
             t_full = True
-            if j <= h.params.m_prime:
-                t_prime = True
-                break
-    if t_prime:
-        return 1
     if not t_full:
         return 0
-    return 1 if sum(x[c - 1] for c in h.y_coords()) > 0 else 0
+    return 1 if sum(x[p.ell :]) > 0 else 0
+
 
 class _HardCursor:
     """Grower cursor over the closed forms: the state of one restriction.
@@ -364,50 +362,32 @@ class _HardCursor:
 
 
 def to_boolfunc(h: HardInstance) -> BoolFunc:
-    """Materialize the truth table; refuses arity beyond the table cap."""
+    """Materialize the truth table; refuses arity beyond the table cap.
+
+    With the y's fixed, f is T where Maj_k(y) = 1 and T' elsewhere, so the
+    table is one 2^ell-bit block per y index (x bits are the low index bits).
+    """
     if h.arity > MAX_ARITY:
         raise ValueError(f"arity {h.arity} exceeds the truth-table cap {MAX_ARITY}")
-    ell, k = h.params.ell, h.k
-    x_idx = np.arange(1 << ell, dtype=np.uint32)
-    t_prime = np.zeros(1 << ell, dtype=bool)
-    t_full = np.zeros(1 << ell, dtype=bool)
-    for j in range(1, h.params.m + 1):
-        mask = 0
-        for c in h.params.term_coords(j):
-            mask |= 1 << (c - 1)
-        sat = (x_idx & mask) == mask
-        t_full |= sat
-        if j <= h.params.m_prime:
-            t_prime |= sat
-    y_idx = np.arange(1 << k, dtype=np.uint64)
-    maj = 2 * np.bitwise_count(y_idx).astype(np.int64) > k
-    rest = t_full & ~t_prime
-    vals = t_prime[np.newaxis, :] | (maj[:, np.newaxis] & rest[np.newaxis, :])
-    packed = np.packbits(vals.reshape(-1).astype(np.uint8), bitorder="little")
-    return BoolFunc(h.arity, int.from_bytes(packed.tobytes(), "little"))
+    p = h.params
+    terms = [p.term_coords(j) for j in range(1, p.m + 1)]
+    width = f"0{1 << p.ell}b"
+    t_full = format(from_dnf(p.ell, terms).table, width)
+    t_prime = format(from_dnf(p.ell, terms[: p.m_prime]).table, width)
+    # int(bits, 2) reads the highest y block first
+    blocks = (t_full if 2 * y.bit_count() > h.k else t_prime for y in reversed(range(1 << h.k)))
+    return BoolFunc(h.arity, int("".join(blocks), 2))
 
 
 def terms_boolfunc(h: HardInstance) -> BoolFunc:
     """T as a function on the full arity (ignores the y block)."""
-    from .boolfn import from_dnf
-
-    terms = [[c for c in h.params.term_coords(j)] for j in range(1, h.params.m + 1)]
+    terms = [h.params.term_coords(j) for j in range(1, h.params.m + 1)]
     return from_dnf(h.arity, terms)
 
 
 def terms_tree(params: TribesParams) -> DecisionTree:
-    """A decision tree computing T: chained term tests, shared fall-through."""
-
-    def build(j: int):
-        if j > params.m:
-            return Leaf(0)
-        fail = build(j + 1)
-        node = Leaf(1)
-        for c in reversed(params.term_coords(j)):
-            node = Internal(c, None, node, fail)
-        return node
-
-    return DecisionTree(build(1))
+    """A decision tree computing T: chained term tests, a failed one falls through."""
+    return chain_tree([params.term_coords(j) for j in range(1, params.m + 1)])
 
 
 def terms_tree_size(params: TribesParams) -> int:

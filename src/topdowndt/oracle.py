@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolfn import BoolFunc, SubcubeView
-from .tree import DecisionTree, Internal, Leaf, PartialTree, distance, leaves, size
+from .tree import DecisionTree, Internal, Leaf, PartialTree, distance, label_leaves, leaves, size
 
 OPT_MAX_ARITY = 12
 LABELING_CHECK_MAX_LEAVES = 8
@@ -146,18 +146,12 @@ def enumerate_partial_trees(n: int, max_leaves: int):
             yield PartialTree(root)
 
 
-def _label(node, labels):
-    if isinstance(node, Leaf):
-        return Leaf(next(labels))
-    return Internal(node.coord, None, _label(node.hi, labels), _label(node.lo, labels))
-
-
 def enumerate_decision_trees(n: int, max_leaves: int):
     """Every labeled tree: each shape crossed with all 2^leaves labelings."""
     for shape in enumerate_partial_trees(n, max_leaves):
         L = size(shape)
         for labeling in itertools.product((0, 1), repeat=L):
-            yield DecisionTree(_label(shape.root, iter(labeling)))
+            yield label_leaves(shape, labeling)
 
 
 # ---------------------------------------------------------------------------

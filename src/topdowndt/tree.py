@@ -454,21 +454,19 @@ def chain_tree(terms: Sequence[Sequence[int]]) -> DecisionTree:
     return DecisionTree(build(0, {}))
 
 
-def random_monotone_tree(
-    n: int, max_leaves: int, seed: int, max_terms: int = 4, max_width: int = 4
-) -> DecisionTree:
+def random_monotone_tree(n: int, max_leaves: int, seed: int) -> DecisionTree:
     """Random monotone decision tree with at most max_leaves leaves.
 
-    Samples a random positive DNF and keeps its chain tree when the leaf
-    count fits the budget; positive literals make the computed function
-    monotone by construction.
+    Samples a random positive DNF of 1 to 4 terms, each of width 1 to 4, and
+    keeps its chain tree when the leaf count fits the budget; positive
+    literals make the computed function monotone by construction.
     """
     rng = derived_rng(seed, "monotone-tree")
     while True:
-        m = rng.randint(1, max_terms)
+        m = rng.randint(1, 4)
         terms = []
         for _ in range(m):
-            width = rng.randint(1, min(max_width, n))
+            width = rng.randint(1, min(4, n))
             terms.append(tuple(sorted(rng.sample(range(1, n + 1), width))))
         t = chain_tree(terms)
         if size(t) <= max_leaves:

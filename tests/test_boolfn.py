@@ -220,6 +220,15 @@ class TestConstructors:
             BoolFunc(2, 1 << 16)
 
 
+class TestMasks:
+    def test_mask_set_matches_definition(self):
+        # positions p in [0, 2^f) whose bit a is set
+        for f in range(1, 11):
+            for a in range(f):
+                want = sum(1 << p for p in range(1 << f) if (p >> a) & 1)
+                assert boolfn._mask_set(f, a) == want, (f, a)
+
+
 class TestRandomMonotone:
     def test_deterministic_per_seed(self):
         a = random_monotone(6, seed=5)

@@ -176,12 +176,17 @@ class TestDeterminism:
 
 
 class TestExitContract:
-    def test_injected_failure_returns_one_and_writes_bundle(self, tmp_path, capsys):
+    def test_injected_failure_returns_one_and_writes_bundle(self, tmp_path, capsys, monkeypatch):
+        # the grow runner with one always-failing check added
+        grow = cli.SUBCOMMANDS["grow"]
+
+        def failing(config, out):
+            summary, checks, files = grow.runner(config, out)
+            return summary, {**checks, "injected-failure": False}, files
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "grow", dataclasses.replace(grow, runner=failing))
         out = tmp_path / "inj"
-        rc = main(
-            ["grow", "--arity", "4", "--budget", "4", "--inject-failure",
-             "--out", str(out)]
-        )
+        rc = main(["grow", "--arity", "4", "--budget", "4", "--out", str(out)])
         assert rc == 1
         summary = read_json(out / "summary.json")
         assert summary["checks"]["injected-failure"] is False
@@ -304,8 +309,7 @@ class TestSweepBudget:
 
 
 class TestParser:
-    # every flag each subcommand has taken, besides --seed, --out,
-    # --inject-failure and --config
+    # every flag each subcommand has taken, besides --seed, --out and --config
     FLAGS = {
         "grow": ("--fn", "--arity", "--impurity", "--budget", "--monitor-size", "--epsilon"),
         "grow-real": ("--data", "--dist", "--impurity", "--budget", "--thresholds"),
@@ -342,13 +346,12 @@ class TestParser:
             args = parser.parse_args([kind, flag, text])
             parsed = getattr(args, name)
             assert parsed == value and type(parsed) is type(value), (kind, flag)
-        args = parser.parse_args([kind, "--inject-failure", "--config", "c.json"])
-        assert args.inject_failure is True and args.config == "c.json"
+        assert parser.parse_args([kind, "--config", "c.json"]).config == "c.json"
         # no other field is a flag, and unset flags stay None, so they leave
         # a config file's values alone
         args = vars(parser.parse_args([kind]))
         taken = {self.field_of(flag) for flag in self.FLAGS[kind]}
-        assert args.keys() == taken | {"kind", "seed", "out", "inject_failure", "config"}
+        assert args.keys() == taken | {"kind", "seed", "out", "config"}
         assert all(v is None for key, v in args.items() if key != "kind")
 
     @pytest.mark.parametrize("argv", (["jz-sweep", "--l", "7"], ["hard", "--thr", "0.3"]))

@@ -198,6 +198,32 @@ def test_cursor_split_chains_match_table(ell, k, data):
         fixed.append(c)
 
 
+class TestMaterialization:
+    """to_boolfunc against the pointwise definition, evaluate."""
+
+    SHAPES = [(ell, k) for ell in range(2, 14) for k in range(1, 15 - ell, 2)]
+
+    @pytest.mark.parametrize("ell, k", SHAPES)
+    def test_table_matches_evaluate_pointwise(self, ell, k):
+        # every shape up to arity 14, including ell in {2, 3} (width 1, slack x's)
+        h = choose_params(ell, k)
+        F = to_boolfunc(h)
+        for idx in range(1 << h.arity):
+            assert (F.table >> idx) & 1 == evaluate(h, point_of(idx, h.arity)), idx
+
+    def test_arity_23_table_matches_evaluate_on_a_sample(self):
+        h = choose_params(20, 3)
+        F = to_boolfunc(h)
+        rng = boolfn.derived_rng(0, "hard-table-sample")
+        for _ in range(2000):
+            idx = rng.randrange(1 << h.arity)
+            assert (F.table >> idx) & 1 == evaluate(h, point_of(idx, h.arity)), idx
+
+    def test_refuses_arity_beyond_the_cap(self):
+        with pytest.raises(ValueError):
+            to_boolfunc(choose_params(20, boolfn.MAX_ARITY - 19))
+
+
 class TestTermsTree:
     def test_size_formula(self):
         for ell in (4, 6, 8, 12):
