@@ -118,18 +118,19 @@ class ExperimentConfig:
             ("samples", 1),
             ("size", 1),
             ("leaves", 1),
-            ("teacher_leaves", 1),
+            ("teacher_leaves", 2),
             ("arity", 1),
             ("ell", 2),
             ("k", 1),
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be positive and finite")
         if not 0 < self.target < 1:
             raise ConfigError("target must be in (0,1)")
-        if self.impurity not in ("influence", "all") and self.impurity not in BUILTIN_NAMES:
+        rules = ("influence", "all") if self.kind == "verify-impurity" else ("influence",)
+        if self.impurity not in rules and self.impurity not in BUILTIN_NAMES:
             try:
                 builtin(self.impurity)
             except (KeyError, ValueError):
@@ -232,10 +233,7 @@ def _load_function(cfg: ExperimentConfig) -> tuple[BoolFunc, str]:
 
 
 def _distance_curve(trace: GrowthTrace) -> list[tuple[int, Fraction]]:
-    curve = [(1, trace.initial_distance)]
-    for st in trace.steps:
-        curve.append((st.iteration + 1, st.distance))
-    return curve
+    return list(enumerate(trace.distances(), start=1))
 
 
 def _nonincreasing(curve) -> bool:
@@ -538,11 +536,8 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
         for size in _hard_checkpoints(report.final_size)
     ]
     _write_csv(out / "rows.csv", ("size", "error_estimate", "error_ci", "xi_fraction"), rows)
-    _write_csv(
-        out / "exact_curve.csv",
-        ("size", "distance"),
-        [(i + 1, d) for i, d in enumerate(report.error_curve)],
-    )
+    curve = _distance_curve(trace)
+    _write_csv(out / "exact_curve.csv", ("size", "distance"), curve)
 
     summary = {
         "ell": report.ell,
@@ -567,7 +562,6 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
         "xi_fraction": report.xi_fraction,
         "stop_reason": report.stop_reason,
     }
-    curve = [(i + 1, d) for i, d in enumerate(report.error_curve)]
     checks = {
         "curve-nonincreasing": _nonincreasing(curve),
         "mc-within-ci": abs(report.mc_estimate - float(report.final_distance))
@@ -593,14 +587,7 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
             _, trace = grow(
                 f, GrowthConfig(budget=budget, impurity=builtin(name), stop_on_zero_gain=True)
             )
-            reached = None
-            if float(trace.initial_distance) <= cfg.target:
-                reached = 1
-            else:
-                for st in trace.steps:
-                    if float(st.distance) <= cfg.target:
-                        reached = st.iteration + 1
-                        break
+            reached = next((s for s, d in _distance_curve(trace) if float(d) <= cfg.target), None)
             rows.append((i, treemod.size(teacher), name, reached, trace.final_distance()))
             mismatches += len(rule_agreement(trace, inf_trace)[1])
     _write_csv(
@@ -635,7 +622,13 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
         seed = _trial_seed(cfg, i)
         t = balanced_random_tree(n, cfg.leaves, seed)
         depth = treemod.depth(t)
-        w = math.ceil(math.log2(cfg.leaves * max(1, depth) / eps)) + 2
+        ratio = cfg.leaves * max(1, depth) / eps  # inf when it overflows
+        w = math.ceil(math.log2(ratio)) + 2 if ratio < math.inf else math.inf
+        if not 1 <= w <= realvalued.MAX_BITS:
+            raise ConfigError(
+                f"--epsilon {eps} gives a rounding grid of w = {w} bits for {cfg.leaves} "
+                f"leaves at depth {depth}; w must be in 1..{realvalued.MAX_BITS}"
+            )
         tr = round_thresholds(t, w)
         est, hw = estimate_dist(t, tr, d, cfg.samples, seed)
         rng = derived_rng(seed, "agreement")

@@ -17,13 +17,14 @@ Two split rules drive grow():
   * influence rule: split the leaf maximizing 2^-|l| * Inf_i(f_l) on its
     most influential free coordinate i.
 
-Ties are broken by smallest leaf id (DFS preorder), then smallest
-coordinate.  Gains are floats compared with absolute tolerance 1e-12; the
-influence rule compares exact rationals.  Pure leaves (bias 0) are never
-split; they lose every argmax, and once nothing splittable remains the
-loop halts regardless of the remaining budget.  With stop_on_zero_gain
-unset (the default) zero-gain splits of impure leaves do happen, in
-tie-break order, until the leaf budget is spent.
+Candidates are scanned leaves in preorder, then each leaf's candidates in
+coordinate order (then threshold order), and a later candidate displaces
+the leader only if it beats it by more than GAIN_TOL = 1e-12, or by any
+amount under the influence rule, whose scores are exact rationals.  Pure
+leaves (bias 0) are never split; they lose every argmax, and once nothing
+splittable remains the loop halts regardless of the remaining budget.
+With stop_on_zero_gain unset (the default) zero-gain splits of impure
+leaves do happen, in tie-break order, until the leaf budget is spent.
 
 grow() runs on any function exposing the cursor interface below;
 boolfn truth tables and the structured hard instances both do.
@@ -162,19 +163,13 @@ class TraceStep:
     # rebuilds the tree from them), then verification extras
     hi_label: int = field(repr=False, default=0)
     lo_label: int = field(repr=False, default=0)
-    distance_before: Fraction = field(repr=False, default=Fraction(0))
-    depth: int = field(repr=False, default=0)
     inf_split: Fraction | None = field(repr=False, default=None)
-    path_key: frozenset = field(repr=False, default=frozenset())
     median_split: bool | None = field(repr=False, default=None)
 
 
 @dataclass
 class GrowthTrace:
-    arity: int
-    mode: str  # "impurity" | "influence"
-    kappa: float | None
-    budget: int
+    mode: str  # "impurity" | "influence" | "real-empirical" | "real-analytic"
     initial_expectation: Fraction
     initial_g_impurity: float | None
     initial_u_f: Fraction | None
@@ -191,18 +186,15 @@ class GrowthTrace:
     def final_distance(self) -> Fraction:
         return self.steps[-1].distance if self.steps else self.initial_distance
 
+    def distances(self) -> list[Fraction]:
+        """Exact distance of the completion at sizes 1..final_size, in order."""
+        return [self.initial_distance, *(st.distance for st in self.steps)]
+
     def distance_at_size(self, s: int) -> Fraction:
         """Distance of the completion when the tree first had size s."""
         if s < 1:
             raise ValueError("size must be >= 1")
-        if s == 1 or not self.steps:
-            return self.initial_distance
-        idx = min(s - 1, len(self.steps)) - 1
-        return self.steps[idx].distance
-
-    def split_choices(self) -> dict[frozenset, int]:
-        """Map each split subcube to the coordinate chosen there."""
-        return {st.path_key: st.coord for st in self.steps}
+        return self.distances()[min(s, self.final_size) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +210,10 @@ class _LeafState:
     impurity, the exact 2^-depth * Inf under the influence rule); the best
     split best_gain, best_coord, best_theta, best_median; err_frac, the
     exact error mass of the majority label; the potential terms u_term and
-    g_term (None when untracked; _greedy reads g_term only at the root);
-    label; the TraceStep extras depth, path_key, expectation, inf_split;
-    and children(), called once, on the leaf being split.
+    g_term (None when untracked); label; expectation (read at the root
+    only, as is g_term); inf_split, the TraceStep extra; and children(),
+    called once, on the leaf being split.  A leaf's path and depth are not
+    part of it: the trace's leaf ids fix them (see _split_paths).
     """
 
     __slots__ = (
@@ -228,7 +221,6 @@ class _LeafState:
         "spec",
         "depth",
         "expectation",
-        "bias",
         "label",
         "err_frac",
         "g_term",
@@ -237,28 +229,25 @@ class _LeafState:
         "score",
         "best_gain",
         "best_coord",
-        "best_inf",
-        "path_key",
         "inf_split",
     )
 
     best_theta = None
     best_median = None
 
-    def __init__(self, cursor, depth: int, spec: ImpuritySpec | None, path_key: frozenset):
+    def __init__(self, cursor, depth: int, spec: ImpuritySpec | None):
         self.cursor = cursor
         self.spec = spec
         self.depth = depth
-        self.path_key = path_key
         self.inf_split = None
         e = cursor.expectation()
         self.expectation = e
         self.label = 1 if 2 * e.numerator >= e.denominator else 0  # 2e >= 1, no new Fraction
-        self.bias = min(e, 1 - e)
-        self.err_frac = Fraction(1, 1 << depth) * self.bias
+        bias = min(e, 1 - e)
+        self.err_frac = Fraction(1, 1 << depth) * bias
         self.u_term = Fraction(1, 1 << depth) * cursor.total_influence()
         free = cursor.free_coords()
-        self.active = bool(free) and self.bias != 0
+        self.active = bool(free) and bias != 0
         # G(E[f_l]) is read by the gain scan and, at the root, by _greedy
         g_here = None
         if spec is not None and (self.active or depth == 0):
@@ -266,7 +255,6 @@ class _LeafState:
         self.g_term = None if g_here is None else math.ldexp(g_here, -depth)
         self.score = self.best_gain = -math.inf
         self.best_coord = None
-        self.best_inf = Fraction(0)
         if not self.active:
             return
         if spec is not None:
@@ -282,32 +270,27 @@ class _LeafState:
             self.score = self.best_gain = best
             self.best_coord = best_coord
         else:
-            best_inf = Fraction(-1)
+            best = Fraction(-1)
             best_coord = None
             for coord in free:
                 inf = cursor.influence(coord)
-                if inf > best_inf:
-                    best_inf = inf
+                if inf > best:
+                    best = inf
                     best_coord = coord
-            self.best_inf = best_inf
             self.best_coord = best_coord
-            self.score = Fraction(1, 1 << depth) * best_inf
+            self.score = Fraction(1, 1 << depth) * best
             # the gain column records the score's float value
-            self.best_gain = math.ldexp(1.0, -depth) * float(best_inf)
+            self.best_gain = math.ldexp(1.0, -depth) * float(best)
 
     def children(self) -> tuple["_LeafState", "_LeafState"]:
-        coord = self.best_coord
-        self.inf_split = self.cursor.influence(coord)
-        hi_cur, lo_cur = self.cursor.split(coord)
+        self.inf_split = self.cursor.influence(self.best_coord)
+        hi_cur, lo_cur = self.cursor.split(self.best_coord)
         depth = self.depth + 1
-        return (
-            _LeafState(hi_cur, depth, self.spec, self.path_key | {(coord, 1)}),
-            _LeafState(lo_cur, depth, self.spec, self.path_key | {(coord, -1)}),
-        )
+        return _LeafState(hi_cur, depth, self.spec), _LeafState(lo_cur, depth, self.spec)
 
 
 def _greedy(
-    root, cfg: GrowthConfig, arity: int, mode: str, threshold_policy: str | None = None
+    root, cfg: GrowthConfig, mode: str, threshold_policy: str | None = None
 ) -> tuple[DecisionTree, GrowthTrace]:
     """The greedy loop every grower runs: split the best leaf until the budget.
 
@@ -316,13 +299,9 @@ def _greedy(
     GAIN_TOL, or, under the influence rule, by any amount (its scores are
     exact).
     """
-    spec = cfg.impurity
     g_imp, u_f, dist = root.g_term, root.u_term, root.err_frac
     trace = GrowthTrace(
-        arity=arity,
         mode=mode,
-        kappa=spec.kappa if spec else None,
-        budget=cfg.budget,
         initial_expectation=root.expectation,
         initial_g_impurity=g_imp,
         initial_u_f=u_f,
@@ -350,7 +329,6 @@ def _greedy(
             break
 
         hi, lo = st.children()
-        dist_before = dist
         dist = dist - st.err_frac + hi.err_frac + lo.err_frac
         if u_f is not None:
             u_f = u_f - st.u_term + hi.u_term + lo.u_term
@@ -370,10 +348,7 @@ def _greedy(
                 distance=dist,
                 hi_label=hi.label,
                 lo_label=lo.label,
-                distance_before=dist_before,
-                depth=st.depth,
                 inf_split=st.inf_split,
-                path_key=st.path_key,
                 median_split=st.best_median,
             )
         )
@@ -397,10 +372,18 @@ def tree_at(trace: GrowthTrace, size: int) -> DecisionTree:
     return frontier.build(labels)
 
 
+def _split_paths(trace: GrowthTrace):
+    """Each step with the (coord, side) path of the leaf it split: tree_at's splice."""
+    paths = [()]
+    for st in trace.steps:
+        path = paths[st.leaf_id]
+        paths[st.leaf_id : st.leaf_id + 1] = [path + ((st.coord, 1),), path + ((st.coord, -1),)]
+        yield st, path
+
+
 def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
     """Run top-down growth to the leaf budget; return (f-completion, trace)."""
-    root = _LeafState(_root_cursor(f), 0, cfg.impurity, frozenset())
-    return _greedy(root, cfg, len(root.cursor.free_coords()), cfg.rule)
+    return _greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +449,7 @@ class SplitInequalityReport:
 def verify_split_inequalities(
     trace: GrowthTrace,
     f,
-    spec: ImpuritySpec | None = None,
+    spec: ImpuritySpec,
     monitor: Monitor | None = None,
 ) -> SplitInequalityReport:
     """Check the recorded growth against the per-step guarantees.
@@ -483,12 +466,9 @@ def verify_split_inequalities(
         raise ValueError("refused: target function is not monotone")
     if monitor is None:
         raise ValueError("no monitor parameters supplied")
-    kappa = spec.kappa if spec is not None else trace.kappa
-    if kappa is None:
-        raise ValueError("trace lacks an impurity spec")
 
     g0 = trace.initial_g_impurity
-    claim1_ok = abs(g0 - evaluate(spec, trace.initial_expectation)) <= CHECK_TOL if spec else True
+    claim1_ok = abs(g0 - evaluate(spec, trace.initial_expectation)) <= CHECK_TOL
     claim1_ok = claim1_ok and g0 <= 1.0 + CHECK_TOL
     initial_claim2_ok = float(trace.initial_distance) <= g0 + CHECK_TOL
 
@@ -498,17 +478,18 @@ def verify_split_inequalities(
 
     checks = []
     monitored_count = 0
-    for st in trace.steps:
-        monitored = st.distance_before > threshold
+    distances = trace.distances()
+    for st, path in _split_paths(trace):
+        monitored = distances[st.iteration - 1] > threshold  # distance before the split
         if monitored:
             monitored_count += 1
-            bound = kappa * eps_f * eps_f / (32.0 * st.iteration * log2s_sq)
+            bound = spec.kappa * eps_f * eps_f / (32.0 * st.iteration * log2s_sq)
             score_ok = st.gain > bound
         else:
             bound = None
             score_ok = True
         inf_sq = float(st.inf_split) ** 2
-        b32 = math.ldexp(kappa / 32.0 * inf_sq, -st.depth)
+        b32 = math.ldexp(spec.kappa / 32.0 * inf_sq, -len(path))
         claim3_ok = st.gain >= b32 - CHECK_TOL
         claim2_ok = float(st.distance) <= st.g_impurity + CHECK_TOL
         checks.append(
@@ -590,8 +571,7 @@ def rule_agreement(trace_a: GrowthTrace, trace_b: GrowthTrace) -> tuple[int, lis
 
     Returns (number of common subcubes, list of disagreements).
     """
-    a = trace_a.split_choices()
-    b = trace_b.split_choices()
+    a, b = ({frozenset(path): st.coord for st, path in _split_paths(t)} for t in (trace_a, trace_b))
     common = a.keys() & b.keys()
     mismatches = [(key, a[key], b[key]) for key in common if a[key] != b[key]]
     return len(common), mismatches

@@ -414,14 +414,13 @@ class ExperimentReport:
     threshold: float
     stop_reason: str
     final_size: int
-    initial_distance: Fraction
     final_distance: Fraction  # exact completion distance at the end of growth
     terms_distance: Fraction  # dist(f, T): what a terms-only tree achieves
     mc_estimate: float
     mc_halfwidth: float  # 99% confidence, distribution-free
     xi_cutoff: int
     xi_fraction: float  # paths querying an x before xi_cutoff many y's
-    error_curve: tuple  # exact distance after split 0, 1, 2, ...
+    error_curve: tuple  # exact distance at sizes 1..final_size
 
     @property
     def exact_above_threshold(self) -> bool:
@@ -499,13 +498,12 @@ def lower_bound_experiment(
         threshold=threshold,
         stop_reason=trace.stop_reason,
         final_size=trace.final_size,
-        initial_distance=trace.initial_distance,
         final_distance=trace.final_distance(),
         terms_distance=h.distance_to_terms,
         mc_estimate=mc_error,
         mc_halfwidth=halfwidth,
         xi_cutoff=cutoff,
         xi_fraction=xi_fraction,
-        error_curve=tuple([trace.initial_distance] + [st.distance for st in trace.steps]),
+        error_curve=tuple(trace.distances()),
     )
     return report, dtree, trace

@@ -74,11 +74,12 @@ class OptTable:
             return hit[0]
         best = bias_count
         action: tuple | None = None
+        # balanced splits first so equal-error witnesses stay shallow
+        budgets = sorted(range(1, s), key=lambda v: (abs(2 * v - s), v))
         for coord in sorted(view.free):
             hi, lo = view.split(coord)
             bit = 1 << (coord - 1)
-            # balanced splits first so equal-error witnesses stay shallow
-            for s1 in sorted(range(1, s), key=lambda v: (abs(2 * v - s), v)):
+            for s1 in budgets:
                 err = self._solve(hi, mask | bit, vals | bit, s1)
                 if err >= best:
                     continue  # the lo side can only add to it

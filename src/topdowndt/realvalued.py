@@ -18,8 +18,9 @@ quantile in [0,1) is approximated by its first w bits.  Concretely:
     is too large to materialize.
 
 grow_real runs grower's one greedy loop (the one grower.grow runs) over
-leaf states that score (coordinate, threshold) candidates: it only builds
-the root leaf and the trace header.  Two sources are supported:
+leaf states that score (coordinate, threshold) candidates, in the scan
+order and with the tie rule the grower module docstring states: it only
+builds the root leaf.  Two sources are supported:
 
   * a RealSample, treated as the exact distribution (empirical mode:
     expectations are exact frequencies over the sample, so statistical
@@ -457,15 +458,13 @@ class _SampleLeaf:
     """
 
     u_term = None
-    path_key = frozenset()
     inf_split = None
 
-    def __init__(self, run, idx, depth=0, parent_label=None):
+    def __init__(self, run, idx, parent_label=None):
         sample, spec, policy, grid_w = run
         total = len(sample)
         self.run = run
         self.idx = idx
-        self.depth = depth
         self.count = len(idx)
         self.score = self.best_gain = -math.inf
         self.best_coord = None
@@ -527,11 +526,7 @@ class _SampleLeaf:
         coord, theta = self.best_coord, self.best_theta
         hi_idx = tuple(i for i in self.idx if pts[i][0][coord - 1] >= theta)
         lo_idx = tuple(i for i in self.idx if pts[i][0][coord - 1] < theta)
-        depth = self.depth + 1
-        return (
-            _SampleLeaf(self.run, hi_idx, depth, self.label),
-            _SampleLeaf(self.run, lo_idx, depth, self.label),
-        )
+        return _SampleLeaf(self.run, hi_idx, self.label), _SampleLeaf(self.run, lo_idx, self.label)
 
 
 def _quantile_threshold(d: ProductDistribution, coord: int, theta) -> Fraction:
@@ -564,14 +559,12 @@ class _BoxLeaf:
     """
 
     u_term = None
-    path_key = frozenset()
     inf_split = None
 
-    def __init__(self, run, box, depth=0):
+    def __init__(self, run, box):
         teacher, d, spec, grid_w = run
         self.run = run
         self.box = box
-        self.depth = depth
         self.mass = math.prod((b - a for a, b in box), start=Fraction(1))
         ones = _box_ones(teacher.root, box, d)
         self.expectation = ones / self.mass
@@ -617,10 +610,9 @@ class _BoxLeaf:
     def children(self) -> tuple["_BoxLeaf", "_BoxLeaf"]:
         coord, u, box = self.best_coord, self.best_u, self.box
         a, b = box[coord - 1]
-        depth = self.depth + 1
         return (
-            _BoxLeaf(self.run, box[: coord - 1] + ((u, b),) + box[coord:], depth),
-            _BoxLeaf(self.run, box[: coord - 1] + ((a, u),) + box[coord:], depth),
+            _BoxLeaf(self.run, box[: coord - 1] + ((u, b),) + box[coord:]),
+            _BoxLeaf(self.run, box[: coord - 1] + ((a, u),) + box[coord:]),
         )
 
 
@@ -641,7 +633,7 @@ def grow_real(source, cfg: GrowthConfig, policy: str = "midpoints"):
     policy_name = "midpoints" if kind == "midpoints" else f"grid:{grid_w}"
     if isinstance(source, RealSample):
         root = _SampleLeaf((source, spec, kind, grid_w), tuple(range(len(source))))
-        return _greedy(root, cfg, source.n, "real-empirical", policy_name)
+        return _greedy(root, cfg, "real-empirical", policy_name)
     if isinstance(source, tuple) and len(source) == 2:
         teacher, d = source
         if isinstance(teacher, DecisionTree) and isinstance(d, ProductDistribution):
@@ -654,5 +646,5 @@ def grow_real(source, cfg: GrowthConfig, policy: str = "midpoints"):
                 )
             unit = tuple((Fraction(0), Fraction(1)) for _ in range(d.n))
             root = _BoxLeaf((teacher, d, spec, grid_w), unit)
-            return _greedy(root, cfg, d.n, "real-analytic", policy_name)
+            return _greedy(root, cfg, "real-analytic", policy_name)
     raise TypeError("source must be a RealSample or a (DecisionTree, ProductDistribution) pair")

@@ -94,34 +94,42 @@ class LeafInfo:
         return Restriction(tuple((s.coord, s.side) for s in self.path))
 
 
-def _check_mode(node: Node, path_coords: tuple[int, ...], mode: list) -> None:
-    if isinstance(node, Leaf):
-        return
-    is_real = node.theta is not None
-    if mode[0] is None:
-        mode[0] = is_real
-    elif mode[0] != is_real:
-        raise ValueError("tree mixes binary and thresholded queries")
-    if not is_real and node.coord in path_coords:
-        raise ValueError(f"coordinate {node.coord} repeats on a binary-mode path")
-    _check_mode(node.hi, path_coords + (node.coord,), mode)
-    _check_mode(node.lo, path_coords + (node.coord,), mode)
+def _check(root: Node, labeled: bool) -> None:
+    """One walk: every leaf labeled (with labeled unset, none), one query
+    mode, and no coordinate repeated on a binary-mode path."""
+    mode = None
+    stack: list[tuple[Node, tuple[int, ...]]] = [(root, ())]
+    while stack:
+        node, path_coords = stack.pop()
+        if isinstance(node, Leaf):
+            if labeled and node.label is None:
+                raise ValueError("DecisionTree leaves must all be labeled")
+            if not labeled and node.label is not None:
+                raise ValueError("PartialTree leaves must be unlabeled")
+            continue
+        is_real = node.theta is not None
+        if mode is None:
+            mode = is_real
+        elif mode != is_real:
+            raise ValueError("tree mixes binary and thresholded queries")
+        if not is_real and node.coord in path_coords:
+            raise ValueError(f"coordinate {node.coord} repeats on a binary-mode path")
+        path_coords += (node.coord,)
+        stack.append((node.lo, path_coords))
+        stack.append((node.hi, path_coords))
 
 
 class _TreeBase:
     root: Node
+    _labeled: ClassVar[bool]  # whether every leaf carries a label, or none does
 
     def __init__(self, root: Node):
-        mode = [None]
-        _check_mode(root, (), mode)
+        _check(root, self._labeled)
         object.__setattr__(self, "root", root)
 
     @property
     def is_real(self) -> bool:
-        node = self.root
-        while isinstance(node, Internal):
-            return node.theta is not None
-        return False
+        return isinstance(self.root, Internal) and self.root.theta is not None
 
     def __eq__(self, other):
         return type(self) is type(other) and self.root == other.root
@@ -133,11 +141,7 @@ class _TreeBase:
 class PartialTree(_TreeBase):
     """Tree whose leaves are unlabeled placeholders."""
 
-    def __init__(self, root: Node):
-        for info in _walk_leaves(root):
-            if info.node.label is not None:
-                raise ValueError("PartialTree leaves must be unlabeled")
-        super().__init__(root)
+    _labeled = False
 
     @classmethod
     def empty(cls) -> "PartialTree":
@@ -147,11 +151,7 @@ class PartialTree(_TreeBase):
 class DecisionTree(_TreeBase):
     """Tree with every leaf labeled 0 or 1."""
 
-    def __init__(self, root: Node):
-        for info in _walk_leaves(root):
-            if info.node.label is None:
-                raise ValueError("DecisionTree leaves must all be labeled")
-        super().__init__(root)
+    _labeled = True
 
 
 Tree = Union[PartialTree, DecisionTree]
@@ -461,6 +461,8 @@ def random_monotone_tree(n: int, max_leaves: int, seed: int) -> DecisionTree:
     keeps its chain tree when the leaf count fits the budget; positive
     literals make the computed function monotone by construction.
     """
+    if max_leaves < 2:
+        raise ValueError(f"a chain tree has at least 2 leaves, got max_leaves={max_leaves}")
     rng = derived_rng(seed, "monotone-tree")
     while True:
         m = rng.randint(1, 4)

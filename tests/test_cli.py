@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from topdowndt import cli
 from topdowndt.cli import ExperimentConfig, _sweep_budget, main, run
+from topdowndt.tree import random_monotone_tree
 
 
 def read_json(path: Path):
@@ -376,3 +380,54 @@ class TestParser:
         args = parser.parse_args(["verify-impurity", "--config", str(cfg)])
         assert cli._resolve_config(args).impurity == "gini"
         assert cli._resolve_config(parser.parse_args(["grow"])).impurity == "gini"
+
+
+class TestBadInputsExitTwo:
+    @pytest.mark.parametrize("kind", ["grow", "grow-real", "hard"])
+    def test_impurity_all_only_for_verify_impurity(self, tmp_path, capsys, kind):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n0.2,0\n0.8,1\n")
+        extra = ["--data", str(data)] if kind == "grow-real" else []
+        rc = main([kind, "--impurity", "all", *extra, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'all'" in err
+
+    def test_teacher_leaves_below_two(self, tmp_path, capsys, monkeypatch):
+        # every chain tree has at least 2 leaves: a budget of 1 used to loop for ever
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a teacher before checking its leaf bound")
+
+        monkeypatch.setattr(cli, "random_monotone_tree", refuse)
+        rc = main(["realizable", "--teacher-leaves", "1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "teacher_leaves" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="at least 2 leaves"):
+            random_monotone_tree(4, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--epsilon", "1e-300"],
+            ["--epsilon", "1e-320"],
+            ["--epsilon", "1000", "--leaves", "4"],
+            ["--epsilon", "inf"],
+            ["--epsilon", "nan"],
+        ],
+        ids=["tiny", "ratio-overflows", "huge", "inf", "nan"],
+    )
+    def test_round_check_grid_width_out_of_range(self, tmp_path, capsys, argv):
+        rc = main(["round-check", "--trials", "1", *argv, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epsilon" in err and "Traceback" not in err
+
+
+def test_cli_import_loads_no_numpy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, topdowndt.cli; print(sorted(m for m in sys.modules if 'numpy' in m))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
