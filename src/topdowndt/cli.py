@@ -127,6 +127,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {low}")
         if not 0 < self.epsilon < math.inf:
             raise ConfigError("epsilon must be positive and finite")
+        if not math.isfinite(self.threshold):
+            raise ConfigError("threshold must be finite")
         if not 0 < self.target < 1:
             raise ConfigError("target must be in (0,1)")
         rules = ("influence", "all") if self.kind == "verify-impurity" else ("influence",)
@@ -207,6 +209,14 @@ def _check_table_arity(n: int) -> None:
         raise ConfigError(f"arity {n} exceeds the truth-table cap {boolfn.MAX_ARITY}")
 
 
+def _monitor_eps(cfg: ExperimentConfig) -> Fraction:
+    # the monitor's eps is exact: epsilon as a fraction with denominator <= 10^9
+    eps = Fraction(cfg.epsilon).limit_denominator(10**9)
+    if eps == 0:
+        raise ConfigError(f"epsilon {cfg.epsilon:g} is below the monitor's resolution 1e-9")
+    return eps
+
+
 def _check_monitor(s: int, eps: Fraction) -> None:
     # refuse a bad monitor size before the oracle runs
     try:
@@ -270,7 +280,7 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
             raise ConfigError("the growth monitor needs an impurity rule")
         if f.n > oracle.OPT_MAX_ARITY:
             raise ConfigError("monitoring needs the exact oracle; reduce arity")
-        eps = Fraction(cfg.epsilon).limit_denominator(10**9)
+        eps = _monitor_eps(cfg)
         _check_monitor(cfg.monitor_size, eps)
         opt_s, _ = oracle.opt(f, cfg.monitor_size)
         monitor = Monitor(cfg.monitor_size, eps, opt_s)
@@ -459,7 +469,7 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
     n = cfg.arity
     if n > oracle.OPT_MAX_ARITY:
         raise ConfigError(f"agnostic-sweep needs the exact oracle; arity <= {oracle.OPT_MAX_ARITY}")
-    eps = Fraction(cfg.epsilon).limit_denominator(10**9)
+    eps = _monitor_eps(cfg)
     names = tuple(cfg.impurities)
     for s in cfg.sizes:
         _check_monitor(s, eps)

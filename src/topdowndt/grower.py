@@ -33,7 +33,7 @@ Growth is monitored: every iteration appends a TraceStep carrying the
 exact distance of the f-completion, the impurity potential, and the
 influence potential  u(T) = sum over leaves of 2^-|l| * Inf(f_l)  (total
 influence of the leaf's subfunction).  verify_split_inequalities() then
-replays the per-step guarantees for monotone targets:
+replays the per-step guarantees for monotone truth-table targets:
 
   step 0:        G-impurity = G(E[f]) <= 1
   every step:    distance <= G-impurity
@@ -393,23 +393,17 @@ def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
 
 def g_impurity(t: treemod.Tree, f: BoolFunc, spec: ImpuritySpec) -> float:
     """sum over leaves of 2^-|l| * G(E[f_l]), summed in DFS preorder."""
-    if t.is_real:
-        raise ValueError("g_impurity applies to binary-mode trees")
     total = 0.0
-    root = SubcubeView.of_function(f)
-    for info in treemod.leaves(t):
-        view = root.restrict(info.restriction())
-        total += math.ldexp(evaluate(spec, view.expectation()), -info.depth)
+    for _, depth, view in treemod.leaf_views(t, f):
+        total += math.ldexp(evaluate(spec, view.expectation()), -depth)
     return total
 
 
 def influence_potential(t: treemod.Tree, f: BoolFunc) -> Fraction:
     """sum over leaves of 2^-|l| * Inf(f_l), with Inf the total influence."""
     total = Fraction(0)
-    root = SubcubeView.of_function(f)
-    for info in treemod.leaves(t):
-        view = root.restrict(info.restriction())
-        total += Fraction(1, 1 << info.depth) * view.total_influence()
+    for _, depth, view in treemod.leaf_views(t, f):
+        total += Fraction(1, 1 << depth) * view.total_influence()
     return total
 
 
@@ -448,22 +442,20 @@ class SplitInequalityReport:
 
 def verify_split_inequalities(
     trace: GrowthTrace,
-    f,
+    f: BoolFunc,
     spec: ImpuritySpec,
     monitor: Monitor | None = None,
 ) -> SplitInequalityReport:
     """Check the recorded growth against the per-step guarantees.
 
     monitor (s, eps and the budget-s optimum opt_s) is required.  Guarantees
-    hold for monotone targets only; a non-monotone f is refused.
+    hold for monotone targets only; f must be a monotone truth table (the
+    monitor's opt_s comes from the table oracle), anything else is refused.
     """
     if trace.mode != "impurity":
         raise ValueError("split inequalities apply to impurity-rule traces")
-    if isinstance(f, BoolFunc):
-        if not is_monotone(f):
-            raise ValueError("refused: target function is not monotone")
-    elif f is not None and not getattr(f, "monotone", True):
-        raise ValueError("refused: target function is not monotone")
+    if not isinstance(f, BoolFunc) or not is_monotone(f):
+        raise ValueError("refused: target is not a monotone truth table")
     if monitor is None:
         raise ValueError("no monitor parameters supplied")
 
@@ -533,11 +525,10 @@ def argmax_agreement(f: BoolFunc, t: PartialTree, leaf_id: int) -> AgreementRepo
     """
     if not is_monotone(f):
         raise ValueError("argmax agreement is only guaranteed for monotone f")
-    infos = treemod.leaves(t)
-    if not 0 <= leaf_id < len(infos):
+    views = [view for _, _, view in treemod.leaf_views(t, f)]
+    if not 0 <= leaf_id < len(views):
         raise ValueError(f"no leaf with id {leaf_id}")
-    info = infos[leaf_id]
-    view = SubcubeView.of_function(f).restrict(info.restriction())
+    view = views[leaf_id]
     if view.is_constant():
         raise ValueError("leaf subfunction is constant; argmax is vacuous")
     cursor = TableCursor(view)

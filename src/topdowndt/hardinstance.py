@@ -169,10 +169,6 @@ class HardInstance:
         return self.params.ell + self.k
 
     @property
-    def monotone(self) -> bool:
-        return True
-
-    @property
     def shape_satisfied(self) -> bool:
         """Whether k is small enough for the intended regime: log2(ell)/ell <= C1/sqrt(k)."""
         ell = self.params.ell

@@ -20,9 +20,9 @@ absolute tolerance of 1e-12.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 SLACK_TOL = 1e-12
@@ -88,8 +88,7 @@ def builtin(name: str) -> ImpuritySpec:
 
 def evaluate(spec: ImpuritySpec, p) -> float:
     """G(p) for p in [0,1]; accepts Fraction or float."""
-    if isinstance(p, Fraction):
-        p = float(p)
+    p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"impurity argument must lie in [0,1], got {p}")
     return spec.fn(p)
@@ -192,8 +191,6 @@ def from_table(
     def fn(p: float) -> float:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"impurity argument must lie in [0,1], got {p}")
-        import bisect
-
         j = bisect.bisect_right(xs, p)
         if j == len(xs):
             return pts[-1][1]

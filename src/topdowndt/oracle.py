@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolfn import BoolFunc, SubcubeView
-from .tree import DecisionTree, Internal, Leaf, PartialTree, distance, label_leaves, leaves, size
+from .tree import DecisionTree, Internal, Leaf, PartialTree, distance, label_leaves, leaf_views, size
 
 OPT_MAX_ARITY = 12
 LABELING_CHECK_MAX_LEAVES = 8
@@ -197,17 +197,12 @@ class LabelingReport:
 
 def optimal_labeling_check(t: PartialTree, f: BoolFunc) -> LabelingReport:
     """Confirm the f-completion labeling beats all 2^L alternatives."""
-    infos = leaves(t)
-    if len(infos) > LABELING_CHECK_MAX_LEAVES:
+    if size(t) > LABELING_CHECK_MAX_LEAVES:
         raise ValueError(
             f"labeling check enumerates 2^L labelings; capped at "
-            f"{LABELING_CHECK_MAX_LEAVES} leaves, tree has {len(infos)}"
+            f"{LABELING_CHECK_MAX_LEAVES} leaves, tree has {size(t)}"
         )
-    root_view = SubcubeView.of_function(f)
-    per_leaf = []
-    for info in infos:
-        view = root_view.restrict(info.restriction())
-        per_leaf.append((view.ones, view.size))
+    per_leaf = [(view.ones, view.size) for _, _, view in leaf_views(t, f)]
     denom = 1 << f.n
     # distance of a labeling: each leaf contributes its misclassified count
     best = None

@@ -13,9 +13,9 @@ quantile in [0,1) is approximated by its first w bits.  Concretely:
     comparator over the encoded coordinates, so the result is an ordinary
     binary-feature tree computing the same function on encoded inputs.
     Comparators re-reading bits already fixed on the path are collapsed,
-    which keeps paths free of repeated queries; the blowup is capped and
-    booleanized_evaluate() walks the same construction lazily when a tree
-    is too large to materialize.
+    which keeps paths free of repeated queries; the blowup is capped.
+    booleanized_evaluate() computes the same function straight from the
+    encoded bits, with no construction, for trees too large to materialize.
 
 grow_real runs grower's one greedy loop (the one grower.grow runs) over
 leaf states that score (coordinate, threshold) candidates, in the scan
@@ -330,32 +330,16 @@ def booleanize(t: DecisionTree, w: int, max_nodes: int = BOOLEANIZE_NODE_CAP) ->
 
 
 def booleanized_evaluate(t: DecisionTree, w: int, bits: Sequence[int]) -> int:
-    """Evaluate the comparator construction on encoded bits without building it."""
+    """booleanize(t, w) on encoded bits, unbuilt: a query x_i >= c/2^w reads
+    coordinate i's w bits (MSB first, +1 as 1) as floor(x_i 2^w), tests >= c."""
     _check_width(w)
     node = t.root
     while isinstance(node, Internal):
-        c = _grid_value(node.theta, w)
-        node = node.hi if _compare_bits(bits, node.coord, w, c) else node.lo
+        cell = 0
+        for p in range((node.coord - 1) * w, node.coord * w):
+            cell = cell << 1 | (bits[p] == 1)
+        node = node.hi if cell >= _grid_value(node.theta, w) else node.lo
     return node.label
-
-
-def _compare_bits(bits: Sequence[int], coord: int, w: int, c: int) -> bool:
-    if c <= 0:
-        return True
-    if c >= 1 << w:
-        return False
-    base = (coord - 1) * w
-    for p in range(1, w + 1):
-        if (c & ((1 << (w - p + 1)) - 1)) == 0:
-            return True
-        cbit = (c >> (w - p)) & 1
-        b = bits[base + p - 1]
-        if cbit == 1:
-            if b != 1:
-                return False
-        elif b == 1:
-            return True
-    return True
 
 
 # ---------------------------------------------------------------------------

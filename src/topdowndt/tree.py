@@ -16,7 +16,9 @@ build() assembles the labeled tree once, in one pass, validated once by
 the DecisionTree constructor.
 A PartialTree has unlabeled leaves; complete() turns it into a
 DecisionTree by labeling each leaf with the rounded conditional
-expectation of a reference function (ties round to 1).
+expectation of a reference function (ties round to 1).  leaf_views() is
+the one walk that reads a binary-mode tree against a truth table; complete(),
+distance() and grower's potentials are sums over it.
 
 Every node knows its leaf count (Internal caches it outside the dataclass
 fields), so size() is O(1) and path_of() recovers the preorder id of the
@@ -31,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar, Iterator, Sequence, Union
 
-from .boolfn import BoolFunc, Restriction, SubcubeView, derived_rng
+from .boolfn import BoolFunc, Restriction, SubcubeView, derived_rng, from_dnf
 
 
 @dataclass(frozen=True)
@@ -304,28 +306,25 @@ class Frontier:
 # ---------------------------------------------------------------------------
 
 
-def _complete_node(node: Node, view: SubcubeView) -> Node:
-    if isinstance(node, Leaf):
-        label = 1 if 2 * view.ones >= view.size else 0
-        return Leaf(label)
-    hi, lo = view.split(node.coord)
-    return Internal(node.coord, None, _complete_node(node.hi, hi), _complete_node(node.lo, lo))
+def leaf_views(t: Tree, f: BoolFunc) -> Iterator[tuple[Leaf, int, SubcubeView]]:
+    """Yield (leaf, depth, view) for every leaf in DFS preorder, view being f
+    on the leaf's subcube; one walk, one SubcubeView.split per internal node."""
+    if t.is_real:
+        raise ValueError("leaf views apply to binary-mode trees")
+    stack: list[tuple[Node, int, SubcubeView]] = [(t.root, 0, SubcubeView.of_function(f))]
+    while stack:
+        node, d, view = stack.pop()
+        if isinstance(node, Leaf):
+            yield node, d, view
+        else:
+            hi, lo = view.split(node.coord)
+            stack.append((node.lo, d + 1, lo))
+            stack.append((node.hi, d + 1, hi))
 
 
 def complete(t: PartialTree, f: BoolFunc) -> DecisionTree:
     """Label every leaf with round(E[f on that subcube]); E = 1/2 rounds to 1."""
-    if t.is_real:
-        raise ValueError("complete() applies to binary-mode trees")
-    return DecisionTree(_complete_node(t.root, SubcubeView.of_function(f)))
-
-
-def _error_count(node: Node, view: SubcubeView) -> int:
-    if isinstance(node, Leaf):
-        if node.label is None:
-            return view.error_count()  # best-label error: the f-completion
-        return view.size - view.ones if node.label == 1 else view.ones
-    hi, lo = view.split(node.coord)
-    return _error_count(node.hi, hi) + _error_count(node.lo, lo)
+    return label_leaves(t, [int(2 * v.ones >= v.size) for _, _, v in leaf_views(t, f)])
 
 
 def distance(g: Tree, f: BoolFunc) -> Fraction:
@@ -334,21 +333,22 @@ def distance(g: Tree, f: BoolFunc) -> Fraction:
     For a PartialTree this is the distance of its f-completion, i.e. the
     sum over leaves of 2^-depth * bias(f restricted to the leaf).
     """
-    if g.is_real:
-        raise ValueError("distance() applies to binary-mode trees")
-    return Fraction(_error_count(g.root, SubcubeView.of_function(f)), 1 << f.n)
+    count = 0
+    for leaf, _, view in leaf_views(g, f):
+        if leaf.label is None:
+            count += view.error_count()  # best-label error: the f-completion
+        else:
+            count += view.size - view.ones if leaf.label == 1 else view.ones
+    return Fraction(count, 1 << f.n)
 
 
 def to_boolfunc(g: DecisionTree, n: int) -> BoolFunc:
-    """Materialize a binary-mode tree as a truth table on n coordinates."""
+    """Materialize a binary-mode tree as a truth table on n coordinates: the
+    OR of its 1-leaves' paths, each a term of signed literals."""
     if g.is_real:
         raise ValueError("to_boolfunc() applies to binary-mode trees")
-    table = 0
-    for idx in range(1 << n):
-        x = tuple(1 if (idx >> i) & 1 else -1 for i in range(n))
-        if evaluate(g, x):
-            table |= 1 << idx
-    return BoolFunc(n, table)
+    ones = [info.path for info in _walk_leaves(g.root) if info.node.label == 1]
+    return from_dnf(n, [[s.coord * s.side for s in path] for path in ones])
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,29 @@ class TestBadInputsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "epsilon" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_threshold_must_be_finite(self, tmp_path, capsys, value):
+        out = tmp_path / "x"
+        argv = ["hard", "--l", "4", "--k", "3", "--budget", "4", "--samples", "100"]
+        rc = main(argv + ["--threshold", value, "--out", str(out)])
+        assert rc == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grow", "--arity", "4", "--monitor-size", "2", "--epsilon", "1e-300"],
+            ["agnostic-sweep", "--arity", "4", "--trials", "1", "--sizes", "2", "--epsilon", "1e-12"],
+        ],
+        ids=["grow", "agnostic-sweep"],
+    )
+    def test_epsilon_below_monitor_resolution(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1e-9" in err
+
 
 def test_cli_import_loads_no_numpy():
     src = Path(cli.__file__).resolve().parents[1]

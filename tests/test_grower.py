@@ -19,6 +19,7 @@ from topdowndt.grower import (
     verify_split_inequalities,
     write_trace_csv,
 )
+from topdowndt.hardinstance import choose_params
 from topdowndt.impurity import builtin
 
 GINI = builtin("gini")
@@ -184,6 +185,14 @@ class TestSplitInequalities:
         mon = Monitor(s=2, eps=Fraction(1, 10), opt_s=Fraction(0))
         with pytest.raises(ValueError, match="monotone"):
             verify_split_inequalities(trace, f, GINI, monitor=mon)
+
+    def test_refuses_targets_other_than_truth_tables(self):
+        h = choose_params(4, 3)  # monotone, but opt_s needs a truth table
+        _, trace = grow(h, GrowthConfig(budget=4, impurity=GINI))
+        mon = Monitor(s=2, eps=Fraction(1, 10), opt_s=Fraction(0))
+        for f in (None, h):
+            with pytest.raises(ValueError, match="monotone"):
+                verify_split_inequalities(trace, f, GINI, monitor=mon)
 
     def test_refuses_influence_trace(self):
         f = conjunction(2)

@@ -112,9 +112,6 @@ class TestInstanceBasics:
         assert not choose_params(43, 63).shape_satisfied
         assert choose_params(44, 63).shape_satisfied
 
-    def test_monotone_flag(self):
-        assert choose_params(4, 3).monotone
-
 
 @pytest.fixture(scope="module")
 def pair():

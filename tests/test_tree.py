@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topdowndt import tree as treemod
-from topdowndt.boolfn import conjunction, derived_rng, is_monotone, majority, random_monotone
+from topdowndt.boolfn import SubcubeView, conjunction, derived_rng, is_monotone, majority, random_monotone
 from topdowndt.tree import (
     DecisionTree,
     Frontier,
@@ -320,3 +320,28 @@ class TestSerialization:
     def test_mixed_labels_rejected(self):
         with pytest.raises(ValueError):
             from_json({"q": 1, "hi": {"label": 1}, "lo": {"label": None}})
+
+
+class TestLeafViews:
+    def test_one_walk_in_preorder(self, monkeypatch):
+        t = grow_by_splits([(0, 1), (0, 2), (2, 3)])
+        f = majority(3)
+        want = [
+            (info.node, info.depth, SubcubeView.of_function(f).restrict(info.restriction()))
+            for info in leaves(t)
+        ]
+        calls = []
+        plain_split = SubcubeView.split
+        monkeypatch.setattr(
+            SubcubeView, "split", lambda view, coord: calls.append(coord) or plain_split(view, coord)
+        )
+        got = list(treemod.leaf_views(t, f))
+        assert len(calls) == size(t) - 1  # one split per internal node
+        assert [(leaf, d) for leaf, d, _ in got] == [(leaf, d) for leaf, d, _ in want]
+        for (_, _, view), (_, _, ref) in zip(got, want):
+            assert (view.ones, sorted(view.free)) == (ref.ones, sorted(ref.free))
+
+    def test_real_tree_refused(self):
+        t = DecisionTree(Internal(1, 0.5, Leaf(1), Leaf(0)))
+        with pytest.raises(ValueError, match="binary-mode"):
+            list(treemod.leaf_views(t, conjunction(2)))
