@@ -347,6 +347,8 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
                 raise ConfigError(f"{path}:{lineno}: {e}") from None
             if label not in (0, 1):
                 raise ConfigError(f"{path}:{lineno}: label must be 0 or 1")
+            if not all(map(math.isfinite, x)):
+                raise ConfigError(f"{path}:{lineno}: feature values must be finite")
             points.append((x, label))
     if not points:
         raise ConfigError(f"{path}: no data rows")
@@ -540,7 +542,7 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
 
     # one evaluation sample, its truths computed once, shared by every checkpoint
     points = hardinstance.random_points(h, cfg.samples, derived_rng(cfg.seed, "hard", "curve"))
-    labeled = [(x, hardinstance.evaluate(h, x)) for x in points]
+    labeled = [(x, hardinstance._label(h.params, x)) for x in points]
     rows = [
         (size, *hardinstance.mc_check(h, tree_at(trace, size), labeled, report.xi_cutoff))
         for size in _hard_checkpoints(report.final_size)

@@ -248,7 +248,11 @@ def evaluate(h: HardInstance, x) -> int:
         raise ValueError(f"expected {h.arity} coordinates, got {len(x)}")
     if any(v not in (-1, 1) for v in x):
         raise ValueError("coordinates must be -1 or +1")
-    p = h.params
+    return _label(h.params, x)
+
+
+def _label(p: TribesParams, x) -> int:
+    """f(x) for a point x of {-1, +1}^arity, unchecked (evaluate checks)."""
     t_full = False
     for j in range(p.m):
         if -1 not in x[j * p.w : (j + 1) * p.w]:
@@ -481,7 +485,7 @@ def lower_bound_experiment(
     cutoff = xi_cutoff(h.k)
     points = random_points(h, mc_samples, derived_rng(seed, "hard", "mc"))
     mc_error, halfwidth, xi_fraction = mc_check(
-        h, dtree, ((x, evaluate(h, x)) for x in points), cutoff
+        h, dtree, ((x, _label(h.params, x)) for x in points), cutoff
     )
     report = ExperimentReport(
         ell=h.params.ell,

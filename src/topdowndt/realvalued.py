@@ -24,7 +24,11 @@ builds the root leaf.  Two sources are supported:
 
   * a RealSample, treated as the exact distribution (empirical mode:
     expectations are exact frequencies over the sample, so statistical
-    error is separated from algorithmic behavior);
+    error is separated from algorithmic behavior).  Each coordinate's
+    points are sorted once, at the root, and every split hands its
+    children their shares of those orders by a stable partition, as CART's
+    presorting and SPRINT's attribute lists do; ties within an order are
+    irrelevant, because every candidate sits between distinct values;
   * a (teacher DecisionTree, ProductDistribution) pair (analytic mode:
     expectations are exact rational box integrals in quantile space).
 
@@ -39,6 +43,7 @@ sample set freezes the empty leaf with the parent's majority label.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,6 +191,8 @@ class RealSample:
         for x, label in self.points:
             if len(x) != n:
                 raise ValueError("inconsistent point dimensions")
+            if not all(map(math.isfinite, x)):
+                raise ValueError(f"feature values must be finite, got {x}")
             if label not in (0, 1):
                 raise ValueError(f"labels must be 0 or 1, got {label}")
 
@@ -436,81 +443,103 @@ def parse_policy(policy: str) -> tuple[str, int | None]:
 class _SampleLeaf:
     """The sample points reaching one leaf, as grower._greedy's leaf state.
 
-    run is (sample, spec, policy, grid_w), shared by every leaf.  A split
-    that isolates no point leaves an empty leaf: it is frozen, never split,
-    and labeled with its parent's majority.
+    run is (cols, labels, spec, policy, grid_w), shared by every leaf: one
+    tuple of values per coordinate and one of labels, indexed by point.
+    orders holds, per coordinate, the leaf's point indices in ascending
+    value order.  grow_real sorts them once, for the root; children()
+    filters each parent order by the chosen test, a stable partition, so no
+    leaf sorts again.  A leaf keeps its orders only while it may still be
+    split.  Ties may sit in any order: every candidate lies on a boundary
+    between distinct values, where the counts below it do not depend on
+    how ties are ordered.  The scan's impurity arguments are ratios of
+    counts, in [0,1] by construction, so it calls spec.fn unchecked; G(E)
+    at the leaf goes through impurity.evaluate.  A split that isolates no
+    point leaves an empty leaf: it is frozen, never split, and labeled with
+    its parent's majority.
     """
 
     u_term = None
     inf_split = None
 
-    def __init__(self, run, idx, parent_label=None):
-        sample, spec, policy, grid_w = run
-        total = len(sample)
+    def __init__(self, run, orders, count, ones, parent_label=None):
+        cols, labels, spec, policy, grid_w = run
+        total = len(labels)
         self.run = run
-        self.idx = idx
-        self.count = len(idx)
+        self.orders = None
+        self.count = count
+        self.ones = ones
         self.score = self.best_gain = -math.inf
         self.best_coord = None
         self.best_theta = None
         self.best_median = None
-        if self.count == 0:
-            self.ones = 0
+        if count == 0:
             self.expectation = None
             self.label = parent_label
             self.err_frac = Fraction(0)
             self.g_term = 0.0
             self.active = False
             return
-        pts = sample.points
-        self.ones = sum(pts[i][1] for i in idx)
-        self.expectation = Fraction(self.ones, self.count)
-        self.label = 1 if 2 * self.ones >= self.count else 0
-        self.err_frac = Fraction(min(self.ones, self.count - self.ones), total)
+        self.expectation = Fraction(ones, count)
+        self.label = 1 if 2 * ones >= count else 0
+        self.err_frac = Fraction(min(ones, count - ones), total)
         g_here = g_eval(spec, self.expectation)
-        self.g_term = self.count / total * g_here
-        self.active = 0 < self.ones < self.count
+        self.g_term = count / total * g_here
+        self.active = 0 < ones < count
         if not self.active:
             return
-        n = sample.n
-        for coord in range(1, n + 1):
-            ordered = sorted((pts[i][0][coord - 1], pts[i][1]) for i in idx)
-            values = [v for v, _ in ordered]
-            prefix = [0]
-            for _, lab in ordered:
-                prefix.append(prefix[-1] + lab)
+        self.orders = orders
+        fn = spec.fn
+        count_g = count * g_here
+        best = -math.inf
+        for coord, (col, order) in enumerate(zip(cols, orders), start=1):
             if policy == "midpoints":
-                candidates = []
-                for j in range(1, self.count):
-                    if values[j] != values[j - 1]:
-                        candidates.append(((values[j - 1] + values[j]) / 2, j))
-            else:
-                candidates = []
-                for c in range(1, 1 << grid_w):
-                    theta = c / (1 << grid_w)
-                    candidates.append((theta, bisect.bisect_left(values, theta)))
-            for theta, j in candidates:
-                lo_n, hi_n = j, self.count - j
-                lo_ones = prefix[j]
-                hi_ones = self.ones - lo_ones
-                total_g = self.count * g_here
+                lo_n = lo_ones = 0
+                prev = None
+                for i in order:
+                    v = col[i]
+                    if lo_n and v != prev:
+                        hi_n = count - lo_n
+                        gain = (
+                            count_g - lo_n * fn(lo_ones / lo_n) - hi_n * fn((ones - lo_ones) / hi_n)
+                        ) / total
+                        if gain > best + GAIN_TOL:
+                            self.score = self.best_gain = best = gain
+                            self.best_coord = coord
+                            self.best_theta = (prev + v) / 2
+                            self.best_median = 2 * lo_n <= count and 2 * hi_n <= count
+                    lo_n += 1
+                    lo_ones += labels[i]
+                    prev = v
+                continue
+            values = [col[i] for i in order]
+            prefix = [0, *itertools.accumulate(labels[i] for i in order)]
+            for c in range(1, 1 << grid_w):
+                theta = c / (1 << grid_w)
+                lo_n = bisect.bisect_left(values, theta)
+                hi_n = count - lo_n
+                lo_ones = prefix[lo_n]
+                total_g = count_g
                 if lo_n:
-                    total_g -= lo_n * g_eval(spec, lo_ones / lo_n)
+                    total_g -= lo_n * fn(lo_ones / lo_n)
                 if hi_n:
-                    total_g -= hi_n * g_eval(spec, hi_ones / hi_n)
+                    total_g -= hi_n * fn((ones - lo_ones) / hi_n)
                 gain = total_g / total
-                if gain > self.best_gain + GAIN_TOL:
-                    self.score = self.best_gain = gain
+                if gain > best + GAIN_TOL:
+                    self.score = self.best_gain = best = gain
                     self.best_coord = coord
                     self.best_theta = theta
-                    self.best_median = 2 * lo_n <= self.count and 2 * hi_n <= self.count
+                    self.best_median = 2 * lo_n <= count and 2 * hi_n <= count
 
     def children(self) -> tuple["_SampleLeaf", "_SampleLeaf"]:
-        pts = self.run[0].points
-        coord, theta = self.best_coord, self.best_theta
-        hi_idx = tuple(i for i in self.idx if pts[i][0][coord - 1] >= theta)
-        lo_idx = tuple(i for i in self.idx if pts[i][0][coord - 1] < theta)
-        return _SampleLeaf(self.run, hi_idx, self.label), _SampleLeaf(self.run, lo_idx, self.label)
+        cols, labels = self.run[0], self.run[1]
+        col, theta = cols[self.best_coord - 1], self.best_theta
+        hi_orders = tuple([i for i in order if col[i] >= theta] for order in self.orders)
+        lo_orders = tuple([i for i in order if col[i] < theta] for order in self.orders)
+        self.orders = None
+        hi_ones = sum([labels[i] for i in hi_orders[0]])
+        hi = _SampleLeaf(self.run, hi_orders, len(hi_orders[0]), hi_ones, self.label)
+        lo = _SampleLeaf(self.run, lo_orders, self.count - hi.count, self.ones - hi_ones, self.label)
+        return hi, lo
 
 
 def _quantile_threshold(d: ProductDistribution, coord: int, theta) -> Fraction:
@@ -616,7 +645,12 @@ def grow_real(source, cfg: GrowthConfig, policy: str = "midpoints"):
     kind, grid_w = parse_policy(policy)
     policy_name = "midpoints" if kind == "midpoints" else f"grid:{grid_w}"
     if isinstance(source, RealSample):
-        root = _SampleLeaf((source, spec, kind, grid_w), tuple(range(len(source))))
+        cols = tuple(zip(*(x for x, _ in source.points)))
+        labels = tuple(label for _, label in source.points)
+        base = list(range(len(labels)))  # one set of index ints, shared by every order
+        orders = tuple(sorted(base, key=col.__getitem__) for col in cols)
+        run = (cols, labels, spec, kind, grid_w)
+        root = _SampleLeaf(run, orders, len(labels), sum(labels))
         return _greedy(root, cfg, "real-empirical", policy_name)
     if isinstance(source, tuple) and len(source) == 2:
         teacher, d = source

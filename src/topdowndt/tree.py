@@ -317,6 +317,8 @@ def leaf_views(t: Tree, f: BoolFunc) -> Iterator[tuple[Leaf, int, SubcubeView]]:
         if isinstance(node, Leaf):
             yield node, d, view
         else:
+            if not 1 <= node.coord <= f.n:
+                raise ValueError(f"coordinate {node.coord} out of range for arity {f.n}")
             hi, lo = view.split(node.coord)
             stack.append((node.lo, d + 1, lo))
             stack.append((node.hi, d + 1, hi))

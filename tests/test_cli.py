@@ -272,6 +272,16 @@ class TestExitContract:
         assert rc == 2
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_refused(self, tmp_path, capsys, value):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"x1,x2,label\n0.5,0.1,0\n0.7,{value},1\n")
+        out = tmp_path / "x"
+        rc = main(["grow-real", "--data", str(data), "--out", str(out)])
+        assert rc == 2
+        assert f"{data}:3: feature values must be finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 
 class TestConfigMerge:
     def test_file_sets_then_flag_overrides(self, tmp_path):

@@ -1,3 +1,5 @@
+import bisect
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
-from topdowndt.grower import GrowthConfig, grow
-from topdowndt.impurity import builtin
+from topdowndt.grower import GAIN_TOL, GrowthConfig, _greedy, grow
+from topdowndt.impurity import builtin, from_table
+from topdowndt.impurity import evaluate as impurity_evaluate
 from topdowndt.realvalued import (
     MAX_BITS,
     CoordinateDist,
@@ -23,6 +26,7 @@ from topdowndt.realvalued import (
     encode_point,
     estimate_dist,
     grow_real,
+    parse_policy,
     round_thresholds,
     sample_teacher,
 )
@@ -315,6 +319,136 @@ class TestGrowRealEmpirical:
         assert all(a >= b for a, b in zip(curve, curve[1:]))
 
 
+class _PerLeafSortSampleLeaf:
+    """Reference for realvalued._SampleLeaf: each leaf holds its point
+    indices, re-sorts every coordinate and scores every candidate through
+    the checked impurity.evaluate."""
+
+    u_term = None
+    inf_split = None
+
+    def __init__(self, run, idx, parent_label=None):
+        sample, spec, policy, grid_w = run
+        total = len(sample)
+        self.run = run
+        self.idx = idx
+        self.count = len(idx)
+        self.score = self.best_gain = -math.inf
+        self.best_coord = None
+        self.best_theta = None
+        self.best_median = None
+        if self.count == 0:
+            self.ones = 0
+            self.expectation = None
+            self.label = parent_label
+            self.err_frac = Fraction(0)
+            self.g_term = 0.0
+            self.active = False
+            return
+        pts = sample.points
+        self.ones = sum(pts[i][1] for i in idx)
+        self.expectation = Fraction(self.ones, self.count)
+        self.label = 1 if 2 * self.ones >= self.count else 0
+        self.err_frac = Fraction(min(self.ones, self.count - self.ones), total)
+        g_here = impurity_evaluate(spec, self.expectation)
+        self.g_term = self.count / total * g_here
+        self.active = 0 < self.ones < self.count
+        if not self.active:
+            return
+        for coord in range(1, sample.n + 1):
+            ordered = sorted((pts[i][0][coord - 1], pts[i][1]) for i in idx)
+            values = [v for v, _ in ordered]
+            prefix = [0]
+            for _, lab in ordered:
+                prefix.append(prefix[-1] + lab)
+            if policy == "midpoints":
+                candidates = [
+                    ((values[j - 1] + values[j]) / 2, j)
+                    for j in range(1, self.count)
+                    if values[j] != values[j - 1]
+                ]
+            else:
+                candidates = [
+                    (c / (1 << grid_w), bisect.bisect_left(values, c / (1 << grid_w)))
+                    for c in range(1, 1 << grid_w)
+                ]
+            for theta, j in candidates:
+                lo_n, hi_n = j, self.count - j
+                lo_ones = prefix[j]
+                hi_ones = self.ones - lo_ones
+                total_g = self.count * g_here
+                if lo_n:
+                    total_g -= lo_n * impurity_evaluate(spec, lo_ones / lo_n)
+                if hi_n:
+                    total_g -= hi_n * impurity_evaluate(spec, hi_ones / hi_n)
+                gain = total_g / total
+                if gain > self.best_gain + GAIN_TOL:
+                    self.score = self.best_gain = gain
+                    self.best_coord = coord
+                    self.best_theta = theta
+                    self.best_median = 2 * lo_n <= self.count and 2 * hi_n <= self.count
+
+    def children(self):
+        pts = self.run[0].points
+        coord, theta = self.best_coord, self.best_theta
+        hi_idx = tuple(i for i in self.idx if pts[i][0][coord - 1] >= theta)
+        lo_idx = tuple(i for i in self.idx if pts[i][0][coord - 1] < theta)
+        return (
+            _PerLeafSortSampleLeaf(self.run, hi_idx, self.label),
+            _PerLeafSortSampleLeaf(self.run, lo_idx, self.label),
+        )
+
+
+def _reference_grow_real(sample, cfg, policy):
+    kind, grid_w = parse_policy(policy)
+    root = _PerLeafSortSampleLeaf((sample, cfg.impurity, kind, grid_w), tuple(range(len(sample))))
+    return _greedy(root, cfg, "real-empirical", policy)
+
+
+def _tree_bytes(t):
+    return json.dumps(treemod.to_json(t), indent=2, sort_keys=True)
+
+
+TABLE_GINI = from_table(
+    "table-gini", [(0, 0), (0.25, 0.75), (0.5, 1), (0.75, 0.75), (1, 0)], kappa=2.0, resolution=4
+)
+# few distinct values, so ties are common; the grid points and 1.0 are among them
+_DUPLICATED = st.sampled_from([0.0, 0.125, 0.25, 0.3, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.integers(1, 3))
+    value = draw(st.sampled_from([_DUPLICATED, st.floats(0, 1, allow_nan=False)]))
+    point = st.tuples(st.tuples(*[value] * n), st.integers(0, 1))
+    return draw(st.lists(point, min_size=1, max_size=24))
+
+
+class TestPresortedSampleLeaf:
+    @given(
+        points=_samples(),
+        spec=st.sampled_from([GINI, builtin("entropy"), builtin("km"), TABLE_GINI]),
+        policy=st.sampled_from(["midpoints", "grid:1", "grid:2", "grid:3"]),
+        stop=st.booleans(),
+        budget=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_leaf_sort(self, points, spec, policy, stop, budget, seed):
+        cfg = GrowthConfig(budget=budget, impurity=spec, stop_on_zero_gain=stop)
+        permuted = list(points)
+        random.Random(seed).shuffle(permuted)
+        runs = []
+        for pts in (points, permuted):
+            t, trace = grow_real(RealSample(tuple(pts)), cfg, policy)
+            ref_t, ref_trace = _reference_grow_real(RealSample(tuple(pts)), cfg, policy)
+            assert trace == ref_trace  # every TraceStep field, repr=False ones too
+            assert _tree_bytes(t) == _tree_bytes(ref_t)
+            runs.append((trace, _tree_bytes(t)))
+        # relabelling the points moves no candidate, gain or threshold
+        assert runs[0] == runs[1]
+
+
 class TestGrowRealAnalytic:
     def test_threshold_teacher_on_uniform_square(self):
         teacher = DecisionTree(Internal(1, 0.7, Leaf(1), Leaf(0)))
@@ -436,3 +570,8 @@ class TestRealSampleValidation:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             RealSample((((0.1,), 2),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_features(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            RealSample((((0.1, 0.2), 0), ((0.3, value), 1)))

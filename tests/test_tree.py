@@ -345,3 +345,8 @@ class TestLeafViews:
         t = DecisionTree(Internal(1, 0.5, Leaf(1), Leaf(0)))
         with pytest.raises(ValueError, match="binary-mode"):
             list(treemod.leaf_views(t, conjunction(2)))
+
+    def test_coordinate_above_arity_named(self):
+        t = DecisionTree(Internal(5, None, Leaf(1), Leaf(0)))
+        with pytest.raises(ValueError, match="coordinate 5 out of range for arity 3"):
+            treemod.distance(t, majority(3))
