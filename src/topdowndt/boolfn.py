@@ -186,6 +186,11 @@ def point_of(idx: int, n: int) -> tuple[int, ...]:
     return tuple(1 if (idx >> i) & 1 else -1 for i in range(n))
 
 
+def coordinate_mask(n: int, i: int) -> int:
+    """Mask of the 2^n truth-table positions where x_i = +1 (i is 1-indexed)."""
+    return _mask_set(n, i - 1)
+
+
 # ---------------------------------------------------------------------------
 # subcube views: compacted truth tables over the free coordinates
 # ---------------------------------------------------------------------------

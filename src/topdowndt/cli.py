@@ -282,7 +282,7 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
             raise ConfigError("monitoring needs the exact oracle; reduce arity")
         eps = _monitor_eps(cfg)
         _check_monitor(cfg.monitor_size, eps)
-        opt_s, _ = oracle.opt(f, cfg.monitor_size)
+        opt_s = oracle.OptTable(f).error(cfg.monitor_size)
         monitor = Monitor(cfg.monitor_size, eps, opt_s)
     _, trace = grow(f, GrowthConfig(budget=cfg.budget, impurity=spec, stop_on_zero_gain=True))
     files = _write_trace(out, trace)
@@ -480,8 +480,9 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
     flags = []
     for i in range(cfg.trials):
         f = random_monotone(n, seed=_trial_seed(cfg, i))
+        table = oracle.OptTable(f)  # one memo serves every size
         for s in cfg.sizes:
-            opt_s, _ = oracle.opt(f, s)
+            opt_s = table.error(s)
             budget = _sweep_budget(s, n)
             errs = []
             monitor = Monitor(s, eps, opt_s)

@@ -7,14 +7,19 @@ with at most s leaves, by dynamic programming over subcubes:
                          min over free i, s1+s2=s of
                            1/2 opt(f_{rho, x_i=+1}, s1) + 1/2 opt(f_{rho, x_i=-1}, s2) )
 
-Everything is integer arithmetic on misclassification counts (the error is
-count / 2^n), memoized on the subcube identity, so results are exact.  The
-budget is clamped to the subcube size, where the error hits 0.  Capped at
-arity 12; beyond that this brute force does not finish in reasonable time.
+A subcube, named by its fixed coordinates' bits `mask` and their +1 bits
+`vals`, is f's full-width table with the points outside it cleared; its
+children on x_i are one AND and one XOR with the mask of x_i = +1.  The memo
+holds integer misclassification counts only, (mask, vals, s) -> count (the
+error is count / 2^n), so results are exact.  The budget is clamped to the
+subcube size, where the error hits 0.  Coordinates irrelevant on a subcube
+are skipped: a split on one costs at least twice the optimum of either half
+at the full budget, which a leaf or another split already attains.  Capped
+at arity 12; beyond that this brute force does not finish in reasonable time.
 
-Tie-breaking for the witness tree: a lone leaf beats any split of equal
-error; among splits, smallest coordinate first, then the most balanced
-size split, then smaller hi-side budget.
+The witness tree is rebuilt from the memo: a leaf when the optimum equals the
+bias count, else the first split, in coordinate then balanced-budget order
+(most balanced size split, then smaller hi-side budget), that attains it.
 
 verify_jz checks the max-influence lower bound
 
@@ -26,12 +31,13 @@ only the division by log2(size) is floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolfn import BoolFunc, SubcubeView
+from .boolfn import BoolFunc, SubcubeView, coordinate_mask
 from .tree import DecisionTree, Internal, Leaf, PartialTree, distance, label_leaves, leaf_views, size
 
 OPT_MAX_ARITY = 12
@@ -48,69 +54,73 @@ class OptTable:
                 f"(got {f.n}); larger instances are out of scope here"
             )
         self.f = f
-        self._memo: dict[tuple[int, int, int], tuple[int, tuple | None]] = {}
-        self._root = SubcubeView.of_function(f)
+        self._memo: dict[tuple[int, int, int], int] = {}
+        # (coordinate, its bit in mask/vals, its full-width +1 mask)
+        self._coords = [(i, 1 << (i - 1), coordinate_mask(f.n, i)) for i in range(1, f.n + 1)]
 
     def error(self, s: int) -> Fraction:
         if s < 1:
             raise ValueError("size budget must be >= 1")
-        count = self._solve(self._root, 0, 0, s)
+        count = self._solve(self.f.table, 0, 0, s)
         return Fraction(count, 1 << self.f.n)
 
     def witness(self, s: int) -> DecisionTree:
         self.error(s)  # ensure the memo is populated
-        return DecisionTree(self._build(self._root, 0, 0, s))
+        return DecisionTree(self._build(self.f.table, 0, 0, s))
 
     # -- internals ---------------------------------------------------------
 
-    def _solve(self, view: SubcubeView, mask: int, vals: int, s: int) -> int:
-        bias_count = view.error_count()
-        s = min(s, view.size)
-        if s <= 1 or bias_count == 0:
-            return bias_count
+    def _solve(self, sub: int, mask: int, vals: int, s: int) -> int:
+        size = 1 << (self.f.n - mask.bit_count())
+        ones = sub.bit_count()
+        best = ones if 2 * ones <= size else size - ones
+        s = s if s < size else size
+        if s <= 1 or best == 0:
+            return best
         key = (mask, vals, s)
         hit = self._memo.get(key)
         if hit is not None:
-            return hit[0]
-        best = bias_count
-        action: tuple | None = None
-        # balanced splits first so equal-error witnesses stay shallow
-        budgets = sorted(range(1, s), key=lambda v: (abs(2 * v - s), v))
-        for coord in sorted(view.free):
-            hi, lo = view.split(coord)
-            bit = 1 << (coord - 1)
-            for s1 in budgets:
+            return hit
+        for _, bit, m in self._coords:
+            if mask & bit:
+                continue
+            hi = sub & m
+            lo = sub ^ hi
+            if hi >> bit == lo:
+                continue  # irrelevant here: a leaf or another split does as well
+            for s1 in _budgets(s):
                 err = self._solve(hi, mask | bit, vals | bit, s1)
                 if err >= best:
                     continue  # the lo side can only add to it
                 err += self._solve(lo, mask | bit, vals, s - s1)
                 if err < best:
                     best = err
-                    action = (coord, s1)
                 if best == 0:
                     break
             if best == 0:
                 break
-        self._memo[key] = (best, action)
+        self._memo[key] = best
         return best
 
-    def _build(self, view: SubcubeView, mask: int, vals: int, s: int):
-        bias_count = view.error_count()
-        s = min(s, view.size)
-        if s <= 1 or bias_count == 0:
-            return Leaf(1 if 2 * view.ones >= view.size else 0)
-        _, action = self._memo[(mask, vals, s)]
-        if action is None:
-            return Leaf(1 if 2 * view.ones >= view.size else 0)
-        coord, s1 = action
-        hi, lo = view.split(coord)
-        bit = 1 << (coord - 1)
-        return Internal(
-            coord,
-            None,
-            self._build(hi, mask | bit, vals | bit, s1),
-            self._build(lo, mask | bit, vals, s - s1),
-        )
+    def _build(self, sub: int, mask: int, vals: int, s: int):
+        size = 1 << (self.f.n - mask.bit_count())
+        ones = sub.bit_count()
+        best = self._solve(sub, mask, vals, s)
+        s = min(s, size)
+        if best < min(ones, size - ones):  # so s > 1: some split attains best
+            for coord, bit, m in self._coords:
+                hi = sub & m
+                for s1 in () if mask & bit else _budgets(s):
+                    kids = ((hi, mask | bit, vals | bit, s1), (sub ^ hi, mask | bit, vals, s - s1))
+                    if sum(self._solve(*kid) for kid in kids) == best:
+                        return Internal(coord, None, *(self._build(*kid) for kid in kids))
+        return Leaf(1 if 2 * ones >= size else 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _budgets(s: int) -> tuple[int, ...]:
+    """Hi-side budgets 1..s-1, most balanced split first, then smaller."""
+    return tuple(sorted(range(1, s), key=lambda v: (abs(2 * v - s), v)))
 
 
 def opt(f: BoolFunc, s: int) -> tuple[Fraction, DecisionTree]:

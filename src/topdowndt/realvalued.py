@@ -33,7 +33,8 @@ builds the root leaf.  Two sources are supported:
     expectations are exact rational box integrals in quantile space).
 
 Threshold candidates come from the policy: "midpoints" (midpoints of
-consecutive distinct sample values per coordinate, empirical only) or
+consecutive distinct sample values a < b per coordinate, empirical only;
+b itself when the rounded midpoint is not in (a, b]) or
 "grid:w" (multiples of 2^-w in quantile space).  Every trace records the
 policy, and every step records whether the chosen threshold is a median
 of the leaf's coordinate distribution.  A split that isolates an empty
@@ -505,7 +506,9 @@ class _SampleLeaf:
                         if gain > best + GAIN_TOL:
                             self.score = self.best_gain = best = gain
                             self.best_coord = coord
-                            self.best_theta = (prev + v) / 2
+                            theta = prev / 2 + v / 2  # cannot overflow
+                            # a midpoint that rounds onto prev would send prev's points hi
+                            self.best_theta = theta if prev < theta <= v else v
                             self.best_median = 2 * lo_n <= count and 2 * hi_n <= count
                     lo_n += 1
                     lo_ones += labels[i]

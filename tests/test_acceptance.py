@@ -19,6 +19,7 @@ as exact checks.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -159,6 +160,15 @@ def test_criterion_05_agnostic_guarantee_shape(agnostic_sweep):
                 assert trace.distance_at_size(s) >= opts[s]
     elapsed = time.time() - t0
     print(f"criterion 5: 200 trials x 3 impurities within 0.1 of the oracle at the sweep budget, {elapsed:.1f}s")
+
+
+def test_agnostic_sweep_oracle_values_pinned(agnostic_sweep):
+    """The 600 oracle errors behind criteria 4 and 5, pinned by sha256."""
+    h = hashlib.sha256()
+    for trial, (_, opts, _) in enumerate(agnostic_sweep):
+        for s in (2, 4, 8):
+            h.update(f"{trial} {s} {opts[s]}\n".encode())
+    assert h.hexdigest() == "241ad12df942af5e2ce2097ddbde51fdc51a342ecbfae6b93f4ee2423a388f6c"
 
 
 def test_criterion_06_realizable_targets():

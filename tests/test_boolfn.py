@@ -228,6 +228,12 @@ class TestMasks:
                 want = sum(1 << p for p in range(1 << f) if (p >> a) & 1)
                 assert boolfn._mask_set(f, a) == want, (f, a)
 
+    def test_coordinate_mask_marks_plus_one_points(self):
+        for n in range(1, 7):
+            for i in range(1, n + 1):
+                want = sum(1 << p for p in range(1 << n) if boolfn.point_of(p, n)[i - 1] == 1)
+                assert boolfn.coordinate_mask(n, i) == want, (n, i)
+
 
 class TestRandomMonotone:
     def test_deterministic_per_seed(self):

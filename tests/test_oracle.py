@@ -1,11 +1,22 @@
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
-from topdowndt.boolfn import BoolFunc, conjunction, majority, parity, point_of, random_monotone
+from topdowndt.boolfn import (
+    BoolFunc,
+    conjunction,
+    derived_rng,
+    majority,
+    parity,
+    point_of,
+    random_monotone,
+)
 from topdowndt.oracle import (
     OPT_MAX_ARITY,
     OptTable,
@@ -111,6 +122,56 @@ class TestOptShape:
         err, w = opt(f, 8)
         assert err == 0
         assert distance(w, f) == 0
+
+
+def _answers(table: OptTable, sizes) -> dict:
+    return {s: (table.error(s), treemod.to_json(table.witness(s))) for s in sizes}
+
+
+def _digest(fs, sizes) -> str:
+    """sha256 over (error, witness JSON) per function and size, one table per function."""
+    h = hashlib.sha256()
+    for f in fs:
+        for err, w in _answers(OptTable(f), sizes).values():
+            h.update(json.dumps([str(err), w], sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestOptPinned:
+    """Errors and witness trees pinned to the per-subcube-view search this
+    oracle replaced; the digests were recorded on that search."""
+
+    def test_monotone_n8(self):
+        fs = [random_monotone(8, seed) for seed in range(20)]
+        assert _digest(fs, (2, 3, 4, 5, 8)) == (
+            "9371abaeb42ac09e51627b54d9662631243d86207481e10deeaea7599e237bed"
+        )
+
+    def test_random_tables_n6(self):
+        rng = derived_rng(0, "oracle", "pin")
+        fs = [BoolFunc(6, rng.getrandbits(64)) for _ in range(20)]
+        assert _digest(fs, (2, 4, 6, 9, 12)) == (
+            "98de6db549e6ebfcd46b2954c128db5a0fc43aeaa0d52ab3b05b4eb07be34dd8"
+        )
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 6))
+    return BoolFunc(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+
+class TestOptTableReuse:
+    @given(f=_tables(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_table_serves_every_budget(self, f, data):
+        top = min(1 << f.n, 16)
+        sizes = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=6, unique=True))
+        fresh = {s: _answers(OptTable(f), [s])[s] for s in sizes}
+        shuffled = list(sizes)
+        random.Random(data.draw(st.integers(0, 2**32 - 1))).shuffle(shuffled)
+        for order in (sorted(sizes), sorted(sizes, reverse=True), shuffled):
+            assert _answers(OptTable(f), order) == fresh
 
 
 class TestEnumeration:

@@ -318,6 +318,31 @@ class TestGrowRealEmpirical:
         curve = [trace.initial_distance] + [s.distance for s in trace.steps]
         assert all(a >= b for a, b in zip(curve, curve[1:]))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (0.5, math.nextafter(0.5, 1)),  # the midpoint rounds down onto a
+            (1e308, 1.5e308),  # a + b overflows to inf
+        ],
+    )
+    def test_midpoint_separates_adjacent_values(self, a, b):
+        pts = (((a,), 0), ((b,), 1))
+        t, trace = grow_real(RealSample(pts), GrowthConfig(budget=2, impurity=GINI))
+        (step,) = trace.steps
+        assert math.isfinite(step.theta) and a < step.theta <= b
+        # route every point through the built tree: the trace's gain is the tree's
+        leaves = {}
+        for x, label in pts:
+            node = t.root
+            while isinstance(node, Internal):
+                node = node.hi if x[node.coord - 1] >= node.theta else node.lo
+            leaves.setdefault(id(node), []).append(label)
+        built_g = sum(len(ls) / len(pts) * GINI.fn(sum(ls) / len(ls)) for ls in leaves.values())
+        assert trace.initial_g_impurity - built_g == pytest.approx(step.gain, abs=1e-12)
+        assert step.g_impurity == pytest.approx(built_g, abs=1e-12)
+        assert step.distance == 0 and built_g == 0.0
+        assert [treemod.evaluate(t, x) for x, _ in pts] == [0, 1]
+
 
 class _PerLeafSortSampleLeaf:
     """Reference for realvalued._SampleLeaf: each leaf holds its point
@@ -363,7 +388,7 @@ class _PerLeafSortSampleLeaf:
                 prefix.append(prefix[-1] + lab)
             if policy == "midpoints":
                 candidates = [
-                    ((values[j - 1] + values[j]) / 2, j)
+                    (_midpoint(values[j - 1], values[j]), j)
                     for j in range(1, self.count)
                     if values[j] != values[j - 1]
                 ]
@@ -397,6 +422,12 @@ class _PerLeafSortSampleLeaf:
             _PerLeafSortSampleLeaf(self.run, hi_idx, self.label),
             _PerLeafSortSampleLeaf(self.run, lo_idx, self.label),
         )
+
+
+def _midpoint(a, b):
+    """The sample leaf's midpoint rule: b when a/2 + b/2 rounds outside (a, b]."""
+    mid = a / 2 + b / 2
+    return mid if a < mid <= b else b
 
 
 def _reference_grow_real(sample, cfg, policy):
