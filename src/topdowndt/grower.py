@@ -27,7 +27,16 @@ With stop_on_zero_gain unset (the default) zero-gain splits of impure
 leaves do happen, in tie-break order, until the leaf budget is spent.
 
 grow() runs on any function exposing the cursor interface below;
-boolfn truth tables and the structured hard instances both do.
+boolfn truth tables and the structured hard instances both do.  A
+cursor views one leaf's restriction; growth reads its expectation(),
+candidate_coords(), child_expectations(coord), influence(coord),
+total_influence() and split(coord) -> (hi, lo).  candidate_coords() are
+free coordinates in ascending order, and a listed coordinate may stand
+for larger free ones whose children equal its own.  Such a coordinate
+scores exactly what the smaller one scored, and the leader's score only
+rises during the scan, so it could never displace the leader: skipping
+it leaves the pick unchanged.  A table cursor lists every free
+coordinate (free_coords()); the hard-instance cursor one per orbit.
 
 Growth is monitored: every iteration appends a TraceStep carrying the
 exact distance of the f-completion, the impurity potential, and the
@@ -83,6 +92,8 @@ class TableCursor:
 
     def free_coords(self) -> tuple[int, ...]:
         return tuple(sorted(self.view.free))
+
+    candidate_coords = free_coords
 
     def child_expectations(self, coord: int) -> tuple[float, float]:
         # int / int is correctly rounded: the float of the exact ratio
@@ -246,8 +257,8 @@ class _LeafState:
         bias = min(e, 1 - e)
         self.err_frac = Fraction(1, 1 << depth) * bias
         self.u_term = Fraction(1, 1 << depth) * cursor.total_influence()
-        free = cursor.free_coords()
-        self.active = bool(free) and bias != 0
+        candidates = cursor.candidate_coords()
+        self.active = bool(candidates) and bias != 0
         # G(E[f_l]) is read by the gain scan and, at the root, by _greedy
         g_here = None
         if spec is not None and (self.active or depth == 0):
@@ -260,7 +271,7 @@ class _LeafState:
         if spec is not None:
             best = -math.inf
             best_coord = None
-            for coord in free:
+            for coord in candidates:
                 e_hi, e_lo = cursor.child_expectations(coord)
                 local = g_here - 0.5 * (evaluate(spec, e_hi) + evaluate(spec, e_lo))
                 gain = math.ldexp(local, -depth)
@@ -272,7 +283,7 @@ class _LeafState:
         else:
             best = Fraction(-1)
             best_coord = None
-            for coord in free:
+            for coord in candidates:
                 inf = cursor.influence(coord)
                 if inf > best:
                     best = inf

@@ -25,8 +25,13 @@ free coordinates, or None once one of them is fixed to -1 (the term is
 dead); the number u of free y's and the sum sigma of the fixed ones; and
 the set of fixed coordinates.  Fixing a coordinate changes one term's
 count or (u, sigma), so a split or a scored candidate costs O(m), with no
-rescan of the restriction.  All free x's of a live term share one
-influence, and so do all free y's.
+rescan of the restriction.  The free coordinates fall into orbits whose
+members give equal children: the free x's of each live term, the inert
+x's (those of dead terms and the slack x's beyond m*w, whose children
+equal the parent), and the free y's.  Members of an orbit share one
+influence, and the grower scores a candidate once per orbit, on its
+smallest member (candidate_coords), so a leaf costs O(m) candidates
+rather than O(ell + k).
 
 Parameter choice: w is picked so Pr[T] is as close to 1/2 as possible
 subject to m = ell//w >= 2, and m' < m so Pr[T'] is nearest 499/1000
@@ -39,8 +44,9 @@ share is small when m is large: at ell = 8 (m = 4, m' = 2) p_rest is
 lower_bound_experiment() grows a budgeted tree on an instance, tracks the
 exact error curve, Monte-Carlo checks it, and measures how often the
 grown tree queries an x coordinate before its path has seen many y's.
-mc_check() is that Monte-Carlo loop, over any stream of (x, f(x)) pairs;
-the hard CLI runs it again at checkpoint sizes on one shared sample.
+mc_check() is that Monte-Carlo loop, over any stream of (x, f(x)) pairs,
+walking the tree itself once per point; the hard CLI runs it again at
+checkpoint sizes on one shared sample.
 """
 
 from __future__ import annotations
@@ -50,11 +56,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import tree as treemod
 from .boolfn import MAX_ARITY, BoolFunc, Restriction, derived_rng, from_dnf
 from .grower import GrowthConfig, GrowthTrace, grow
 from .impurity import ImpuritySpec
-from .tree import DecisionTree, chain_tree
+from .tree import DecisionTree, Internal, chain_tree
 
 _HALF_TARGET = Fraction(1, 2)
 _PRIME_TARGET = Fraction(499, 1000)
@@ -270,7 +275,8 @@ class _HardCursor:
     live[j] is the number of free coordinates of term j + 1, or None once
     one of them is fixed to -1 (the term is dead); u is the number of free
     y's and sigma the sum of the fixed ones; fixed is the set of fixed
-    coordinates.
+    coordinates.  candidate_coords() lists one coordinate per orbit (see
+    the module docstring), so the grower scores each orbit once.
     """
 
     __slots__ = ("inst", "fixed", "live", "u", "sigma")
@@ -327,6 +333,30 @@ class _HardCursor:
 
     def free_coords(self) -> tuple[int, ...]:
         return tuple(c for c in range(1, self.inst.arity + 1) if c not in self.fixed)
+
+    def candidate_coords(self) -> tuple[int, ...]:
+        """The smallest free coordinate of each orbit, ascending: one per
+        live term with a free x, one inert x, one y."""
+        p = self.inst.params
+        fixed = self.fixed
+        out = []
+        inert = None
+        for j, free in enumerate(self.live):
+            if free == 0:
+                continue  # every x of the term is fixed to +1
+            first = next((c for c in p.term_coords(j + 1) if c not in fixed), None)
+            if free is not None:
+                out.append(first)
+            elif inert is None:
+                inert = first
+        if inert is None:  # no free x in a dead term: try the slack x's
+            inert = next((c for c in range(p.m * p.w + 1, p.ell + 1) if c not in fixed), None)
+        if inert is not None:
+            out.append(inert)
+            out.sort()
+        if self.u:
+            out.append(next(c for c in self.inst.y_coords() if c not in fixed))
+        return tuple(out)
 
     def child_expectations(self, coord: int) -> tuple[Fraction, Fraction]:
         m_prime = self.inst.params.m_prime
@@ -441,27 +471,32 @@ def xi_cutoff(k: int, c3: float = 0.5) -> int:
 def mc_check(h: HardInstance, t: DecisionTree, labeled, cutoff: int) -> tuple[float, float, float]:
     """Monte-Carlo error of t against f, and its xi fraction.
 
-    labeled is an iterable of (x, f(x)) pairs.  Returns the fraction of
-    them t gets wrong, the distribution-free 99% half-width for that many
-    samples, and the fraction whose path in t queries an x coordinate
-    before it has queried more than `cutoff` y's.
+    labeled is an iterable of (x, f(x)) pairs, at least one.  Returns the
+    fraction of them t gets wrong, the distribution-free 99% half-width
+    for that many samples, and the fraction whose path in t queries an x
+    coordinate before it has queried more than `cutoff` y's.  t is a
+    binary-mode tree, walked once per point.
     """
     ell = h.params.ell
     count = errors = early_x = 0
     for x, fx in labeled:
         count += 1
-        leaf = treemod.path_of(t, x)
-        if leaf.node.label != fx:
-            errors += 1
+        node = t.root
         y_seen = 0
-        for step in leaf.path:
-            if step.coord > ell:
-                y_seen += 1
-                if y_seen > cutoff:
-                    break
-            else:
+        while isinstance(node, Internal):  # until the xi rule is decided
+            if node.coord <= ell:
                 early_x += 1
                 break
+            y_seen += 1
+            if y_seen > cutoff:
+                break
+            node = node.hi if x[node.coord - 1] == 1 else node.lo
+        while isinstance(node, Internal):
+            node = node.hi if x[node.coord - 1] == 1 else node.lo
+        if node.label != fx:
+            errors += 1
+    if count == 0:
+        raise ValueError("mc_check needs at least one sample")
     halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * count))
     return errors / count, halfwidth, early_x / count
 
@@ -481,6 +516,8 @@ def lower_bound_experiment(
     threshold: float = 0.4,
 ) -> tuple[ExperimentReport, DecisionTree, GrowthTrace]:
     """Grow on the instance, then measure how far the result stays from f."""
+    if mc_samples < 1:
+        raise ValueError(f"the Monte-Carlo check needs at least one sample, got {mc_samples}")
     dtree, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
     cutoff = xi_cutoff(h.k)
     points = random_points(h, mc_samples, derived_rng(seed, "hard", "mc"))

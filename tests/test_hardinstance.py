@@ -14,6 +14,7 @@ from topdowndt.hardinstance import (
     choose_params,
     evaluate,
     lower_bound_experiment,
+    mc_check,
     restricted_expectation,
     restricted_influence,
     restricted_total_influence,
@@ -24,7 +25,8 @@ from topdowndt.hardinstance import (
     tribes_params,
     xi_cutoff,
 )
-from topdowndt.impurity import builtin
+from topdowndt.impurity import BUILTIN_NAMES, builtin
+from topdowndt.tree import DecisionTree, Internal, Leaf
 
 
 class TestTribesParams:
@@ -182,6 +184,16 @@ def test_cursor_split_chains_match_table(ell, k, data):
             hi_ones, lo_ones = view.child_ones(c)
             assert cursor.child_expectations(c) == (Fraction(hi_ones, half), Fraction(lo_ones, half))
             assert cursor.influence(c) == view.influence(c)
+        # one candidate per orbit: each free coordinate has a listed
+        # representative at or below it with equal children and influence
+        reps = cursor.candidate_coords()
+        assert list(reps) == sorted(set(reps)) and set(reps) <= set(free)
+        for c in free:
+            assert any(
+                view.child_ones(r) == view.child_ones(c) and view.influence(r) == view.influence(c)
+                for r in reps
+                if r <= c
+            ), c
         assert cursor.total_influence() == view.total_influence()
         for c in (*fixed, 0, n + 1):
             with pytest.raises(ValueError):
@@ -277,6 +289,32 @@ class TestGrowthEquivalence:
         ]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    ell=st.integers(2, 10),
+    k=st.sampled_from((1, 3, 5, 7)),
+    rule=st.sampled_from((*BUILTIN_NAMES, None)),
+    data=st.data(),
+)
+def test_cursor_growth_matches_table_growth(ell, k, rule, data):
+    """grow on the cursor, which scores one coordinate per orbit, against
+    grow on the truth table, which scores every free coordinate."""
+    h = choose_params(ell, k)
+    budget = data.draw(st.integers(1, min(1 << h.arity, 512)), label="budget")
+    cfg = GrowthConfig(budget=budget, impurity=builtin(rule) if rule else None)
+    t_h, trace_h = grow(h, cfg)
+    t_f, trace_f = grow(to_boolfunc(h), cfg)
+
+    def rows(trace):
+        return [
+            (s.leaf_id, s.coord, s.gain, s.g_impurity, s.u_f, s.distance) for s in trace.steps
+        ]
+
+    assert rows(trace_h) == rows(trace_f)
+    assert trace_h.stop_reason == trace_f.stop_reason
+    assert treemod.to_json(t_h) == treemod.to_json(t_f)
+
+
 class TestXiCutoff:
     def test_anchors(self):
         assert xi_cutoff(1) == 0
@@ -322,3 +360,83 @@ class TestLowerBoundExperiment:
         )
         assert report.final_distance == 0
         assert not report.exact_above_threshold
+
+
+def _mc_check_reference(h, t, labeled, cutoff):
+    """mc_check as it read each point's path through tree.path_of."""
+    ell = h.params.ell
+    count = errors = early_x = 0
+    for x, fx in labeled:
+        count += 1
+        leaf = treemod.path_of(t, x)
+        if leaf.node.label != fx:
+            errors += 1
+        y_seen = 0
+        for step in leaf.path:
+            if step.coord > ell:
+                y_seen += 1
+                if y_seen > cutoff:
+                    break
+            else:
+                early_x += 1
+                break
+    halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * count))
+    return errors / count, halfwidth, early_x / count
+
+
+def _draw_node(data, coords, depth):
+    if depth == 0 or not coords or not data.draw(st.booleans()):
+        return Leaf(data.draw(st.sampled_from((0, 1))))
+    c = data.draw(st.sampled_from(sorted(coords)))
+    rest = coords - {c}
+    return Internal(c, None, _draw_node(data, rest, depth - 1), _draw_node(data, rest, depth - 1))
+
+
+class TestMcCheck:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ell=st.integers(2, 5),
+        k=st.sampled_from((1, 3, 5)),
+        shape=st.sampled_from(("any", "y-only", "y-chain")),
+        data=st.data(),
+    )
+    def test_matches_path_walk(self, ell, k, shape, data):
+        h = choose_params(ell, k)
+        xs, ys = set(range(1, ell + 1)), set(h.y_coords())
+        depth = data.draw(st.integers(0, 6), label="depth")
+        cutoff = data.draw(st.integers(0, k), label="cutoff")
+        if shape == "y-chain":
+            # every path reads the same `chain` y's, then an x (chain 0: x at the root)
+            chain = data.draw(st.lists(st.sampled_from(sorted(ys)), unique=True), label="chain")
+            c = data.draw(st.sampled_from(sorted(xs)))
+            rest = (xs | ys) - {c, *chain}
+            root = Internal(c, None, _draw_node(data, rest, depth), _draw_node(data, rest, depth))
+            for y in reversed(chain):
+                root = Internal(y, None, root, root)
+        else:
+            root = _draw_node(data, ys if shape == "y-only" else xs | ys, depth)
+        t = DecisionTree(root)
+        labeled = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from((-1, 1)), min_size=h.arity, max_size=h.arity),
+                    st.sampled_from((0, 1)),
+                ),
+                min_size=1,
+                max_size=30,
+            ),
+            label="labeled",
+        )
+        got = mc_check(h, t, labeled, cutoff)
+        assert got == _mc_check_reference(h, t, labeled, cutoff)
+        if shape == "y-chain":
+            assert got[2] == (1.0 if len(chain) <= cutoff else 0.0)
+        if shape == "y-only":
+            assert got[2] == 0.0
+
+    def test_refuses_an_empty_stream(self):
+        h = choose_params(4, 3)
+        with pytest.raises(ValueError, match="at least one sample"):
+            mc_check(h, DecisionTree(Leaf(0)), [], cutoff=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            lower_bound_experiment(h, builtin("gini"), budget=4, mc_samples=0)
