@@ -257,6 +257,15 @@ class SubcubeView:
         hi, lo = self._halves(coord)
         return hi.bit_count(), lo.bit_count()
 
+    def coord_counts(self) -> tuple[int, ...]:
+        """(hi ones, lo ones, influence numerator) of each free coordinate,
+        flattened in local order, from one pair of halves each."""
+        counts = []
+        for coord in self.free:
+            hi, lo = self._halves(coord)
+            counts += (hi.bit_count(), lo.bit_count(), (hi ^ lo).bit_count())
+        return tuple(counts)
+
     def influence_numerator(self, coord: int) -> int:
         """popcount(f_hi XOR f_lo); influence = this / 2^(free-1)."""
         hi, lo = self._halves(coord)

@@ -26,6 +26,14 @@ splittable remains the loop halts regardless of the remaining budget.
 With stop_on_zero_gain unset (the default) zero-gain splits of impure
 leaves do happen, in tie-break order, until the leaf budget is spent.
 
+That leader rule is unchanged; the loop finds its pick from an index.
+Beside the preorder list of open leaves it keeps each leaf's key (its
+score if it is active and above -inf, else -inf) and a sorted copy of the
+keys.  Let M be the top key and r the largest key below it.  When
+r + tol < M (the scan's own float comparison), the leader is the first
+leaf in preorder with key M; otherwise, for that step only, it scans the
+leaves in preorder.  The influence rule's tol is 0, so it never scans.
+
 grow() runs on any function exposing the cursor interface below;
 boolfn truth tables and the structured hard instances both do.  A
 cursor views one leaf's restriction; growth reads its expectation(),
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,16 +85,32 @@ CHECK_TOL = 1e-12
 
 
 class TableCursor:
-    """Cursor over a boolfn truth table: the grower's view of one leaf."""
+    """Cursor over a boolfn truth table: the grower's view of one leaf.
 
-    __slots__ = ("view",)
+    The first count read fills every free coordinate's (hi ones, lo ones,
+    influence numerator), from one pair of halves each (see
+    SubcubeView.coord_counts), so total_influence() and the gain scan share
+    them.  A constant leaf fills none.
+    """
+
+    __slots__ = ("view", "_counts")
 
     def __init__(self, view: SubcubeView):
         self.view = view
+        self._counts = None
 
     @classmethod
     def of_function(cls, f: BoolFunc) -> "TableCursor":
         return cls(SubcubeView.of_function(f))
+
+    def _all_counts(self) -> tuple[int, ...]:
+        if self._counts is None:
+            self._counts = self.view.coord_counts()
+        return self._counts
+
+    def _counts_of(self, coord: int) -> tuple[int, ...]:
+        j = 3 * self.view.free.index(coord)
+        return self._all_counts()[j : j + 3]
 
     def expectation(self) -> Fraction:
         return self.view.expectation()
@@ -97,15 +122,18 @@ class TableCursor:
 
     def child_expectations(self, coord: int) -> tuple[float, float]:
         # int / int is correctly rounded: the float of the exact ratio
-        hi_ones, lo_ones = self.view.child_ones(coord)
+        hi_ones, lo_ones, _ = self._counts_of(coord)
         half = self.view.size >> 1
         return hi_ones / half, lo_ones / half
 
     def influence(self, coord: int) -> Fraction:
-        return self.view.influence(coord)
+        return Fraction(self._counts_of(coord)[2], self.view.size >> 1)
 
     def total_influence(self) -> Fraction:
-        return self.view.total_influence()
+        view = self.view
+        if view.is_constant():  # every influence is 0: no counts needed
+            return Fraction(0)
+        return Fraction(sum(self._all_counts()[2::3]), view.size >> 1)
 
     def split(self, coord: int) -> tuple["TableCursor", "TableCursor"]:
         hi, lo = self.view.split(coord)
@@ -255,8 +283,8 @@ class _LeafState:
         self.expectation = e
         self.label = 1 if 2 * e.numerator >= e.denominator else 0  # 2e >= 1, no new Fraction
         bias = min(e, 1 - e)
-        self.err_frac = Fraction(1, 1 << depth) * bias
-        self.u_term = Fraction(1, 1 << depth) * cursor.total_influence()
+        self.err_frac = bias / (1 << depth)
+        self.u_term = cursor.total_influence() / (1 << depth)
         candidates = cursor.candidate_coords()
         self.active = bool(candidates) and bias != 0
         # G(E[f_l]) is read by the gain scan and, at the root, by _greedy
@@ -289,7 +317,7 @@ class _LeafState:
                     best = inf
                     best_coord = coord
             self.best_coord = best_coord
-            self.score = Fraction(1, 1 << depth) * best
+            self.score = best / (1 << depth)
             # the gain column records the score's float value
             self.best_gain = math.ldexp(1.0, -depth) * float(best)
 
@@ -300,6 +328,24 @@ class _LeafState:
         return _LeafState(hi_cur, depth, self.spec), _LeafState(lo_cur, depth, self.spec)
 
 
+def _key(st) -> float | Fraction:
+    """A leaf's place in the score index: its score when the scan could pick
+    it (active, score > -inf; NaN never is), else -inf."""
+    return st.score if st.active and st.score > -math.inf else -math.inf
+
+
+def _scan(states, tol) -> int:
+    """The leader rule itself: the index of the first active leaf in preorder
+    whose score beats the best so far by more than tol (-1 if none does)."""
+    best_idx = -1
+    bar = -math.inf
+    for idx, st in enumerate(states):
+        if st.active and st.score > bar:
+            bar = st.score + tol
+            best_idx = idx
+    return best_idx
+
+
 def _greedy(
     root, cfg: GrowthConfig, mode: str, threshold_policy: str | None = None
 ) -> tuple[DecisionTree, GrowthTrace]:
@@ -308,7 +354,13 @@ def _greedy(
     root is a leaf state (see _LeafState).  The leader is the first active
     leaf in preorder whose score beats the best so far by more than
     GAIN_TOL, or, under the influence rule, by any amount (its scores are
-    exact).
+    exact); _scan states the rule.  The loop finds it from a sorted index
+    of the leaves' keys (see _key), kept beside the preorder list.  Let M
+    be the top key and r the largest key below it.  When r + tol < M, no
+    leaf ahead of the first M-scored one can raise the scan's bar to M, and
+    none after it can beat M + tol, so the leader is the first leaf in
+    preorder with key M.  Otherwise, only for that step, the loop runs
+    _scan.  Under the influence rule tol is 0 and the test always holds.
     """
     g_imp, u_f, dist = root.g_term, root.u_term, root.err_frac
     trace = GrowthTrace(
@@ -322,18 +374,20 @@ def _greedy(
     )
     tol = 0 if mode == "influence" else GAIN_TOL
     states = [root]
+    keys = [_key(root)]  # in preorder, beside states
+    ranked = keys[:]  # the same keys, ascending
     steps = trace.steps
 
     while 1 + len(steps) < cfg.budget:
-        best_idx = -1
-        bar = -math.inf
-        for idx, st in enumerate(states):
-            if st.active and st.score > bar:
-                bar = st.score + tol
-                best_idx = idx
-        if best_idx < 0:
+        top = ranked[-1]
+        if top == -math.inf:
             trace.stop_reason = "no-candidates"
             break
+        below = bisect_left(ranked, top)
+        if below == 0 or ranked[below - 1] + tol < top:
+            best_idx = keys.index(top)
+        else:
+            best_idx = _scan(states, tol)
         st = states[best_idx]
         if cfg.stop_on_zero_gain and st.best_gain <= GAIN_TOL:
             trace.stop_reason = "zero-gain"
@@ -346,6 +400,11 @@ def _greedy(
         if g_imp is not None:
             g_imp = g_imp - st.best_gain  # telescoping: potential drops by the gain
         states[best_idx : best_idx + 1] = [hi, lo]
+        del ranked[bisect_left(ranked, keys[best_idx])]
+        hi_key, lo_key = _key(hi), _key(lo)
+        keys[best_idx : best_idx + 1] = [hi_key, lo_key]
+        insort(ranked, hi_key)
+        insort(ranked, lo_key)
 
         steps.append(
             TraceStep(

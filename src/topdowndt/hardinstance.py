@@ -193,7 +193,7 @@ class HardInstance:
 
     def root_cursor(self) -> "_HardCursor":
         p = self.params
-        return _HardCursor(self, frozenset(), (p.w,) * p.m, self.k, 0)
+        return _HardCursor(self, frozenset(), (p.w,) * p.m, self.k, 0, {})
 
 
 def choose_params(ell: int, k: int) -> HardInstance:
@@ -218,12 +218,6 @@ def _miss(live: tuple) -> Fraction:
     return Fraction(num, 1 << bits)
 
 
-def _mean(m_prime: int, live: tuple, u: int, sigma: int) -> Fraction:
-    """E[f] on a restriction with cursor state (live, u, sigma)."""
-    qp, q = _misses(m_prime, live)
-    return (1 - qp) + (qp - q) * _maj_prob(u, sigma)
-
-
 def _restricted(h: HardInstance, r: Restriction | None) -> "_HardCursor":
     cursor = h.root_cursor()
     for c, v in r.fixed if r else ():
@@ -235,7 +229,7 @@ def restricted_expectation(h: HardInstance, r: Restriction | None = None) -> Fra
     """E[f given r] = Pr[T'] + Pr[T and not T'] * Pr[Maj], all exact."""
     c = _restricted(h, r)
     # the closed form itself: cursor method calls are growth work, which traced runs count
-    return _mean(h.params.m_prime, c.live, c.u, c.sigma)
+    return c._mean(c.live, c.u, c.sigma)
 
 
 def restricted_influence(h: HardInstance, r: Restriction | None, i: int) -> Fraction:
@@ -276,17 +270,22 @@ class _HardCursor:
     one of them is fixed to -1 (the term is dead); u is the number of free
     y's and sigma the sum of the fixed ones; fixed is the set of fixed
     coordinates.  candidate_coords() lists one coordinate per orbit (see
-    the module docstring), so the grower scores each orbit once.
+    the module docstring), so the grower scores each orbit once.  misses
+    maps live to its _misses pair; every cursor split from one root shares
+    it, so a growth computes the pair once per distinct live.
     """
 
-    __slots__ = ("inst", "fixed", "live", "u", "sigma")
+    __slots__ = ("inst", "fixed", "live", "u", "sigma", "misses")
 
-    def __init__(self, inst: HardInstance, fixed: frozenset, live: tuple, u: int, sigma: int):
+    def __init__(
+        self, inst: HardInstance, fixed: frozenset, live: tuple, u: int, sigma: int, misses: dict
+    ):
         self.inst = inst
         self.fixed = fixed
         self.live = live
         self.u = u
         self.sigma = sigma
+        self.misses = misses
 
     def _check_free(self, coord: int) -> None:
         if not 1 <= coord <= self.inst.arity:
@@ -307,13 +306,24 @@ class _HardCursor:
         return live, self.u, self.sigma
 
     def _fix(self, coord: int, v: int) -> "_HardCursor":
-        return _HardCursor(self.inst, self.fixed | {coord}, *self._step(coord, v))
+        return _HardCursor(self.inst, self.fixed | {coord}, *self._step(coord, v), self.misses)
+
+    def _misses(self, live: tuple) -> tuple[Fraction, Fraction]:
+        pair = self.misses.get(live)
+        if pair is None:
+            pair = self.misses[live] = _misses(self.inst.params.m_prime, live)
+        return pair
+
+    def _mean(self, live: tuple, u: int, sigma: int) -> Fraction:
+        """E[f] on a restriction with cursor state (live, u, sigma)."""
+        qp, q = self._misses(live)
+        return (1 - qp) + (qp - q) * _maj_prob(u, sigma)
 
     def _x_influence(self, j: int) -> Fraction:
         """Influence of each free coordinate of the live term j + 1."""
         p = self.inst.params
         # Pr[no other prime term fires], Pr[no other term fires]
-        a, b = _misses(p.m_prime, self.live[:j] + (None,) + self.live[j + 1 :])
+        a, b = self._misses(self.live[:j] + (None,) + self.live[j + 1 :])
         pivot = Fraction(1, 1 << (self.live[j] - 1))  # the term's other free coordinates are +1
         mp = _maj_prob(self.u, self.sigma)
         if j < p.m_prime:
@@ -325,11 +335,11 @@ class _HardCursor:
 
     def _y_influence(self) -> Fraction:
         # a y flip matters iff the rest event holds and the other y's tie
-        qp, q = _misses(self.inst.params.m_prime, self.live)
+        qp, q = self._misses(self.live)
         return (qp - q) * _tie_prob(self.u - 1, self.sigma)
 
     def expectation(self) -> Fraction:
-        return _mean(self.inst.params.m_prime, self.live, self.u, self.sigma)
+        return self._mean(self.live, self.u, self.sigma)
 
     def free_coords(self) -> tuple[int, ...]:
         return tuple(c for c in range(1, self.inst.arity + 1) if c not in self.fixed)
@@ -359,8 +369,7 @@ class _HardCursor:
         return tuple(out)
 
     def child_expectations(self, coord: int) -> tuple[Fraction, Fraction]:
-        m_prime = self.inst.params.m_prime
-        return _mean(m_prime, *self._step(coord, 1)), _mean(m_prime, *self._step(coord, -1))
+        return self._mean(*self._step(coord, 1)), self._mean(*self._step(coord, -1))
 
     def influence(self, coord: int) -> Fraction:
         self._check_free(coord)

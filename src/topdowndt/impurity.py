@@ -174,14 +174,22 @@ def from_table(
 ) -> ImpuritySpec:
     """Custom impurity from (p, G(p)) samples, linearly interpolated.
 
-    The table must cover p=0 and p=1.  The returned spec has already passed
-    verify_shape and verify_strong_concavity at the given resolution; a
-    table that fails either is rejected here rather than misbehaving later.
+    The table must cover p=0 and p=1, and every entry must be finite.  The
+    returned spec has already passed verify_shape and
+    verify_strong_concavity at the given resolution; a table that fails
+    either is rejected here rather than misbehaving later.
     Strong concavity is certified at grid-aligned midpoints only, so pick a
     resolution that the table's knots sit on; the guarantee does not extend
     below the grid scale.
     """
-    pts = sorted((float(p), float(g)) for p, g in points)
+    pts = []
+    for p, g in points:
+        pt = (float(p), float(g))
+        # a NaN passes every shape check below, which all compare with < or >
+        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
+            raise ValueError(f"impurity table entry {(p, g)!r} is not finite")
+        pts.append(pt)
+    pts.sort()
     if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
         raise ValueError("impurity table must cover p=0 through p=1")
     xs = [p for p, _ in pts]

@@ -186,6 +186,16 @@ class TestSubcubeView:
         via_restrict = view.restrict(Restriction(((4, 1),)))
         assert hi.expectation() == via_restrict.expectation()
 
+    @given(table=st.integers(0, (1 << 32) - 1), fixed=st.sampled_from(((), (2,), (5, 1))))
+    def test_coord_counts_match_per_coordinate_reads(self, table, fixed):
+        view = SubcubeView.of_function(BoolFunc(5, table))
+        for c in fixed:
+            view = view.split(c)[1]
+        want = []
+        for c in view.free:
+            want += (*view.child_ones(c), view.influence_numerator(c))
+        assert view.coord_counts() == tuple(want)
+
     def test_constant_detection(self):
         assert SubcubeView.of_function(constant(3, 1)).is_constant()
         assert not SubcubeView.of_function(majority(3)).is_constant()

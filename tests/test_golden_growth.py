@@ -159,3 +159,21 @@ def test_grid_case_leaves_empty_children():
     empty = [info.node.label for info in treemod.leaves(t) if info.leaf_id not in reached]
     # they carry their parent's majority, 0 here; an empty count would round to 1
     assert empty and set(empty) == {0}
+
+
+# A random 14-bit table grown to 2048 leaves, so the leader is picked among
+# up to ~2000 open leaves; recorded before the loop picked its leader from a
+# sorted score index.
+DEEP_TABLE = BoolFunc(14, derived_rng(2024, "golden-deep").getrandbits(1 << 14))
+DEEP_GOLDEN = {
+    "entropy": "b5b5e350b6dd9ae415ce623bc1b66a0052b27543a2223df1ddeeb0e4aa55f2f2",
+    "gini": "ab51c0aa8cc028862b5d7e4f7a288df20bb404301860758b3958e84879287763",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(DEEP_GOLDEN))
+def test_deep_table_trace_matches_golden_digest(rule, tmp_path):
+    _, trace = grow(DEEP_TABLE, _cfg(rule, 2048))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEEP_GOLDEN[rule]

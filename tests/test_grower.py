@@ -1,16 +1,23 @@
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
-from topdowndt.boolfn import conjunction, majority, parity, random_monotone
+from topdowndt.boolfn import BoolFunc, conjunction, derived_rng, majority, parity, random_monotone
 from topdowndt.grower import (
+    GAIN_TOL,
     TRACE_COLUMNS,
     GrowthConfig,
+    GrowthTrace,
     Monitor,
+    TraceStep,
+    _greedy,
+    _LeafState,
+    _root_cursor,
     argmax_agreement,
     g_impurity,
     grow,
@@ -20,7 +27,7 @@ from topdowndt.grower import (
     write_trace_csv,
 )
 from topdowndt.hardinstance import choose_params
-from topdowndt.impurity import builtin
+from topdowndt.impurity import BUILTIN_NAMES, builtin
 
 GINI = builtin("gini")
 DATA = Path(__file__).parent / "data"
@@ -248,3 +255,145 @@ class TestTraceCsv:
         write_trace_csv(trace, path)
         golden = DATA / "trace_n6_seed3_gini.csv"
         assert path.read_text() == golden.read_text()
+
+
+# ---------------------------------------------------------------------------
+# the indexed leader pick against the preorder scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def _linear_greedy(root, cfg, mode):
+    """The greedy loop as it was before the score index: every step scans
+    all open leaves in preorder.  Returns the trace only."""
+    g_imp, u_f, dist = root.g_term, root.u_term, root.err_frac
+    trace = GrowthTrace(
+        mode=mode,
+        initial_expectation=root.expectation,
+        initial_g_impurity=g_imp,
+        initial_u_f=u_f,
+        initial_distance=dist,
+        initial_label=root.label,
+    )
+    tol = 0 if mode == "influence" else GAIN_TOL
+    states = [root]
+    steps = trace.steps
+
+    while 1 + len(steps) < cfg.budget:
+        best_idx = -1
+        bar = -math.inf
+        for idx, leaf in enumerate(states):
+            if leaf.active and leaf.score > bar:
+                bar = leaf.score + tol
+                best_idx = idx
+        if best_idx < 0:
+            trace.stop_reason = "no-candidates"
+            break
+        leaf = states[best_idx]
+        if cfg.stop_on_zero_gain and leaf.best_gain <= GAIN_TOL:
+            trace.stop_reason = "zero-gain"
+            break
+
+        hi, lo = leaf.children()
+        dist = dist - leaf.err_frac + hi.err_frac + lo.err_frac
+        if u_f is not None:
+            u_f = u_f - leaf.u_term + hi.u_term + lo.u_term
+        if g_imp is not None:
+            g_imp = g_imp - leaf.best_gain
+        states[best_idx : best_idx + 1] = [hi, lo]
+
+        steps.append(
+            TraceStep(
+                iteration=len(steps) + 1,
+                leaf_id=best_idx,
+                coord=leaf.best_coord,
+                theta=leaf.best_theta,
+                gain=leaf.best_gain,
+                g_impurity=g_imp,
+                u_f=u_f,
+                distance=dist,
+                hi_label=hi.label,
+                lo_label=lo.label,
+                inf_split=leaf.inf_split,
+                median_split=leaf.best_median,
+            )
+        )
+    return trace
+
+
+class _PoolLeaf:
+    """A synthetic leaf state: its path fixes its score, drawn from a small
+    pool, and whether it is active, so both loops see the same leaves."""
+
+    best_theta = best_median = inf_split = g_term = u_term = None
+    expectation = Fraction(1, 2)
+    label = 0
+
+    def __init__(self, pool, seed, path=()):
+        self.pool, self.seed, self.path = pool, seed, path
+        rng = random.Random(f"{seed}:{path}")
+        self.score = rng.choice(pool)
+        self.active = rng.random() < 0.8
+        self.best_gain = float(self.score)
+        self.best_coord = len(path) + 1
+        self.err_frac = Fraction(rng.randrange(4), 1 << len(path))
+
+    def children(self):
+        return tuple(_PoolLeaf(self.pool, self.seed, self.path + (b,)) for b in (1, 0))
+
+
+# near-ties: steps of 0.4 GAIN_TOL around a few values, some pairs inside the
+# tolerance, some outside; exact ties come from drawing one value twice
+_FLOAT_SCORES = st.one_of(
+    st.builds(
+        lambda base, k: base + k * 0.4 * GAIN_TOL,
+        st.sampled_from((0.0, 0.25, 1.0)),
+        st.integers(-4, 4),
+    ),
+    st.sampled_from((-math.inf, math.nan)),
+)
+_FRACTION_SCORES = st.one_of(
+    st.builds(Fraction, st.integers(0, 4), st.sampled_from((1, 2, 16))),
+    st.just(-math.inf),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.sampled_from((_FLOAT_SCORES, _FRACTION_SCORES)).flatmap(
+        lambda s: st.lists(s, min_size=1, max_size=5)
+    ),
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(("impurity", "influence")),
+    budget=st.integers(1, 40),
+    stop=st.booleans(),
+)
+def test_indexed_pick_matches_scan_on_synthetic_leaves(scores, seed, mode, budget, stop):
+    cfg = GrowthConfig(budget=budget, stop_on_zero_gain=stop)
+    _, trace = _greedy(_PoolLeaf(scores, seed), cfg, mode)
+    assert trace == _linear_greedy(_PoolLeaf(scores, seed), cfg, mode)
+
+
+def _spec(rule):
+    return None if rule == "influence" else builtin(rule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("table", "monotone", "hard")),
+    size=st.sampled_from((3, 5, 7)),
+    seed=st.integers(0, 2**16),
+    rule=st.sampled_from(BUILTIN_NAMES + ("influence",)),
+    k=st.sampled_from((1, 3, 5, 63)),
+    budget=st.sampled_from((2, 5, 16, 48, 128)),
+    stop=st.booleans(),
+)
+def test_indexed_pick_matches_scan_on_growth(kind, size, seed, rule, k, budget, stop):
+    if kind == "hard":
+        f = choose_params(size, k)
+    elif kind == "table":
+        f = BoolFunc(size, derived_rng(seed, "indexed-pick").getrandbits(1 << size))
+    else:
+        f = random_monotone(size, seed)
+    cfg = GrowthConfig(budget=budget, impurity=_spec(rule), stop_on_zero_gain=stop)
+    _, trace = grow(f, cfg)
+    assert trace == _linear_greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)

@@ -121,6 +121,18 @@ class TestFromTable:
         with pytest.raises(ValueError, match="cover"):
             from_table("half", [(0.1, 0.1), (0.5, 1.0), (1, 0)], kappa=0.1)
 
+    @pytest.mark.parametrize(
+        "points, entry",
+        [
+            ([(0, 0), (0.5, math.nan), (1, 0)], r"\(0\.5, nan\)"),
+            ([(0, 0), (math.nan, 1), (1, 0)], r"\(nan, 1\)"),
+        ],
+    )
+    def test_non_finite_entry_rejected(self, points, entry):
+        # every shape check compares with < or >, which a NaN passes
+        with pytest.raises(ValueError, match=f"entry {entry} is not finite"):
+            from_table("x", points, 1.0)
+
     def test_matches_sampled_gini(self):
         g = builtin("gini")
         pts = [(i / 100, g.fn(i / 100)) for i in range(101)]
