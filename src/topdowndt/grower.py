@@ -36,9 +36,11 @@ leaves in preorder.  The influence rule's tol is 0, so it never scans.
 
 grow() runs on any function exposing the cursor interface below;
 boolfn truth tables and the structured hard instances both do.  A
-cursor views one leaf's restriction; growth reads its expectation(),
-candidate_coords(), child_expectations(coord), influence(coord),
-total_influence() and split(coord) -> (hi, lo).  candidate_coords() are
+cursor views one leaf's restriction, a subcube of size = 2^free points;
+growth reads its size, ones(), candidate_coords(),
+child_expectations(coord), influence_num(coord), total_influence_num()
+and split(coord) -> (hi, lo).  ones() = E[f_l] * size and the influence
+numerators (Inf_i or Inf, times size) are integers.  candidate_coords() are
 free coordinates in ascending order, and a listed coordinate may stand
 for larger free ones whose children equal its own.  Such a coordinate
 scores exactly what the smaller one scored, and the leader's score only
@@ -49,8 +51,11 @@ coordinate (free_coords()); the hard-instance cursor one per orbit.
 Growth is monitored: every iteration appends a TraceStep carrying the
 exact distance of the f-completion, the impurity potential, and the
 influence potential  u(T) = sum over leaves of 2^-|l| * Inf(f_l)  (total
-influence of the leaf's subfunction).  verify_split_inequalities() then
-replays the per-step guarantees for monotone truth-table targets:
+influence of the leaf's subfunction).  The loop keeps the exact terms as
+integers over the run's one denominator, scale (2^n for a cursor, N for
+a sample), and builds a Fraction only for what the trace records.
+verify_split_inequalities() then replays the per-step guarantees for
+monotone truth-table targets:
 
   step 0:        G-impurity = G(E[f]) <= 1
   every step:    distance <= G-impurity
@@ -87,16 +92,17 @@ CHECK_TOL = 1e-12
 class TableCursor:
     """Cursor over a boolfn truth table: the grower's view of one leaf.
 
-    The first count read fills every free coordinate's (hi ones, lo ones,
-    influence numerator), from one pair of halves each (see
-    SubcubeView.coord_counts), so total_influence() and the gain scan share
-    them.  A constant leaf fills none.
+    The first influence read fills every free coordinate's (hi ones, lo
+    ones, influence pairs), from one pair of halves each (see
+    SubcubeView.coord_counts), so total_influence_num() and the gain scan
+    share them.  A constant leaf fills none.
     """
 
-    __slots__ = ("view", "_counts")
+    __slots__ = ("view", "size", "_counts")
 
     def __init__(self, view: SubcubeView):
         self.view = view
+        self.size = view.size
         self._counts = None
 
     @classmethod
@@ -112,8 +118,8 @@ class TableCursor:
         j = 3 * self.view.free.index(coord)
         return self._all_counts()[j : j + 3]
 
-    def expectation(self) -> Fraction:
-        return self.view.expectation()
+    def ones(self) -> int:
+        return self.view.ones
 
     def free_coords(self) -> tuple[int, ...]:
         return tuple(sorted(self.view.free))
@@ -123,17 +129,17 @@ class TableCursor:
     def child_expectations(self, coord: int) -> tuple[float, float]:
         # int / int is correctly rounded: the float of the exact ratio
         hi_ones, lo_ones, _ = self._counts_of(coord)
-        half = self.view.size >> 1
+        half = self.size >> 1
         return hi_ones / half, lo_ones / half
 
-    def influence(self, coord: int) -> Fraction:
-        return Fraction(self._counts_of(coord)[2], self.view.size >> 1)
+    def influence_num(self, coord: int) -> int:
+        # Inf_i = pairs / 2^(free-1), so Inf_i * size = 2 * pairs
+        return 2 * self._counts_of(coord)[2]
 
-    def total_influence(self) -> Fraction:
-        view = self.view
-        if view.is_constant():  # every influence is 0: no counts needed
-            return Fraction(0)
-        return Fraction(sum(self._all_counts()[2::3]), view.size >> 1)
+    def total_influence_num(self) -> int:
+        if self.view.is_constant():  # every influence is 0: no counts needed
+            return 0
+        return 2 * sum(self._all_counts()[2::3])
 
     def split(self, coord: int) -> tuple["TableCursor", "TableCursor"]:
         hi, lo = self.view.split(coord)
@@ -246,22 +252,28 @@ class _LeafState:
 
     The leaf-state protocol, shared with realvalued's _SampleLeaf and
     _BoxLeaf: active; score, the selection key (best_gain under an
-    impurity, the exact 2^-depth * Inf under the influence rule); the best
-    split best_gain, best_coord, best_theta, best_median; err_frac, the
-    exact error mass of the majority label; the potential terms u_term and
-    g_term (None when untracked); label; expectation (read at the root
-    only, as is g_term); inf_split, the TraceStep extra; and children(),
-    called once, on the leaf being split.  A leaf's path and depth are not
-    part of it: the trace's leaf ids fix them (see _split_paths).
+    impurity, the exact 2^-depth * Inf_i under the influence rule); the
+    best split best_gain, best_coord, best_theta, best_median; err, the
+    error mass of the majority label, and u_term, the influence-potential
+    term (None when untracked); g_term, the float G-impurity term; label;
+    scale and expectation (read at the root only, as is g_term);
+    inf_split, the TraceStep extra; and children(), called once, on the
+    leaf being split.  The exact terms err and u_term, and an exact score,
+    are integer numerators over the run's one denominator scale.  A leaf's
+    path and depth are not part of it: the trace's leaf ids fix them (see
+    _split_paths).
+
+    Here scale = 2^n (free + depth = n at every leaf), so err is
+    min(ones, size - ones) and u_term is total influence * size.
     """
 
     __slots__ = (
         "cursor",
         "spec",
         "depth",
-        "expectation",
+        "ones",
         "label",
-        "err_frac",
+        "err",
         "g_term",
         "u_term",
         "active",
@@ -279,18 +291,18 @@ class _LeafState:
         self.spec = spec
         self.depth = depth
         self.inf_split = None
-        e = cursor.expectation()
-        self.expectation = e
-        self.label = 1 if 2 * e.numerator >= e.denominator else 0  # 2e >= 1, no new Fraction
-        bias = min(e, 1 - e)
-        self.err_frac = bias / (1 << depth)
-        self.u_term = cursor.total_influence() / (1 << depth)
+        size = cursor.size
+        self.ones = ones = cursor.ones()
+        self.label = 1 if 2 * ones >= size else 0
+        self.err = min(ones, size - ones)
+        self.u_term = cursor.total_influence_num()
         candidates = cursor.candidate_coords()
-        self.active = bool(candidates) and bias != 0
-        # G(E[f_l]) is read by the gain scan and, at the root, by _greedy
+        self.active = bool(candidates) and self.err != 0
+        # G(E[f_l]) is read by the gain scan and, at the root, by _greedy;
+        # int / int is correctly rounded, so it is G(float(E[f_l]))
         g_here = None
         if spec is not None and (self.active or depth == 0):
-            g_here = evaluate(spec, e)
+            g_here = evaluate(spec, ones / size)
         self.g_term = None if g_here is None else math.ldexp(g_here, -depth)
         self.score = self.best_gain = -math.inf
         self.best_coord = None
@@ -309,26 +321,35 @@ class _LeafState:
             self.score = self.best_gain = best
             self.best_coord = best_coord
         else:
-            best = Fraction(-1)
+            best = -1
             best_coord = None
             for coord in candidates:
-                inf = cursor.influence(coord)
+                inf = cursor.influence_num(coord)  # Inf_i * size = 2^-depth * Inf_i * scale
                 if inf > best:
                     best = inf
                     best_coord = coord
             self.best_coord = best_coord
-            self.score = best / (1 << depth)
+            self.score = best
             # the gain column records the score's float value
-            self.best_gain = math.ldexp(1.0, -depth) * float(best)
+            self.best_gain = best / (size << depth)
+
+    @property
+    def scale(self) -> int:
+        return self.cursor.size << self.depth
+
+    @property
+    def expectation(self) -> Fraction:
+        return Fraction(self.ones, self.cursor.size)
 
     def children(self) -> tuple["_LeafState", "_LeafState"]:
-        self.inf_split = self.cursor.influence(self.best_coord)
-        hi_cur, lo_cur = self.cursor.split(self.best_coord)
+        cursor = self.cursor
+        self.inf_split = Fraction(cursor.influence_num(self.best_coord), cursor.size)
+        hi_cur, lo_cur = cursor.split(self.best_coord)
         depth = self.depth + 1
         return _LeafState(hi_cur, depth, self.spec), _LeafState(lo_cur, depth, self.spec)
 
 
-def _key(st) -> float | Fraction:
+def _key(st) -> float | int:
     """A leaf's place in the score index: its score when the scan could pick
     it (active, score > -inf; NaN never is), else -inf."""
     return st.score if st.active and st.score > -math.inf else -math.inf
@@ -362,13 +383,14 @@ def _greedy(
     preorder with key M.  Otherwise, only for that step, the loop runs
     _scan.  Under the influence rule tol is 0 and the test always holds.
     """
-    g_imp, u_f, dist = root.g_term, root.u_term, root.err_frac
+    scale = root.scale
+    g_imp, u_num, err = root.g_term, root.u_term, root.err
     trace = GrowthTrace(
         mode=mode,
         initial_expectation=root.expectation,
         initial_g_impurity=g_imp,
-        initial_u_f=u_f,
-        initial_distance=dist,
+        initial_u_f=None if u_num is None else Fraction(u_num, scale),
+        initial_distance=Fraction(err, scale),
         initial_label=root.label,
         threshold_policy=threshold_policy,
     )
@@ -394,9 +416,9 @@ def _greedy(
             break
 
         hi, lo = st.children()
-        dist = dist - st.err_frac + hi.err_frac + lo.err_frac
-        if u_f is not None:
-            u_f = u_f - st.u_term + hi.u_term + lo.u_term
+        err += hi.err + lo.err - st.err
+        if u_num is not None:
+            u_num += hi.u_term + lo.u_term - st.u_term
         if g_imp is not None:
             g_imp = g_imp - st.best_gain  # telescoping: potential drops by the gain
         states[best_idx : best_idx + 1] = [hi, lo]
@@ -414,8 +436,8 @@ def _greedy(
                 theta=st.best_theta,
                 gain=st.best_gain,
                 g_impurity=g_imp,
-                u_f=u_f,
-                distance=dist,
+                u_f=None if u_num is None else Fraction(u_num, scale),
+                distance=Fraction(err, scale),
                 hi_label=hi.label,
                 lo_label=lo.label,
                 inf_split=st.inf_split,
@@ -493,6 +515,10 @@ class IterationCheck:
     claim3_ok: bool
     claim2_ok: bool  # distance <= G-impurity after this split
 
+    @property
+    def ok(self) -> bool:
+        return self.score_ok and self.claim3_ok and self.claim2_ok
+
 
 @dataclass
 class SplitInequalityReport:
@@ -502,12 +528,19 @@ class SplitInequalityReport:
     monitored_count: int
 
     @property
+    def first_failure(self) -> IterationCheck | str | None:
+        """The first check that fails, in order: "claim1", then
+        "initial-claim2", then the first failing iteration's check (its
+        bounds and measured gain); None when every check passes."""
+        if not self.claim1_ok:
+            return "claim1"
+        if not self.initial_claim2_ok:
+            return "initial-claim2"
+        return next((c for c in self.checks if not c.ok), None)
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.claim1_ok
-            and self.initial_claim2_ok
-            and all(c.score_ok and c.claim3_ok and c.claim2_ok for c in self.checks)
-        )
+        return self.first_failure is None
 
 
 def verify_split_inequalities(
@@ -604,13 +637,13 @@ def argmax_agreement(f: BoolFunc, t: PartialTree, leaf_id: int) -> AgreementRepo
     cursor = TableCursor(view)
     free = cursor.free_coords()
 
-    influences = {c: cursor.influence(c) for c in free}
+    influences = {c: cursor.influence_num(c) for c in free}
     max_inf = max(influences.values())
     inf_set = tuple(c for c in free if influences[c] == max_inf)
 
     gain_argmax = {}
     for spec in map(builtin, BUILTIN_NAMES):
-        g_here = evaluate(spec, cursor.expectation())
+        g_here = evaluate(spec, view.expectation())
         gains = {}
         for coord in free:
             e_hi, e_lo = cursor.child_expectations(coord)

@@ -272,10 +272,12 @@ class _HardCursor:
     coordinates.  candidate_coords() lists one coordinate per orbit (see
     the module docstring), so the grower scores each orbit once.  misses
     maps live to its _misses pair; every cursor split from one root shares
-    it, so a growth computes the pair once per distinct live.
+    it, so a growth computes the pair once per distinct live.  size is
+    2^free; the grower reads the expectation and influences as integers
+    over it (ones(), influence_num(), total_influence_num()).
     """
 
-    __slots__ = ("inst", "fixed", "live", "u", "sigma", "misses")
+    __slots__ = ("inst", "fixed", "live", "u", "sigma", "misses", "size")
 
     def __init__(
         self, inst: HardInstance, fixed: frozenset, live: tuple, u: int, sigma: int, misses: dict
@@ -286,6 +288,7 @@ class _HardCursor:
         self.u = u
         self.sigma = sigma
         self.misses = misses
+        self.size = 1 << (inst.arity - len(fixed))
 
     def _check_free(self, coord: int) -> None:
         if not 1 <= coord <= self.inst.arity:
@@ -338,8 +341,24 @@ class _HardCursor:
         qp, q = self._misses(self.live)
         return (qp - q) * _tie_prob(self.u - 1, self.sigma)
 
+    def _over_size(self, x: Fraction) -> int:
+        """x * size, for a closed form x over this restriction.
+
+        Every factor of the closed forms is a count over 2^(free
+        coordinates it reads), so x's denominator divides size and the
+        product is a shift; a form that breaks this raises.
+        """
+        d = x.denominator
+        shift = self.size.bit_length() - d.bit_length()
+        if shift < 0 or d << shift != self.size:
+            raise AssertionError(f"closed form {x} is not a multiple of 1/{self.size}")
+        return x.numerator << shift
+
     def expectation(self) -> Fraction:
         return self._mean(self.live, self.u, self.sigma)
+
+    def ones(self) -> int:
+        return self._over_size(self._mean(self.live, self.u, self.sigma))
 
     def free_coords(self) -> tuple[int, ...]:
         return tuple(c for c in range(1, self.inst.arity + 1) if c not in self.fixed)
@@ -372,23 +391,29 @@ class _HardCursor:
         return self._mean(*self._step(coord, 1)), self._mean(*self._step(coord, -1))
 
     def influence(self, coord: int) -> Fraction:
+        return Fraction(self.influence_num(coord), self.size)
+
+    def influence_num(self, coord: int) -> int:
+        """Influence of coord times size."""
         self._check_free(coord)
         p = self.inst.params
         if coord > p.ell:
-            return self._y_influence()
+            return self._over_size(self._y_influence())
         j = (coord - 1) // p.w
         if j >= p.m or self.live[j] is None:
-            return Fraction(0)  # slack coordinate, or its term is dead
-        return self._x_influence(j)
+            return 0  # slack coordinate, or its term is dead
+        return self._over_size(self._x_influence(j))
 
     def total_influence(self) -> Fraction:
+        return Fraction(self.total_influence_num(), self.size)
+
+    def total_influence_num(self) -> int:
+        """Total influence times size."""
         # every free x of a live term shares its term's value, every free y one value
-        total = sum(
-            (free * self._x_influence(j) for j, free in enumerate(self.live) if free),
-            Fraction(0),
-        )
+        over = self._over_size
+        total = sum(free * over(self._x_influence(j)) for j, free in enumerate(self.live) if free)
         if self.u:
-            total += self.u * self._y_influence()
+            total += self.u * over(self._y_influence())
         return total
 
     def split(self, coord: int) -> tuple["_HardCursor", "_HardCursor"]:

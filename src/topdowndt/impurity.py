@@ -102,8 +102,9 @@ def verify_strong_concavity(
     """Check kappa-strong concavity on all grid pairs a,b in {0, 1/r, ..., 1}.
 
     slack(a,b) = G((a+b)/2) - (kappa/2)(b-a)^2 - (G(a)+G(b))/2 must stay
-    >= -1e-12 everywhere.  Returns the minimal slack and the pair attaining
-    it, so a failing kappa comes with a concrete counterexample.
+    >= -1e-12 everywhere; a NaN slack anywhere fails the check.  Returns the
+    minimal slack (the first NaN, if any) and the pair attaining it, so a
+    failing kappa comes with a concrete counterexample.
 
     aligned_midpoints_only restricts to pairs whose midpoint is itself a
     grid point.  Tabulated impurities need this: linear interpolation is
@@ -126,7 +127,8 @@ def verify_strong_concavity(
             b = ib / resolution
             mid = values[(ia + ib) // 2] if aligned_midpoints_only else spec.fn((a + b) / 2.0)
             slack = mid - half_kappa * (b - a) ** 2 - (ga + values[ib]) / 2.0
-            if slack < min_slack:
+            # a NaN slack never compares below: keep the first one as the worst
+            if slack < min_slack or (math.isnan(slack) and not math.isnan(min_slack)):
                 min_slack = slack
                 worst = (a, b)
             if slack > max_slack:
@@ -174,7 +176,8 @@ def from_table(
 ) -> ImpuritySpec:
     """Custom impurity from (p, G(p)) samples, linearly interpolated.
 
-    The table must cover p=0 and p=1, and every entry must be finite.  The
+    The table must cover p=0 and p=1, every entry must be finite, and
+    kappa must be finite and positive.  The
     returned spec has already passed verify_shape and
     verify_strong_concavity at the given resolution; a table that fails
     either is rejected here rather than misbehaving later.
@@ -182,6 +185,9 @@ def from_table(
     resolution that the table's knots sit on; the guarantee does not extend
     below the grid scale.
     """
+    kappa = float(kappa)
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"impurity kappa must be finite and > 0, got {kappa!r}")
     pts = []
     for p, g in points:
         pt = (float(p), float(g))
@@ -207,7 +213,7 @@ def from_table(
         (x0, y0), (x1, y1) = pts[j - 1], pts[j]
         return y0 + (y1 - y0) * (p - x0) / (x1 - x0)
 
-    spec = ImpuritySpec(name, fn, float(kappa))
+    spec = ImpuritySpec(name, fn, kappa)
     problems = verify_shape(spec, resolution)
     if problems:
         raise ValueError(f"impurity table rejected: {'; '.join(problems)}")

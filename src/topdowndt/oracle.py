@@ -12,7 +12,9 @@ A subcube, named by its fixed coordinates' bits `mask` and their +1 bits
 children on x_i are one AND and one XOR with the mask of x_i = +1.  The memo
 holds integer misclassification counts only, (mask, vals, s) -> count (the
 error is count / 2^n), so results are exact.  The budget is clamped to the
-subcube size, where the error hits 0.  Coordinates irrelevant on a subcube
+subcube size, where the error hits 0.  A child whose budget is 1 or whose
+bias count is 0 is a leaf, answered from its popcount without a recursive
+call (such calls wrote no memo entry).  Coordinates irrelevant on a subcube
 are skipped: a split on one costs at least twice the optimum of either half
 at the full budget, which a leaf or another split already attains.  Capped
 at arity 12; beyond that this brute force does not finish in reasonable time.
@@ -81,6 +83,7 @@ class OptTable:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        half = size >> 1
         for _, bit, m in self._coords:
             if mask & bit:
                 continue
@@ -88,11 +91,22 @@ class OptTable:
             lo = sub ^ hi
             if hi >> bit == lo:
                 continue  # irrelevant here: a leaf or another split does as well
+            # a child with budget 1 or bias count 0 is a leaf: answer it here
+            hi_ones = hi.bit_count()
+            lo_ones = ones - hi_ones
+            hi_leaf = hi_ones if 2 * hi_ones <= half else half - hi_ones
+            lo_leaf = lo_ones if 2 * lo_ones <= half else half - lo_ones
             for s1 in _budgets(s):
-                err = self._solve(hi, mask | bit, vals | bit, s1)
+                if s1 == 1 or hi_leaf == 0:
+                    err = hi_leaf
+                else:
+                    err = self._solve(hi, mask | bit, vals | bit, s1)
                 if err >= best:
                     continue  # the lo side can only add to it
-                err += self._solve(lo, mask | bit, vals, s - s1)
+                if s1 == s - 1 or lo_leaf == 0:
+                    err += lo_leaf
+                else:
+                    err += self._solve(lo, mask | bit, vals, s - s1)
                 if err < best:
                     best = err
                 if best == 0:

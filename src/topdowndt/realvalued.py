@@ -456,7 +456,8 @@ class _SampleLeaf:
     counts, in [0,1] by construction, so it calls spec.fn unchecked; G(E)
     at the leaf goes through impurity.evaluate.  A split that isolates no
     point leaves an empty leaf: it is frozen, never split, and labeled with
-    its parent's majority.
+    its parent's majority.  The run's scale is the sample size N, so err
+    is the leaf's minority count.
     """
 
     u_term = None
@@ -474,16 +475,14 @@ class _SampleLeaf:
         self.best_theta = None
         self.best_median = None
         if count == 0:
-            self.expectation = None
             self.label = parent_label
-            self.err_frac = Fraction(0)
+            self.err = 0
             self.g_term = 0.0
             self.active = False
             return
-        self.expectation = Fraction(ones, count)
         self.label = 1 if 2 * ones >= count else 0
-        self.err_frac = Fraction(min(ones, count - ones), total)
-        g_here = g_eval(spec, self.expectation)
+        self.err = min(ones, count - ones)
+        g_here = g_eval(spec, ones / count)  # correctly rounded, as float(Fraction) is
         self.g_term = count / total * g_here
         self.active = 0 < ones < count
         if not self.active:
@@ -533,6 +532,14 @@ class _SampleLeaf:
                     self.best_theta = theta
                     self.best_median = 2 * lo_n <= count and 2 * hi_n <= count
 
+    @property
+    def scale(self) -> int:
+        return len(self.run[1])
+
+    @property
+    def expectation(self) -> Fraction | None:
+        return Fraction(self.ones, self.count) if self.count else None
+
     def children(self) -> tuple["_SampleLeaf", "_SampleLeaf"]:
         cols, labels = self.run[0], self.run[1]
         col, theta = cols[self.best_coord - 1], self.best_theta
@@ -571,9 +578,11 @@ class _BoxLeaf:
 
     run is (teacher, distribution, spec, grid_w), shared by every leaf.
     The split point best_u is exact; the tree tests the raw quantile
-    coordinate against best_theta = float(best_u).
+    coordinate against best_theta = float(best_u).  Box masses are
+    Fractions, so the run's scale is 1 and err is the exact error mass.
     """
 
+    scale = 1
     u_term = None
     inf_split = None
 
@@ -586,7 +595,7 @@ class _BoxLeaf:
         self.expectation = ones / self.mass
         self.label = 1 if 2 * self.expectation >= 1 else 0
         bias = min(self.expectation, 1 - self.expectation)
-        self.err_frac = self.mass * bias
+        self.err = self.mass * bias
         g_here = g_eval(spec, self.expectation)
         self.g_term = float(self.mass) * g_here
         self.score = self.best_gain = -math.inf

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -186,6 +187,37 @@ class TestSplitInequalities:
         for check in report.checks:
             assert check.gain >= check.claim3_bound - 1e-9
 
+    def test_first_failure_names_the_edited_step(self):
+        f = random_monotone(6, seed=11)
+        mon = Monitor(s=4, eps=Fraction(1, 10), opt_s=Fraction(0))
+        _, trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
+        assert verify_split_inequalities(trace, f, GINI, monitor=mon).first_failure is None
+        # edit the gains of steps 5 and 8 down to 0: step 5 is the first to fail
+        for i in (4, 7):
+            trace.steps[i] = replace(trace.steps[i], gain=0.0)
+        report = verify_split_inequalities(trace, f, GINI, monitor=mon)
+        first = report.first_failure
+        assert not report.passed
+        assert first == report.checks[4] and first.iteration == 5
+        # a zero gain is below claim 3's bound, and below the score bound if monitored
+        assert first.gain == 0.0 and first.claim3_bound > 0 and not first.claim3_ok
+        assert first.score_ok is not first.monitored
+        assert [c.iteration for c in report.checks if not c.ok] == [5, 8]
+
+    def test_first_failure_names_claim1_then_initial_claim2(self):
+        f = random_monotone(6, seed=11)
+        mon = Monitor(s=4, eps=Fraction(1, 10), opt_s=Fraction(0))
+        _, trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
+        trace.steps[2] = replace(trace.steps[2], gain=0.0)
+        # G-impurity 0 at the root is not G(E[f]) (claim 1) and is below the distance
+        trace.initial_g_impurity = 0.0
+        report = verify_split_inequalities(trace, f, GINI, monitor=mon)
+        assert report.first_failure == "claim1"
+        report.claim1_ok = True
+        assert report.first_failure == "initial-claim2"
+        report.initial_claim2_ok = True
+        assert report.first_failure.iteration == 3
+
     def test_refuses_non_monotone_target(self):
         f = parity(3)
         _, trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
@@ -265,13 +297,14 @@ class TestTraceCsv:
 def _linear_greedy(root, cfg, mode):
     """The greedy loop as it was before the score index: every step scans
     all open leaves in preorder.  Returns the trace only."""
-    g_imp, u_f, dist = root.g_term, root.u_term, root.err_frac
+    scale = root.scale
+    g_imp, u_num, err = root.g_term, root.u_term, root.err
     trace = GrowthTrace(
         mode=mode,
         initial_expectation=root.expectation,
         initial_g_impurity=g_imp,
-        initial_u_f=u_f,
-        initial_distance=dist,
+        initial_u_f=None if u_num is None else Fraction(u_num, scale),
+        initial_distance=Fraction(err, scale),
         initial_label=root.label,
     )
     tol = 0 if mode == "influence" else GAIN_TOL
@@ -294,9 +327,9 @@ def _linear_greedy(root, cfg, mode):
             break
 
         hi, lo = leaf.children()
-        dist = dist - leaf.err_frac + hi.err_frac + lo.err_frac
-        if u_f is not None:
-            u_f = u_f - leaf.u_term + hi.u_term + lo.u_term
+        err += hi.err + lo.err - leaf.err
+        if u_num is not None:
+            u_num += hi.u_term + lo.u_term - leaf.u_term
         if g_imp is not None:
             g_imp = g_imp - leaf.best_gain
         states[best_idx : best_idx + 1] = [hi, lo]
@@ -309,8 +342,8 @@ def _linear_greedy(root, cfg, mode):
                 theta=leaf.best_theta,
                 gain=leaf.best_gain,
                 g_impurity=g_imp,
-                u_f=u_f,
-                distance=dist,
+                u_f=None if u_num is None else Fraction(u_num, scale),
+                distance=Fraction(err, scale),
                 hi_label=hi.label,
                 lo_label=lo.label,
                 inf_split=leaf.inf_split,
@@ -327,6 +360,7 @@ class _PoolLeaf:
     best_theta = best_median = inf_split = g_term = u_term = None
     expectation = Fraction(1, 2)
     label = 0
+    scale = 1 << 40  # deeper than any budget below
 
     def __init__(self, pool, seed, path=()):
         self.pool, self.seed, self.path = pool, seed, path
@@ -335,7 +369,7 @@ class _PoolLeaf:
         self.active = rng.random() < 0.8
         self.best_gain = float(self.score)
         self.best_coord = len(path) + 1
-        self.err_frac = Fraction(rng.randrange(4), 1 << len(path))
+        self.err = rng.randrange(4) << (40 - len(path))  # randrange(4) / 2^depth
 
     def children(self):
         return tuple(_PoolLeaf(self.pool, self.seed, self.path + (b,)) for b in (1, 0))

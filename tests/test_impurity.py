@@ -69,6 +69,13 @@ class TestStrongConcavity:
         assert slack == pytest.approx(report.min_slack, abs=1e-15)
         assert slack < -1e-12
 
+    def test_nan_kappa_fails(self):
+        # every slack is NaN, and slack < min_slack never holds for NaN
+        report = verify_strong_concavity(ImpuritySpec("g", builtin("gini").fn, math.nan))
+        assert not report.passed
+        assert math.isnan(report.min_slack)
+        assert report.worst_pair == (0.0, 0.0)
+
     def test_entropy_kappa_is_sharp_at_half(self):
         # near p=1/2 the entropy slack approaches 0: kappa=1/ln2 is not slack
         report = verify_strong_concavity(builtin("entropy"), resolution=200)
@@ -132,6 +139,11 @@ class TestFromTable:
         # every shape check compares with < or >, which a NaN passes
         with pytest.raises(ValueError, match=f"entry {entry} is not finite"):
             from_table("x", points, 1.0)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match=f"kappa must be finite and > 0, got {kappa!r}"):
+            from_table("tent", [(0, 0), (0.5, 1), (1, 0)], kappa=kappa, resolution=2)
 
     def test_matches_sampled_gini(self):
         g = builtin("gini")

@@ -356,6 +356,7 @@ class _PerLeafSortSampleLeaf:
         sample, spec, policy, grid_w = run
         total = len(sample)
         self.run = run
+        self.scale = total
         self.idx = idx
         self.count = len(idx)
         self.score = self.best_gain = -math.inf
@@ -366,7 +367,7 @@ class _PerLeafSortSampleLeaf:
             self.ones = 0
             self.expectation = None
             self.label = parent_label
-            self.err_frac = Fraction(0)
+            self.err = 0
             self.g_term = 0.0
             self.active = False
             return
@@ -374,7 +375,7 @@ class _PerLeafSortSampleLeaf:
         self.ones = sum(pts[i][1] for i in idx)
         self.expectation = Fraction(self.ones, self.count)
         self.label = 1 if 2 * self.ones >= self.count else 0
-        self.err_frac = Fraction(min(self.ones, self.count - self.ones), total)
+        self.err = min(self.ones, self.count - self.ones)
         g_here = impurity_evaluate(spec, self.expectation)
         self.g_term = self.count / total * g_here
         self.active = 0 < self.ones < self.count
