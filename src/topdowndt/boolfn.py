@@ -148,6 +148,11 @@ EMPTY = Restriction()
 # ---------------------------------------------------------------------------
 
 
+def _check_arity(n: int) -> None:
+    if not 1 <= n <= MAX_ARITY:
+        raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {n}")
+
+
 @dataclass(frozen=True)
 class BoolFunc:
     """Truth table of f: {-1,+1}^n -> {0,1}, packed into an int."""
@@ -156,8 +161,7 @@ class BoolFunc:
     table: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_ARITY:
-            raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {self.n}")
+        _check_arity(self.n)
         if not 0 <= self.table < (1 << (1 << self.n)):
             raise ValueError("truth table has bits beyond 2^n")
 
@@ -415,6 +419,7 @@ def majority(n: int) -> BoolFunc:
 def from_dnf(n: int, terms: Sequence[Sequence[int]]) -> BoolFunc:
     """OR of conjunctions.  A term is a list of signed literals: +i requires
     x_i = +1, -i requires x_i = -1.  An empty term is the always-true term."""
+    _check_arity(n)  # before building a 2^n-bit mask
     full = _full_mask(n)
     table = 0
     for term in terms:
@@ -496,8 +501,7 @@ def from_spec(spec: Mapping) -> BoolFunc:
     kind = spec.get("kind")
     if kind == "table":
         n = int(spec["n"])
-        if not 1 <= n <= MAX_ARITY:
-            raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {n}")
+        _check_arity(n)
         raw = bytes.fromhex(spec["hex"])
         expected = ((1 << n) + 7) // 8
         if len(raw) != expected:

@@ -125,6 +125,9 @@ class ExperimentConfig:
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        for name in ("sizes", "impurities"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
         if not 0 < self.epsilon < math.inf:
             raise ConfigError("epsilon must be positive and finite")
         if not math.isfinite(self.threshold):
@@ -473,31 +476,28 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
         raise ConfigError(f"agnostic-sweep needs the exact oracle; arity <= {oracle.OPT_MAX_ARITY}")
     eps = _monitor_eps(cfg)
     names = tuple(cfg.impurities)
+    specs = [builtin(name) for name in names]
     for s in cfg.sizes:
         _check_monitor(s, eps)
+    budgets = {s: _sweep_budget(s, n) for s in cfg.sizes}
+    top = max(budgets.values())
 
     rows = []
     flags = []
     for i in range(cfg.trials):
         f = random_monotone(n, seed=_trial_seed(cfg, i))
         table = oracle.OptTable(f)  # one memo serves every size
+        runs = [grow(f, GrowthConfig(top, spec, stop_on_zero_gain=True))[1] for spec in specs]
         for s in cfg.sizes:
             opt_s = table.error(s)
-            budget = _sweep_budget(s, n)
-            errs = []
             monitor = Monitor(s, eps, opt_s)
-            for name in names:
-                spec = builtin(name)
-                _, trace = grow(
-                    f, GrowthConfig(budget=budget, impurity=spec, stop_on_zero_gain=True)
-                )
-                err = trace.final_distance()
-                errs.append(err)
+            # the budget only stops the deterministic loop: budget b gives the first b - 1 steps
+            traces = [dataclasses.replace(r, steps=r.steps[: budgets[s] - 1]) for r in runs]
+            for spec, trace in zip(specs, traces):
                 report = verify_split_inequalities(trace, f, spec, monitor)
-                flags.append(
-                    (err <= opt_s + eps, report.passed, _nonincreasing(_distance_curve(trace)))
-                )
-            rows.append((i, s, opt_s, *errs))
+                err_ok = trace.final_distance() <= opt_s + eps
+                flags.append((err_ok, report.passed, _nonincreasing(_distance_curve(trace))))
+            rows.append((i, s, opt_s, *(t.final_distance() for t in traces)))
     header = ("trial", "s", "opt_s", *(f"err_{name}" for name in names))
     _write_csv(out / "rows.csv", header, rows)
     summary = {
@@ -506,7 +506,7 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
         "sizes": list(cfg.sizes),
         "impurities": list(names),
         "epsilon": cfg.epsilon,
-        "budgets": {str(s): _sweep_budget(s, n) for s in cfg.sizes},
+        "budgets": {str(s): b for s, b in budgets.items()},
     }
     checks = {
         "error-within-eps": all(fl[0] for fl in flags),

@@ -6,7 +6,9 @@ states (see _LeafState for the protocol); grow() runs it over cursor
 leaves, realvalued.grow_real() over sample and box leaves.  The loop
 records each split, with its children's majority labels, in the trace, and
 tree_at() rebuilds the tree at any size from that record; the loop's own
-result is tree_at() at the final size.
+result is tree_at() at the final size.  The loop is deterministic and the
+budget only stops it, so a budget-b trace is any longer run's first b - 1
+steps with the same initial fields.
 
 Two split rules drive grow():
 

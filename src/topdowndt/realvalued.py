@@ -515,7 +515,13 @@ class _SampleLeaf:
                 continue
             values = [col[i] for i in order]
             prefix = [0, *itertools.accumulate(labels[i] for i in order)]
-            for c in range(1, 1 << grid_w):
+            # the gain depends on c only through lo_n, and an equal gain never
+            # displaces the leader, so only the first c of each lo_n counts:
+            # c = 1, or the first c with c / 2^w > v for a value v in [0, 1)
+            firsts = {math.floor(math.ldexp(v, grid_w)) + 1 for v in values if 0 <= v < 1}
+            for c in sorted(firsts | {1}):
+                if c >= 1 << grid_w:
+                    break
                 theta = c / (1 << grid_w)
                 lo_n = bisect.bisect_left(values, theta)
                 hi_n = count - lo_n

@@ -285,3 +285,20 @@ class TestSerialization:
     def test_bad_spec(self):
         with pytest.raises((KeyError, ValueError)):
             from_spec({"kind": "nope"})
+
+    @pytest.mark.parametrize("n", [0, boolfn.MAX_ARITY + 1, boolfn.MAX_ARITY + 2, 40])
+    def test_dnf_arity_checked_before_any_mask(self, n, monkeypatch):
+        # a 2^n-bit mask at n = 40 would be 128 GiB; the check must come first
+        full_mask = boolfn._full_mask
+        asked = []
+
+        def spy(nbits_log):
+            asked.append(nbits_log)
+            if not 1 <= nbits_log <= boolfn.MAX_ARITY:
+                raise AssertionError(f"built a 2^{nbits_log}-bit mask")
+            return full_mask(nbits_log)
+
+        monkeypatch.setattr(boolfn, "_full_mask", spy)
+        with pytest.raises(ValueError, match=rf"arity must be in \[1, {boolfn.MAX_ARITY}\]"):
+            from_spec({"kind": "dnf", "n": n, "terms": [[1]]})
+        assert asked == []

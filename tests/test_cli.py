@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -229,9 +230,13 @@ class TestExitContract:
             ["grow", "--arity", "4", "--monitor-size", "1"],
             ["agnostic-sweep", "--arity", "4", "--trials", "1", "--sizes", "1,2"],
             ["agnostic-sweep", "--arity", "4", "--trials", "1", "--sizes", "0"],
+            ["agnostic-sweep", "--arity", "4", "--trials", "1", "--sizes", ","],
+            ["agnostic-sweep", "--arity", "4", "--trials", "1", "--impurities", ","],
+            ["realizable", "--arity", "4", "--trials", "1", "--impurities", ","],
         ],
         ids=["thresholds-bogus", "thresholds-grid-x", "thresholds-grid-99",
-             "monitor-size-1", "sizes-1-2", "sizes-0"],
+             "monitor-size-1", "sizes-1-2", "sizes-0", "sizes-empty",
+             "agnostic-impurities-empty", "realizable-impurities-empty"],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, argv):
         data = tmp_path / "data.csv"
@@ -264,6 +269,18 @@ class TestExitContract:
         rc = main(argv + ["--out", str(tmp_path / "x")])
         assert rc == 2
         assert "arity 25" in capsys.readouterr().err
+
+    def test_dnf_spec_above_table_cap_refused(self, tmp_path, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"built a 2^{n}-bit mask before checking the arity")
+
+        monkeypatch.setattr(cli.boolfn, "_full_mask", refuse)
+        fn = tmp_path / "wide.json"
+        fn.write_text(json.dumps({"kind": "dnf", "n": 25, "terms": [[1, 2]]}))
+        rc = main(["grow", "--fn", str(fn), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "got 25" in err
 
     def test_bad_csv_diagnoses_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -464,3 +481,16 @@ def test_cli_import_loads_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_resolve_to_valid_configs():
+    # every documented command line parses and validates, without running
+    lines = [ln for ln in README.read_text().splitlines() if ln.startswith("topdowndt ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert isinstance(cli._resolve_config(args), ExperimentConfig), line

@@ -431,3 +431,26 @@ def test_indexed_pick_matches_scan_on_growth(kind, size, seed, rule, k, budget, 
     cfg = GrowthConfig(budget=budget, impurity=_spec(rule), stop_on_zero_gain=stop)
     _, trace = grow(f, cfg)
     assert trace == _linear_greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("table", "hard")),
+    size=st.integers(1, 8),
+    k=st.sampled_from((1, 3, 5)),
+    seed=st.integers(0, 2**16),
+    rule=st.sampled_from(BUILTIN_NAMES + ("influence",)),
+    stop=st.booleans(),
+    budgets=st.tuples(st.integers(1, 80), st.integers(1, 80)).map(sorted),
+)
+def test_smaller_budget_trace_is_a_prefix(kind, size, k, seed, rule, stop, budgets):
+    if kind == "hard":
+        f = choose_params(max(2, size), k)
+    else:
+        f = BoolFunc(size, derived_rng(seed, "prefix").getrandbits(1 << size))
+    small_b, big_b = budgets
+    _, small = grow(f, GrowthConfig(budget=small_b, impurity=_spec(rule), stop_on_zero_gain=stop))
+    _, big = grow(f, GrowthConfig(budget=big_b, impurity=_spec(rule), stop_on_zero_gain=stop))
+    assert small.steps == big.steps[: small_b - 1]
+    assert replace(small, steps=[], stop_reason="") == replace(big, steps=[], stop_reason="")
+    assert small.stop_reason == ("budget" if big.final_size >= small_b else big.stop_reason)

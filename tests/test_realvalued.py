@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import json
 import math
 import random
@@ -460,7 +461,7 @@ class TestPresortedSampleLeaf:
     @given(
         points=_samples(),
         spec=st.sampled_from([GINI, builtin("entropy"), builtin("km"), TABLE_GINI]),
-        policy=st.sampled_from(["midpoints", "grid:1", "grid:2", "grid:3"]),
+        policy=st.sampled_from(["midpoints", "grid:1", "grid:2", "grid:3", "grid:8"]),
         stop=st.booleans(),
         budget=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
@@ -479,6 +480,38 @@ class TestPresortedSampleLeaf:
             runs.append((trace, _tree_bytes(t)))
         # relabelling the points moves no candidate, gain or threshold
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("policy", ["grid:2", "grid:4", "grid:10"])
+    def test_grid_values_off_the_unit_interval(self, policy):
+        # values outside [0, 1) have no grid cut, and 1e308 * 2^w overflows
+        xs = [-1e308, -0.5, -1e-300, 0.0, 0.2, 0.25, 0.7, 1.0, 3.0, 1e308]
+        labels = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0]
+        sample = RealSample(tuple(((x, y), b) for x, y, b in zip(xs, reversed(xs), labels)))
+        cfg = GrowthConfig(budget=8, impurity=GINI)
+        t, trace = grow_real(sample, cfg, policy)
+        ref_t, ref_trace = _reference_grow_real(sample, cfg, policy)
+        assert trace == ref_trace
+        assert _tree_bytes(t) == _tree_bytes(ref_t)
+        assert trace.steps and all(0 < step.theta < 1 for step in trace.steps)
+
+    def test_grid_scan_cost_is_linear_in_points(self):
+        # 2^12 - 1 grid cuts, but at most points + 1 distinct counts below a cut
+        calls = 0
+
+        def counted(p):
+            nonlocal calls
+            calls += 1
+            return GINI.fn(p)
+
+        spec = dataclasses.replace(GINI, fn=counted)
+        rng = random.Random(12)
+        sample = RealSample(
+            tuple(((rng.random(), rng.random()), rng.randint(0, 1)) for _ in range(20))
+        )
+        _, trace = grow_real(sample, GrowthConfig(budget=6, impurity=spec), "grid:12")
+        leaves = 1 + 2 * len(trace.steps)  # every leaf state ever scored
+        coords = 2  # each scores <= points + 1 cuts, with two fn calls a cut
+        assert calls <= leaves * (1 + coords * 2 * (len(sample) + 1))
 
 
 class TestGrowRealAnalytic:
