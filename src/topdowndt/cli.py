@@ -228,18 +228,60 @@ def _check_monitor(s: int, eps: Fraction) -> None:
         raise ConfigError(str(e)) from None
 
 
+def _read_json(path: Path, what: str):
+    """The JSON value in a spec or config file, or ConfigError naming the file."""
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"{what} {path} is not valid JSON: {e}") from None
+
+
+def _matches(value, shape: str) -> bool:
+    """Whether a JSON value has the shape "int", "float", "str" or "list[<shape>]".
+
+    A bool is no number, and neither are the NaN and Infinity json.load reads.
+    """
+    if shape.startswith("list["):
+        return isinstance(value, list) and all(_matches(v, shape[5:-1]) for v in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    types = {"int": int, "float": (int, float), "str": str}[shape]
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _field(obj, name: str, shape: str):
+    """obj[name] of a JSON object; ValueError unless it is there with that shape."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    if not _matches(obj[name], shape):
+        raise ValueError(f"field {name!r} must be {shape}, got {json.dumps(obj[name])}")
+    return obj[name]
+
+
+# the fields boolfn.from_spec reads, by spec kind, with their JSON shapes
+_SPEC_FIELDS = {
+    "table": {"n": "int", "hex": "str"},
+    "dnf": {"n": "int", "terms": "list[list[int]]"},
+}
+
+
 def _load_function(cfg: ExperimentConfig) -> tuple[BoolFunc, str]:
     if cfg.fn:
         path = Path(cfg.fn)
-        if not path.exists():
-            raise ConfigError(f"function spec not found: {path}")
-        with open(path) as fh:
-            spec = json.load(fh)
+        spec = _read_json(path, "function spec")
         try:
-            f = boolfn.from_spec(spec)
-        except (KeyError, ValueError) as e:
+            for name, shape in _SPEC_FIELDS.get(_field(spec, "kind", "str"), {}).items():
+                _field(spec, name, shape)
+            return boolfn.from_spec(spec), path.stem
+        except ValueError as e:
             raise ConfigError(f"bad function spec {path}: {e}") from None
-        return f, path.stem
     _check_table_arity(cfg.arity)
     f = random_monotone(cfg.arity, seed=cfg.seed)
     return f, f"random-monotone-n{cfg.arity}-seed{cfg.seed}"
@@ -308,18 +350,19 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
     return summary, checks, files
 
 
-def _coordinate_from_spec(entry: dict, columns: dict[str, list[float]]) -> CoordinateDist:
-    kind = entry.get("kind")
+def _coordinate_from_spec(entry, columns: dict[str, list[float]]) -> CoordinateDist:
+    """One --dist entry; ValueError says what is wrong with a malformed one."""
+    kind = _field(entry, "kind", "str")
     if kind == "uniform01":
         return CoordinateDist.uniform01()
     if kind == "cdf_table":
-        return CoordinateDist.from_table([tuple(p) for p in entry["points"]])
+        return CoordinateDist.from_table(_field(entry, "points", "list[list[float]]"))
     if kind == "empirical":
-        col = entry["column"]
+        col = _field(entry, "column", "str")
         if col not in columns:
-            raise ConfigError(f"distribution spec names unknown column {col!r}")
+            raise ValueError(f"unknown column {col!r}")
         return CoordinateDist.from_data(columns[col])
-    raise ConfigError(f"unknown coordinate distribution kind {kind!r}")
+    raise ValueError(f"unknown coordinate distribution kind {kind!r}")
 
 
 def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
@@ -358,20 +401,22 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
     sample = RealSample(tuple(points), provenance=str(path))
     if cfg.dist:
         dist_path = Path(cfg.dist)
-        if not dist_path.exists():
-            raise ConfigError(f"distribution spec not found: {dist_path}")
-        with open(dist_path) as fh:
-            entries = json.load(fh)
+        entries = _read_json(dist_path, "distribution spec")
         if not isinstance(entries, list) or len(entries) != sample.n:
             raise ConfigError(
-                f"distribution spec must list one entry per feature column ({sample.n})"
+                f"distribution spec {dist_path} must list one entry per feature column "
+                f"({sample.n})"
             )
         columns = {
             name: [p[0][i] for p in sample.points] for i, name in enumerate(feature_names)
         }
-        d = ProductDistribution(
-            tuple(_coordinate_from_spec(e, columns) for e in entries)
-        )
+        coords = []
+        for i, entry in enumerate(entries, start=1):
+            try:
+                coords.append(_coordinate_from_spec(entry, columns))
+            except ValueError as e:
+                raise ConfigError(f"bad distribution spec {dist_path}: entry {i}: {e}") from None
+        d = ProductDistribution(tuple(coords))
         transformed = tuple((cdf_transform(d, x), label) for x, label in sample.points)
         sample = RealSample(transformed, provenance=f"{path} via {dist_path}")
     return sample, feature_names
@@ -799,13 +844,14 @@ def _csv_names(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-# flag parsers by ExperimentConfig annotation
+# by ExperimentConfig annotation: the flag's parser, and the JSON shape (see
+# _matches) of the field's value in a config file
 _FLAG_TYPES = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[int, ...]": _csv_ints,
-    "tuple[str, ...]": _csv_names,
+    "int": (int, "int"),
+    "float": (float, "float"),
+    "str": (str, "str"),
+    "tuple[int, ...]": (_csv_ints, "list[int]"),
+    "tuple[str, ...]": (_csv_names, "list[str]"),
 }
 
 _FLAG_HELP = {
@@ -843,33 +889,33 @@ def build_parser() -> argparse.ArgumentParser:
             flag = "--l" if name == "ell" else "--" + name.replace("_", "-")
             # an unset flag parses to None and leaves the config file's value
             p.add_argument(
-                flag, dest=name, type=_FLAG_TYPES[types[name]], help=_FLAG_HELP.get(name)
+                flag, dest=name, type=_FLAG_TYPES[types[name]][0], help=_FLAG_HELP.get(name)
             )
         p.add_argument("--config", help="JSON config file; flags override it")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     merged: dict = {"kind": args.kind, **dict(SUBCOMMANDS[args.kind].defaults)}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"bad config JSON: {e}") from None
-        unknown = set(file_cfg) - fields
+        file_cfg = _read_json(path, "config file")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        unknown = set(file_cfg) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_cfg.items():
             if key == "kind":
                 continue
+            try:
+                _field(file_cfg, key, _FLAG_TYPES[types[key]][1])
+            except ValueError as e:
+                raise ConfigError(f"bad config file {path}: {e}") from None
             merged[key] = tuple(val) if isinstance(val, list) else val
     for key, val in vars(args).items():
-        if key in fields and val is not None:
+        if key in types and val is not None:
             merged[key] = val
     return ExperimentConfig(**merged)
 

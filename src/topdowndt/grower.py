@@ -3,7 +3,7 @@
 Every grower in the package runs one loop, _greedy: split the leaf with
 the best score, repeat until the leaf budget is spent.  It works on leaf
 states (see _LeafState for the protocol); grow() runs it over cursor
-leaves, realvalued.grow_real() over sample and box leaves.  The loop
+leaves, realvalued.grow_real() over sample leaves.  The loop
 records each split, with its children's majority labels, in the trace, and
 tree_at() rebuilds the tree at any size from that record; the loop's own
 result is tree_at() at the final size.  The loop is deterministic and the
@@ -216,7 +216,7 @@ class TraceStep:
 
 @dataclass
 class GrowthTrace:
-    mode: str  # "impurity" | "influence" | "real-empirical" | "real-analytic"
+    mode: str  # "impurity" | "influence" | "real-empirical" (grow_real on a sample)
     initial_expectation: Fraction
     initial_g_impurity: float | None
     initial_u_f: Fraction | None
@@ -252,8 +252,8 @@ class GrowthTrace:
 class _LeafState:
     """A leaf over a cursor (truth table or hard instance), for _greedy.
 
-    The leaf-state protocol, shared with realvalued's _SampleLeaf and
-    _BoxLeaf: active; score, the selection key (best_gain under an
+    The leaf-state protocol, whose one other implementor is realvalued's
+    _SampleLeaf: active; score, the selection key (best_gain under an
     impurity, the exact 2^-depth * Inf_i under the influence rule); the
     best split best_gain, best_coord, best_theta, best_median; err, the
     error mass of the majority label, and u_term, the influence-potential

@@ -20,22 +20,18 @@ quantile in [0,1) is approximated by its first w bits.  Concretely:
 grow_real runs grower's one greedy loop (the one grower.grow runs) over
 leaf states that score (coordinate, threshold) candidates, in the scan
 order and with the tie rule the grower module docstring states: it only
-builds the root leaf.  Two sources are supported:
-
-  * a RealSample, treated as the exact distribution (empirical mode:
-    expectations are exact frequencies over the sample, so statistical
-    error is separated from algorithmic behavior).  Each coordinate's
-    points are sorted once, at the root, and every split hands its
-    children their shares of those orders by a stable partition, as CART's
-    presorting and SPRINT's attribute lists do; ties within an order are
-    irrelevant, because every candidate sits between distinct values;
-  * a (teacher DecisionTree, ProductDistribution) pair (analytic mode:
-    expectations are exact rational box integrals in quantile space).
+builds the root leaf.  Its source is a RealSample, treated as the exact
+distribution: expectations are exact frequencies over the sample, so
+statistical error is separated from algorithmic behavior.  Each
+coordinate's points are sorted once, at the root, and every split hands
+its children their shares of those orders by a stable partition, as
+CART's presorting and SPRINT's attribute lists do; ties within an order
+are irrelevant, because every candidate sits between distinct values.
 
 Threshold candidates come from the policy: "midpoints" (midpoints of
-consecutive distinct sample values a < b per coordinate, empirical only;
-b itself when the rounded midpoint is not in (a, b]) or
-"grid:w" (multiples of 2^-w in quantile space).  Every trace records the
+consecutive distinct sample values a < b per coordinate; b itself when
+the rounded midpoint is not in (a, b]) or "grid:w" (multiples of 2^-w,
+the quantile grid when the features are quantiles).  Every trace records the
 policy, and every step records whether the chosen threshold is a median
 of the leaf's coordinate distribution.  A split that isolates an empty
 sample set freezes the empty leaf with the parent's majority label.
@@ -144,15 +140,6 @@ class CoordinateDist:
                     return float(v0)
                 return float(v0 + (v1 - v0) * (u - f0) / (f1 - f0))
         return float(self.knots[-1][0])
-
-    @property
-    def strictly_increasing(self) -> bool:
-        """Whether cdf is invertible, as the quantile-space picture needs."""
-        if self.kind == "uniform01":
-            return True
-        if self.kind == "empirical":
-            return False
-        return all(f0 < f1 and v0 < v1 for (v0, f0), (v1, f1) in zip(self.knots, self.knots[1:]))
 
     def sample(self, rng) -> float:
         return self.quantile(rng.random())
@@ -436,8 +423,7 @@ def parse_policy(policy: str) -> tuple[str, int | None]:
 
 
 # ---------------------------------------------------------------------------
-# leaf states for grower._greedy: empirical mode (a sample) and analytic mode
-# (a teacher tree and a product distribution)
+# the sample leaf state for grower._greedy
 # ---------------------------------------------------------------------------
 
 
@@ -558,102 +544,8 @@ class _SampleLeaf:
         return hi, lo
 
 
-def _quantile_threshold(d: ProductDistribution, coord: int, theta) -> Fraction:
-    return d.coords[coord - 1].cdf(theta)
-
-
-def _box_ones(node, box, d) -> Fraction:
-    """Integral of the teacher over the quantile-space box."""
-    if isinstance(node, Leaf):
-        if node.label:
-            return math.prod((b - a for a, b in box), start=Fraction(1))
-        return Fraction(0)
-    u = _quantile_threshold(d, node.coord, node.theta)
-    a, b = box[node.coord - 1]
-    if u <= a:
-        return _box_ones(node.hi, box, d)
-    if u >= b:
-        return _box_ones(node.lo, box, d)
-    hi_box = box[: node.coord - 1] + ((u, b),) + box[node.coord :]
-    lo_box = box[: node.coord - 1] + ((a, u),) + box[node.coord :]
-    return _box_ones(node.hi, hi_box, d) + _box_ones(node.lo, lo_box, d)
-
-
-class _BoxLeaf:
-    """A quantile-space box, as grower._greedy's leaf state.
-
-    run is (teacher, distribution, spec, grid_w), shared by every leaf.
-    The split point best_u is exact; the tree tests the raw quantile
-    coordinate against best_theta = float(best_u).  Box masses are
-    Fractions, so the run's scale is 1 and err is the exact error mass.
-    """
-
-    scale = 1
-    u_term = None
-    inf_split = None
-
-    def __init__(self, run, box):
-        teacher, d, spec, grid_w = run
-        self.run = run
-        self.box = box
-        self.mass = math.prod((b - a for a, b in box), start=Fraction(1))
-        ones = _box_ones(teacher.root, box, d)
-        self.expectation = ones / self.mass
-        self.label = 1 if 2 * self.expectation >= 1 else 0
-        bias = min(self.expectation, 1 - self.expectation)
-        self.err = self.mass * bias
-        g_here = g_eval(spec, self.expectation)
-        self.g_term = float(self.mass) * g_here
-        self.score = self.best_gain = -math.inf
-        self.best_coord = None
-        self.best_u = None
-        self.best_theta = None
-        self.best_median = None
-        self.active = bias != 0
-        if not self.active:
-            return
-        scale = 1 << grid_w
-        for coord in range(1, len(box) + 1):
-            a, b = box[coord - 1]
-            c_lo = math.floor(a * scale) + 1
-            c_hi = math.ceil(b * scale) - 1
-            for c in range(c_lo, c_hi + 1):
-                u = Fraction(c, scale)
-                if not a < u < b:
-                    continue
-                hi_box = box[: coord - 1] + ((u, b),) + box[coord:]
-                lo_box = box[: coord - 1] + ((a, u),) + box[coord:]
-                hi_mass = self.mass / (b - a) * (b - u)
-                lo_mass = self.mass / (b - a) * (u - a)
-                e_hi = _box_ones(teacher.root, hi_box, d) / hi_mass
-                e_lo = _box_ones(teacher.root, lo_box, d) / lo_mass
-                gain = self.g_term - float(hi_mass) * g_eval(spec, e_hi) - float(
-                    lo_mass
-                ) * g_eval(spec, e_lo)
-                if gain > self.best_gain + GAIN_TOL:
-                    self.score = self.best_gain = gain
-                    self.best_coord = coord
-                    self.best_u = u
-                    self.best_median = 2 * u == a + b
-        if self.best_u is not None:
-            self.best_theta = float(self.best_u)
-
-    def children(self) -> tuple["_BoxLeaf", "_BoxLeaf"]:
-        coord, u, box = self.best_coord, self.best_u, self.box
-        a, b = box[coord - 1]
-        return (
-            _BoxLeaf(self.run, box[: coord - 1] + ((u, b),) + box[coord:]),
-            _BoxLeaf(self.run, box[: coord - 1] + ((a, u),) + box[coord:]),
-        )
-
-
-def grow_real(source, cfg: GrowthConfig, policy: str = "midpoints"):
-    """Greedy threshold growth; source is a RealSample or (teacher, distribution).
-
-    Analytic mode grows in quantile space: the teacher's thresholds are
-    mapped through the coordinate CDFs and the returned tree queries
-    quantile-transformed inputs on the grid.
-    """
+def grow_real(source: RealSample, cfg: GrowthConfig, policy: str = "midpoints"):
+    """Greedy threshold growth on a sample, treated as the exact distribution."""
     spec = cfg.impurity
     if spec is None:
         raise ValueError(
@@ -661,26 +553,13 @@ def grow_real(source, cfg: GrowthConfig, policy: str = "midpoints"):
             "purity gain; configure an impurity"
         )
     kind, grid_w = parse_policy(policy)
+    if not isinstance(source, RealSample):
+        raise TypeError(f"source must be a RealSample, got {type(source).__name__}")
+    cols = tuple(zip(*(x for x, _ in source.points)))
+    labels = tuple(label for _, label in source.points)
+    base = list(range(len(labels)))  # one set of index ints, shared by every order
+    orders = tuple(sorted(base, key=col.__getitem__) for col in cols)
+    run = (cols, labels, spec, kind, grid_w)
+    root = _SampleLeaf(run, orders, len(labels), sum(labels))
     policy_name = "midpoints" if kind == "midpoints" else f"grid:{grid_w}"
-    if isinstance(source, RealSample):
-        cols = tuple(zip(*(x for x, _ in source.points)))
-        labels = tuple(label for _, label in source.points)
-        base = list(range(len(labels)))  # one set of index ints, shared by every order
-        orders = tuple(sorted(base, key=col.__getitem__) for col in cols)
-        run = (cols, labels, spec, kind, grid_w)
-        root = _SampleLeaf(run, orders, len(labels), sum(labels))
-        return _greedy(root, cfg, "real-empirical", policy_name)
-    if isinstance(source, tuple) and len(source) == 2:
-        teacher, d = source
-        if isinstance(teacher, DecisionTree) and isinstance(d, ProductDistribution):
-            if kind != "grid":
-                raise ValueError("analytic growth needs the grid policy (no sample to take midpoints from)")
-            if not all(c.strictly_increasing for c in d.coords):
-                raise ValueError(
-                    "analytic growth needs invertible coordinate CDFs "
-                    "(uniform01 or strictly increasing cdf_table)"
-                )
-            unit = tuple((Fraction(0), Fraction(1)) for _ in range(d.n))
-            root = _BoxLeaf((teacher, d, spec, grid_w), unit)
-            return _greedy(root, cfg, "real-analytic", policy_name)
-    raise TypeError("source must be a RealSample or a (DecisionTree, ProductDistribution) pair")
+    return _greedy(root, cfg, "real-empirical", policy_name)

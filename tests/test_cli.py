@@ -314,6 +314,13 @@ class TestConfigMerge:
         assert stored["trials"] == 3  # flag wins
         assert stored["seed"] == 9
 
+    def test_json_lists_fill_tuple_fields(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sizes": [2, 4], "impurities": ["gini"], "epsilon": 1}))
+        args = cli.build_parser().parse_args(["agnostic-sweep", "--config", str(cfg)])
+        resolved = cli._resolve_config(args)
+        assert (resolved.sizes, resolved.impurities, resolved.epsilon) == ((2, 4), ("gini",), 1)
+
 
 class TestConfigValidation:
     def test_direct_construction_checks_ranges(self):
@@ -448,6 +455,42 @@ class TestBadInputsExitTwo:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "epsilon" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, option, text, problem",
+        [
+            ("grow", "--fn", "[1, 2]", "expected a JSON object"),
+            ("grow", "--fn", '{"kind":"dnf","n":3,"terms":[[1,"a"]]}', "'terms'"),
+            ("opt", "--fn", '{"kind":"dnf","n":3,"terms":[[1,"a"]]}', "'terms'"),
+            ("grow", "--fn", "not json", "is not valid JSON"),
+            ("grow", "--fn", '{"kind":"table","n":2}', "missing field 'hex'"),
+            ("grow-real", "--dist", "not json", "is not valid JSON"),
+            ("grow-real", "--dist", "[5]", "entry 1: expected a JSON object"),
+            ("grow-real", "--dist", '[{"kind":"cdf_table"}]', "missing field 'points'"),
+            ("grow-real", "--dist", '[{"kind":"cdf_table","points":[[0,0],[1,"x"]]}]', "'points'"),
+            ("grow-real", "--dist", '[{"kind":"cdf_table","points":[[0,0.5],[1,1]]}]', "F=0"),
+            ("grow", "--config", '{"budget": "5"}', "field 'budget' must be int"),
+            ("grow", "--config", '{"epsilon": "0.1"}', "field 'epsilon' must be float"),
+            ("agnostic-sweep", "--config", '{"sizes": 5}', "field 'sizes' must be list[int]"),
+            ("agnostic-sweep", "--config", '{"impurities": "gini"}', "field 'impurities' must be list[str]"),
+        ],
+        ids=["fn-list", "fn-dnf-literal", "opt-fn-dnf-literal", "fn-not-json", "fn-table-no-hex",
+             "dist-not-json", "dist-entry-not-object", "dist-no-points", "dist-point-not-number",
+             "dist-not-from-zero", "config-budget-string", "config-epsilon-string",
+             "config-sizes-scalar", "config-impurities-string"],
+    )
+    def test_malformed_file_exits_two(self, tmp_path, capsys, kind, option, text, problem):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n0.2,0\n0.8,1\n")
+        extra = ["--data", str(data)] if kind == "grow-real" else []
+        out = tmp_path / "x"
+        rc = main([kind, *extra, option, str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and problem in err, err
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_threshold_must_be_finite(self, tmp_path, capsys, value):

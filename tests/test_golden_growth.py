@@ -67,7 +67,6 @@ def _conflicted_sample() -> RealSample:
 
 
 SAMPLE = _conflicted_sample()
-TEACHER = balanced_random_tree(2, 5, 3)
 
 CASES = {
     **{
@@ -80,16 +79,9 @@ CASES = {
     "hard-gini": lambda: grow(hardinstance.choose_params(8, 7), _cfg("gini", 48)),
     "sample-midpoints": lambda: grow_real(SAMPLE, _cfg("gini", 64), "midpoints"),
     "sample-grid3": lambda: grow_real(SAMPLE, _cfg("gini", 64), "grid:3"),
-    "analytic-grid3": lambda: grow_real(
-        (TEACHER, ProductDistribution.uniform(2)), _cfg("entropy", 12), "grid:3"
-    ),
 }
 
 GOLDEN = {
-    "analytic-grid3": (
-        "68adb2997cbaad3bac809daf68e51246d2cd1484580b516a7223ff4dd942273c",
-        "04fb866ae240e25d5c924a128185e8d248a210b1d79badeee8e11d378443b021",
-    ),
     "hard-gini": (
         "d7b3e5be61604ca3ed3a7f603aba8e5b98e7bef3256a6ce53c429fa24552a7ee",
         "490f5db717d80b79bfbd14be86ed963bd2ee48ba8080414fdc43cfb89bf91ec0",

@@ -123,21 +123,6 @@ def test_sample_growth_matches_reference(n, teacher_leaves, seed, count, budget,
     _check(lambda: grow_real(sample, _config(budget, "gini"), policy))
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(1, 2),
-    teacher_leaves=st.integers(1, 4),
-    seed=st.integers(0, 10**6),
-    budget=st.integers(1, 10),
-    grid=st.integers(1, 3),
-    rule=st.sampled_from(BUILTIN_NAMES),
-)
-def test_analytic_growth_matches_reference(n, teacher_leaves, seed, budget, grid, rule):
-    teacher = balanced_random_tree(n, teacher_leaves, seed)
-    source = (teacher, ProductDistribution.uniform(n))
-    _check(lambda: grow_real(source, _config(budget, rule), f"grid:{grid}"))
-
-
 def test_growth_never_edits_through_tree_split(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("growth called tree.split")
@@ -149,8 +134,6 @@ def test_growth_never_edits_through_tree_split(monkeypatch, tmp_path):
     teacher = balanced_random_tree(2, 5, 3)
     sample = sample_teacher(teacher, ProductDistribution.uniform(2), 80, 3)
     _, trace = grow_real(sample, _config(8, "gini"))
-    assert trace.steps
-    _, trace = grow_real((teacher, ProductDistribution.uniform(2)), _config(8, "gini"), "grid:3")
     assert trace.steps
     out = tmp_path / "hard"
     rc = main(["hard", "--l", "6", "--k", "5", "--budget", "24", "--samples", "200",

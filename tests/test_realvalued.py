@@ -101,7 +101,6 @@ class TestCoordinateDist:
         assert d.cdf(Fraction(3, 10)) == Fraction(3, 10)
         assert d.cdf(-1) == 0 and d.cdf(2) == 1
         assert d.quantile(0.25) == 0.25
-        assert d.strictly_increasing
 
     def test_cdf_table(self):
         d = CoordinateDist.from_table([(0, 0), (0.5, 0.25), (1, 1)])
@@ -110,7 +109,6 @@ class TestCoordinateDist:
         assert d.cdf(0.75) == Fraction(5, 8)
         assert d.quantile(0.25) == 0.5
         assert d.quantile(0.125) == 0.25
-        assert d.strictly_increasing
 
     def test_empirical(self):
         d = CoordinateDist.from_data([3.0, 1.0, 2.0])  # sorted internally
@@ -120,11 +118,6 @@ class TestCoordinateDist:
         assert d.quantile(0.5) == 2.0
         assert d.quantile(0.0) == 1.0
         assert d.quantile(1.0) == 3.0
-        assert not d.strictly_increasing
-
-    def test_flat_table_not_invertible(self):
-        d = CoordinateDist.from_table([(0, 0), (0.4, 0.5), (0.6, 0.5), (1, 1)])
-        assert not d.strictly_increasing
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -514,59 +507,11 @@ class TestPresortedSampleLeaf:
         assert calls <= leaves * (1 + coords * 2 * (len(sample) + 1))
 
 
-class TestGrowRealAnalytic:
-    def test_threshold_teacher_on_uniform_square(self):
-        teacher = DecisionTree(Internal(1, 0.7, Leaf(1), Leaf(0)))
-        d = ProductDistribution.uniform(2)
-        t, trace = grow_real((teacher, d), GrowthConfig(budget=3, impurity=GINI), "grid:4")
-        assert trace.mode == "real-analytic"
-        first = trace.steps[0]
-        assert first.coord == 1
-        assert first.theta in (0.6875, 0.75)  # the grid points flanking 0.7
-        assert trace.final_distance() <= Fraction(1, 16)
-
-    def test_exact_when_teacher_on_grid(self):
-        teacher = DecisionTree(Internal(2, 0.375, Leaf(1), Leaf(0)))
-        d = ProductDistribution.uniform(2)
-        t, trace = grow_real((teacher, d), GrowthConfig(budget=4, impurity=GINI), "grid:3")
-        assert trace.final_distance() == 0
-        assert trace.stop_reason == "no-candidates"
-        assert treemod.size(t) == 2
-
-    def test_quantile_space_thresholds(self):
-        # teacher splits at v=0.5 where F(0.5) = 1/4, so the grown tree
-        # (which lives in quantile space) must split at u = 0.25
-        coord = CoordinateDist.from_table([(0, 0), (0.5, 0.25), (1, 1)])
-        d = ProductDistribution((coord,))
-        teacher = DecisionTree(Internal(1, 0.5, Leaf(1), Leaf(0)))
-        t, trace = grow_real((teacher, d), GrowthConfig(budget=2, impurity=GINI), "grid:2")
-        assert trace.steps[0].theta == 0.25
-        assert trace.final_distance() == 0
-
-    def test_median_split_flag(self):
-        teacher = DecisionTree(Internal(1, 0.5, Leaf(1), Leaf(0)))
-        d = ProductDistribution.uniform(1)
-        _, trace = grow_real((teacher, d), GrowthConfig(budget=2, impurity=GINI), "grid:1")
-        assert trace.steps[0].median_split is True
-
-
 class TestGrowRealRefusals:
     def test_needs_impurity(self):
         sample = RealSample((((0.1,), 0), ((0.9,), 1)))
         with pytest.raises(ValueError, match="impurity"):
             grow_real(sample, GrowthConfig(budget=2, impurity=None))
-
-    def test_analytic_needs_grid(self):
-        teacher = DecisionTree(Internal(1, 0.5, Leaf(1), Leaf(0)))
-        d = ProductDistribution.uniform(1)
-        with pytest.raises(ValueError, match="grid"):
-            grow_real((teacher, d), GrowthConfig(budget=2, impurity=GINI), "midpoints")
-
-    def test_analytic_needs_invertible_cdfs(self):
-        teacher = DecisionTree(Internal(1, 0.5, Leaf(1), Leaf(0)))
-        d = ProductDistribution((CoordinateDist.from_data([1.0, 2.0]),))
-        with pytest.raises(ValueError, match="invertible|strictly"):
-            grow_real((teacher, d), GrowthConfig(budget=2, impurity=GINI), "grid:2")
 
     def test_bad_policy(self):
         sample = RealSample((((0.1,), 0), ((0.9,), 1)))
@@ -577,6 +522,13 @@ class TestGrowRealRefusals:
     def test_bad_source(self):
         with pytest.raises(TypeError):
             grow_real([(0.1, 0)], GrowthConfig(budget=2, impurity=GINI))
+        teacher = DecisionTree(Internal(1, 0.5, Leaf(1), Leaf(0)))
+        with pytest.raises(TypeError):
+            grow_real(
+                (teacher, ProductDistribution.uniform(1)),
+                GrowthConfig(budget=2, impurity=GINI),
+                "grid:2",
+            )
 
 
 class TestBinaryConsistency:
