@@ -371,31 +371,33 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
     path = Path(cfg.data)
     if not path.exists():
         raise ConfigError(f"dataset not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty dataset") from None
-        if "label" in header:
-            label_idx = header.index("label")
-        else:
-            label_idx = len(header) - 1
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        points = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
-            try:
-                x = tuple(float(v) for i, v in enumerate(row) if i != label_idx)
-                label = int(row[label_idx])
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: {e}") from None
-            if label not in (0, 1):
-                raise ConfigError(f"{path}:{lineno}: label must be 0 or 1")
-            if not all(map(math.isfinite, x)):
-                raise ConfigError(f"{path}:{lineno}: feature values must be finite")
-            points.append((x, label))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if not header:
+                raise ConfigError(f"{path}: empty dataset or blank header")
+            if "label" in header:
+                label_idx = header.index("label")
+            else:
+                label_idx = len(header) - 1
+            feature_names = [h for i, h in enumerate(header) if i != label_idx]
+            points = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
+                try:
+                    x = tuple(float(v) for i, v in enumerate(row) if i != label_idx)
+                    label = int(row[label_idx])
+                except ValueError as e:
+                    raise ConfigError(f"{path}:{lineno}: {e}") from None
+                if label not in (0, 1):
+                    raise ConfigError(f"{path}:{lineno}: label must be 0 or 1")
+                if not all(map(math.isfinite, x)):
+                    raise ConfigError(f"{path}:{lineno}: feature values must be finite")
+                points.append((x, label))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:  # a directory, not UTF-8, ...
+        raise ConfigError(f"cannot read dataset {path}: {e}") from None
     if not points:
         raise ConfigError(f"{path}: no data rows")
     sample = RealSample(tuple(points), provenance=str(path))

@@ -41,8 +41,11 @@ boolfn truth tables and the structured hard instances both do.  A
 cursor views one leaf's restriction, a subcube of size = 2^free points;
 growth reads its size, ones(), candidate_coords(),
 child_expectations(coord), influence_num(coord), total_influence_num()
-and split(coord) -> (hi, lo).  ones() = E[f_l] * size and the influence
-numerators (Inf_i or Inf, times size) are integers.  candidate_coords() are
+and split(coord) -> (hi, lo).  Every number a cursor returns is an
+integer count over its size, or that ratio as an int / int float:
+ones() = E[f_l] * size, influence_num(coord) = Inf_i * size and
+total_influence_num() = Inf * size, and child_expectations(coord) is the
+children's (hi, lo) ones over size / 2 as floats.  candidate_coords() are
 free coordinates in ascending order, and a listed coordinate may stand
 for larger free ones whose children equal its own.  Such a coordinate
 scores exactly what the smaller one scored, and the leader's score only

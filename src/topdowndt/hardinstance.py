@@ -13,25 +13,25 @@ the target is
 All coordinates enter positively, so f is monotone.  Probabilities under
 the uniform distribution factor over terms (their coordinate sets are
 disjoint), which gives closed forms for the expectation and every
-coordinate influence under any restriction.  Those closed forms back a
-grower cursor, so greedy growth runs on instances far beyond truth-table
-size.  to_boolfunc() materializes the table (arity <= 24 only) from two
-boolfn.from_dnf tables over the x's, T where Maj_k(y) = 1 and T' elsewhere,
-to cross-check the formulas by brute force; terms_tree() is
-tree.chain_tree over the m terms.
+coordinate influence under any restriction, each an integer count over a
+power of two (a term with j free coordinates misses 2^j - 1 of its 2^j
+settings).  Those closed forms back a grower cursor, so greedy growth
+runs on instances far beyond truth-table size; the restricted_*
+functions read them as Fractions.  to_boolfunc() materializes the table
+(arity <= 24 only) from two boolfn.from_dnf tables over the x's, T where
+Maj_k(y) = 1 and T' elsewhere, to cross-check the formulas by brute
+force; terms_tree() is tree.chain_tree over the m terms.
 
-The cursor holds what the closed forms read: per term, the number of its
-free coordinates, or None once one of them is fixed to -1 (the term is
-dead); the number u of free y's and the sum sigma of the fixed ones; and
-the set of fixed coordinates.  Fixing a coordinate changes one term's
-count or (u, sigma), so a split or a scored candidate costs O(m), with no
-rescan of the restriction.  The free coordinates fall into orbits whose
-members give equal children: the free x's of each live term, the inert
-x's (those of dead terms and the slack x's beyond m*w, whose children
-equal the parent), and the free y's.  Members of an orbit share one
-influence, and the grower scores a candidate once per orbit, on its
-smallest member (candidate_coords), so a leaf costs O(m) candidates
-rather than O(ell + k).
+The cursor holds each term's free count (None once the term is dead),
+the free y count u with the fixed y's sum sigma, and the fixed set.
+Fixing a coordinate changes one term's count or (u, sigma), so a split
+or a scored candidate costs O(m), with no rescan of the restriction.
+The free coordinates fall into orbits whose members give equal children:
+the free x's of each live term, the inert x's (those of dead terms and
+the slack x's beyond m*w, whose children equal the parent), and the free
+y's.  Members of an orbit share one influence, and the grower scores a
+candidate once per orbit, on its smallest member (candidate_coords), so
+a leaf costs O(m) candidates rather than O(ell + k).
 
 Parameter choice: w is picked so Pr[T] is as close to 1/2 as possible
 subject to m = ell//w >= 2, and m' < m so Pr[T'] is nearest 499/1000
@@ -126,33 +126,21 @@ def tribes_params(ell: int) -> TribesParams:
 
 
 # ---------------------------------------------------------------------------
-# majority tail helpers (exact, cached)
+# majority counts (exact, cached)
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _binomial_tail(u: int, t0: int) -> Fraction:
-    """Pr[Bin(u, 1/2) >= t0]."""
-    if t0 <= 0:
-        return Fraction(1)
-    if t0 > u:
-        return Fraction(0)
-    return Fraction(sum(math.comb(u, t) for t in range(t0, u + 1)), 1 << u)
+def _maj_count(u: int, sigma: int) -> int:
+    """2^u * Pr[sigma + (sum of u fresh signs) > 0]: the sign vectors with
+    more than (u - sigma) / 2 plus signs."""
+    return sum(math.comb(u, t) for t in range(max(0, (u - sigma) // 2 + 1), u + 1))
 
 
-def _maj_prob(u: int, sigma: int) -> Fraction:
-    """Pr[sigma + (sum of u fresh signs) > 0]."""
-    return _binomial_tail(u, max(0, (u - sigma) // 2 + 1))
-
-
-def _tie_prob(u: int, sigma: int) -> Fraction:
-    """Pr[sigma + (sum of u fresh signs) == 0]."""
-    if (u - sigma) % 2:
-        return Fraction(0)
-    t = (u - sigma) // 2
-    if t < 0 or t > u:
-        return Fraction(0)
-    return Fraction(math.comb(u, t), 1 << u)
+def _tie_count(u: int, sigma: int) -> int:
+    """2^u * Pr[sigma + (sum of u fresh signs) == 0]."""
+    t, odd = divmod(u - sigma, 2)
+    return 0 if odd or t < 0 else math.comb(u, t)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +189,18 @@ def choose_params(ell: int, k: int) -> HardInstance:
     return HardInstance(tribes_params(ell), k)
 
 
-def _misses(m_prime: int, live: tuple) -> tuple[Fraction, Fraction]:
-    """(Pr[not T'], Pr[not T]) for the cursor state's live counts."""
-    qp = _miss(live[:m_prime])
-    return qp, qp * _miss(live[m_prime:])
-
-
-def _miss(live: tuple) -> Fraction:
-    """Pr[no term fires]: a term with `free` free coordinates misses with
-    probability (2^free - 1) / 2^free, a dead term (None) always."""
+def _misses(m_prime: int, live: tuple) -> tuple[int, int, int, int]:
+    """(a, A, c, C) with Pr[not T'] = a / 2^A and Pr[not T] = c / 2^C for the
+    cursor state's live counts: a term with `free` free coordinates misses
+    2^free - 1 of its 2^free settings, a dead term (None) all of them."""
     num, bits = 1, 0
-    for free in live:
+    for j, free in enumerate(live):
+        if j == m_prime:
+            prime = num, bits
         if free is not None:
             num *= (1 << free) - 1
             bits += free
-    return Fraction(num, 1 << bits)
+    return (*prime, num, bits)
 
 
 def _restricted(h: HardInstance, r: Restriction | None) -> "_HardCursor":
@@ -229,17 +214,19 @@ def restricted_expectation(h: HardInstance, r: Restriction | None = None) -> Fra
     """E[f given r] = Pr[T'] + Pr[T and not T'] * Pr[Maj], all exact."""
     c = _restricted(h, r)
     # the closed form itself: cursor method calls are growth work, which traced runs count
-    return c._mean(c.live, c.u, c.sigma)
+    return Fraction(c._ones(c.live, c.u, c.sigma, c.nfree), c.size)
 
 
 def restricted_influence(h: HardInstance, r: Restriction | None, i: int) -> Fraction:
     """Pr[f changes when coordinate i is flipped], given the restriction."""
-    return _restricted(h, r).influence(i)
+    c = _restricted(h, r)
+    return Fraction(c.influence_num(i), c.size)
 
 
 def restricted_total_influence(h: HardInstance, r: Restriction | None = None) -> Fraction:
     """Sum of the influences of all free coordinates."""
-    return _restricted(h, r).total_influence()
+    c = _restricted(h, r)
+    return Fraction(c.total_influence_num(), c.size)
 
 
 def evaluate(h: HardInstance, x) -> int:
@@ -271,13 +258,19 @@ class _HardCursor:
     y's and sigma the sum of the fixed ones; fixed is the set of fixed
     coordinates.  candidate_coords() lists one coordinate per orbit (see
     the module docstring), so the grower scores each orbit once.  misses
-    maps live to its _misses pair; every cursor split from one root shares
-    it, so a growth computes the pair once per distinct live.  size is
-    2^free; the grower reads the expectation and influences as integers
-    over it (ones(), influence_num(), total_influence_num()).
+    maps live to its _misses counts (a, A, c, C); every cursor split from
+    one root shares it, so a growth computes them once per distinct live.
+
+    size = 2^nfree, and every closed form is an integer count over it: with
+    rest = a * 2^(C - A) - c = 2^C * Pr[T and not T'] and maj = 2^u * Pr[Maj],
+    ones() = 2^nfree - a * 2^(nfree - A) + rest * maj * 2^(nfree - C - u).
+    The live x's and free y's are free coordinates, so C + u <= nfree and no
+    shift is negative.  influence_num() and total_influence_num() are Inf_i
+    and Inf times size; child_expectations() the children's ones over
+    size / 2, as floats.
     """
 
-    __slots__ = ("inst", "fixed", "live", "u", "sigma", "misses", "size")
+    __slots__ = ("inst", "fixed", "live", "u", "sigma", "misses", "nfree", "size")
 
     def __init__(
         self, inst: HardInstance, fixed: frozenset, live: tuple, u: int, sigma: int, misses: dict
@@ -288,7 +281,8 @@ class _HardCursor:
         self.u = u
         self.sigma = sigma
         self.misses = misses
-        self.size = 1 << (inst.arity - len(fixed))
+        self.nfree = inst.arity - len(fixed)
+        self.size = 1 << self.nfree
 
     def _check_free(self, coord: int) -> None:
         if not 1 <= coord <= self.inst.arity:
@@ -311,54 +305,43 @@ class _HardCursor:
     def _fix(self, coord: int, v: int) -> "_HardCursor":
         return _HardCursor(self.inst, self.fixed | {coord}, *self._step(coord, v), self.misses)
 
-    def _misses(self, live: tuple) -> tuple[Fraction, Fraction]:
-        pair = self.misses.get(live)
-        if pair is None:
-            pair = self.misses[live] = _misses(self.inst.params.m_prime, live)
-        return pair
+    def _misses(self, live: tuple) -> tuple[int, int, int, int]:
+        counts = self.misses.get(live)
+        if counts is None:
+            counts = self.misses[live] = _misses(self.inst.params.m_prime, live)
+        return counts
 
-    def _mean(self, live: tuple, u: int, sigma: int) -> Fraction:
-        """E[f] on a restriction with cursor state (live, u, sigma)."""
-        qp, q = self._misses(live)
-        return (1 - qp) + (qp - q) * _maj_prob(u, sigma)
+    def _ones(self, live: tuple, u: int, sigma: int, nfree: int) -> int:
+        """2^nfree * E[f] on a restriction with cursor state (live, u, sigma)."""
+        a, A, c, C = self._misses(live)
+        rest = (a << (C - A)) - c
+        return (1 << nfree) - (a << (nfree - A)) + (rest * _maj_count(u, sigma) << (nfree - C - u))
 
-    def _x_influence(self, j: int) -> Fraction:
-        """Influence of each free coordinate of the live term j + 1."""
-        p = self.inst.params
-        # Pr[no other prime term fires], Pr[no other term fires]
-        a, b = self._misses(self.live[:j] + (None,) + self.live[j + 1 :])
-        pivot = Fraction(1, 1 << (self.live[j] - 1))  # the term's other free coordinates are +1
-        mp = _maj_prob(self.u, self.sigma)
-        if j < p.m_prime:
+    def _x_influence_num(self, j: int) -> int:
+        """Influence of each free coordinate of the live term j + 1, times size."""
+        # Pr[no other prime term fires] = a / 2^A, Pr[no other term fires] = c / 2^C
+        a, A, c, C = self._misses(self.live[:j] + (None,) + self.live[j + 1 :])
+        u = self.u
+        maj = _maj_count(u, self.sigma)
+        if j < self.inst.params.m_prime:
             # flip moves T'; f changes unless another prime term fires, or a
             # plain term fires together with a positive majority
-            return pivot * (b + (a - b) * (1 - mp))
-        # flip moves T only; f changes iff no other term fires and Maj = 1
-        return pivot * b * mp
+            num = (c << u) + ((a << (C - A)) - c) * ((1 << u) - maj)
+        else:
+            # flip moves T only; f changes iff no other term fires and Maj = 1
+            num = c * maj
+        # over 2^(C + u), times the pivot 2^(1 - live[j]): the term's other
+        # free coordinates are +1
+        return num << (self.nfree + 1 - self.live[j] - C - u)
 
-    def _y_influence(self) -> Fraction:
+    def _y_influence_num(self) -> int:
         # a y flip matters iff the rest event holds and the other y's tie
-        qp, q = self._misses(self.live)
-        return (qp - q) * _tie_prob(self.u - 1, self.sigma)
-
-    def _over_size(self, x: Fraction) -> int:
-        """x * size, for a closed form x over this restriction.
-
-        Every factor of the closed forms is a count over 2^(free
-        coordinates it reads), so x's denominator divides size and the
-        product is a shift; a form that breaks this raises.
-        """
-        d = x.denominator
-        shift = self.size.bit_length() - d.bit_length()
-        if shift < 0 or d << shift != self.size:
-            raise AssertionError(f"closed form {x} is not a multiple of 1/{self.size}")
-        return x.numerator << shift
-
-    def expectation(self) -> Fraction:
-        return self._mean(self.live, self.u, self.sigma)
+        a, A, c, C = self._misses(self.live)
+        rest = (a << (C - A)) - c
+        return rest * _tie_count(self.u - 1, self.sigma) << (self.nfree + 1 - C - self.u)
 
     def ones(self) -> int:
-        return self._over_size(self._mean(self.live, self.u, self.sigma))
+        return self._ones(self.live, self.u, self.sigma, self.nfree)
 
     def free_coords(self) -> tuple[int, ...]:
         return tuple(c for c in range(1, self.inst.arity + 1) if c not in self.fixed)
@@ -387,33 +370,29 @@ class _HardCursor:
             out.append(next(c for c in self.inst.y_coords() if c not in fixed))
         return tuple(out)
 
-    def child_expectations(self, coord: int) -> tuple[Fraction, Fraction]:
-        return self._mean(*self._step(coord, 1)), self._mean(*self._step(coord, -1))
-
-    def influence(self, coord: int) -> Fraction:
-        return Fraction(self.influence_num(coord), self.size)
+    def child_expectations(self, coord: int) -> tuple[float, float]:
+        # int / int is correctly rounded: the float of the exact ratio
+        half, nfree = self.size >> 1, self.nfree - 1
+        hi = self._ones(*self._step(coord, 1), nfree)
+        return hi / half, self._ones(*self._step(coord, -1), nfree) / half
 
     def influence_num(self, coord: int) -> int:
         """Influence of coord times size."""
         self._check_free(coord)
         p = self.inst.params
         if coord > p.ell:
-            return self._over_size(self._y_influence())
+            return self._y_influence_num()
         j = (coord - 1) // p.w
         if j >= p.m or self.live[j] is None:
             return 0  # slack coordinate, or its term is dead
-        return self._over_size(self._x_influence(j))
-
-    def total_influence(self) -> Fraction:
-        return Fraction(self.total_influence_num(), self.size)
+        return self._x_influence_num(j)
 
     def total_influence_num(self) -> int:
         """Total influence times size."""
         # every free x of a live term shares its term's value, every free y one value
-        over = self._over_size
-        total = sum(free * over(self._x_influence(j)) for j, free in enumerate(self.live) if free)
+        total = sum(free * self._x_influence_num(j) for j, free in enumerate(self.live) if free)
         if self.u:
-            total += self.u * over(self._y_influence())
+            total += self.u * self._y_influence_num()
         return total
 
     def split(self, coord: int) -> tuple["_HardCursor", "_HardCursor"]:

@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from topdowndt import cli
 from topdowndt.cli import ExperimentConfig, _sweep_budget, main, run
@@ -492,6 +496,25 @@ class TestBadInputsExitTwo:
         assert err.startswith("error: ") and str(path) in err and problem in err, err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "make, problem",
+        [
+            (lambda p: p.mkdir(), "Is a directory"),
+            (lambda p: p.write_bytes(b"x1,label\n\xff\xfe,1\n"), "can't decode byte 0xff"),
+            (lambda p: p.write_text("\n\n"), "blank header"),
+        ],
+        ids=["directory", "not-utf8", "blank-header"],
+    )
+    def test_unreadable_dataset_exits_two(self, tmp_path, capsys, make, problem):
+        data = tmp_path / "data.csv"
+        make(data)
+        out = tmp_path / "x"
+        rc = main(["grow-real", "--data", str(data), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(data) in err and problem in err, err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_threshold_must_be_finite(self, tmp_path, capsys, value):
         out = tmp_path / "x"
@@ -537,3 +560,134 @@ def test_readme_commands_resolve_to_valid_configs():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert isinstance(cli._resolve_config(args), ExperimentConfig), line
+
+
+# CLI fuzz: an argv per draw, from one subcommand's declared flags (every
+# one given, so no heavy default runs) plus --seed and maybe --config.  At
+# most two of them take an adversarial value, the rest a small valid one.
+# Small ranges: arity <= 4, budget <= 8, trials <= 2, samples <= 50,
+# ell <= 6, k <= 5, sizes and leaves <= 4.  Adversarial by annotation: 0,
+# -1, nan, +-inf, 1e308, the empty list, an unknown name.  File flags name
+# one of FUZZ_FILES (the first of each list is valid), written into a fresh
+# directory per run; "@missing" is never written.
+FUZZ_FILES = {
+    "@fn": '{"kind": "dnf", "n": 3, "terms": [[1, 2], [3]]}',
+    "@fn-not-json": "not json",
+    "@fn-list": "[1, 2]",
+    "@fn-bad-literal": '{"kind": "dnf", "n": 3, "terms": [[1, "a"]]}',
+    "@data": "x1,x2,label\n0.1,0.9,0\n0.2,0.8,0\n0.8,0.3,1\n0.9,0.1,1\n",
+    "@data-not-utf8": b"x1,label\n\xff\xfe,1\n",
+    "@data-dir": None,  # made a directory
+    "@data-blank": "\n\n",
+    "@data-bad-label": "x1,x2,label\n0.1,0.2,7\n",
+    "@data-short-row": "x1,x2,label\n0.1,1\n",
+    "@dist": '[{"kind": "empirical", "column": "x1"}, {"kind": "empirical", "column": "x2"}]',
+    "@dist-not-json": "not json",
+    "@dist-short": '[{"kind": "empirical", "column": "x1"}]',
+    "@dist-no-points": '[{"kind": "cdf_table"}, {"kind": "cdf_table"}]',
+    "@config": '{"seed": 1}',
+    "@config-not-json": "{",
+    "@config-list": "[]",
+    "@config-bad-type": '{"budget": "5"}',
+    "@config-unknown-key": '{"threads": 4}',
+}
+FUZZ_FILE_FLAGS = {
+    "fn": ("@fn", "@fn-not-json", "@fn-list", "@fn-bad-literal", "@missing"),
+    "data": ("@data", "@data-not-utf8", "@data-dir", "@data-blank", "@data-bad-label",
+             "@data-short-row", "@missing"),
+    "dist": ("@dist", "@dist-not-json", "@dist-short", "@dist-no-points", "@missing"),
+}
+FUZZ_CONFIGS = ("@config", "@config-not-json", "@config-list", "@config-bad-type",
+                "@config-unknown-key", "@missing")
+NAMES = cli.DEFAULT_IMPURITIES
+FUZZ_SMALL = {
+    "seed": st.integers(0, 3),
+    "arity": st.integers(1, 4),
+    "budget": st.integers(1, 8),
+    "size": st.integers(1, 4),
+    "sizes": st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    "epsilon": st.sampled_from((0.05, 0.1, 0.5, 1.0)),
+    "trials": st.integers(1, 2),
+    "samples": st.integers(1, 50),
+    "threshold": st.sampled_from((0.0, 0.2, 0.35, 1.0)),
+    "ell": st.integers(2, 6),
+    "k": st.sampled_from((1, 3, 5)),
+    "leaves": st.integers(1, 4),
+    "teacher_leaves": st.integers(2, 4),
+    "target": st.sampled_from((0.05, 0.2, 0.5)),
+    "monitor_size": st.integers(0, 3),
+    "impurity": st.sampled_from((*NAMES, "influence", "all")),
+    "impurities": st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
+    "thresholds": st.sampled_from(("midpoints", "grid:2", "grid:4")),
+}
+FUZZ_ADVERSARIAL = {
+    "int": ("0", "-1", "nan", "inf", "1e308", ""),
+    "float": ("0", "-1", "nan", "inf", "-inf", "1e308"),
+    "str": ("nosuch", ""),
+    "tuple[int, ...]": ("", "0", "-1", "nan"),
+    "tuple[str, ...]": ("", "nosuch", "gini,nosuch"),
+}
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+@st.composite
+def fuzz_argvs(draw):
+    kind = draw(st.sampled_from(sorted(cli.SUBCOMMANDS)))
+    names = (*cli.SUBCOMMANDS[kind].flags, "seed", "config")
+    bad = draw(st.sets(st.sampled_from(names), max_size=2))
+    argv = [kind]
+    for name in names:
+        if name == "config":
+            if name in bad:
+                argv += ["--config", draw(st.sampled_from(FUZZ_CONFIGS[1:]))]
+            elif draw(st.booleans()):
+                argv += ["--config", FUZZ_CONFIGS[0]]
+            continue
+        if name in FUZZ_FILE_FLAGS:
+            choices = FUZZ_FILE_FLAGS[name]
+            value = draw(st.sampled_from(choices[1:])) if name in bad else choices[0]
+        elif name in bad:
+            value = draw(st.sampled_from(FUZZ_ADVERSARIAL[TestParser.TYPES[name]]))
+        else:
+            value = _flag_text(draw(FUZZ_SMALL[name]))
+        argv += ["--l" if name == "ell" else "--" + name.replace("_", "-"), value]
+    return argv
+
+
+def _materialize(root: Path, token: str) -> str:
+    if token not in FUZZ_FILES:
+        return str(root / token[1:]) if token == "@missing" else token
+    path = root / token[1:]
+    content = FUZZ_FILES[token]
+    if content is None:
+        path.mkdir(exist_ok=True)
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@example(argv=["grow-real", "--data", "@data-dir", "--budget", "2"])
+@example(argv=["grow-real", "--data", "@data-not-utf8", "--budget", "2"])
+@given(argv=fuzz_argvs())
+def test_fuzzed_argv_exits_zero_one_or_two(argv):
+    with contextlib.ExitStack() as stack:
+        root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        full = [_materialize(root, tok) for tok in argv] + ["--out", str(root / "out")]
+        err = io.StringIO()
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            rc = main(full)
+        except SystemExit as e:  # argparse refusing a value
+            rc = e.code
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 2:
+        assert "error:" in err.getvalue(), (argv, err.getvalue())

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from topdowndt import boolfn
 from topdowndt import tree as treemod
 from topdowndt.boolfn import Restriction, SubcubeView, is_monotone, point_of
-from topdowndt.grower import GrowthConfig, grow
+from topdowndt.grower import GrowthConfig, TableCursor, grow
 from topdowndt.hardinstance import (
     HardInstance,
     choose_params,
@@ -178,12 +179,15 @@ def test_cursor_split_chains_match_table(ell, k, data):
     while True:
         free = cursor.free_coords()
         assert free == tuple(sorted(view.free))
-        assert cursor.expectation() == view.expectation()
+        assert (cursor.ones(), cursor.size) == (view.ones, view.size)
         half = view.size >> 1
+        table = TableCursor(view)
         for c in free:
             hi_ones, lo_ones = view.child_ones(c)
-            assert cursor.child_expectations(c) == (Fraction(hi_ones, half), Fraction(lo_ones, half))
-            assert cursor.influence(c) == view.influence(c)
+            pair = cursor.child_expectations(c)
+            assert pair == table.child_expectations(c) == (hi_ones / half, lo_ones / half)
+            assert all(type(e) is float for e in (*pair, *table.child_expectations(c)))
+            assert Fraction(cursor.influence_num(c), cursor.size) == view.influence(c)
         # one candidate per orbit: each free coordinate has a listed
         # representative at or below it with equal children and influence
         reps = cursor.candidate_coords()
@@ -194,10 +198,10 @@ def test_cursor_split_chains_match_table(ell, k, data):
                 for r in reps
                 if r <= c
             ), c
-        assert cursor.total_influence() == view.total_influence()
+        assert Fraction(cursor.total_influence_num(), cursor.size) == view.total_influence()
         for c in (*fixed, 0, n + 1):
             with pytest.raises(ValueError):
-                cursor.influence(c)
+                cursor.influence_num(c)
         if len(fixed) == steps:
             break
         c = data.draw(st.sampled_from(free))
@@ -205,6 +209,95 @@ def test_cursor_split_chains_match_table(ell, k, data):
         cursor = cursor.split(c)[side]
         view = view.split(c)[side]
         fixed.append(c)
+
+
+# The Fraction closed forms the cursor's integer counts replaced, kept as a
+# reference; the state is read off the assignment, not the cursor.
+
+
+def _ref_state(h, fixed):
+    """(live, u, sigma) of the restriction fixed = {coord: +-1}."""
+    p = h.params
+    live = tuple(
+        None if -1 in (vals := [fixed.get(c) for c in p.term_coords(j)]) else vals.count(None)
+        for j in range(1, p.m + 1)
+    )
+    ys = [fixed[c] for c in h.y_coords() if c in fixed]
+    return live, h.k - len(ys), sum(ys)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_misses(h, live):
+    def miss(terms):
+        out = Fraction(1)
+        for free in terms:
+            if free is not None:
+                out *= 1 - Fraction(1, 1 << free)
+        return out
+
+    qp = miss(live[: h.params.m_prime])
+    return qp, qp * miss(live[h.params.m_prime :])
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_maj(u, sigma):
+    t0 = max(0, (u - sigma) // 2 + 1)
+    return Fraction(sum(math.comb(u, t) for t in range(t0, u + 1)), 1 << u)
+
+
+def _ref_tie(u, sigma):
+    t = (u - sigma) // 2
+    return Fraction(0) if (u - sigma) % 2 or not 0 <= t <= u else Fraction(math.comb(u, t), 1 << u)
+
+
+def _ref_expectation(h, fixed):
+    live, u, sigma = _ref_state(h, fixed)
+    qp, q = _ref_misses(h, live)
+    return (1 - qp) + (qp - q) * _ref_maj(u, sigma)
+
+
+def _ref_influence(h, state, coord):
+    p = h.params
+    live, u, sigma = state
+    if coord > p.ell:
+        qp, q = _ref_misses(h, live)
+        return (qp - q) * _ref_tie(u - 1, sigma)
+    j = (coord - 1) // p.w
+    if j >= p.m or live[j] is None:
+        return Fraction(0)
+    a, b = _ref_misses(h, live[:j] + (None,) + live[j + 1 :])
+    pivot, mp = Fraction(1, 1 << (live[j] - 1)), _ref_maj(u, sigma)
+    return pivot * (b + (a - b) * (1 - mp)) if j < p.m_prime else pivot * b * mp
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(((44, 7), (44, 63), (8, 63))), data=st.data())
+def test_cursor_counts_match_fraction_reference(shape, data):
+    """Split chains beyond the truth-table cap: every integer count the
+    cursor returns equals the Fraction closed form times size."""
+    h = choose_params(*shape)
+    cursor = h.root_cursor()
+    fixed = {}
+    steps = data.draw(st.integers(0, 24))
+    while True:
+        size = cursor.size
+        state = _ref_state(h, fixed)
+        assert size == 1 << (h.arity - len(fixed))
+        assert cursor.ones() == _ref_expectation(h, fixed) * size
+        for c in cursor.candidate_coords():
+            pair = cursor.child_expectations(c)
+            assert all(type(e) is float for e in pair)
+            assert pair == tuple(float(_ref_expectation(h, {**fixed, c: v})) for v in (1, -1))
+            assert cursor.influence_num(c) == _ref_influence(h, state, c) * size
+        free = cursor.free_coords()
+        total = sum(_ref_influence(h, state, c) for c in free)
+        assert cursor.total_influence_num() == total * size
+        if len(fixed) == steps:
+            break
+        c = data.draw(st.sampled_from(free))
+        v = data.draw(st.sampled_from((1, -1)))
+        cursor = cursor.split(c)[0 if v == 1 else 1]
+        fixed[c] = v
 
 
 class TestMaterialization:
