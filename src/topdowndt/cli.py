@@ -381,13 +381,13 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
                 label_idx = header.index("label")
             else:
                 label_idx = len(header) - 1
-            feature_names = [h for i, h in enumerate(header) if i != label_idx]
+            feature_names = header[:label_idx] + header[label_idx + 1 :]
             points = []
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
                 try:
-                    x = tuple(float(v) for i, v in enumerate(row) if i != label_idx)
+                    x = (*map(float, row[:label_idx]), *map(float, row[label_idx + 1 :]))
                     label = int(row[label_idx])
                 except ValueError as e:
                     raise ConfigError(f"{path}:{lineno}: {e}") from None

@@ -16,6 +16,12 @@ inequality holds:
 Impurity values are floats (entropy is transcendental); exactness lives in
 the probability arithmetic upstream, and gain comparisons downstream use an
 absolute tolerance of 1e-12.
+
+ImpuritySpec.concave states that fn is concave on all of [0,1], not just on
+a check grid.  The three builtins set it; a spec built any other way
+(from_table included, whose concavity is certified on its grid only)
+leaves it False.  grow-real's midpoint scan skips blocks of cuts by a bound
+that holds only for a concave G, and scores every cut when it is False.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ class ImpuritySpec:
     name: str
     fn: Callable[[float], float]
     kappa: float
+    concave: bool = False  # fn is concave on all of [0,1]; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,9 @@ def _kearns_mansour(p: float) -> float:
 
 
 _BUILTINS = {
-    "entropy": ImpuritySpec("entropy", _entropy, 1.0 / math.log(2.0)),
-    "gini": ImpuritySpec("gini", _gini, 2.0),
-    "kearns-mansour": ImpuritySpec("kearns-mansour", _kearns_mansour, 1.0),
+    "entropy": ImpuritySpec("entropy", _entropy, 1.0 / math.log(2.0), concave=True),
+    "gini": ImpuritySpec("gini", _gini, 2.0, concave=True),
+    "kearns-mansour": ImpuritySpec("kearns-mansour", _kearns_mansour, 1.0, concave=True),
 }
 _ALIASES = {"km": "kearns-mansour"}
 

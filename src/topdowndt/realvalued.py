@@ -28,6 +28,24 @@ its children their shares of those orders by a stable partition, as
 CART's presorting and SPRINT's attribute lists do; ties within an order
 are irrelevant, because every candidate sits between distinct values.
 
+The midpoint scan is exact but pruned by G's concavity.  In a leaf of
+count points, ones of them 1s, a cut putting k points, q of them 1s, on
+the lo side has gain (count G(E) - psi(k, q)) / N, where
+psi(k, q) = k G(q/k) + (count-k) G((ones-q)/(count-k)).  psi is concave in
+(k, q) when G is concave, being a sum of two perspectives of G.  For the
+cuts ka <= k <= kb the lo-side counts (k, prefix[k]) lie in the
+parallelogram with vertices (ka, qa), (kb, qb), (ka+U, qb) and (kb-U, qa),
+where qa = prefix[ka], qb = prefix[kb] and U = qb - qa; every vertex has
+1 <= k <= count-1, and no cut of the block gains more than the best
+vertex.  The scan walks each coordinate's cuts in order, halving blocks
+on an explicit stack.  It skips a block when that bound plus SLACK (1e-9,
+far above a gain's float error of ~1e-14) is at most the leader's gain,
+so that none of its cuts could pass the GAIN_TOL rule, and scores a block
+of at most BLOCK cuts cut by cut.  The leader chain, every gain float,
+the threshold and the median flag are therefore those of the full scan.
+The bound is used only when ImpuritySpec.concave is set (the builtins);
+any other spec has every cut scored.
+
 Threshold candidates come from the policy: "midpoints" (midpoints of
 consecutive distinct sample values a < b per coordinate; b itself when
 the rounded midpoint is not in (a, b]) or "grid:w" (multiples of 2^-w,
@@ -42,6 +60,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -53,6 +72,8 @@ from .impurity import evaluate as g_eval
 from .tree import DecisionTree, Internal, Leaf
 
 MAX_BITS = 53  # beyond float precision the grid is not representable
+BLOCK = 16  # the midpoint scan scores a block of at most this many cuts one by one
+SLACK = 1e-9  # margin on the block bound, in gain units; a gain's float error is ~1e-14
 BOOLEANIZE_NODE_CAP = 200_000
 
 
@@ -427,23 +448,43 @@ def parse_policy(policy: str) -> tuple[str, int | None]:
 # ---------------------------------------------------------------------------
 
 
+def _psi(fn, count, ones, k, q):
+    """count times the impurity after a cut that puts k points, q of them 1s, lo."""
+    return k * fn(q / k) + (count - k) * fn((ones - q) / (count - k))
+
+
+def _split_orders(orders, ids):
+    """Every order split into (its entries in ids, the rest), each stable."""
+    inside = set(ids).__contains__
+    return (
+        tuple(list(filter(inside, order)) for order in orders),
+        tuple(list(itertools.filterfalse(inside, order)) for order in orders),
+    )
+
+
 class _SampleLeaf:
     """The sample points reaching one leaf, as grower._greedy's leaf state.
 
     run is (cols, labels, spec, policy, grid_w), shared by every leaf: one
     tuple of values per coordinate and one of labels, indexed by point.
     orders holds, per coordinate, the leaf's point indices in ascending
-    value order.  grow_real sorts them once, for the root; children()
-    filters each parent order by the chosen test, a stable partition, so no
-    leaf sorts again.  A leaf keeps its orders only while it may still be
+    value order.  grow_real sorts them once, for the root; children() splits
+    each parent order by the chosen test, a stable partition, so no leaf
+    sorts again: the chosen coordinate's hi side is the suffix of its order
+    from a bisect at theta, and every order is filtered through a set of the
+    smaller side's ids.  A leaf keeps its orders only while it may still be
     split.  Ties may sit in any order: every candidate lies on a boundary
-    between distinct values, where the counts below it do not depend on
-    how ties are ordered.  The scan's impurity arguments are ratios of
-    counts, in [0,1] by construction, so it calls spec.fn unchecked; G(E)
+    between distinct values, where the counts below it do not depend on how
+    ties are ordered.  The midpoint scan reads the lo-side 1s of cut k (k
+    points lo) from one prefix-sum array per coordinate, and skips blocks of
+    cuts by the concave bound in the module docstring: blocks are visited in
+    order, a skipped block holds no cut that could become the leader, and so
+    the pick is the full scan's.  The scan's impurity arguments are ratios
+    of counts, in [0,1] by construction, so it calls spec.fn unchecked; G(E)
     at the leaf goes through impurity.evaluate.  A split that isolates no
     point leaves an empty leaf: it is frozen, never split, and labeled with
-    its parent's majority.  The run's scale is the sample size N, so err
-    is the leaf's minority count.
+    its parent's majority.  The run's scale is the sample size N, so err is
+    the leaf's minority count.
     """
 
     u_term = None
@@ -477,30 +518,54 @@ class _SampleLeaf:
         fn = spec.fn
         count_g = count * g_here
         best = -math.inf
+        concave = spec.concave
         for coord, (col, order) in enumerate(zip(cols, orders), start=1):
+            prefix = array("q", itertools.accumulate(map(labels.__getitem__, order), initial=0))
             if policy == "midpoints":
-                lo_n = lo_ones = 0
-                prev = None
-                for i in order:
-                    v = col[i]
-                    if lo_n and v != prev:
-                        hi_n = count - lo_n
-                        gain = (
-                            count_g - lo_n * fn(lo_ones / lo_n) - hi_n * fn((ones - lo_ones) / hi_n)
-                        ) / total
-                        if gain > best + GAIN_TOL:
-                            self.score = self.best_gain = best = gain
-                            self.best_coord = coord
-                            theta = prev / 2 + v / 2  # cannot overflow
-                            # a midpoint that rounds onto prev would send prev's points hi
-                            self.best_theta = theta if prev < theta <= v else v
-                            self.best_median = 2 * lo_n <= count and 2 * hi_n <= count
-                    lo_n += 1
-                    lo_ones += labels[i]
-                    prev = v
+                blocks = [(1, count - 1)]  # cut k puts order[:k] lo; popped in order
+                while blocks:
+                    ka, kb = blocks.pop()
+                    if concave and best > -math.inf:
+                        # skip when every vertex has gain <= best - SLACK
+                        floor = count_g - (best - SLACK) * total
+                        qa, qb = prefix[ka], prefix[kb]
+                        u = qb - qa
+                        if (
+                            _psi(fn, count, ones, ka + u, qb) >= floor
+                            and _psi(fn, count, ones, kb - u, qa) >= floor
+                            # a block of one label has only those two vertices
+                            and (
+                                u in (0, kb - ka)
+                                or _psi(fn, count, ones, ka, qa) >= floor
+                                and _psi(fn, count, ones, kb, qb) >= floor
+                            )
+                        ):
+                            continue
+                    if kb - ka >= BLOCK:
+                        mid = (ka + kb) // 2
+                        blocks += ((mid + 1, kb), (ka, mid))
+                        continue
+                    prev = col[order[ka - 1]]
+                    for lo_n in range(ka, kb + 1):
+                        v = col[order[lo_n]]
+                        if v != prev:
+                            lo_ones = prefix[lo_n]
+                            hi_n = count - lo_n
+                            gain = (
+                                count_g
+                                - lo_n * fn(lo_ones / lo_n)
+                                - hi_n * fn((ones - lo_ones) / hi_n)
+                            ) / total
+                            if gain > best + GAIN_TOL:
+                                self.score = self.best_gain = best = gain
+                                self.best_coord = coord
+                                theta = prev / 2 + v / 2  # cannot overflow
+                                # a midpoint that rounds onto prev would send prev's points hi
+                                self.best_theta = theta if prev < theta <= v else v
+                                self.best_median = 2 * lo_n <= count and 2 * hi_n <= count
+                        prev = v
                 continue
             values = [col[i] for i in order]
-            prefix = [0, *itertools.accumulate(labels[i] for i in order)]
             # the gain depends on c only through lo_n, and an equal gain never
             # displaces the leader, so only the first c of each lo_n counts:
             # c = 1, or the first c with c / 2^w > v for a value v in [0, 1)
@@ -534,11 +599,15 @@ class _SampleLeaf:
 
     def children(self) -> tuple["_SampleLeaf", "_SampleLeaf"]:
         cols, labels = self.run[0], self.run[1]
-        col, theta = cols[self.best_coord - 1], self.best_theta
-        hi_orders = tuple([i for i in order if col[i] >= theta] for order in self.orders)
-        lo_orders = tuple([i for i in order if col[i] < theta] for order in self.orders)
-        self.orders = None
-        hi_ones = sum([labels[i] for i in hi_orders[0]])
+        col = cols[self.best_coord - 1]
+        chosen = self.orders[self.best_coord - 1]  # sorted, so its hi side is a suffix
+        cut = bisect.bisect_left(chosen, self.best_theta, key=col.__getitem__)
+        if 2 * cut < self.count:  # the membership set holds the smaller side
+            lo_orders, hi_orders = _split_orders(self.orders, chosen[:cut])
+        else:
+            hi_orders, lo_orders = _split_orders(self.orders, chosen[cut:])
+        self.orders = chosen = None
+        hi_ones = sum(map(labels.__getitem__, hi_orders[0]))
         hi = _SampleLeaf(self.run, hi_orders, len(hi_orders[0]), hi_ones, self.label)
         lo = _SampleLeaf(self.run, lo_orders, self.count - hi.count, self.ones - hi_ones, self.label)
         return hi, lo

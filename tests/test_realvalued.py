@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
 from topdowndt.grower import GAIN_TOL, GrowthConfig, _greedy, grow
-from topdowndt.impurity import builtin, from_table
+from topdowndt.impurity import ImpuritySpec, builtin, from_table
 from topdowndt.impurity import evaluate as impurity_evaluate
 from topdowndt.realvalued import (
     MAX_BITS,
@@ -505,6 +505,84 @@ class TestPresortedSampleLeaf:
         leaves = 1 + 2 * len(trace.steps)  # every leaf state ever scored
         coords = 2  # each scores <= points + 1 cuts, with two fn calls a cut
         assert calls <= leaves * (1 + coords * 2 * (len(sample) + 1))
+
+    @pytest.mark.parametrize(
+        "spec", [GINI, builtin("entropy"), builtin("km"), TABLE_GINI], ids=lambda s: s.name
+    )
+    def test_matches_per_leaf_sort_at_scale(self, spec):
+        # large enough for the midpoint scan to skip blocks of cuts; labels
+        # are a teacher's with 20% flipped, x2 repeats x1 (equal gains on two
+        # coordinates) and x3 takes 12 values (ties inside every block)
+        rng = random.Random(f"scale:{spec.name}")
+        teacher = balanced_random_tree(2, 8, seed=3)
+        for count, budget in ((300, 24), (3000, 12)):
+            pts = []
+            for _ in range(count):
+                x1, x3 = rng.random(), rng.randrange(12) / 12
+                label = treemod.evaluate(teacher, (x1, x3)) ^ (rng.random() < 0.2)
+                pts.append(((x1, x1, x3), label))
+            sample = RealSample(tuple(pts))
+            cfg = GrowthConfig(budget=budget, impurity=spec)
+            t, trace = grow_real(sample, cfg)
+            ref_t, ref_trace = _reference_grow_real(sample, cfg, "midpoints")
+            assert trace == ref_trace
+            assert _tree_bytes(t) == _tree_bytes(ref_t)
+            assert len(trace.steps) == budget - 1
+
+
+def _counted(spec):
+    """spec with fn wrapped to count its calls, and the counter."""
+    calls = [0]
+
+    def fn(p):
+        calls[0] += 1
+        return spec.fn(p)
+
+    return dataclasses.replace(spec, fn=fn), calls
+
+
+def _full_scan_calls(t, sample):
+    """spec.fn calls of a midpoint scan that scores every cut: one G(E) per
+    node of t that points reach, and at each node whose points are mixed
+    (a scored leaf) two per cut between distinct values of a coordinate."""
+    reached = {}
+    for x, label in sample.points:
+        node = t.root
+        while True:
+            reached.setdefault(id(node), []).append((x, label))
+            if not isinstance(node, Internal):
+                break
+            node = node.hi if x[node.coord - 1] >= node.theta else node.lo
+    calls = len(reached)
+    for pts in reached.values():
+        if 0 < sum(label for _, label in pts) < len(pts):
+            calls += sum(2 * (len({x[c] for x, _ in pts}) - 1) for c in range(sample.n))
+    return calls
+
+
+class TestPrunedMidpointScan:
+    @pytest.fixture(scope="class")
+    def sample(self):
+        teacher = balanced_random_tree(3, 64, seed=4)
+        return sample_teacher(teacher, ProductDistribution.uniform(3), 4000, seed=4)
+
+    def test_concave_bound_skips_most_cuts(self, sample):
+        spec, calls = _counted(GINI)
+        t, trace = grow_real(sample, GrowthConfig(budget=16, impurity=spec))
+        assert len(trace.steps) == 15
+        assert calls[0] < _full_scan_calls(t, sample) / 4
+
+    def test_nonconcave_spec_scores_every_cut(self, sample):
+        # not concave (G'' > 0 above p = 2/3), so the bound would be unsound
+        lopsided = ImpuritySpec("lopsided", lambda p: 4 * p * (1 - p) ** 2 * 27 / 16, 0.1)
+        assert not lopsided.concave
+        spec, calls = _counted(lopsided)
+        cfg = GrowthConfig(budget=16, impurity=spec)
+        t, trace = grow_real(sample, cfg)
+        assert calls[0] == _full_scan_calls(t, sample)
+        ref_t, ref_trace = _reference_grow_real(sample, cfg, "midpoints")
+        assert trace == ref_trace
+        assert _tree_bytes(t) == _tree_bytes(ref_t)
 
 
 class TestGrowRealRefusals:
