@@ -71,7 +71,7 @@ from .realvalued import (
     grow_real,
     round_thresholds,
 )
-from .tree import PartialTree, label_leaves, random_monotone_tree
+from .tree import random_monotone_tree
 
 
 class ConfigError(ValueError):
@@ -485,17 +485,19 @@ def _run_opt(cfg: ExperimentConfig, out: Path):
 
 
 def _random_binary_tree(n: int, max_leaves: int, rng) -> treemod.DecisionTree:
-    t = PartialTree.empty()
+    frontier = treemod.Frontier()
+    paths = [()]  # the coordinates on each open leaf's path, in preorder
     target = rng.randint(2, max(2, max_leaves))
-    while treemod.size(t) < target:
-        infos = [info for info in treemod.leaves(t) if len(info.path) < n]
-        if not infos:
+    while len(paths) < target:
+        open_ids = [i for i, path in enumerate(paths) if len(path) < n]
+        if not open_ids:
             break
-        info = rng.choice(infos)
-        used = {step.coord for step in info.path}
-        coord = rng.choice([c for c in range(1, n + 1) if c not in used])
-        t = treemod.split(t, info.leaf_id, coord)
-    return label_leaves(t, [rng.randint(0, 1) for _ in range(treemod.size(t))])
+        leaf_id = rng.choice(open_ids)
+        path = paths[leaf_id]
+        coord = rng.choice([c for c in range(1, n + 1) if c not in path])
+        frontier.split(leaf_id, coord)
+        paths[leaf_id : leaf_id + 1] = [path + (coord,)] * 2
+    return frontier.build([rng.randint(0, 1) for _ in paths])
 
 
 def _run_jz_sweep(cfg: ExperimentConfig, out: Path):
@@ -582,7 +584,10 @@ def _hard_checkpoints(final_size: int) -> list[int]:
 def _run_hard(cfg: ExperimentConfig, out: Path):
     if cfg.k % 2 == 0:
         raise ConfigError("k must be odd (majority needs an odd vote count)")
-    h = hardinstance.choose_params(cfg.ell, cfg.k)
+    try:
+        h = hardinstance.choose_params(cfg.ell, cfg.k)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     spec = _impurity_or_none(cfg.impurity)
     report, _, trace = hardinstance.lower_bound_experiment(
         h, spec, cfg.budget, mc_samples=cfg.samples, seed=cfg.seed, threshold=cfg.threshold

@@ -61,6 +61,10 @@ from .grower import GrowthConfig, GrowthTrace, grow
 from .impurity import ImpuritySpec
 from .tree import DecisionTree, Internal, chain_tree
 
+# the largest ell + k choose_params accepts: tribes_params takes O(ell^2)
+# exact Fraction steps, and the run's exact counts have ell + k bits
+MAX_HARD_ARITY = 1024
+
 _HALF_TARGET = Fraction(1, 2)
 _PRIME_TARGET = Fraction(499, 1000)
 C1 = 1.0  # the constant of shape_satisfied's regime condition
@@ -186,6 +190,10 @@ class HardInstance:
 
 def choose_params(ell: int, k: int) -> HardInstance:
     """Pick tribes parameters for ell and pair them with a k-bit majority block."""
+    if ell + k > MAX_HARD_ARITY:
+        raise ValueError(
+            f"instance arity ell + k = {ell + k} exceeds the cap {MAX_HARD_ARITY}"
+        )
     return HardInstance(tribes_params(ell), k)
 
 

@@ -26,11 +26,22 @@ statistical error is separated from algorithmic behavior.  Each
 coordinate's points are sorted once, at the root, and every split hands
 its children their shares of those orders by a stable partition, as
 CART's presorting and SPRINT's attribute lists do; ties within an order
-are irrelevant, because every candidate sits between distinct values.
+are irrelevant, because every candidate sits between distinct keys.
 
-The midpoint scan is exact but pruned by G's concavity.  In a leaf of
-count points, ones of them 1s, a cut putting k points, q of them 1s, on
-the lo side has gain (count G(E) - psi(k, q)) / N, where
+Threshold candidates come from the policy: "midpoints" (midpoints of
+consecutive distinct sample values a < b per coordinate; b itself when
+the rounded midpoint is not in (a, b]) or "grid:w" (multiples of 2^-w,
+the quantile grid when the features are quantiles).  Each point has one
+key per coordinate: its value under midpoints, its grid cell floor(v 2^w)
+clamped to [0, 2^w - 1] under grid:w.  A cut k (k points lo) is a
+candidate where adjacent keys differ; grid:w adds the one-sided cuts
+k = 0 when the lowest cell is above 0 and k = count when the highest is
+below 2^w - 1, each of gain exactly 0.0.  The threshold follows from k:
+the midpoint rule, or (cell of point k-1, plus 1) / 2^w (2^-w at k = 0).
+
+One scan serves both policies; it is exact but pruned by G's concavity.
+In a leaf of count points, ones of them 1s, a cut putting k points, q of
+them 1s, on the lo side has gain (count G(E) - psi(k, q)) / N, where
 psi(k, q) = k G(q/k) + (count-k) G((ones-q)/(count-k)).  psi is concave in
 (k, q) when G is concave, being a sum of two perspectives of G.  For the
 cuts ka <= k <= kb the lo-side counts (k, prefix[k]) lie in the
@@ -44,15 +55,10 @@ so that none of its cuts could pass the GAIN_TOL rule, and scores a block
 of at most BLOCK cuts cut by cut.  The leader chain, every gain float,
 the threshold and the median flag are therefore those of the full scan.
 The bound is used only when ImpuritySpec.concave is set (the builtins);
-any other spec has every cut scored.
-
-Threshold candidates come from the policy: "midpoints" (midpoints of
-consecutive distinct sample values a < b per coordinate; b itself when
-the rounded midpoint is not in (a, b]) or "grid:w" (multiples of 2^-w,
-the quantile grid when the features are quantiles).  Every trace records the
-policy, and every step records whether the chosen threshold is a median
-of the leaf's coordinate distribution.  A split that isolates an empty
-sample set freezes the empty leaf with the parent's majority label.
+any other spec has every cut scored.  Every trace records the policy,
+and every step records whether the chosen threshold is a median of the
+leaf's coordinate distribution.  A split that isolates an empty sample
+set freezes the empty leaf with the parent's majority label.
 """
 
 from __future__ import annotations
@@ -465,42 +471,41 @@ def _split_orders(orders, ids):
 class _SampleLeaf:
     """The sample points reaching one leaf, as grower._greedy's leaf state.
 
-    run is (cols, labels, spec, policy, grid_w), shared by every leaf: one
-    tuple of values per coordinate and one of labels, indexed by point.
-    orders holds, per coordinate, the leaf's point indices in ascending
-    value order.  grow_real sorts them once, for the root; children() splits
-    each parent order by the chosen test, a stable partition, so no leaf
-    sorts again: the chosen coordinate's hi side is the suffix of its order
-    from a bisect at theta, and every order is filtered through a set of the
-    smaller side's ids.  A leaf keeps its orders only while it may still be
-    split.  Ties may sit in any order: every candidate lies on a boundary
-    between distinct values, where the counts below it do not depend on how
-    ties are ordered.  The midpoint scan reads the lo-side 1s of cut k (k
-    points lo) from one prefix-sum array per coordinate, and skips blocks of
-    cuts by the concave bound in the module docstring: blocks are visited in
-    order, a skipped block holds no cut that could become the leader, and so
-    the pick is the full scan's.  The scan's impurity arguments are ratios
-    of counts, in [0,1] by construction, so it calls spec.fn unchecked; G(E)
-    at the leaf goes through impurity.evaluate.  A split that isolates no
-    point leaves an empty leaf: it is frozen, never split, and labeled with
-    its parent's majority.  The run's scale is the sample size N, so err is
-    the leaf's minority count.
+    run is (keys, labels, spec, grid_w), shared by every leaf: grow_real's
+    keys, one tuple per coordinate, and the labels, indexed by point;
+    grid_w is None under midpoints.  orders holds, per coordinate, the
+    leaf's point indices in ascending key order.  grow_real sorts them once,
+    for the root, and children() splits each parent order by the chosen
+    cut, a stable partition, so no leaf sorts again.  A leaf keeps its
+    orders only while it may still be split.
+
+    The scan of the module docstring records the split as (best_coord,
+    best_k); it reads the lo-side 1s of cut k from one prefix-sum array per
+    coordinate.  children() is the one place the threshold is read: it
+    derives best_theta and best_median from k, splits the chosen order at
+    index k, and filters every order through a set of the smaller side's
+    ids.  The scan's impurity arguments are ratios of counts, in [0,1] by
+    construction, so it calls spec.fn unchecked; G(E) at the leaf goes
+    through impurity.evaluate.  A split that isolates no point leaves an
+    empty leaf: it is frozen, never split, and labeled with its parent's
+    majority.  The run's scale is the sample size N, so err is the leaf's
+    minority count.
     """
 
     u_term = None
     inf_split = None
+    best_theta = None
+    best_median = None
 
     def __init__(self, run, orders, count, ones, parent_label=None):
-        cols, labels, spec, policy, grid_w = run
+        keys, labels, spec, grid_w = run
         total = len(labels)
         self.run = run
         self.orders = None
         self.count = count
         self.ones = ones
         self.score = self.best_gain = -math.inf
-        self.best_coord = None
-        self.best_theta = None
-        self.best_median = None
+        self.best_coord = self.best_k = None
         if count == 0:
             self.label = parent_label
             self.err = 0
@@ -519,75 +524,51 @@ class _SampleLeaf:
         count_g = count * g_here
         best = -math.inf
         concave = spec.concave
-        for coord, (col, order) in enumerate(zip(cols, orders), start=1):
+        top = None if grid_w is None else (1 << grid_w) - 1
+        for coord, (key, order) in enumerate(zip(keys, orders), start=1):
+            if top is not None and key[order[0]] > 0 and 0.0 > best + GAIN_TOL:
+                best, self.best_coord, self.best_k = 0.0, coord, 0
             prefix = array("q", itertools.accumulate(map(labels.__getitem__, order), initial=0))
-            if policy == "midpoints":
-                blocks = [(1, count - 1)]  # cut k puts order[:k] lo; popped in order
-                while blocks:
-                    ka, kb = blocks.pop()
-                    if concave and best > -math.inf:
-                        # skip when every vertex has gain <= best - SLACK
-                        floor = count_g - (best - SLACK) * total
-                        qa, qb = prefix[ka], prefix[kb]
-                        u = qb - qa
-                        if (
-                            _psi(fn, count, ones, ka + u, qb) >= floor
-                            and _psi(fn, count, ones, kb - u, qa) >= floor
-                            # a block of one label has only those two vertices
-                            and (
-                                u in (0, kb - ka)
-                                or _psi(fn, count, ones, ka, qa) >= floor
-                                and _psi(fn, count, ones, kb, qb) >= floor
-                            )
-                        ):
-                            continue
-                    if kb - ka >= BLOCK:
-                        mid = (ka + kb) // 2
-                        blocks += ((mid + 1, kb), (ka, mid))
+            blocks = [(1, count - 1)]  # cut k puts order[:k] lo; popped in order
+            while blocks:
+                ka, kb = blocks.pop()
+                if concave and best > -math.inf:
+                    # skip when every vertex has gain <= best - SLACK
+                    floor = count_g - (best - SLACK) * total
+                    qa, qb = prefix[ka], prefix[kb]
+                    u = qb - qa
+                    if (
+                        _psi(fn, count, ones, ka + u, qb) >= floor
+                        and _psi(fn, count, ones, kb - u, qa) >= floor
+                        # a block of one label has only those two vertices
+                        and (
+                            u in (0, kb - ka)
+                            or _psi(fn, count, ones, ka, qa) >= floor
+                            and _psi(fn, count, ones, kb, qb) >= floor
+                        )
+                    ):
                         continue
-                    prev = col[order[ka - 1]]
-                    for lo_n in range(ka, kb + 1):
-                        v = col[order[lo_n]]
-                        if v != prev:
-                            lo_ones = prefix[lo_n]
-                            hi_n = count - lo_n
-                            gain = (
-                                count_g
-                                - lo_n * fn(lo_ones / lo_n)
-                                - hi_n * fn((ones - lo_ones) / hi_n)
-                            ) / total
-                            if gain > best + GAIN_TOL:
-                                self.score = self.best_gain = best = gain
-                                self.best_coord = coord
-                                theta = prev / 2 + v / 2  # cannot overflow
-                                # a midpoint that rounds onto prev would send prev's points hi
-                                self.best_theta = theta if prev < theta <= v else v
-                                self.best_median = 2 * lo_n <= count and 2 * hi_n <= count
-                        prev = v
-                continue
-            values = [col[i] for i in order]
-            # the gain depends on c only through lo_n, and an equal gain never
-            # displaces the leader, so only the first c of each lo_n counts:
-            # c = 1, or the first c with c / 2^w > v for a value v in [0, 1)
-            firsts = {math.floor(math.ldexp(v, grid_w)) + 1 for v in values if 0 <= v < 1}
-            for c in sorted(firsts | {1}):
-                if c >= 1 << grid_w:
-                    break
-                theta = c / (1 << grid_w)
-                lo_n = bisect.bisect_left(values, theta)
-                hi_n = count - lo_n
-                lo_ones = prefix[lo_n]
-                total_g = count_g
-                if lo_n:
-                    total_g -= lo_n * fn(lo_ones / lo_n)
-                if hi_n:
-                    total_g -= hi_n * fn((ones - lo_ones) / hi_n)
-                gain = total_g / total
-                if gain > best + GAIN_TOL:
-                    self.score = self.best_gain = best = gain
-                    self.best_coord = coord
-                    self.best_theta = theta
-                    self.best_median = 2 * lo_n <= count and 2 * hi_n <= count
+                if kb - ka >= BLOCK:
+                    mid = (ka + kb) // 2
+                    blocks += ((mid + 1, kb), (ka, mid))
+                    continue
+                prev = key[order[ka - 1]]
+                for lo_n in range(ka, kb + 1):
+                    v = key[order[lo_n]]
+                    if v != prev:
+                        lo_ones = prefix[lo_n]
+                        hi_n = count - lo_n
+                        gain = (
+                            count_g
+                            - lo_n * fn(lo_ones / lo_n)
+                            - hi_n * fn((ones - lo_ones) / hi_n)
+                        ) / total
+                        if gain > best + GAIN_TOL:
+                            best, self.best_coord, self.best_k = gain, coord, lo_n
+                    prev = v
+            if top is not None and key[order[-1]] < top and 0.0 > best + GAIN_TOL:
+                best, self.best_coord, self.best_k = 0.0, coord, count
+        self.score = self.best_gain = best
 
     @property
     def scale(self) -> int:
@@ -598,18 +579,26 @@ class _SampleLeaf:
         return Fraction(self.ones, self.count) if self.count else None
 
     def children(self) -> tuple["_SampleLeaf", "_SampleLeaf"]:
-        cols, labels = self.run[0], self.run[1]
-        col = cols[self.best_coord - 1]
-        chosen = self.orders[self.best_coord - 1]  # sorted, so its hi side is a suffix
-        cut = bisect.bisect_left(chosen, self.best_theta, key=col.__getitem__)
-        if 2 * cut < self.count:  # the membership set holds the smaller side
-            lo_orders, hi_orders = _split_orders(self.orders, chosen[:cut])
+        keys, labels, _, grid_w = self.run
+        key = keys[self.best_coord - 1]
+        chosen = self.orders[self.best_coord - 1]  # sorted, so cut k splits it at index k
+        k, count = self.best_k, self.count
+        if grid_w is not None:  # the first grid point above cell key[chosen[k - 1]]
+            self.best_theta = (key[chosen[k - 1]] + 1 if k else 1) / (1 << grid_w)
         else:
-            hi_orders, lo_orders = _split_orders(self.orders, chosen[cut:])
+            a, b = key[chosen[k - 1]], key[chosen[k]]
+            theta = a / 2 + b / 2  # cannot overflow
+            # a midpoint that rounds onto a would send a's points hi
+            self.best_theta = theta if a < theta <= b else b
+        self.best_median = 2 * k <= count and 2 * (count - k) <= count
+        if 2 * k < count:  # the membership set holds the smaller side
+            lo_orders, hi_orders = _split_orders(self.orders, chosen[:k])
+        else:
+            hi_orders, lo_orders = _split_orders(self.orders, chosen[k:])
         self.orders = chosen = None
         hi_ones = sum(map(labels.__getitem__, hi_orders[0]))
         hi = _SampleLeaf(self.run, hi_orders, len(hi_orders[0]), hi_ones, self.label)
-        lo = _SampleLeaf(self.run, lo_orders, self.count - hi.count, self.ones - hi_ones, self.label)
+        lo = _SampleLeaf(self.run, lo_orders, count - hi.count, self.ones - hi_ones, self.label)
         return hi, lo
 
 
@@ -625,10 +614,16 @@ def grow_real(source: RealSample, cfg: GrowthConfig, policy: str = "midpoints"):
     if not isinstance(source, RealSample):
         raise TypeError(f"source must be a RealSample, got {type(source).__name__}")
     cols = tuple(zip(*(x for x, _ in source.points)))
+    if grid_w is None:
+        keys = cols
+    else:  # each value's grid cell, clamped to [0, 2^w - 1]
+        top = (1 << grid_w) - 1
+        keys = tuple(
+            tuple(0 if v < 0 else top if v >= 1 else math.floor(math.ldexp(v, grid_w)) for v in col)
+            for col in cols
+        )
     labels = tuple(label for _, label in source.points)
     base = list(range(len(labels)))  # one set of index ints, shared by every order
-    orders = tuple(sorted(base, key=col.__getitem__) for col in cols)
-    run = (cols, labels, spec, kind, grid_w)
-    root = _SampleLeaf(run, orders, len(labels), sum(labels))
-    policy_name = "midpoints" if kind == "midpoints" else f"grid:{grid_w}"
-    return _greedy(root, cfg, "real-empirical", policy_name)
+    orders = tuple(sorted(base, key=key.__getitem__) for key in keys)
+    root = _SampleLeaf((keys, labels, spec, grid_w), orders, len(labels), sum(labels))
+    return _greedy(root, cfg, "real-empirical", "midpoints" if kind == "midpoints" else f"grid:{grid_w}")

@@ -237,10 +237,14 @@ class TestExitContract:
             ["agnostic-sweep", "--arity", "4", "--trials", "1", "--sizes", ","],
             ["agnostic-sweep", "--arity", "4", "--trials", "1", "--impurities", ","],
             ["realizable", "--arity", "4", "--trials", "1", "--impurities", ","],
+            ["hard", "--l", "20000", "--k", "3", "--budget", "4", "--samples", "10"],
+            ["hard", "--l", "60000", "--k", "3"],
+            ["hard", "--l", "8", "--k", "20001", "--budget", "4"],
         ],
         ids=["thresholds-bogus", "thresholds-grid-x", "thresholds-grid-99",
              "monitor-size-1", "sizes-1-2", "sizes-0", "sizes-empty",
-             "agnostic-impurities-empty", "realizable-impurities-empty"],
+             "agnostic-impurities-empty", "realizable-impurities-empty",
+             "hard-wide-ell", "hard-wider-ell", "hard-wide-k"],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, argv):
         data = tmp_path / "data.csv"

@@ -11,6 +11,7 @@ from topdowndt import tree as treemod
 from topdowndt.boolfn import Restriction, SubcubeView, is_monotone, point_of
 from topdowndt.grower import GrowthConfig, TableCursor, grow
 from topdowndt.hardinstance import (
+    MAX_HARD_ARITY,
     HardInstance,
     choose_params,
     evaluate,
@@ -107,6 +108,15 @@ class TestInstanceBasics:
             choose_params(8, 4)  # even k
         with pytest.raises(ValueError):
             choose_params(8, -1)
+
+    def test_arity_cap_checked_before_tribes_params(self, monkeypatch):
+        assert choose_params(8, MAX_HARD_ARITY - 9).arity == MAX_HARD_ARITY - 1
+        monkeypatch.setattr(
+            "topdowndt.hardinstance.tribes_params",
+            lambda ell: pytest.fail("tribes_params ran before the arity check"),
+        )
+        with pytest.raises(ValueError, match=f"{MAX_HARD_ARITY + 1} exceeds the cap {MAX_HARD_ARITY}"):
+            choose_params(8, MAX_HARD_ARITY - 7)
 
     def test_shape_condition(self):
         assert choose_params(8, 3).shape_satisfied

@@ -541,10 +541,13 @@ def _counted(spec):
     return dataclasses.replace(spec, fn=fn), calls
 
 
-def _full_scan_calls(t, sample):
-    """spec.fn calls of a midpoint scan that scores every cut: one G(E) per
-    node of t that points reach, and at each node whose points are mixed
-    (a scored leaf) two per cut between distinct values of a coordinate."""
+def _full_scan_calls(t, sample, policy="midpoints"):
+    """spec.fn calls of a scan that scores every cut: one G(E) per node of t
+    that points reach, and at each node whose points are mixed (a scored
+    leaf) two per cut between distinct keys of a coordinate (values, or
+    grid cells under grid:w)."""
+    kind, w = parse_policy(policy)
+    key = (lambda v: v) if kind == "midpoints" else (lambda v: min((1 << w) - 1, math.floor(v * (1 << w))))
     reached = {}
     for x, label in sample.points:
         node = t.root
@@ -556,16 +559,21 @@ def _full_scan_calls(t, sample):
     calls = len(reached)
     for pts in reached.values():
         if 0 < sum(label for _, label in pts) < len(pts):
-            calls += sum(2 * (len({x[c] for x, _ in pts}) - 1) for c in range(sample.n))
+            calls += sum(2 * (len({key(x[c]) for x, _ in pts}) - 1) for c in range(sample.n))
     return calls
 
 
-class TestPrunedMidpointScan:
-    @pytest.fixture(scope="class")
-    def sample(self):
-        teacher = balanced_random_tree(3, 64, seed=4)
-        return sample_teacher(teacher, ProductDistribution.uniform(3), 4000, seed=4)
+# not concave (G'' > 0 above p = 2/3), so the bound would be unsound
+LOPSIDED = ImpuritySpec("lopsided", lambda p: 4 * p * (1 - p) ** 2 * 27 / 16, 0.1)
 
+
+@pytest.fixture(scope="module")
+def sample():
+    teacher = balanced_random_tree(3, 64, seed=4)
+    return sample_teacher(teacher, ProductDistribution.uniform(3), 4000, seed=4)
+
+
+class TestPrunedMidpointScan:
     def test_concave_bound_skips_most_cuts(self, sample):
         spec, calls = _counted(GINI)
         t, trace = grow_real(sample, GrowthConfig(budget=16, impurity=spec))
@@ -573,14 +581,42 @@ class TestPrunedMidpointScan:
         assert calls[0] < _full_scan_calls(t, sample) / 4
 
     def test_nonconcave_spec_scores_every_cut(self, sample):
-        # not concave (G'' > 0 above p = 2/3), so the bound would be unsound
-        lopsided = ImpuritySpec("lopsided", lambda p: 4 * p * (1 - p) ** 2 * 27 / 16, 0.1)
-        assert not lopsided.concave
-        spec, calls = _counted(lopsided)
+        assert not LOPSIDED.concave
+        spec, calls = _counted(LOPSIDED)
         cfg = GrowthConfig(budget=16, impurity=spec)
         t, trace = grow_real(sample, cfg)
         assert calls[0] == _full_scan_calls(t, sample)
         ref_t, ref_trace = _reference_grow_real(sample, cfg, "midpoints")
+        assert trace == ref_trace
+        assert _tree_bytes(t) == _tree_bytes(ref_t)
+
+
+class TestPrunedGridScan:
+    def test_bound_and_gate_as_under_midpoints(self, sample):
+        # grid:16 keeps nearly every value in a cell of its own
+        spec, calls = _counted(GINI)
+        t, trace = grow_real(sample, GrowthConfig(budget=16, impurity=spec), "grid:16")
+        assert len(trace.steps) == 15
+        assert calls[0] < _full_scan_calls(t, sample, "grid:16") / 4
+        # grid:8 leaves many points per cell, so the cuts are between cells
+        spec, calls = _counted(LOPSIDED)
+        cfg = GrowthConfig(budget=16, impurity=spec)
+        t, trace = grow_real(sample, cfg, "grid:8")
+        assert calls[0] == _full_scan_calls(t, sample, "grid:8")
+        ref_t, ref_trace = _reference_grow_real(sample, cfg, "grid:8")
+        assert trace == ref_trace
+        assert _tree_bytes(t) == _tree_bytes(ref_t)
+
+    def test_trailing_one_sided_cut(self):
+        # cells 0, 2, 2 of grid:2: the cut between them (theta 0.25) loses
+        # under LOPSIDED, so the leader is the cut past the highest cell,
+        # theta 0.75, which puts every point lo at gain exactly 0.0
+        sample = RealSample((((0.1,), 1), ((0.6,), 1), ((0.6,), 0)))
+        cfg = GrowthConfig(budget=2, impurity=LOPSIDED)
+        t, trace = grow_real(sample, cfg, "grid:2")
+        (step,) = trace.steps
+        assert (step.coord, step.theta, step.gain) == (1, 0.75, 0.0)
+        ref_t, ref_trace = _reference_grow_real(sample, cfg, "grid:2")
         assert trace == ref_trace
         assert _tree_bytes(t) == _tree_bytes(ref_t)
 
