@@ -11,9 +11,9 @@ exact dyadic rationals and are returned as Fraction values whose
 denominators are powers of two.
 
 The heavy lifting happens on SubcubeView, a compacted truth table over the
-free coordinates of a restriction.  Cofactoring is done with delta-swap bit
-permutations so that extracting one coordinate costs O(1) big-int
-operations regardless of which coordinate is extracted.
+free coordinates of a restriction.  A cofactor swaps the coordinate's index
+bit with the top index bit over one cached coordinate mask and takes the two
+halves, so extracting any coordinate costs O(1) big-int operations.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ NEITHER = "neither"
 # ---------------------------------------------------------------------------
 
 _MASK_CACHE: dict[tuple[int, int], int] = {}
-_SWAP_MASK_CACHE: dict[tuple[int, int, int], int] = {}
 
 
 def _full_mask(nbits_log: int) -> int:
@@ -59,34 +58,6 @@ def _mask_set(f: int, a: int) -> int:
             period <<= 1
         _MASK_CACHE[key] = m
     return m
-
-
-def _swap_mask(f: int, a: int, b: int) -> int:
-    """Mask of positions with bit a set and bit b clear (a != b)."""
-    key = (f, a, b)
-    m = _SWAP_MASK_CACHE.get(key)
-    if m is None:
-        m = _mask_set(f, a) & ~_mask_set(f, b) & _full_mask(f)
-        _SWAP_MASK_CACHE[key] = m
-    return m
-
-
-def _swap_positions(table: int, f: int, a: int, b: int) -> int:
-    """Exchange the roles of index bits a and b in a 2^f-bit table."""
-    if a == b:
-        return table
-    if a > b:
-        a, b = b, a
-    d = (1 << b) - (1 << a)
-    m = _swap_mask(f, a, b)
-    u = (table ^ (table >> d)) & m
-    return table ^ u ^ (u << d)
-
-
-def _extract_top(table: int, f: int) -> tuple[int, int]:
-    """Split a 2^f-bit table on its top index bit: (hi half, lo half)."""
-    half = 1 << (f - 1)
-    return table >> half, table & ((1 << half) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +176,8 @@ class SubcubeView:
     """Truth table of a restricted function, over its free coordinates only.
 
     `free[j]` is the global coordinate occupying local index bit j.  The
-    local order is an implementation detail that callers must not rely on;
-    it gets scrambled by extraction.
+    local order is an implementation detail that callers must not rely on:
+    a split moves the top coordinate into the split coordinate's slot.
     """
 
     table: int
@@ -235,51 +206,61 @@ class SubcubeView:
     def is_constant(self) -> bool:
         return self.ones == 0 or self.ones == self.size
 
-    def _halves(self, coord: int) -> tuple[int, int]:
-        f = len(self.free)
-        if f == 0:
+    def _local(self, coord: int) -> int:
+        """Local index bit of a free coordinate."""
+        if not self.free:
             raise ValueError("cannot split a fully restricted function")
-        j = self.free.index(coord)
-        t = _swap_positions(self.table, f, j, f - 1)
-        return _extract_top(t, f)
+        try:
+            return self.free.index(coord)
+        except ValueError:
+            raise ValueError(f"coordinate {coord} is not free in this view") from None
+
+    def _halves(self, j: int) -> tuple[int, int]:
+        """The table split on local bit j: (hi half, lo half).  Bit j first
+        trades places with the top bit, so in both halves the top
+        coordinate occupies slot j."""
+        top = len(self.free) - 1
+        half = 1 << top
+        t = self.table
+        if j < top:  # delta swap over the positions with bit j set, top bit clear
+            d = half - (1 << j)
+            u = (t ^ (t >> d)) & _mask_set(top, j)
+            t ^= u ^ (u << d)
+        return t >> half, t & ((1 << half) - 1)
 
     def split(self, coord: int) -> tuple["SubcubeView", "SubcubeView"]:
         """Views of the two subfunctions with coord fixed to +1 / -1."""
-        f = len(self.free)
-        j = self.free.index(coord)
-        hi, lo = self._halves(coord)
-        if j == f - 1:
-            new_free = self.free[: f - 1]
-        else:
-            new_free = self.free[:j] + (self.free[f - 1],) + self.free[j + 1 : f - 1]
+        j = self._local(coord)
+        hi, lo = self._halves(j)
+        new_free = (self.free[:j] + self.free[-1:] + self.free[j + 1 :])[:-1]
         return (
             SubcubeView(hi, new_free, hi.bit_count()),
             SubcubeView(lo, new_free, lo.bit_count()),
         )
 
     def child_ones(self, coord: int) -> tuple[int, int]:
-        hi, lo = self._halves(coord)
+        hi, lo = self._halves(self._local(coord))
         return hi.bit_count(), lo.bit_count()
 
     def coord_counts(self) -> tuple[int, ...]:
         """(hi ones, lo ones, influence numerator) of each free coordinate,
         flattened in local order, from one pair of halves each."""
         counts = []
-        for coord in self.free:
-            hi, lo = self._halves(coord)
+        for j in range(len(self.free)):
+            hi, lo = self._halves(j)
             counts += (hi.bit_count(), lo.bit_count(), (hi ^ lo).bit_count())
         return tuple(counts)
 
     def influence_numerator(self, coord: int) -> int:
         """popcount(f_hi XOR f_lo); influence = this / 2^(free-1)."""
-        hi, lo = self._halves(coord)
+        hi, lo = self._halves(self._local(coord))
         return (hi ^ lo).bit_count()
 
     def influence(self, coord: int) -> Fraction:
         return Fraction(self.influence_numerator(coord), self.size >> 1)
 
     def correlation(self, coord: int) -> Fraction:
-        hi, lo = self._halves(coord)
+        hi, lo = self._halves(self._local(coord))
         return Fraction(hi.bit_count() - lo.bit_count(), self.size)
 
     def total_influence(self) -> Fraction:
@@ -319,24 +300,24 @@ def bias(f: BoolFunc, r: Restriction | None = None) -> Fraction:
     return _view(f, r).bias()
 
 
-def influence(f: BoolFunc, r: Restriction | None, i: int) -> Fraction:
-    """Pr[f_r(x) != f_r(x with coordinate i flipped)], x uniform."""
+def _free_view(f: BoolFunc, r: Restriction | None, i: int) -> SubcubeView:
+    """The view of f_r, checked to leave coordinate i free."""
     view = _view(f, r)
     if i not in view.free:
         if not 1 <= i <= f.n:
             raise ValueError(f"coordinate {i} out of range")
         raise ValueError(f"coordinate {i} is fixed by the restriction")
-    return view.influence(i)
+    return view
+
+
+def influence(f: BoolFunc, r: Restriction | None, i: int) -> Fraction:
+    """Pr[f_r(x) != f_r(x with coordinate i flipped)], x uniform."""
+    return _free_view(f, r, i).influence(i)
 
 
 def correlation(f: BoolFunc, r: Restriction | None, i: int) -> Fraction:
     """E[f_r(x) * x_i], signed."""
-    view = _view(f, r)
-    if i not in view.free:
-        if not 1 <= i <= f.n:
-            raise ValueError(f"coordinate {i} out of range")
-        raise ValueError(f"coordinate {i} is fixed by the restriction")
-    return view.correlation(i)
+    return _free_view(f, r, i).correlation(i)
 
 
 def total_influence(f: BoolFunc, r: Restriction | None = None) -> Fraction:

@@ -589,48 +589,50 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
     except ValueError as e:
         raise ConfigError(str(e)) from None
     spec = _impurity_or_none(cfg.impurity)
-    report, _, trace = hardinstance.lower_bound_experiment(
-        h, spec, cfg.budget, mc_samples=cfg.samples, seed=cfg.seed, threshold=cfg.threshold
+    _, trace, (mc_estimate, mc_halfwidth, xi_fraction) = hardinstance.lower_bound_experiment(
+        h, spec, cfg.budget, mc_samples=cfg.samples, seed=cfg.seed
     )
+    cutoff = hardinstance.xi_cutoff(h.k)
+    final_distance = trace.final_distance()
 
     # one evaluation sample, its truths computed once, shared by every checkpoint
-    points = hardinstance.random_points(h, cfg.samples, derived_rng(cfg.seed, "hard", "curve"))
-    labeled = [(x, hardinstance._label(h.params, x)) for x in points]
+    labeled = list(
+        hardinstance.labeled_points(h, cfg.samples, derived_rng(cfg.seed, "hard", "curve"))
+    )
     rows = [
-        (size, *hardinstance.mc_check(h, tree_at(trace, size), labeled, report.xi_cutoff))
-        for size in _hard_checkpoints(report.final_size)
+        (size, *hardinstance.mc_check(h, tree_at(trace, size), labeled, cutoff))
+        for size in _hard_checkpoints(trace.final_size)
     ]
     _write_csv(out / "rows.csv", ("size", "error_estimate", "error_ci", "xi_fraction"), rows)
     curve = _distance_curve(trace)
     _write_csv(out / "exact_curve.csv", ("size", "distance"), curve)
 
     summary = {
-        "ell": report.ell,
-        "k": report.k,
-        "w": report.w,
-        "m": report.m,
-        "m_prime": report.m_prime,
+        "ell": h.params.ell,
+        "k": h.k,
+        "w": h.params.w,
+        "m": h.params.m,
+        "m_prime": h.params.m_prime,
         "p_full": _dyadic(h.params.p_full),
         "p_prime": _dyadic(h.params.p_prime),
         "p_rest": _dyadic(h.params.p_rest),
         "expectation": _dyadic(h.expectation),
         "rule": cfg.impurity,
-        "budget": report.budget,
-        "final_size": report.final_size,
-        "final_distance": _dyadic(report.final_distance),
-        "terms_distance": _dyadic(report.terms_distance),
-        "mc_estimate": report.mc_estimate,
-        "mc_halfwidth": report.mc_halfwidth,
-        "threshold": report.threshold,
-        "exact_above_threshold": report.exact_above_threshold,
-        "xi_cutoff": report.xi_cutoff,
-        "xi_fraction": report.xi_fraction,
-        "stop_reason": report.stop_reason,
+        "budget": cfg.budget,
+        "final_size": trace.final_size,
+        "final_distance": _dyadic(final_distance),
+        "terms_distance": _dyadic(h.distance_to_terms),
+        "mc_estimate": mc_estimate,
+        "mc_halfwidth": mc_halfwidth,
+        "threshold": cfg.threshold,
+        "exact_above_threshold": float(final_distance) > cfg.threshold,
+        "xi_cutoff": cutoff,
+        "xi_fraction": xi_fraction,
+        "stop_reason": trace.stop_reason,
     }
     checks = {
         "curve-nonincreasing": _nonincreasing(curve),
-        "mc-within-ci": abs(report.mc_estimate - float(report.final_distance))
-        <= 4 * report.mc_halfwidth,
+        "mc-within-ci": abs(mc_estimate - float(final_distance)) <= 4 * mc_halfwidth,
     }
     plot = _plot(out, "error_vs_size.csv", ("size", "error_estimate", "ci"), [r[:3] for r in rows])
     return summary, checks, ["rows.csv", "exact_curve.csv", plot]

@@ -27,14 +27,8 @@ leaves (bias 0) are never split; they lose every argmax, and once nothing
 splittable remains the loop halts regardless of the remaining budget.
 With stop_on_zero_gain unset (the default) zero-gain splits of impure
 leaves do happen, in tie-break order, until the leaf budget is spent.
-
-That leader rule is unchanged; the loop finds its pick from an index.
-Beside the preorder list of open leaves it keeps each leaf's key (its
-score if it is active and above -inf, else -inf) and a sorted copy of the
-keys.  Let M be the top key and r the largest key below it.  When
-r + tol < M (the scan's own float comparison), the leader is the first
-leaf in preorder with key M; otherwise, for that step only, it scans the
-leaves in preorder.  The influence rule's tol is 0, so it never scans.
+The loop finds the leader from a sorted index of the leaves' scores (see
+_greedy).
 
 grow() runs on any function exposing the cursor interface below;
 boolfn truth tables and the structured hard instances both do.  A

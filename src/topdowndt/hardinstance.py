@@ -41,12 +41,12 @@ p_rest = Pr[T and not T'], and dist(f, T) = p_rest / 2 exactly.  That
 share is small when m is large: at ell = 8 (m = 4, m' = 2) p_rest is
 0.246, but at ell = 44 (m = 11, m' = 10) it is 0.033.
 
-lower_bound_experiment() grows a budgeted tree on an instance, tracks the
-exact error curve, Monte-Carlo checks it, and measures how often the
-grown tree queries an x coordinate before its path has seen many y's.
-mc_check() is that Monte-Carlo loop, over any stream of (x, f(x)) pairs,
-walking the tree itself once per point; the hard CLI runs it again at
-checkpoint sizes on one shared sample.
+lower_bound_experiment() grows a budgeted tree on an instance, Monte-Carlo
+checks the final tree, and measures how often it queries an x coordinate
+before its path has seen many y's; the trace carries the exact error
+curve.  mc_check() is that Monte-Carlo loop, over any stream of (x, f(x))
+pairs such as labeled_points(), walking the tree itself once per point;
+the hard CLI runs it again at checkpoint sizes on one shared sample.
 """
 
 from __future__ import annotations
@@ -453,35 +453,6 @@ def terms_tree_size(params: TribesParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    ell: int
-    w: int
-    m: int
-    m_prime: int
-    k: int
-    budget: int
-    impurity: str | None
-    threshold: float
-    stop_reason: str
-    final_size: int
-    final_distance: Fraction  # exact completion distance at the end of growth
-    terms_distance: Fraction  # dist(f, T): what a terms-only tree achieves
-    mc_estimate: float
-    mc_halfwidth: float  # 99% confidence, distribution-free
-    xi_cutoff: int
-    xi_fraction: float  # paths querying an x before xi_cutoff many y's
-    error_curve: tuple  # exact distance at sizes 1..final_size
-
-    @property
-    def exact_above_threshold(self) -> bool:
-        return float(self.final_distance) > self.threshold
-
-    @property
-    def mc_above_threshold(self) -> bool:
-        return self.mc_estimate - self.mc_halfwidth > self.threshold
-
-
 def xi_cutoff(k: int, c3: float = 0.5) -> int:
     """How many y queries a path may see before an x query counts as early."""
     if k < 2:
@@ -522,10 +493,11 @@ def mc_check(h: HardInstance, t: DecisionTree, labeled, cutoff: int) -> tuple[fl
     return errors / count, halfwidth, early_x / count
 
 
-def random_points(h: HardInstance, count: int, rng):
-    """count uniform points of {-1, +1}^arity, drawn lazily from rng."""
+def labeled_points(h: HardInstance, count: int, rng):
+    """count uniform points x of {-1, +1}^arity as (x, f(x)), drawn lazily from rng."""
     for _ in range(count):
-        yield [1 if rng.random() < 0.5 else -1 for _ in range(h.arity)]
+        x = [1 if rng.random() < 0.5 else -1 for _ in range(h.arity)]
+        yield x, _label(h.params, x)
 
 
 def lower_bound_experiment(
@@ -534,34 +506,14 @@ def lower_bound_experiment(
     budget: int,
     mc_samples: int = 20000,
     seed: int = 0,
-    threshold: float = 0.4,
-) -> tuple[ExperimentReport, DecisionTree, GrowthTrace]:
-    """Grow on the instance, then measure how far the result stays from f."""
+) -> tuple[DecisionTree, GrowthTrace, tuple[float, float, float]]:
+    """Grow on the instance, then measure how far the result stays from f.
+
+    Returns the tree, its trace and mc_check()'s (error estimate, 99%
+    half-width, xi fraction) for the tree at xi_cutoff(k).
+    """
     if mc_samples < 1:
         raise ValueError(f"the Monte-Carlo check needs at least one sample, got {mc_samples}")
     dtree, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
-    cutoff = xi_cutoff(h.k)
-    points = random_points(h, mc_samples, derived_rng(seed, "hard", "mc"))
-    mc_error, halfwidth, xi_fraction = mc_check(
-        h, dtree, ((x, _label(h.params, x)) for x in points), cutoff
-    )
-    report = ExperimentReport(
-        ell=h.params.ell,
-        w=h.params.w,
-        m=h.params.m,
-        m_prime=h.params.m_prime,
-        k=h.k,
-        budget=budget,
-        impurity=spec.name if spec else None,
-        threshold=threshold,
-        stop_reason=trace.stop_reason,
-        final_size=trace.final_size,
-        final_distance=trace.final_distance(),
-        terms_distance=h.distance_to_terms,
-        mc_estimate=mc_error,
-        mc_halfwidth=halfwidth,
-        xi_cutoff=cutoff,
-        xi_fraction=xi_fraction,
-        error_curve=tuple(trace.distances()),
-    )
-    return report, dtree, trace
+    points = labeled_points(h, mc_samples, derived_rng(seed, "hard", "mc"))
+    return dtree, trace, mc_check(h, dtree, points, xi_cutoff(h.k))

@@ -315,30 +315,30 @@ def test_criterion_08_lower_bound_separation():
 
     results = {}
     for name in BUILTIN_NAMES:
-        report, _, _ = hi.lower_bound_experiment(
-            h, builtin(name), budget=budget, mc_samples=20_000, seed=11, threshold=float(floor)
+        _, trace, (mc_estimate, mc_halfwidth, xi_fraction) = hi.lower_bound_experiment(
+            h, builtin(name), budget=budget, mc_samples=20_000, seed=11
         )
-        results[name] = report
-        assert abs(report.mc_estimate - float(report.final_distance)) <= 4 * report.mc_halfwidth
-        assert report.terms_distance == h.distance_to_terms
-        assert report.xi_fraction == 0.0, f"{name}: {report.xi_fraction:.4f} of paths query an x early"
+        exact = trace.final_distance()
+        results[name] = exact, mc_estimate, mc_halfwidth
+        assert abs(mc_estimate - float(exact)) <= 4 * mc_halfwidth
+        assert xi_fraction == 0.0, f"{name}: {xi_fraction:.4f} of paths query an x early"
     elapsed = time.time() - t0
     assert elapsed < 600
     lines = ", ".join(
-        f"{name}: {rep.mc_estimate:.4f}+-{rep.mc_halfwidth:.4f} (exact {float(rep.final_distance):.4f})"
-        for name, rep in results.items()
+        f"{name}: {est:.4f}+-{hw:.4f} (exact {float(exact):.4f})"
+        for name, (exact, est, hw) in results.items()
     )
     print(
         f"criterion 8: ell={ell}, m'={m_prime}, k={k}, budget-{budget} error estimates {lines}, "
         f"T' ({treemod.size(t_prime)} leaves) at {float(ref):.4f}, floor {float(floor):.4f}, {elapsed:.0f}s"
     )
-    for name, rep in results.items():
-        assert rep.final_distance > floor, (
-            f"{name}: exact error {float(rep.final_distance):.4f} is not above "
+    for name, (exact, est, hw) in results.items():
+        assert exact > floor, (
+            f"{name}: exact error {float(exact):.4f} is not above "
             f"dist(f, T') + eps = {float(floor):.4f}"
         )
-        assert rep.mc_above_threshold, (
-            f"{name}: estimate {rep.mc_estimate:.4f}+-{rep.mc_halfwidth:.4f} is not above "
+        assert est - hw > float(floor), (
+            f"{name}: estimate {est:.4f}+-{hw:.4f} is not above "
             f"dist(f, T') + eps = {float(floor):.4f} at 99% confidence"
         )
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,8 @@ from topdowndt.boolfn import (
     to_spec,
     total_influence,
 )
+from topdowndt.grower import GrowthConfig, grow
+from topdowndt.impurity import builtin
 
 
 def brute_expectation(f: BoolFunc, fixed: dict[int, int]) -> Fraction:
@@ -196,6 +199,46 @@ class TestSubcubeView:
             want += (*view.child_ones(c), view.influence_numerator(c))
         assert view.coord_counts() == tuple(want)
 
+    @given(data=st.data())
+    def test_split_chain_keeps_every_bit_in_place(self, data):
+        # bit p of a view's table is f at the point whose free[q] is +1 iff bit q of p is set
+        n = data.draw(st.integers(1, 8))
+        f = BoolFunc(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+        view, fixed = SubcubeView.of_function(f), {}
+        for _ in range(data.draw(st.integers(0, n))):
+            coord = data.draw(st.sampled_from(view.free))
+            side = data.draw(st.sampled_from((1, -1)))
+            hi, lo = view.split(coord)
+            view, fixed[coord] = (hi if side == 1 else lo), side
+        assert sorted(view.free) == sorted(set(range(1, n + 1)) - fixed.keys())
+        assert view.ones == view.table.bit_count()
+        for p in range(view.size):
+            x = [fixed.get(i, 0) for i in range(1, n + 1)]
+            for q, c in enumerate(view.free):
+                x[c - 1] = 1 if (p >> q) & 1 else -1
+            assert (view.table >> p) & 1 == f.value(x), (p, view.free, fixed)
+
+    def test_coordinate_that_is_not_free_is_named(self):
+        view = SubcubeView.of_function(majority(3)).split(2)[0]
+        for read in (view.split, view.child_ones, view.influence_numerator, view.correlation):
+            with pytest.raises(ValueError, match="coordinate 2 is not free"):
+                read(2)
+        with pytest.raises(ValueError, match="coordinate 7 is not free"):
+            view.split(7)
+
+    def test_fully_restricted_view_refuses_a_split(self):
+        view = SubcubeView.of_function(dictator(1, 1)).split(1)[0]
+        with pytest.raises(ValueError, match="cannot split a fully restricted function"):
+            view.split(1)
+
+    def test_spec_reads_name_a_coordinate_that_is_not_free(self):
+        f, r = majority(3), Restriction(((2, 1),))
+        for read in (influence, correlation):
+            with pytest.raises(ValueError, match="coordinate 4 out of range"):
+                read(f, r, 4)
+            with pytest.raises(ValueError, match="coordinate 2 is fixed by the restriction"):
+                read(f, r, 2)
+
     def test_constant_detection(self):
         assert SubcubeView.of_function(constant(3, 1)).is_constant()
         assert not SubcubeView.of_function(majority(3)).is_constant()
@@ -237,6 +280,15 @@ class TestMasks:
             for a in range(f):
                 want = sum(1 << p for p in range(1 << f) if (p >> a) & 1)
                 assert boolfn._mask_set(f, a) == want, (f, a)
+
+    def test_cofactors_cache_only_half_width_masks(self, monkeypatch):
+        # a cofactor of a 2^f-bit table swaps over a 2^(f-1)-bit mask
+        cache = {}
+        monkeypatch.setattr(boolfn, "_MASK_CACHE", cache)
+        f = BoolFunc(20, random.Random(5).getrandbits(1 << 20))
+        grow(f, GrowthConfig(budget=8, impurity=builtin("gini")))
+        assert cache
+        assert max(m.bit_length() for m in cache.values()) <= 1 << 19
 
     def test_coordinate_mask_marks_plus_one_points(self):
         for n in range(1, 7):

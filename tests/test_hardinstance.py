@@ -432,37 +432,27 @@ class TestXiCutoff:
 class TestLowerBoundExperiment:
     def test_small_instance_smoke(self):
         h = choose_params(4, 3)
-        report, dtree, trace = lower_bound_experiment(
-            h, builtin("gini"), budget=8, mc_samples=4000, seed=1, threshold=0.4
+        _, trace, (mc_estimate, mc_halfwidth, xi_fraction) = lower_bound_experiment(
+            h, builtin("gini"), budget=8, mc_samples=4000, seed=1
         )
-        assert (report.ell, report.k, report.w) == (4, 3, 2)
-        assert report.final_size == trace.final_size
-        assert len(report.error_curve) == len(trace.steps) + 1
-        curve = report.error_curve
+        assert (h.params.ell, h.k, h.params.w) == (4, 3, 2)
+        curve = trace.distances()
         assert all(a >= b for a, b in zip(curve, curve[1:]))
-        assert report.final_distance == trace.final_distance()
         # the estimate must sit near the exact distance
-        exact = float(report.final_distance)
-        assert abs(report.mc_estimate - exact) <= 4 * report.mc_halfwidth
-        assert 0.0 <= report.xi_fraction <= 1.0
-        assert report.terms_distance == h.distance_to_terms
+        exact = float(trace.final_distance())
+        assert abs(mc_estimate - exact) <= 4 * mc_halfwidth
+        assert 0.0 <= xi_fraction <= 1.0
 
     def test_influence_rule_runs(self):
         h = choose_params(4, 3)
-        report, _, _ = lower_bound_experiment(
-            h, None, budget=4, mc_samples=500, seed=0
-        )
-        assert report.impurity is None
-        assert report.final_size <= 4
+        _, trace, _ = lower_bound_experiment(h, None, budget=4, mc_samples=500, seed=0)
+        assert trace.final_size <= 4
 
     def test_exact_wins_at_full_budget(self):
         # budget 2^7 covers the whole cube, so growth must reach distance 0
         h = choose_params(4, 3)
-        report, dtree, _ = lower_bound_experiment(
-            h, builtin("gini"), budget=128, mc_samples=200, seed=0
-        )
-        assert report.final_distance == 0
-        assert not report.exact_above_threshold
+        _, trace, _ = lower_bound_experiment(h, builtin("gini"), budget=128, mc_samples=200, seed=0)
+        assert trace.final_distance() == 0
 
 
 def _mc_check_reference(h, t, labeled, cutoff):
