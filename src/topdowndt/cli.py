@@ -80,6 +80,12 @@ class ConfigError(ValueError):
 
 DEFAULT_IMPURITIES = ("gini", "entropy", "kearns-mansour")
 
+# Size caps, refused before any work.  At the cap, hard --l 8 --k 63 grows in
+# 65 s and 200 MB, and one round-check --arity 8 trial takes 9 s and 130 MB
+# (2-CPU VM, Python 3.11); both grow faster than linearly past it.
+MAX_HARD_BUDGET = 1 << 16
+MAX_ROUND_CHECK_LEAVES = 1 << 18
+
 
 @dataclass
 class ExperimentConfig:
@@ -325,6 +331,8 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
             raise ConfigError("the growth monitor needs an impurity rule")
         if f.n > oracle.OPT_MAX_ARITY:
             raise ConfigError("monitoring needs the exact oracle; reduce arity")
+        if not is_monotone(f):
+            raise ConfigError(f"the monitor's guarantees need a monotone target; {fname} is not")
         eps = _monitor_eps(cfg)
         _check_monitor(cfg.monitor_size, eps)
         opt_s = oracle.OptTable(f).error(cfg.monitor_size)
@@ -332,7 +340,7 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
     _, trace = grow(f, GrowthConfig(budget=cfg.budget, impurity=spec, stop_on_zero_gain=True))
     files = _write_trace(out, trace)
     checks = {"distance-nonincreasing": _nonincreasing(_distance_curve(trace))}
-    if monitor is not None and is_monotone(f):
+    if monitor is not None:
         report = verify_split_inequalities(trace, f, spec, monitor)
         checks["split-inequalities"] = report.passed
         rows = [(c.iteration, c.gain, c.score_bound, c.monitored) for c in report.checks]
@@ -582,6 +590,8 @@ def _hard_checkpoints(final_size: int) -> list[int]:
 
 
 def _run_hard(cfg: ExperimentConfig, out: Path):
+    if cfg.budget > MAX_HARD_BUDGET:
+        raise ConfigError(f"--budget {cfg.budget} exceeds the cap {MAX_HARD_BUDGET}")
     if cfg.k % 2 == 0:
         raise ConfigError("k must be odd (majority needs an odd vote count)")
     try:
@@ -679,6 +689,8 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
 
 
 def _run_round_check(cfg: ExperimentConfig, out: Path):
+    if cfg.leaves > MAX_ROUND_CHECK_LEAVES:
+        raise ConfigError(f"--leaves {cfg.leaves} exceeds the cap {MAX_ROUND_CHECK_LEAVES}")
     n = cfg.arity
     eps = cfg.epsilon
     d = ProductDistribution.uniform(n)

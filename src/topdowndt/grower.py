@@ -45,7 +45,7 @@ for larger free ones whose children equal its own.  Such a coordinate
 scores exactly what the smaller one scored, and the leader's score only
 rises during the scan, so it could never displace the leader: skipping
 it leaves the pick unchanged.  A table cursor lists every free
-coordinate (free_coords()); the hard-instance cursor one per orbit.
+coordinate; the hard-instance cursor one per orbit.
 
 Growth is monitored: every iteration appends a TraceStep carrying the
 exact distance of the f-completion, the impurity potential, and the
@@ -76,8 +76,8 @@ from fractions import Fraction
 
 from . import tree as treemod
 from .boolfn import BoolFunc, SubcubeView, is_monotone
-from .impurity import BUILTIN_NAMES, ImpuritySpec, builtin, evaluate
-from .tree import DecisionTree, Frontier, PartialTree
+from .impurity import ImpuritySpec, evaluate
+from .tree import DecisionTree, Frontier
 
 GAIN_TOL = 1e-12
 CHECK_TOL = 1e-12
@@ -120,10 +120,8 @@ class TableCursor:
     def ones(self) -> int:
         return self.view.ones
 
-    def free_coords(self) -> tuple[int, ...]:
+    def candidate_coords(self) -> tuple[int, ...]:
         return tuple(sorted(self.view.free))
-
-    candidate_coords = free_coords
 
     def child_expectations(self, coord: int) -> tuple[float, float]:
         # int / int is correctly rounded: the float of the exact ratio
@@ -599,64 +597,6 @@ def verify_split_inequalities(
             )
         )
     return SplitInequalityReport(claim1_ok, initial_claim2_ok, checks, monitored_count)
-
-
-# ---------------------------------------------------------------------------
-# argmax agreement between the two split rules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    leaf_id: int
-    gain_argmax: dict  # impurity name -> (chosen coord, tied set)
-    influence_pick: int
-    influence_argmax: tuple[int, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(pick == self.influence_pick for pick, _ in self.gain_argmax.values())
-
-
-def argmax_agreement(f: BoolFunc, t: PartialTree, leaf_id: int) -> AgreementReport:
-    """At one leaf, compare the purity-gain argmax against the influence argmax.
-
-    For monotone f the most influential coordinate is the most correlated
-    one, and any concave impurity's best split is the most correlated
-    coordinate, so all picks must agree (up to the shared tie-break).
-    """
-    if not is_monotone(f):
-        raise ValueError("argmax agreement is only guaranteed for monotone f")
-    views = [view for _, _, view in treemod.leaf_views(t, f)]
-    if not 0 <= leaf_id < len(views):
-        raise ValueError(f"no leaf with id {leaf_id}")
-    view = views[leaf_id]
-    if view.is_constant():
-        raise ValueError("leaf subfunction is constant; argmax is vacuous")
-    cursor = TableCursor(view)
-    free = cursor.free_coords()
-
-    influences = {c: cursor.influence_num(c) for c in free}
-    max_inf = max(influences.values())
-    inf_set = tuple(c for c in free if influences[c] == max_inf)
-
-    gain_argmax = {}
-    for spec in map(builtin, BUILTIN_NAMES):
-        g_here = evaluate(spec, view.expectation())
-        gains = {}
-        for coord in free:
-            e_hi, e_lo = cursor.child_expectations(coord)
-            gains[coord] = g_here - 0.5 * (evaluate(spec, e_hi) + evaluate(spec, e_lo))
-        best = max(gains.values())
-        tied = tuple(c for c in free if gains[c] >= best - GAIN_TOL)
-        gain_argmax[spec.name] = (tied[0], tied)
-
-    return AgreementReport(
-        leaf_id=leaf_id,
-        gain_argmax=gain_argmax,
-        influence_pick=inf_set[0],
-        influence_argmax=inf_set,
-    )
 
 
 def rule_agreement(trace_a: GrowthTrace, trace_b: GrowthTrace) -> tuple[int, list]:

@@ -40,10 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolfn import BoolFunc, SubcubeView, coordinate_mask
-from .tree import DecisionTree, Internal, Leaf, PartialTree, distance, label_leaves, leaf_views, size
+from .tree import DecisionTree, Internal, Leaf, PartialTree, distance, label_leaves, size
 
 OPT_MAX_ARITY = 12
-LABELING_CHECK_MAX_LEAVES = 8
 
 
 class OptTable:
@@ -204,42 +203,3 @@ def verify_jz(f: BoolFunc, g: DecisionTree) -> JZReport:
     rhs = float(numerator) / math.log2(s)
     passed = numerator <= 0 or float(lhs) >= rhs - 1e-12
     return JZReport(lhs=lhs, numerator=numerator, tree_size=s, rhs=rhs, passed=passed)
-
-
-# ---------------------------------------------------------------------------
-# completion optimality
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LabelingReport:
-    leaf_count: int
-    completion_distance: Fraction
-    best_distance: Fraction
-    passed: bool
-
-
-def optimal_labeling_check(t: PartialTree, f: BoolFunc) -> LabelingReport:
-    """Confirm the f-completion labeling beats all 2^L alternatives."""
-    if size(t) > LABELING_CHECK_MAX_LEAVES:
-        raise ValueError(
-            f"labeling check enumerates 2^L labelings; capped at "
-            f"{LABELING_CHECK_MAX_LEAVES} leaves, tree has {size(t)}"
-        )
-    per_leaf = [(view.ones, view.size) for _, _, view in leaf_views(t, f)]
-    denom = 1 << f.n
-    # distance of a labeling: each leaf contributes its misclassified count
-    best = None
-    for labeling in itertools.product((0, 1), repeat=len(per_leaf)):
-        count = sum(
-            (sz - ones) if lab == 1 else ones for lab, (ones, sz) in zip(labeling, per_leaf)
-        )
-        if best is None or count < best:
-            best = count
-    completion = sum(min(ones, sz - ones) for ones, sz in per_leaf)
-    return LabelingReport(
-        leaf_count=len(per_leaf),
-        completion_distance=Fraction(completion, denom),
-        best_distance=Fraction(best, denom),
-        passed=completion == best,
-    )

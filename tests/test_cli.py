@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from topdowndt import cli
+from topdowndt import boolfn, cli
 from topdowndt.cli import ExperimentConfig, _sweep_budget, main, run
 from topdowndt.tree import random_monotone_tree
 
@@ -240,11 +240,15 @@ class TestExitContract:
             ["hard", "--l", "20000", "--k", "3", "--budget", "4", "--samples", "10"],
             ["hard", "--l", "60000", "--k", "3"],
             ["hard", "--l", "8", "--k", "20001", "--budget", "4"],
+            ["hard", "--l", "8", "--k", "63", "--budget", "1000000000", "--samples", "1"],
+            ["round-check", "--arity", "8", "--trials", "1", "--leaves", "1000000000",
+             "--samples", "10"],
         ],
         ids=["thresholds-bogus", "thresholds-grid-x", "thresholds-grid-99",
              "monitor-size-1", "sizes-1-2", "sizes-0", "sizes-empty",
              "agnostic-impurities-empty", "realizable-impurities-empty",
-             "hard-wide-ell", "hard-wider-ell", "hard-wide-k"],
+             "hard-wide-ell", "hard-wider-ell", "hard-wide-k",
+             "hard-budget-past-cap", "round-check-leaves-past-cap"],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, argv):
         data = tmp_path / "data.csv"
@@ -255,6 +259,19 @@ class TestExitContract:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_monitor_refuses_a_non_monotone_target(self, tmp_path, capsys, monkeypatch):
+        def refuse(f):
+            raise AssertionError("built the oracle for a non-monotone target")
+
+        monkeypatch.setattr(cli.oracle, "OptTable", refuse)
+        fn = tmp_path / "parity4.json"
+        fn.write_text(json.dumps(boolfn.to_spec(boolfn.parity(4))))
+        rc = main(["grow", "--fn", str(fn), "--monitor-size", "4", "--budget", "8",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "monotone" in err
 
     def test_config_key_threads_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -631,6 +648,11 @@ FUZZ_ADVERSARIAL = {
     "tuple[int, ...]": ("", "0", "-1", "nan"),
     "tuple[str, ...]": ("", "nosuch", "gini,nosuch"),
 }
+# one past each size cap: refused before any work, so never slow
+FUZZ_PAST_CAP = {
+    "budget": (str(cli.MAX_HARD_BUDGET + 1),),
+    "leaves": (str(cli.MAX_ROUND_CHECK_LEAVES + 1),),
+}
 
 
 def _flag_text(value) -> str:
@@ -656,7 +678,8 @@ def fuzz_argvs(draw):
             choices = FUZZ_FILE_FLAGS[name]
             value = draw(st.sampled_from(choices[1:])) if name in bad else choices[0]
         elif name in bad:
-            value = draw(st.sampled_from(FUZZ_ADVERSARIAL[TestParser.TYPES[name]]))
+            values = FUZZ_ADVERSARIAL[TestParser.TYPES[name]] + FUZZ_PAST_CAP.get(name, ())
+            value = draw(st.sampled_from(values))
         else:
             value = _flag_text(draw(FUZZ_SMALL[name]))
         argv += ["--l" if name == "ell" else "--" + name.replace("_", "-"), value]
@@ -680,6 +703,8 @@ def _materialize(root: Path, token: str) -> str:
 @settings(max_examples=60, deadline=None)
 @example(argv=["grow-real", "--data", "@data-dir", "--budget", "2"])
 @example(argv=["grow-real", "--data", "@data-not-utf8", "--budget", "2"])
+@example(argv=["hard", "--budget", FUZZ_PAST_CAP["budget"][0]])
+@example(argv=["round-check", "--leaves", FUZZ_PAST_CAP["leaves"][0]])
 @given(argv=fuzz_argvs())
 def test_fuzzed_argv_exits_zero_one_or_two(argv):
     with contextlib.ExitStack() as stack:

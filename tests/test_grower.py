@@ -19,7 +19,6 @@ from topdowndt.grower import (
     _greedy,
     _LeafState,
     _root_cursor,
-    argmax_agreement,
     g_impurity,
     grow,
     influence_potential,
@@ -247,18 +246,6 @@ class TestSplitInequalities:
 
 
 class TestArgmaxAgreement:
-    def test_root_leaf_on_random_monotone(self):
-        f = random_monotone(4, seed=0)
-        report = argmax_agreement(f, treemod.PartialTree.empty(), 0)
-        assert report.passed
-        assert report.influence_pick in report.influence_argmax
-
-    def test_after_split_both_leaves(self):
-        f = random_monotone(5, seed=2)
-        t = treemod.split(treemod.PartialTree.empty(), 0, 1)
-        for leaf_id in (0, 1):
-            assert argmax_agreement(f, t, leaf_id).passed
-
     def test_rule_agreement_with_itself(self):
         f = random_monotone(5, seed=9)
         _, trace = grow(f, GrowthConfig(budget=8, impurity=GINI))

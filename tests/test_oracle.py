@@ -23,7 +23,6 @@ from topdowndt.oracle import (
     enumerate_decision_trees,
     enumerate_partial_trees,
     opt,
-    optimal_labeling_check,
     verify_jz,
 )
 from topdowndt.tree import distance, random_monotone_tree, size
@@ -229,28 +228,3 @@ class TestJZBound:
 
 def DecisionTreeSingleLeaf():
     return treemod.DecisionTree(treemod.Leaf(0))
-
-
-class TestOptimalLabeling:
-    def test_completion_is_optimal_on_grown_shapes(self):
-        f = random_monotone(4, seed=5)
-        t = treemod.PartialTree.empty()
-        for leaf_id, coord in [(0, 1), (0, 2), (2, 3)]:
-            t = treemod.split(t, leaf_id, coord)
-        report = optimal_labeling_check(t, f)
-        assert report.passed
-        assert report.completion_distance == report.best_distance
-        assert report.leaf_count == 4
-
-    def test_single_leaf(self):
-        report = optimal_labeling_check(treemod.PartialTree.empty(), conjunction(3))
-        assert report.passed
-        assert report.completion_distance == Fraction(1, 8)
-
-    def test_leaf_cap(self):
-        t = treemod.PartialTree.empty()
-        for coord in range(1, 9):
-            t = treemod.split(t, 0, coord)
-        f = random_monotone(8, seed=0)
-        with pytest.raises(ValueError, match="capped"):
-            optimal_labeling_check(t, f)

@@ -1,10 +1,10 @@
 """Readers of a finished tree against the slow references they replaced.
 
-complete, distance, g_impurity, influence_potential and
-optimal_labeling_check read f on every leaf's subcube.  The reference
-takes each leaf from tree.leaves() and re-splits f from the root with
-SubcubeView.restrict(info.restriction()), or evaluates the tree at all 2^n
-points.  to_boolfunc is checked pointwise, and booleanized_evaluate
+complete, distance, g_impurity and influence_potential read f on every
+leaf's subcube.  The reference takes each leaf from tree.leaves() and
+re-splits f from the root with SubcubeView.restrict(info.restriction()),
+or evaluates the tree at all 2^n points; complete's majority labeling is
+also checked against every labeling of the same shape.  to_boolfunc is checked pointwise, and booleanized_evaluate
 against tree.evaluate of the rounded real-mode tree on every grid cell.
 """
 
@@ -18,7 +18,6 @@ from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, SubcubeView, point_of
 from topdowndt.grower import g_impurity, influence_potential
 from topdowndt.impurity import BUILTIN_NAMES, builtin, evaluate
-from topdowndt.oracle import optimal_labeling_check
 from topdowndt.realvalued import booleanize, booleanized_evaluate, encode_point, round_thresholds
 from topdowndt.tree import PartialTree, label_leaves, leaves, size, split
 
@@ -109,7 +108,7 @@ def test_potentials_match_per_leaf_loop(case):
 
 @settings(deadline=None)
 @given(cases(max_leaves=8))
-def test_optimal_labeling_check_matches_brute_force(case):
+def test_majority_completion_is_the_best_labeling(case):
     f, t = case
     denom = 1 << f.n
     leaf_of = [treemod.path_of(t, point_of(idx, f.n)).leaf_id for idx in range(denom)]
@@ -118,11 +117,7 @@ def test_optimal_labeling_check_matches_brute_force(case):
         for labeling in itertools.product((0, 1), repeat=size(t))
     )
     completion = pointwise_errors(treemod.complete(t, f), f)
-    report = optimal_labeling_check(t, f)
-    assert report.leaf_count == size(t)
-    assert report.best_distance == Fraction(best, denom)
-    assert report.completion_distance == Fraction(completion, denom)
-    assert report.passed == (completion == best)
+    assert completion == best
 
 
 @settings(deadline=None)
