@@ -366,12 +366,11 @@ def constant(n: int, value: int) -> BoolFunc:
     return BoolFunc(n, _full_mask(n) if value else 0)
 
 
-def dictator(n: int, i: int, positive: bool = True) -> BoolFunc:
-    """1[x_i = +1] (or 1[x_i = -1] when positive=False)."""
+def dictator(n: int, i: int) -> BoolFunc:
+    """1[x_i = +1]."""
     if not 1 <= i <= n:
         raise ValueError(f"coordinate {i} out of range")
-    m = _mask_set(n, i - 1)
-    return BoolFunc(n, m if positive else _full_mask(n) & ~m)
+    return BoolFunc(n, _mask_set(n, i - 1))
 
 
 def conjunction(n: int) -> BoolFunc:
@@ -441,13 +440,13 @@ def _reflect_coordinate(table: int, n: int, i: int) -> int:
     return ((table & mset) >> stride) | ((table & ~mset & full) << stride)
 
 
-def random_monotone(n: int, seed: int, orient: bool = True) -> BoolFunc:
+def random_monotone(n: int, seed: int) -> BoolFunc:
     """Random monotone (unate) function.
 
     Draws a random monotone DNF whose term count is tuned so the acceptance
-    probability is roughly 1/2.  With orient=True each coordinate's polarity
-    is then flipped with probability 1/2, so the result is unate rather than
-    coordinate-wise non-decreasing.
+    probability is roughly 1/2.  Each coordinate's polarity is then flipped
+    with probability 1/2, so the result is unate rather than coordinate-wise
+    non-decreasing.
     """
     rng = derived_rng(seed, "random-monotone", n, "dnf")
     w = max(1, min(n, (n + 1) // 2))
@@ -461,10 +460,9 @@ def random_monotone(n: int, seed: int, orient: bool = True) -> BoolFunc:
         for c in coords:
             tm &= _mask_set(n, c)
         t |= tm
-    if orient:
-        for i in range(n):
-            if rng.random() < 0.5:
-                t = _reflect_coordinate(t, n, i)
+    for i in range(n):
+        if rng.random() < 0.5:
+            t = _reflect_coordinate(t, n, i)
     return BoolFunc(n, t)
 
 

@@ -85,6 +85,11 @@ DEFAULT_IMPURITIES = ("gini", "entropy", "kearns-mansour")
 # (2-CPU VM, Python 3.11); both grow faster than linearly past it.
 MAX_HARD_BUDGET = 1 << 16
 MAX_ROUND_CHECK_LEAVES = 1 << 18
+# Same machine, linear past the cap: at the arity cap, round-check --trials 1
+# --leaves 2 --samples 1 takes 23 s; at the samples cap, hard --l 8 --k 63
+# --budget 256 takes 10 s and 400 MB (it keeps its samples), a round-check trial 2 s.
+MAX_ROUND_CHECK_ARITY = 1 << 10
+MAX_SAMPLES = 1 << 19
 
 
 @dataclass
@@ -131,6 +136,8 @@ class ExperimentConfig:
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        if self.samples > MAX_SAMPLES:  # hard and round-check read it
+            raise ConfigError(f"--samples {self.samples} exceeds the cap {MAX_SAMPLES}")
         for name in ("sizes", "impurities"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
@@ -140,12 +147,16 @@ class ExperimentConfig:
             raise ConfigError("threshold must be finite")
         if not 0 < self.target < 1:
             raise ConfigError("target must be in (0,1)")
-        rules = ("influence", "all") if self.kind == "verify-impurity" else ("influence",)
-        if self.impurity not in rules and self.impurity not in BUILTIN_NAMES:
+        # verify-impurity checks impurities, every other run takes a split rule
+        other = "all" if self.kind == "verify-impurity" else "influence"
+        if self.impurity != other:
             try:
                 builtin(self.impurity)
-            except (KeyError, ValueError):
-                raise ConfigError(f"unknown impurity {self.impurity!r}") from None
+            except ValueError:
+                raise ConfigError(
+                    f"unknown impurity {self.impurity!r}; use {other} or one of "
+                    f"{', '.join(BUILTIN_NAMES)}"
+                ) from None
         for name in self.impurities:
             try:
                 builtin(name)
@@ -390,6 +401,8 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
             else:
                 label_idx = len(header) - 1
             feature_names = header[:label_idx] + header[label_idx + 1 :]
+            if not feature_names:
+                raise ConfigError(f"{path}: no feature column besides the label")
             points = []
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
@@ -691,6 +704,8 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
 def _run_round_check(cfg: ExperimentConfig, out: Path):
     if cfg.leaves > MAX_ROUND_CHECK_LEAVES:
         raise ConfigError(f"--leaves {cfg.leaves} exceeds the cap {MAX_ROUND_CHECK_LEAVES}")
+    if cfg.arity > MAX_ROUND_CHECK_ARITY:
+        raise ConfigError(f"--arity {cfg.arity} exceeds the cap {MAX_ROUND_CHECK_ARITY}")
     n = cfg.arity
     eps = cfg.epsilon
     d = ProductDistribution.uniform(n)
@@ -740,7 +755,7 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
 
 
 def _run_verify_impurity(cfg: ExperimentConfig, out: Path):
-    names = BUILTIN_NAMES if cfg.impurity in ("all", "influence") else (cfg.impurity,)
+    names = BUILTIN_NAMES if cfg.impurity == "all" else (cfg.impurity,)
     summary = {}
     checks = {}
     for name in names:

@@ -453,11 +453,12 @@ def terms_tree_size(params: TribesParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def xi_cutoff(k: int, c3: float = 0.5) -> int:
-    """How many y queries a path may see before an x query counts as early."""
+def xi_cutoff(k: int) -> int:
+    """How many y queries a path may see before an x query counts as early:
+    int(k / (2 log2 k))."""
     if k < 2:
         return 0
-    return int(c3 * k / math.log2(k))
+    return int(0.5 * k / math.log2(k))
 
 
 def mc_check(h: HardInstance, t: DecisionTree, labeled, cutoff: int) -> tuple[float, float, float]:

@@ -54,8 +54,7 @@ far above a gain's float error of ~1e-14) is at most the leader's gain,
 so that none of its cuts could pass the GAIN_TOL rule, and scores a block
 of at most BLOCK cuts cut by cut.  The leader chain, every gain float,
 the threshold and the median flag are therefore those of the full scan.
-The bound is used only when ImpuritySpec.concave is set (the builtins);
-any other spec has every cut scored.  Every trace records the policy,
+Every trace records the policy,
 and every step records whether the chosen threshold is a median of the
 leaf's coordinate distribution.  A split that isolates an empty sample
 set freezes the empty leaf with the parent's majority label.
@@ -287,12 +286,13 @@ def _grid_value(theta: float, w: int) -> int:
     return c
 
 
-def booleanize(t: DecisionTree, w: int, max_nodes: int = BOOLEANIZE_NODE_CAP) -> DecisionTree:
+def booleanize(t: DecisionTree, w: int) -> DecisionTree:
     """Rewrite a grid-threshold tree over encoded bits, one comparator per query.
 
     Each query x_i >= c/2^w becomes an MSB-first walk over coordinate i's
     bits; bits already fixed on the path are not re-queried, so the output
-    is a valid binary-mode tree.  Raises if the rewrite exceeds max_nodes.
+    is a valid binary-mode tree.  Raises if the rewrite exceeds
+    BOOLEANIZE_NODE_CAP nodes.
     """
     _check_width(w)
     count = 0
@@ -300,9 +300,9 @@ def booleanize(t: DecisionTree, w: int, max_nodes: int = BOOLEANIZE_NODE_CAP) ->
     def bump():
         nonlocal count
         count += 1
-        if count > max_nodes:
+        if count > BOOLEANIZE_NODE_CAP:
             raise ValueError(
-                f"booleanized tree exceeds {max_nodes} nodes; "
+                f"booleanized tree exceeds {BOOLEANIZE_NODE_CAP} nodes; "
                 "use booleanized_evaluate for functional access"
             )
 
@@ -375,32 +375,26 @@ def estimate_dist(
     d: ProductDistribution,
     samples: int,
     seed: int,
-    level: float = 0.99,
 ) -> tuple[float, float]:
-    """Monte-Carlo disagreement rate with a distribution-free half-width."""
+    """Monte-Carlo disagreement rate with a distribution-free 99% half-width."""
     if samples < 1:
         raise ValueError("sample count must be >= 1")
-    if not 0 < level < 1:
-        raise ValueError("confidence level must be in (0,1)")
     rng = derived_rng(seed, "estimate-dist")
     disagree = 0
     for _ in range(samples):
         x = d.sample(rng)
         if treemod.evaluate(t1, x) != treemod.evaluate(t2, x):
             disagree += 1
-    halfwidth = math.sqrt(math.log(2 / (1 - level)) / (2 * samples))
+    # 1 - 0.99 is not 0.01 in floats; the recorded half-widths use this form
+    halfwidth = math.sqrt(math.log(2 / (1 - 0.99)) / (2 * samples))
     return disagree / samples, halfwidth
 
 
-def balanced_random_tree(
-    n: int, size: int, seed: int, depth_cap: int | None = None
-) -> DecisionTree:
+def balanced_random_tree(n: int, size: int, seed: int) -> DecisionTree:
     """Random threshold tree with exactly `size` leaves and depth <= 2 log2(size)."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    cap = depth_cap if depth_cap is not None else max(1, math.ceil(2 * math.log2(max(2, size))))
-    if size > 1 << cap:
-        raise ValueError(f"{size} leaves cannot fit in depth {cap}")
+    cap = max(1, math.ceil(2 * math.log2(max(2, size))))
     rng = derived_rng(seed, "balanced-tree")
 
     def build(leaves_left: int, depth: int):
@@ -523,7 +517,6 @@ class _SampleLeaf:
         fn = spec.fn
         count_g = count * g_here
         best = -math.inf
-        concave = spec.concave
         top = None if grid_w is None else (1 << grid_w) - 1
         for coord, (key, order) in enumerate(zip(keys, orders), start=1):
             if top is not None and key[order[0]] > 0 and 0.0 > best + GAIN_TOL:
@@ -532,7 +525,7 @@ class _SampleLeaf:
             blocks = [(1, count - 1)]  # cut k puts order[:k] lo; popped in order
             while blocks:
                 ka, kb = blocks.pop()
-                if concave and best > -math.inf:
+                if best > -math.inf:
                     # skip when every vertex has gain <= best - SLACK
                     floor = count_g - (best - SLACK) * total
                     qa, qb = prefix[ka], prefix[kb]

@@ -97,10 +97,10 @@ def test_criterion_01_influence_equals_twice_correlation():
 def test_criterion_02_strong_concavity_constants():
     t0 = time.time()
     for name in BUILTIN_NAMES:
-        report = verify_strong_concavity(builtin(name), resolution=100)
+        report = verify_strong_concavity(builtin(name))
         assert report.passed, report
         assert report.min_slack >= -1e-12
-    gini = verify_strong_concavity(builtin("gini"), resolution=100)
+    gini = verify_strong_concavity(builtin("gini"))
     assert abs(gini.min_slack) <= 1e-12
     assert abs(gini.max_slack) <= 1e-12
     elapsed = time.time() - t0

@@ -243,12 +243,19 @@ class TestExitContract:
             ["hard", "--l", "8", "--k", "63", "--budget", "1000000000", "--samples", "1"],
             ["round-check", "--arity", "8", "--trials", "1", "--leaves", "1000000000",
              "--samples", "10"],
+            ["round-check", "--arity", "100000000", "--trials", "1", "--leaves", "2",
+             "--samples", "1"],
+            ["hard", "--l", "8", "--k", "63", "--budget", "2", "--samples", "1000000000"],
+            ["round-check", "--arity", "8", "--trials", "1", "--samples", "1000000000"],
+            ["verify-impurity", "--impurity", "influence"],
         ],
         ids=["thresholds-bogus", "thresholds-grid-x", "thresholds-grid-99",
              "monitor-size-1", "sizes-1-2", "sizes-0", "sizes-empty",
              "agnostic-impurities-empty", "realizable-impurities-empty",
              "hard-wide-ell", "hard-wider-ell", "hard-wide-k",
-             "hard-budget-past-cap", "round-check-leaves-past-cap"],
+             "hard-budget-past-cap", "round-check-leaves-past-cap",
+             "round-check-arity-past-cap", "hard-samples-past-cap",
+             "round-check-samples-past-cap", "verify-impurity-influence"],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, argv):
         data = tmp_path / "data.csv"
@@ -523,8 +530,9 @@ class TestBadInputsExitTwo:
             (lambda p: p.mkdir(), "Is a directory"),
             (lambda p: p.write_bytes(b"x1,label\n\xff\xfe,1\n"), "can't decode byte 0xff"),
             (lambda p: p.write_text("\n\n"), "blank header"),
+            (lambda p: p.write_text("label\n1\n0\n"), "no feature column"),
         ],
-        ids=["directory", "not-utf8", "blank-header"],
+        ids=["directory", "not-utf8", "blank-header", "label-only"],
     )
     def test_unreadable_dataset_exits_two(self, tmp_path, capsys, make, problem):
         data = tmp_path / "data.csv"
@@ -535,6 +543,17 @@ class TestBadInputsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(data) in err and problem in err, err
         assert not (out / "summary.json").exists()
+
+    def test_label_only_dataset_with_empty_dist_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("label\n1\n0\n")
+        dist = tmp_path / "dist.json"
+        dist.write_text("[]")
+        rc = main(["grow-real", "--data", str(data), "--dist", str(dist),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no feature column" in err, err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_threshold_must_be_finite(self, tmp_path, capsys, value):
@@ -650,8 +669,10 @@ FUZZ_ADVERSARIAL = {
 }
 # one past each size cap: refused before any work, so never slow
 FUZZ_PAST_CAP = {
+    "arity": (str(cli.MAX_ROUND_CHECK_ARITY + 1),),
     "budget": (str(cli.MAX_HARD_BUDGET + 1),),
     "leaves": (str(cli.MAX_ROUND_CHECK_LEAVES + 1),),
+    "samples": (str(cli.MAX_SAMPLES + 1),),
 }
 
 
@@ -705,6 +726,8 @@ def _materialize(root: Path, token: str) -> str:
 @example(argv=["grow-real", "--data", "@data-not-utf8", "--budget", "2"])
 @example(argv=["hard", "--budget", FUZZ_PAST_CAP["budget"][0]])
 @example(argv=["round-check", "--leaves", FUZZ_PAST_CAP["leaves"][0]])
+@example(argv=["round-check", "--arity", FUZZ_PAST_CAP["arity"][0]])
+@example(argv=["hard", "--samples", FUZZ_PAST_CAP["samples"][0]])
 @given(argv=fuzz_argvs())
 def test_fuzzed_argv_exits_zero_one_or_two(argv):
     with contextlib.ExitStack() as stack:

@@ -425,9 +425,6 @@ class TestXiCutoff:
         assert xi_cutoff(15) == 1
         assert xi_cutoff(63) == 5
 
-    def test_scales_with_c3(self):
-        assert xi_cutoff(63, c3=1.0) == 10
-
 
 class TestLowerBoundExperiment:
     def test_small_instance_smoke(self):

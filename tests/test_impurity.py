@@ -9,7 +9,6 @@ from topdowndt.impurity import (
     ImpuritySpec,
     builtin,
     evaluate,
-    from_table,
     verify_shape,
     verify_strong_concavity,
 )
@@ -78,7 +77,7 @@ class TestStrongConcavity:
 
     def test_entropy_kappa_is_sharp_at_half(self):
         # near p=1/2 the entropy slack approaches 0: kappa=1/ln2 is not slack
-        report = verify_strong_concavity(builtin("entropy"), resolution=200)
+        report = verify_strong_concavity(builtin("entropy"))
         assert report.min_slack <= 1e-4
 
 
@@ -96,58 +95,3 @@ class TestShape:
         xs, ys = [0, 0.25, 0.5, 0.75, 1], [0, 0.2, 1.0, 0.2, 0]
         spec = ImpuritySpec("bumpy", lambda p: float(np.interp(p, xs, ys)), 0.1)
         assert any("concave" in p for p in verify_shape(spec))
-
-
-class TestFromTable:
-    def test_interpolates_linearly(self):
-        # knots at resolution 2, so every aligned midpoint is a knot
-        spec = from_table("tent", [(0, 0), (0.5, 1), (1, 0)], kappa=1.0, resolution=2)
-        assert evaluate(spec, 0.25) == pytest.approx(0.5)
-        assert evaluate(spec, 0.75) == pytest.approx(0.5)
-
-    def test_subknot_resolution_rejected(self):
-        # between knots the table is flat, so a finer grid cannot certify kappa
-        with pytest.raises(ValueError, match="rejected"):
-            from_table("tent", [(0, 0), (0.5, 1), (1, 0)], kappa=1.0, resolution=100)
-
-    def test_asymmetric_table_rejected(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            from_table(
-                "lopsided", [(0, 0), (0.25, 0.9), (0.5, 1.0), (0.75, 0.5), (1, 0)],
-                kappa=0.1, resolution=4,
-            )
-
-    def test_nonconcave_table_rejected(self):
-        with pytest.raises(ValueError, match="concave"):
-            from_table(
-                "bumpy", [(0, 0), (0.25, 0.2), (0.5, 1.0), (0.75, 0.2), (1, 0)],
-                kappa=0.1, resolution=4,
-            )
-
-    def test_missing_endpoints_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            from_table("half", [(0.1, 0.1), (0.5, 1.0), (1, 0)], kappa=0.1)
-
-    @pytest.mark.parametrize(
-        "points, entry",
-        [
-            ([(0, 0), (0.5, math.nan), (1, 0)], r"\(0\.5, nan\)"),
-            ([(0, 0), (math.nan, 1), (1, 0)], r"\(nan, 1\)"),
-        ],
-    )
-    def test_non_finite_entry_rejected(self, points, entry):
-        # every shape check compares with < or >, which a NaN passes
-        with pytest.raises(ValueError, match=f"entry {entry} is not finite"):
-            from_table("x", points, 1.0)
-
-    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_kappa_rejected(self, kappa):
-        with pytest.raises(ValueError, match=f"kappa must be finite and > 0, got {kappa!r}"):
-            from_table("tent", [(0, 0), (0.5, 1), (1, 0)], kappa=kappa, resolution=2)
-
-    def test_matches_sampled_gini(self):
-        g = builtin("gini")
-        pts = [(i / 100, g.fn(i / 100)) for i in range(101)]
-        spec = from_table("gini-table", pts, kappa=2)
-        for p in (0.1, 0.33, 0.5, 0.77):
-            assert evaluate(spec, p) == pytest.approx(g.fn(p), abs=1e-3)

@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topdowndt import realvalued
 from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
 from topdowndt.grower import GAIN_TOL, GrowthConfig, _greedy, grow
-from topdowndt.impurity import ImpuritySpec, builtin, from_table
+from topdowndt.impurity import builtin
 from topdowndt.impurity import evaluate as impurity_evaluate
 from topdowndt.realvalued import (
     MAX_BITS,
@@ -176,8 +177,6 @@ class TestEstimateDist:
         d = ProductDistribution.uniform(1)
         with pytest.raises(ValueError):
             estimate_dist(t, t, d, samples=0, seed=0)
-        with pytest.raises(ValueError):
-            estimate_dist(t, t, d, samples=10, seed=0, level=1.0)
 
     def test_deterministic_in_seed(self):
         t1 = balanced_random_tree(2, 6, seed=3)
@@ -202,8 +201,6 @@ class TestBalancedRandomTree:
     def test_errors(self):
         with pytest.raises(ValueError):
             balanced_random_tree(2, 0, seed=0)
-        with pytest.raises(ValueError):
-            balanced_random_tree(2, 5, seed=0, depth_cap=2)
 
 
 class TestBooleanize:
@@ -243,10 +240,11 @@ class TestBooleanize:
         with pytest.raises(ValueError, match="round_thresholds"):
             booleanize(small_tree, 2)  # 0.375 needs three bits
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(realvalued, "BOOLEANIZE_NODE_CAP", 4)
         t = round_thresholds(balanced_random_tree(3, 16, seed=2), 6)
         with pytest.raises(ValueError, match="booleanized_evaluate"):
-            booleanize(t, 6, max_nodes=4)
+            booleanize(t, 6)
 
     @given(seed=st.integers(0, 30), w=st.integers(2, 4))
     @settings(max_examples=40)
@@ -435,9 +433,6 @@ def _tree_bytes(t):
     return json.dumps(treemod.to_json(t), indent=2, sort_keys=True)
 
 
-TABLE_GINI = from_table(
-    "table-gini", [(0, 0), (0.25, 0.75), (0.5, 1), (0.75, 0.75), (1, 0)], kappa=2.0, resolution=4
-)
 # few distinct values, so ties are common; the grid points and 1.0 are among them
 _DUPLICATED = st.sampled_from([0.0, 0.125, 0.25, 0.3, 0.5, 0.75, 1.0])
 
@@ -453,7 +448,7 @@ def _samples(draw):
 class TestPresortedSampleLeaf:
     @given(
         points=_samples(),
-        spec=st.sampled_from([GINI, builtin("entropy"), builtin("km"), TABLE_GINI]),
+        spec=st.sampled_from([GINI, builtin("entropy"), builtin("km")]),
         policy=st.sampled_from(["midpoints", "grid:1", "grid:2", "grid:3", "grid:8"]),
         stop=st.booleans(),
         budget=st.integers(1, 12),
@@ -507,7 +502,7 @@ class TestPresortedSampleLeaf:
         assert calls <= leaves * (1 + coords * 2 * (len(sample) + 1))
 
     @pytest.mark.parametrize(
-        "spec", [GINI, builtin("entropy"), builtin("km"), TABLE_GINI], ids=lambda s: s.name
+        "spec", [GINI, builtin("entropy"), builtin("km")], ids=lambda s: s.name
     )
     def test_matches_per_leaf_sort_at_scale(self, spec):
         # large enough for the midpoint scan to skip blocks of cuts; labels
@@ -563,10 +558,6 @@ def _full_scan_calls(t, sample, policy="midpoints"):
     return calls
 
 
-# not concave (G'' > 0 above p = 2/3), so the bound would be unsound
-LOPSIDED = ImpuritySpec("lopsided", lambda p: 4 * p * (1 - p) ** 2 * 27 / 16, 0.1)
-
-
 @pytest.fixture(scope="module")
 def sample():
     teacher = balanced_random_tree(3, 64, seed=4)
@@ -580,42 +571,30 @@ class TestPrunedMidpointScan:
         assert len(trace.steps) == 15
         assert calls[0] < _full_scan_calls(t, sample) / 4
 
-    def test_nonconcave_spec_scores_every_cut(self, sample):
-        assert not LOPSIDED.concave
-        spec, calls = _counted(LOPSIDED)
-        cfg = GrowthConfig(budget=16, impurity=spec)
-        t, trace = grow_real(sample, cfg)
-        assert calls[0] == _full_scan_calls(t, sample)
-        ref_t, ref_trace = _reference_grow_real(sample, cfg, "midpoints")
-        assert trace == ref_trace
-        assert _tree_bytes(t) == _tree_bytes(ref_t)
-
 
 class TestPrunedGridScan:
-    def test_bound_and_gate_as_under_midpoints(self, sample):
+    def test_bound_as_under_midpoints(self, sample):
         # grid:16 keeps nearly every value in a cell of its own
         spec, calls = _counted(GINI)
         t, trace = grow_real(sample, GrowthConfig(budget=16, impurity=spec), "grid:16")
         assert len(trace.steps) == 15
         assert calls[0] < _full_scan_calls(t, sample, "grid:16") / 4
         # grid:8 leaves many points per cell, so the cuts are between cells
-        spec, calls = _counted(LOPSIDED)
-        cfg = GrowthConfig(budget=16, impurity=spec)
+        cfg = GrowthConfig(budget=16, impurity=GINI)
         t, trace = grow_real(sample, cfg, "grid:8")
-        assert calls[0] == _full_scan_calls(t, sample, "grid:8")
         ref_t, ref_trace = _reference_grow_real(sample, cfg, "grid:8")
         assert trace == ref_trace
         assert _tree_bytes(t) == _tree_bytes(ref_t)
 
     def test_trailing_one_sided_cut(self):
-        # cells 0, 2, 2 of grid:2: the cut between them (theta 0.25) loses
-        # under LOPSIDED, so the leader is the cut past the highest cell,
-        # theta 0.75, which puts every point lo at gain exactly 0.0
-        sample = RealSample((((0.1,), 1), ((0.6,), 1), ((0.6,), 0)))
-        cfg = GrowthConfig(budget=2, impurity=LOPSIDED)
+        # every point in cell 0 of grid:2, so there is no cut between cells
+        # and the leader is the cut past the highest cell, theta 0.25, which
+        # puts every point lo at gain exactly 0.0
+        sample = RealSample((((0.1,), 1), ((0.2,), 1), ((0.2,), 0)))
+        cfg = GrowthConfig(budget=2, impurity=GINI)
         t, trace = grow_real(sample, cfg, "grid:2")
         (step,) = trace.steps
-        assert (step.coord, step.theta, step.gain) == (1, 0.75, 0.0)
+        assert (step.coord, step.theta, step.gain) == (1, 0.25, 0.0)
         ref_t, ref_trace = _reference_grow_real(sample, cfg, "grid:2")
         assert trace == ref_trace
         assert _tree_bytes(t) == _tree_bytes(ref_t)
