@@ -23,14 +23,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 MAX_ARITY = 24
-
-NON_DECREASING = "non-decreasing"
-NON_INCREASING = "non-increasing"
-BOTH = "both"  # coordinate is irrelevant: both orientations hold vacuously
-NEITHER = "neither"
 
 
 # ---------------------------------------------------------------------------
@@ -88,30 +83,6 @@ class Restriction:
         ordered = tuple(sorted(self.fixed))
         if ordered != self.fixed:
             object.__setattr__(self, "fixed", ordered)
-
-    @classmethod
-    def of(cls, assignment: Mapping[int, int] | Iterable[tuple[int, int]]) -> "Restriction":
-        if isinstance(assignment, Mapping):
-            return cls(tuple(assignment.items()))
-        return cls(tuple(assignment))
-
-    def coords(self) -> frozenset[int]:
-        return frozenset(c for c, _ in self.fixed)
-
-    def get(self, coord: int) -> int | None:
-        for c, v in self.fixed:
-            if c == coord:
-                return v
-        return None
-
-    def extend(self, coord: int, value: int) -> "Restriction":
-        return Restriction(self.fixed + ((coord, value),))
-
-    def __len__(self) -> int:
-        return len(self.fixed)
-
-
-EMPTY = Restriction()
 
 
 # ---------------------------------------------------------------------------
@@ -324,35 +295,16 @@ def total_influence(f: BoolFunc, r: Restriction | None = None) -> Fraction:
     return _view(f, r).total_influence()
 
 
-def monotone_orientation(f: BoolFunc) -> tuple[str, ...]:
-    """Classify every coordinate as non-decreasing / non-increasing / both / neither.
-
-    "both" means the coordinate is irrelevant.  A function is monotone
-    (unate) iff no coordinate comes back "neither".
-    """
-    out = []
+def is_monotone(f: BoolFunc) -> bool:
+    """True iff f is unate: every coordinate is non-decreasing or non-increasing."""
     full = _full_mask(f.n)
     for i in range(f.n):
-        stride = 1 << i
         mset = _mask_set(f.n, i)
-        hi = (f.table & mset) >> stride  # f at x_i=+1, aligned onto lo positions
+        hi = (f.table & mset) >> (1 << i)  # f at x_i=+1, aligned onto lo positions
         lo = f.table & ~mset & full
-        nondec = (lo & ~hi) == 0
-        noninc = (hi & ~lo) == 0
-        if nondec and noninc:
-            out.append(BOTH)
-        elif nondec:
-            out.append(NON_DECREASING)
-        elif noninc:
-            out.append(NON_INCREASING)
-        else:
-            out.append(NEITHER)
-    return tuple(out)
-
-
-def is_monotone(f: BoolFunc) -> bool:
-    """True iff every coordinate is oriented (no 'neither')."""
-    return NEITHER not in monotone_orientation(f)
+        if lo & ~hi and hi & ~lo:  # rises somewhere and falls somewhere
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +364,6 @@ def from_dnf(n: int, terms: Sequence[Sequence[int]]) -> BoolFunc:
             tm &= m if lit > 0 else (full & ~m)
         table |= tm
     return BoolFunc(n, table)
-
-
-def from_points(n: int, ones: Iterable[Sequence[int]]) -> BoolFunc:
-    t = 0
-    for x in ones:
-        t |= 1 << index_of(x)
-    return BoolFunc(n, t)
 
 
 # ---------------------------------------------------------------------------

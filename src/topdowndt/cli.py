@@ -90,6 +90,9 @@ MAX_ROUND_CHECK_LEAVES = 1 << 18
 # --budget 256 takes 10 s and 400 MB (it keeps its samples), a round-check trial 2 s.
 MAX_ROUND_CHECK_ARITY = 1 << 10
 MAX_SAMPLES = 1 << 19
+# Trials run one after another, so time is linear in them: at the trials cap,
+# every other flag at its default, round-check takes 68 s and agnostic-sweep 23 s.
+MAX_TRIALS = 1 << 10
 
 
 @dataclass
@@ -138,6 +141,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {low}")
         if self.samples > MAX_SAMPLES:  # hard and round-check read it
             raise ConfigError(f"--samples {self.samples} exceeds the cap {MAX_SAMPLES}")
+        if self.trials > MAX_TRIALS:  # the four sweeps read it
+            raise ConfigError(f"--trials {self.trials} exceeds the cap {MAX_TRIALS}")
         for name in ("sizes", "impurities"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
@@ -173,7 +178,6 @@ class ResultBundle:
     out_dir: Path
     summary: dict
     checks: dict[str, bool]
-    files: list[str]
 
     @property
     def ok(self) -> bool:
@@ -369,8 +373,9 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
     return summary, checks, files
 
 
-def _coordinate_from_spec(entry, columns: dict[str, list[float]]) -> CoordinateDist:
-    """One --dist entry; ValueError says what is wrong with a malformed one."""
+def _coordinate_from_spec(entry, columns: dict[str, list[float] | None]) -> CoordinateDist:
+    """One --dist entry; ValueError says what is wrong with a malformed one.
+    A column whose name the header repeats maps to None."""
     kind = _field(entry, "kind", "str")
     if kind == "uniform01":
         return CoordinateDist.uniform01()
@@ -380,6 +385,8 @@ def _coordinate_from_spec(entry, columns: dict[str, list[float]]) -> CoordinateD
         col = _field(entry, "column", "str")
         if col not in columns:
             raise ValueError(f"unknown column {col!r}")
+        if columns[col] is None:
+            raise ValueError(f"column {col!r} appears more than once in the header")
         return CoordinateDist.from_data(columns[col])
     raise ValueError(f"unknown coordinate distribution kind {kind!r}")
 
@@ -431,7 +438,8 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
                 f"({sample.n})"
             )
         columns = {
-            name: [p[0][i] for p in sample.points] for i, name in enumerate(feature_names)
+            name: [p[0][i] for p in sample.points] if header.count(name) == 1 else None
+            for i, name in enumerate(feature_names)
         }
         coords = []
         for i, entry in enumerate(entries, start=1):
@@ -869,7 +877,7 @@ def run(config: ExperimentConfig) -> ResultBundle:
             sort_keys=True,
         )
         fh.write("\n")
-    return ResultBundle(out, summary, checks, [*files, "config.json", "summary.json"])
+    return ResultBundle(out, summary, checks)
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:

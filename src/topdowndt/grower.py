@@ -104,10 +104,6 @@ class TableCursor:
         self.size = view.size
         self._counts = None
 
-    @classmethod
-    def of_function(cls, f: BoolFunc) -> "TableCursor":
-        return cls(SubcubeView.of_function(f))
-
     def _all_counts(self) -> tuple[int, ...]:
         if self._counts is None:
             self._counts = self.view.coord_counts()
@@ -145,7 +141,7 @@ class TableCursor:
 
 def _root_cursor(f) -> "TableCursor":
     if isinstance(f, BoolFunc):
-        return TableCursor.of_function(f)
+        return TableCursor(SubcubeView.of_function(f))
     maker = getattr(f, "root_cursor", None)
     if maker is None:
         raise TypeError(f"cannot grow on {type(f).__name__}: no cursor interface")
@@ -544,11 +540,11 @@ def verify_split_inequalities(
     trace: GrowthTrace,
     f: BoolFunc,
     spec: ImpuritySpec,
-    monitor: Monitor | None = None,
+    monitor: Monitor,
 ) -> SplitInequalityReport:
     """Check the recorded growth against the per-step guarantees.
 
-    monitor (s, eps and the budget-s optimum opt_s) is required.  Guarantees
+    monitor holds s, eps and the budget-s optimum opt_s.  Guarantees
     hold for monotone targets only; f must be a monotone truth table (the
     monitor's opt_s comes from the table oracle), anything else is refused.
     """
@@ -556,8 +552,6 @@ def verify_split_inequalities(
         raise ValueError("split inequalities apply to impurity-rule traces")
     if not isinstance(f, BoolFunc) or not is_monotone(f):
         raise ValueError("refused: target is not a monotone truth table")
-    if monitor is None:
-        raise ValueError("no monitor parameters supplied")
 
     g0 = trace.initial_g_impurity
     claim1_ok = abs(g0 - evaluate(spec, trace.initial_expectation)) <= CHECK_TOL

@@ -67,14 +67,12 @@ _BUILTINS = {
     "gini": ImpuritySpec("gini", _gini, 2.0),
     "kearns-mansour": ImpuritySpec("kearns-mansour", _kearns_mansour, 1.0),
 }
-_ALIASES = {"km": "kearns-mansour"}
 
 BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> ImpuritySpec:
-    key = _ALIASES.get(name, name)
-    spec = _BUILTINS.get(key)
+    spec = _BUILTINS.get(name)
     if spec is None:
         raise ValueError(f"unknown impurity {name!r}; builtins: {', '.join(_BUILTINS)}")
     return spec

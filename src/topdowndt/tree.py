@@ -373,31 +373,6 @@ def to_json(t: Tree) -> dict:
     return _node_to_json(t.root)
 
 
-def _node_from_json(d: dict) -> Node:
-    if "q" in d:
-        return Internal(
-            int(d["q"]),
-            float(d["theta"]) if "theta" in d else None,
-            _node_from_json(d["hi"]),
-            _node_from_json(d["lo"]),
-        )
-    if "label" not in d:
-        raise ValueError("tree node needs either 'q' or 'label'")
-    label = d["label"]
-    return Leaf(None if label is None else int(label))
-
-
-def from_json(d: dict) -> Tree:
-    """Parse a tree; all-labeled nodes give a DecisionTree, all-unlabeled a PartialTree."""
-    root = _node_from_json(d)
-    labels = [info.node.label for info in _walk_leaves(root)]
-    if all(l is None for l in labels):
-        return PartialTree(root)
-    if all(l is not None for l in labels):
-        return DecisionTree(root)
-    raise ValueError("tree mixes labeled and unlabeled leaves")
-
-
 def label_leaves(t: PartialTree, labels: Sequence[int]) -> DecisionTree:
     """Label the leaves in preorder (leaf-id order) with the given 0/1 values."""
     labels = list(labels)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from topdowndt import boolfn
 from topdowndt.boolfn import (
-    EMPTY,
     BoolFunc,
     Restriction,
     SubcubeView,
@@ -18,12 +17,10 @@ from topdowndt.boolfn import (
     dictator,
     expectation,
     from_dnf,
-    from_points,
     from_spec,
     influence,
     is_monotone,
     majority,
-    monotone_orientation,
     parity,
     point_of,
     random_monotone,
@@ -98,17 +95,11 @@ class TestAnchors:
 class TestRestriction:
     def test_orders_and_dedups_coords(self):
         r = Restriction(((2, -1), (1, 1)))
-        assert r.coords() == frozenset({1, 2})
-        assert r.get(2) == -1
-        assert r.get(3) is None
+        assert r.fixed == ((1, 1), (2, -1))
 
     def test_conflicting_assignment_rejected(self):
         with pytest.raises(ValueError):
             Restriction(((1, 1), (1, -1)))
-
-    def test_extend(self):
-        r = EMPTY.extend(2, 1).extend(1, -1)
-        assert r.get(1) == -1 and r.get(2) == 1
 
     def test_bad_value(self):
         with pytest.raises(ValueError):
@@ -154,23 +145,56 @@ class TestUnateInfluenceCorrelation:
             assert influence(f, r, i) == 2 * abs(correlation(f, r, i))
 
 
+def brute_is_monotone(f: BoolFunc) -> bool:
+    """Unate iff, for every coordinate i, f(x with x_i=+1) >= f(x with x_i=-1)
+    at every x, or <= at every x."""
+    for i in range(f.n):
+        steps = set()
+        for idx in range(1 << f.n):
+            if not (idx >> i) & 1:
+                steps.add(f.value(point_of(idx | 1 << i, f.n)) - f.value(point_of(idx, f.n)))
+        if {1, -1} <= steps:
+            return False
+    return True
+
+
+def random_signed_dnf(n: int, rng: random.Random) -> BoolFunc:
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        coords = rng.sample(range(1, n + 1), rng.randint(1, 3))
+        terms.append([c * rng.choice((-1, 1)) for c in coords])
+    return from_dnf(n, terms)
+
+
 class TestOrientation:
     def test_conjunction_is_nondecreasing(self):
-        assert set(monotone_orientation(conjunction(3))) == {"non-decreasing"}
         assert is_monotone(conjunction(3))
 
     def test_parity_is_not_unate(self):
-        assert set(monotone_orientation(parity(2))) == {"neither"}
         assert not is_monotone(parity(2))
 
     def test_irrelevant_coordinate(self):
-        f = dictator(3, 1)
-        assert monotone_orientation(f)[1:] == ("both", "both")
+        assert is_monotone(dictator(3, 1))
 
     def test_negated_dictator_is_unate(self):
-        f = from_dnf(2, [[-1]])
-        assert monotone_orientation(f)[0] == "non-increasing"
-        assert is_monotone(f)
+        assert is_monotone(from_dnf(2, [[-1]]))
+
+    def test_every_small_function_matches_brute_force(self):
+        for n in (1, 2, 3):
+            for table in range(1 << (1 << n)):
+                f = BoolFunc(n, table)
+                assert is_monotone(f) == brute_is_monotone(f), (n, table)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_wider_functions_match_brute_force(self, n):
+        rng = random.Random(n)
+        dnfs = [random_signed_dnf(n, rng) for _ in range(30)]
+        verdicts = [is_monotone(f) for f in dnfs]
+        assert verdicts == [brute_is_monotone(f) for f in dnfs]
+        assert True in verdicts and False in verdicts
+        for seed in range(10):
+            f = random_monotone(n, seed=seed)
+            assert is_monotone(f) and brute_is_monotone(f)
 
 
 class TestSubcubeView:
@@ -257,12 +281,6 @@ class TestConstructors:
         for idx in range(4):
             x = point_of(idx, 2)
             assert ((f.table >> idx) & 1) == int(x[0] == -1)
-
-    def test_from_points(self):
-        pts = [(1, 1), (1, -1)]
-        f = from_points(2, pts)
-        assert expectation(f) == Fraction(1, 2)
-        assert f.table == from_dnf(2, [(1,)]).table
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):

@@ -248,6 +248,11 @@ class TestExitContract:
             ["hard", "--l", "8", "--k", "63", "--budget", "2", "--samples", "1000000000"],
             ["round-check", "--arity", "8", "--trials", "1", "--samples", "1000000000"],
             ["verify-impurity", "--impurity", "influence"],
+            ["grow", "--arity", "4", "--impurity", "km"],
+            ["jz-sweep", "--trials", "1000000000"],
+            ["agnostic-sweep", "--arity", "4", "--trials", "1000000000"],
+            ["realizable", "--arity", "4", "--trials", "1000000000"],
+            ["round-check", "--trials", "1000000000"],
         ],
         ids=["thresholds-bogus", "thresholds-grid-x", "thresholds-grid-99",
              "monitor-size-1", "sizes-1-2", "sizes-0", "sizes-empty",
@@ -255,7 +260,9 @@ class TestExitContract:
              "hard-wide-ell", "hard-wider-ell", "hard-wide-k",
              "hard-budget-past-cap", "round-check-leaves-past-cap",
              "round-check-arity-past-cap", "hard-samples-past-cap",
-             "round-check-samples-past-cap", "verify-impurity-influence"],
+             "round-check-samples-past-cap", "verify-impurity-influence", "impurity-km",
+             "jz-sweep-trials-past-cap", "agnostic-sweep-trials-past-cap",
+             "realizable-trials-past-cap", "round-check-trials-past-cap"],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, argv):
         data = tmp_path / "data.csv"
@@ -555,6 +562,19 @@ class TestBadInputsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no feature column" in err, err
 
+    def test_empirical_column_named_twice_exits_two(self, tmp_path, capsys):
+        # with the header a,a,label, coordinate 1's CDF was built from column 2
+        data = tmp_path / "data.csv"
+        data.write_text("a,a,label\n0.2,5,0\n0.8,7,1\n")
+        dist = tmp_path / "dist.json"
+        dist.write_text('[{"kind":"empirical","column":"a"},{"kind":"uniform01"}]')
+        out = tmp_path / "x"
+        rc = main(["grow-real", "--data", str(data), "--dist", str(dist), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'a' appears more than once" in err, err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_threshold_must_be_finite(self, tmp_path, capsys, value):
         out = tmp_path / "x"
@@ -673,6 +693,7 @@ FUZZ_PAST_CAP = {
     "budget": (str(cli.MAX_HARD_BUDGET + 1),),
     "leaves": (str(cli.MAX_ROUND_CHECK_LEAVES + 1),),
     "samples": (str(cli.MAX_SAMPLES + 1),),
+    "trials": (str(cli.MAX_TRIALS + 1),),
 }
 
 
@@ -728,6 +749,7 @@ def _materialize(root: Path, token: str) -> str:
 @example(argv=["round-check", "--leaves", FUZZ_PAST_CAP["leaves"][0]])
 @example(argv=["round-check", "--arity", FUZZ_PAST_CAP["arity"][0]])
 @example(argv=["hard", "--samples", FUZZ_PAST_CAP["samples"][0]])
+@example(argv=["round-check", "--trials", FUZZ_PAST_CAP["trials"][0]])
 @given(argv=fuzz_argvs())
 def test_fuzzed_argv_exits_zero_one_or_two(argv):
     with contextlib.ExitStack() as stack:

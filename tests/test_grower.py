@@ -238,12 +238,6 @@ class TestSplitInequalities:
         with pytest.raises(ValueError, match="impurity-rule"):
             verify_split_inequalities(trace, f, GINI, monitor=Monitor(2, Fraction(1, 10), 0))
 
-    def test_requires_monitor(self):
-        f = conjunction(2)
-        _, trace = grow(f, GrowthConfig(budget=3, impurity=GINI))
-        with pytest.raises(ValueError, match="monitor"):
-            verify_split_inequalities(trace, f, GINI)
-
 
 class TestArgmaxAgreement:
     def test_rule_agreement_with_itself(self):

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -165,7 +164,7 @@ class TestAgainstEnumeration:
             st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
         )
         vals = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=k, max_size=k))
-        r = Restriction.of(zip(coords, vals))
+        r = Restriction(tuple(zip(coords, vals)))
         assert restricted_expectation(h, r) == boolfn.expectation(F, r)
         free = sorted(set(range(1, n + 1)) - set(coords))
         for i in free:

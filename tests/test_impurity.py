@@ -18,9 +18,6 @@ class TestBuiltins:
     def test_names(self):
         assert set(BUILTIN_NAMES) == {"gini", "entropy", "kearns-mansour"}
 
-    def test_km_alias(self):
-        assert builtin("km").name == "kearns-mansour"
-
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin("misclassification")

@@ -448,7 +448,7 @@ def _samples(draw):
 class TestPresortedSampleLeaf:
     @given(
         points=_samples(),
-        spec=st.sampled_from([GINI, builtin("entropy"), builtin("km")]),
+        spec=st.sampled_from([GINI, builtin("entropy"), builtin("kearns-mansour")]),
         policy=st.sampled_from(["midpoints", "grid:1", "grid:2", "grid:3", "grid:8"]),
         stop=st.booleans(),
         budget=st.integers(1, 12),
@@ -502,7 +502,7 @@ class TestPresortedSampleLeaf:
         assert calls <= leaves * (1 + coords * 2 * (len(sample) + 1))
 
     @pytest.mark.parametrize(
-        "spec", [GINI, builtin("entropy"), builtin("km")], ids=lambda s: s.name
+        "spec", [GINI, builtin("entropy"), builtin("kearns-mansour")], ids=lambda s: s.name
     )
     def test_matches_per_leaf_sort_at_scale(self, spec):
         # large enough for the midpoint scan to skip blocks of cuts; labels

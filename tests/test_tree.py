@@ -16,7 +16,6 @@ from topdowndt.tree import (
     complete,
     distance,
     evaluate,
-    from_json,
     label_leaves,
     leaves,
     path_of,
@@ -296,30 +295,6 @@ class TestLabelLeaves:
         t = grow_by_splits([(0, 1)])
         with pytest.raises(ValueError):
             label_leaves(t, [1])
-
-
-class TestSerialization:
-    def test_binary_roundtrip(self):
-        t = complete(grow_by_splits([(0, 1), (0, 2)]), majority(3))
-        back = from_json(to_json(t))
-        assert isinstance(back, DecisionTree)
-        assert to_json(back) == to_json(t)
-
-    def test_partial_roundtrip(self):
-        t = grow_by_splits([(0, 1), (1, 3)])
-        back = from_json(to_json(t))
-        assert isinstance(back, PartialTree)
-        assert to_json(back) == to_json(t)
-
-    def test_real_roundtrip(self):
-        t = DecisionTree(Internal(1, 0.375, Leaf(1), Internal(1, 0.125, Leaf(0), Leaf(1))))
-        back = from_json(to_json(t))
-        assert back.is_real
-        assert to_json(back) == to_json(t)
-
-    def test_mixed_labels_rejected(self):
-        with pytest.raises(ValueError):
-            from_json({"q": 1, "hi": {"label": 1}, "lo": {"label": None}})
 
 
 class TestLeafViews:
