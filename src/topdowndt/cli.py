@@ -10,7 +10,9 @@ config file that flags override) and produces a ResultBundle on disk:
       plotdata/*.csv  (x, y, series) files for external plotting
 
 Each subcommand is declared once, in SUBCOMMANDS: its runner, its help
-line and the ExperimentConfig fields it takes as flags.  The parser is
+line, the ExperimentConfig fields it takes as flags and their caps (LOWEST
+holds every size field's lowest value; ExperimentConfig checks both before
+any runner starts).  The parser is
 built from that table; a flag's name is its field's name with "_" as "-"
 (ell is --l) and its type comes from the field's annotation.  A runner
 writes its own CSVs and plot files and returns (summary, checks, files).
@@ -61,12 +63,13 @@ from .grower import (
 from .impurity import BUILTIN_NAMES, builtin, verify_shape, verify_strong_concavity
 from .realvalued import (
     CoordinateDist,
+    PointError,
     ProductDistribution,
     RealSample,
     balanced_random_tree,
     booleanized_evaluate,
     cdf_transform,
-    encode_point,
+    encode,
     estimate_dist,
     grow_real,
     round_thresholds,
@@ -80,19 +83,20 @@ class ConfigError(ValueError):
 
 DEFAULT_IMPURITIES = ("gini", "entropy", "kearns-mansour")
 
-# Size caps, refused before any work.  At the cap, hard --l 8 --k 63 grows in
-# 65 s and 200 MB, and one round-check --arity 8 trial takes 9 s and 130 MB
-# (2-CPU VM, Python 3.11); both grow faster than linearly past it.
-MAX_HARD_BUDGET = 1 << 16
-MAX_ROUND_CHECK_LEAVES = 1 << 18
-# Same machine, linear past the cap: at the arity cap, round-check --trials 1
-# --leaves 2 --samples 1 takes 23 s; at the samples cap, hard --l 8 --k 63
-# --budget 256 takes 10 s and 400 MB (it keeps its samples), a round-check trial 2 s.
-MAX_ROUND_CHECK_ARITY = 1 << 10
-MAX_SAMPLES = 1 << 19
-# Trials run one after another, so time is linear in them: at the trials cap,
-# every other flag at its default, round-check takes 68 s and agnostic-sweep 23 s.
-MAX_TRIALS = 1 << 10
+# The lowest value of each size field, refused before any work whatever the
+# subcommand; each subcommand's caps are in SUBCOMMANDS.  A list field is
+# checked entry by entry.  A growth monitor needs s >= 2 (log2 s > 0), a chain
+# teacher tree has at least 2 leaves and a tribes block at least 2 bits;
+# monitor_size 0 disables the monitor.
+LOWEST = {
+    "budget": 1, "trials": 1, "samples": 1, "size": 1, "sizes": 2, "leaves": 1,
+    "teacher_leaves": 2, "arity": 1, "ell": 2, "k": 1, "monitor_size": 0,
+}
+
+
+def _flag(name: str) -> str:
+    """The command-line flag of an ExperimentConfig field."""
+    return "--l" if name == "ell" else "--" + name.replace("_", "-")
 
 
 @dataclass
@@ -126,23 +130,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.out:
             self.out = f"results/{self.kind}"
-        for name, low in (
-            ("budget", 1),
-            ("trials", 1),
-            ("samples", 1),
-            ("size", 1),
-            ("leaves", 1),
-            ("teacher_leaves", 2),
-            ("arity", 1),
-            ("ell", 2),
-            ("k", 1),
-        ):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}")
-        if self.samples > MAX_SAMPLES:  # hard and round-check read it
-            raise ConfigError(f"--samples {self.samples} exceeds the cap {MAX_SAMPLES}")
-        if self.trials > MAX_TRIALS:  # the four sweeps read it
-            raise ConfigError(f"--trials {self.trials} exceeds the cap {MAX_TRIALS}")
+        caps = SUBCOMMANDS[self.kind].caps
+        for name, low in LOWEST.items():
+            value = getattr(self, name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if v < low:
+                    raise ConfigError(f"{_flag(name)} {v} is below the minimum {low}")
+                if v > caps.get(name, math.inf):
+                    raise ConfigError(f"{_flag(name)} {v} exceeds the cap {caps[name]}")
         for name in ("sizes", "impurities"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
@@ -171,6 +166,16 @@ class ExperimentConfig:
             realvalued.parse_policy(self.thresholds)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        # Monitor refuses a monitored size below 2, or an epsilon below its
+        # resolution, before the oracle runs
+        monitored = self.sizes if self.kind == "agnostic-sweep" else ()
+        if self.kind == "grow" and self.monitor_size:
+            monitored = (self.monitor_size,)
+        for s in monitored:
+            try:
+                Monitor(s, self.epsilon, Fraction(0))
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
 
 
 @dataclass
@@ -227,28 +232,6 @@ def _impurity_or_none(name: str):
     return None if name == "influence" else builtin(name)
 
 
-def _check_table_arity(n: int) -> None:
-    # refuse before building a 2^n table
-    if n > boolfn.MAX_ARITY:
-        raise ConfigError(f"arity {n} exceeds the truth-table cap {boolfn.MAX_ARITY}")
-
-
-def _monitor_eps(cfg: ExperimentConfig) -> Fraction:
-    # the monitor's eps is exact: epsilon as a fraction with denominator <= 10^9
-    eps = Fraction(cfg.epsilon).limit_denominator(10**9)
-    if eps == 0:
-        raise ConfigError(f"epsilon {cfg.epsilon:g} is below the monitor's resolution 1e-9")
-    return eps
-
-
-def _check_monitor(s: int, eps: Fraction) -> None:
-    # refuse a bad monitor size before the oracle runs
-    try:
-        Monitor(s, eps, Fraction(0))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
 def _read_json(path: Path, what: str):
     """The JSON value in a spec or config file, or ConfigError naming the file."""
     if not path.exists():
@@ -303,7 +286,6 @@ def _load_function(cfg: ExperimentConfig) -> tuple[BoolFunc, str]:
             return boolfn.from_spec(spec), path.stem
         except ValueError as e:
             raise ConfigError(f"bad function spec {path}: {e}") from None
-    _check_table_arity(cfg.arity)
     f = random_monotone(cfg.arity, seed=cfg.seed)
     return f, f"random-monotone-n{cfg.arity}-seed{cfg.seed}"
 
@@ -348,10 +330,8 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
             raise ConfigError("monitoring needs the exact oracle; reduce arity")
         if not is_monotone(f):
             raise ConfigError(f"the monitor's guarantees need a monotone target; {fname} is not")
-        eps = _monitor_eps(cfg)
-        _check_monitor(cfg.monitor_size, eps)
         opt_s = oracle.OptTable(f).error(cfg.monitor_size)
-        monitor = Monitor(cfg.monitor_size, eps, opt_s)
+        monitor = Monitor(cfg.monitor_size, cfg.epsilon, opt_s)
     _, trace = grow(f, GrowthConfig(budget=cfg.budget, impurity=spec, stop_on_zero_gain=True))
     files = _write_trace(out, trace)
     checks = {"distance-nonincreasing": _nonincreasing(_distance_curve(trace))}
@@ -403,10 +383,9 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
             header = next(reader, [])
             if not header:
                 raise ConfigError(f"{path}: empty dataset or blank header")
-            if "label" in header:
-                label_idx = header.index("label")
-            else:
-                label_idx = len(header) - 1
+            if header.count("label") > 1:
+                raise ConfigError(f"{path}: column 'label' appears more than once in the header")
+            label_idx = header.index("label") if "label" in header else len(header) - 1
             feature_names = header[:label_idx] + header[label_idx + 1 :]
             if not feature_names:
                 raise ConfigError(f"{path}: no feature column besides the label")
@@ -419,16 +398,15 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
                     label = int(row[label_idx])
                 except ValueError as e:
                     raise ConfigError(f"{path}:{lineno}: {e}") from None
-                if label not in (0, 1):
-                    raise ConfigError(f"{path}:{lineno}: label must be 0 or 1")
-                if not all(map(math.isfinite, x)):
-                    raise ConfigError(f"{path}:{lineno}: feature values must be finite")
                 points.append((x, label))
     except (OSError, UnicodeDecodeError, csv.Error) as e:  # a directory, not UTF-8, ...
         raise ConfigError(f"cannot read dataset {path}: {e}") from None
-    if not points:
-        raise ConfigError(f"{path}: no data rows")
-    sample = RealSample(tuple(points), provenance=str(path))
+    try:
+        sample = RealSample(tuple(points), provenance=str(path))
+    except PointError as e:  # point i is on line i + 2, under the header
+        raise ConfigError(f"{path}:{e.index + 2}: {e.problem}") from None
+    except ValueError as e:  # no data rows
+        raise ConfigError(f"{path}: {e}") from None
     if cfg.dist:
         dist_path = Path(cfg.dist)
         entries = _read_json(dist_path, "distribution spec")
@@ -531,9 +509,6 @@ def _random_binary_tree(n: int, max_leaves: int, rng) -> treemod.DecisionTree:
 
 def _run_jz_sweep(cfg: ExperimentConfig, out: Path):
     n = cfg.arity
-    if n > 16:
-        raise ConfigError("jz-sweep enumerates truth tables; keep arity <= 16")
-
     rows = []
     for i in range(cfg.trials):
         rng = derived_rng(_trial_seed(cfg, i), "jz")
@@ -550,13 +525,8 @@ def _run_jz_sweep(cfg: ExperimentConfig, out: Path):
 
 def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
     n = cfg.arity
-    if n > oracle.OPT_MAX_ARITY:
-        raise ConfigError(f"agnostic-sweep needs the exact oracle; arity <= {oracle.OPT_MAX_ARITY}")
-    eps = _monitor_eps(cfg)
     names = tuple(cfg.impurities)
     specs = [builtin(name) for name in names]
-    for s in cfg.sizes:
-        _check_monitor(s, eps)
     budgets = {s: _sweep_budget(s, n) for s in cfg.sizes}
     top = max(budgets.values())
 
@@ -568,12 +538,12 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
         runs = [grow(f, GrowthConfig(top, spec, stop_on_zero_gain=True))[1] for spec in specs]
         for s in cfg.sizes:
             opt_s = table.error(s)
-            monitor = Monitor(s, eps, opt_s)
+            monitor = Monitor(s, cfg.epsilon, opt_s)
             # the budget only stops the deterministic loop: budget b gives the first b - 1 steps
             traces = [dataclasses.replace(r, steps=r.steps[: budgets[s] - 1]) for r in runs]
             for spec, trace in zip(specs, traces):
                 report = verify_split_inequalities(trace, f, spec, monitor)
-                err_ok = trace.final_distance() <= opt_s + eps
+                err_ok = trace.final_distance() <= opt_s + monitor.eps
                 flags.append((err_ok, report.passed, _nonincreasing(_distance_curve(trace))))
             rows.append((i, s, opt_s, *(t.final_distance() for t in traces)))
     header = ("trial", "s", "opt_s", *(f"err_{name}" for name in names))
@@ -611,10 +581,6 @@ def _hard_checkpoints(final_size: int) -> list[int]:
 
 
 def _run_hard(cfg: ExperimentConfig, out: Path):
-    if cfg.budget > MAX_HARD_BUDGET:
-        raise ConfigError(f"--budget {cfg.budget} exceeds the cap {MAX_HARD_BUDGET}")
-    if cfg.k % 2 == 0:
-        raise ConfigError("k must be odd (majority needs an odd vote count)")
     try:
         h = hardinstance.choose_params(cfg.ell, cfg.k)
     except ValueError as e:
@@ -626,14 +592,11 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
     cutoff = hardinstance.xi_cutoff(h.k)
     final_distance = trace.final_distance()
 
-    # one evaluation sample, its truths computed once, shared by every checkpoint
-    labeled = list(
-        hardinstance.labeled_points(h, cfg.samples, derived_rng(cfg.seed, "hard", "curve"))
-    )
-    rows = [
-        (size, *hardinstance.mc_check(h, tree_at(trace, size), labeled, cutoff))
-        for size in _hard_checkpoints(trace.final_size)
-    ]
+    # one evaluation sample, drawn lazily, each point walking every checkpoint's tree
+    sizes = _hard_checkpoints(trace.final_size)
+    labeled = hardinstance.labeled_points(h, cfg.samples, derived_rng(cfg.seed, "hard", "curve"))
+    checked = hardinstance.mc_check(h, [tree_at(trace, size) for size in sizes], labeled, cutoff)
+    rows = [(size, *result) for size, result in zip(sizes, checked)]
     _write_csv(out / "rows.csv", ("size", "error_estimate", "error_ci", "xi_fraction"), rows)
     curve = _distance_curve(trace)
     _write_csv(out / "exact_curve.csv", ("size", "distance"), curve)
@@ -671,7 +634,6 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
 
 def _run_realizable(cfg: ExperimentConfig, out: Path):
     n = cfg.arity
-    _check_table_arity(n)
     budget = min(1 << n, cfg.budget)
     names = tuple(cfg.impurities)
 
@@ -710,10 +672,6 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
 
 
 def _run_round_check(cfg: ExperimentConfig, out: Path):
-    if cfg.leaves > MAX_ROUND_CHECK_LEAVES:
-        raise ConfigError(f"--leaves {cfg.leaves} exceeds the cap {MAX_ROUND_CHECK_LEAVES}")
-    if cfg.arity > MAX_ROUND_CHECK_ARITY:
-        raise ConfigError(f"--arity {cfg.arity} exceeds the cap {MAX_ROUND_CHECK_ARITY}")
     n = cfg.arity
     eps = cfg.epsilon
     d = ProductDistribution.uniform(n)
@@ -733,11 +691,13 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
             )
         tr = round_thresholds(t, w)
         est, hw = estimate_dist(t, tr, d, cfg.samples, seed)
+        # booleanized_evaluate reads only the bits of the coordinates tr queries
+        queried = sorted({step.coord for info in treemod.leaves(tr) for step in info.path})
         rng = derived_rng(seed, "agreement")
         fails = 0
         for _ in range(agree_per_trial):
             x = d.sample(rng)
-            bits = encode_point(x, w)
+            bits = {(c - 1) * w + p: b for c in queried for p, b in enumerate(encode(x[c - 1], w))}
             if treemod.evaluate(tr, x) != booleanized_evaluate(tr, w, bits):
                 fails += 1
         rows.append((i, depth, w, est, hw, fails))
@@ -793,15 +753,33 @@ class Subcommand:
     flags: tuple[str, ...]  # ExperimentConfig fields it takes as flags, besides COMMON_FLAGS
     defaults: tuple[tuple[str, object], ...] = ()  # its own field defaults, as (name, value)
     echo: str = ""  # line printed after the run, formatted from the summary
+    caps: dict[str, int] = dataclasses.field(default_factory=dict)  # field -> largest value
 
 
 COMMON_FLAGS = ("seed", "out")
 
+# Each subcommand's caps, refused before any work.  Measured on a 2-CPU VM with
+# Python 3.11; time grows faster than linearly past the first three caps:
+# - hard --budget 65536: --l 8 --k 63 grows in 65 s and 200 MB;
+# - round-check --leaves 262144: one trial at arity 8 takes 9 s and 130 MB;
+# - jz-sweep --leaves 8192: a random tree of 8192 leaves takes 3.5 s to draw,
+#   one of 16384 leaves 15 s;
+# - the oracle's size, 16 (opt --size, agnostic-sweep --sizes, grow
+#   --monitor-size): OptTable.error(16) takes 132 s and 566 MB on a random
+#   12-bit table, 41 s and 292 MB on a monotone one; opt --size 32 on a
+#   monotone 12-bit function did not finish in 60 s;
+# - round-check --arity 1024: a trial with 2 leaves and 1 sample takes 3.3 s;
+# - --samples 524288: hard --l 8 --k 63 --budget 256 takes 14 s and 22 MB;
+# - --trials 1024: every other flag at its default, round-check takes 68 s
+#   and agnostic-sweep 23 s.
+# Arity is also capped at boolfn.MAX_ARITY for a truth table, at
+# oracle.OPT_MAX_ARITY for the exact oracle and at 16 for jz-sweep.
 SUBCOMMANDS = {
     "grow": Subcommand(
         _run_grow,
         "grow a tree for a boolean function",
         ("fn", "arity", "impurity", "budget", "monitor_size", "epsilon"),
+        caps={"arity": boolfn.MAX_ARITY, "monitor_size": 16},
     ),
     "grow-real": Subcommand(
         _run_grow_real,
@@ -813,31 +791,37 @@ SUBCOMMANDS = {
         "exact smallest-error tree of a given size",
         ("fn", "size"),
         echo="opt_{size} = {error}",
+        caps={"size": 16},
     ),
     "jz-sweep": Subcommand(
         _run_jz_sweep,
         "two-function inequality over random pairs",
         ("arity", "trials", "leaves"),
+        caps={"arity": 16, "trials": 1 << 10, "leaves": 1 << 13},
     ),
     "agnostic-sweep": Subcommand(
         _run_agnostic_sweep,
         "greedy vs exact optimum on random monotone targets",
         ("arity", "trials", "sizes", "epsilon", "impurities"),
+        caps={"arity": oracle.OPT_MAX_ARITY, "trials": 1 << 10, "sizes": 16},
     ),
     "hard": Subcommand(
         _run_hard,
         "growth on the conjunctions-plus-majority instance",
         ("ell", "k", "impurity", "budget", "samples", "threshold"),
+        caps={"budget": 1 << 16, "samples": 1 << 19},
     ),
     "realizable": Subcommand(
         _run_realizable,
         "growth on random monotone tree targets",
         ("arity", "trials", "teacher_leaves", "target", "budget", "impurities"),
+        caps={"arity": boolfn.MAX_ARITY, "trials": 1 << 10},
     ),
     "round-check": Subcommand(
         _run_round_check,
         "threshold rounding and bit-encoding agreement",
         ("arity", "trials", "leaves", "epsilon", "samples"),
+        caps={"arity": 1 << 10, "trials": 1 << 10, "leaves": 1 << 18, "samples": 1 << 19},
     ),
     "verify-impurity": Subcommand(
         _run_verify_impurity,
@@ -930,10 +914,9 @@ def build_parser() -> argparse.ArgumentParser:
     for kind, command in SUBCOMMANDS.items():
         p = sub.add_parser(kind, help=command.help, allow_abbrev=False)
         for name in (*command.flags, *COMMON_FLAGS):
-            flag = "--l" if name == "ell" else "--" + name.replace("_", "-")
             # an unset flag parses to None and leaves the config file's value
             p.add_argument(
-                flag, dest=name, type=_FLAG_TYPES[types[name]][0], help=_FLAG_HELP.get(name)
+                _flag(name), dest=name, type=_FLAG_TYPES[types[name]][0], help=_FLAG_HELP.get(name)
             )
         p.add_argument("--config", help="JSON config file; flags override it")
     return parser

@@ -164,8 +164,11 @@ class Monitor:
     def __post_init__(self):
         if self.s < 2:
             raise ValueError("monitor needs s >= 2 (log2 s must be positive)")
-        if not isinstance(self.eps, Fraction):
-            object.__setattr__(self, "eps", Fraction(self.eps).limit_denominator(10**9))
+        eps = self.eps
+        if not isinstance(eps, Fraction):
+            object.__setattr__(self, "eps", Fraction(eps).limit_denominator(10**9))
+            if self.eps == 0 < eps:
+                raise ValueError(f"epsilon {eps:g} is below the monitor's resolution 1e-9")
         if not isinstance(self.opt_s, Fraction):
             object.__setattr__(self, "opt_s", Fraction(self.opt_s))
         if self.eps <= 0:

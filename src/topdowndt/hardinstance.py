@@ -45,8 +45,8 @@ lower_bound_experiment() grows a budgeted tree on an instance, Monte-Carlo
 checks the final tree, and measures how often it queries an x coordinate
 before its path has seen many y's; the trace carries the exact error
 curve.  mc_check() is that Monte-Carlo loop, over any stream of (x, f(x))
-pairs such as labeled_points(), walking the tree itself once per point;
-the hard CLI runs it again at checkpoint sizes on one shared sample.
+pairs such as labeled_points(), walking each tree itself once per point;
+the hard CLI runs it again on its checkpoint trees, in one lazy pass.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .boolfn import MAX_ARITY, BoolFunc, Restriction, derived_rng, from_dnf
 from .grower import GrowthConfig, GrowthTrace, grow
@@ -461,37 +462,38 @@ def xi_cutoff(k: int) -> int:
     return int(0.5 * k / math.log2(k))
 
 
-def mc_check(h: HardInstance, t: DecisionTree, labeled, cutoff: int) -> tuple[float, float, float]:
-    """Monte-Carlo error of t against f, and its xi fraction.
+def mc_check(h: HardInstance, trees: Sequence[DecisionTree], labeled, cutoff: int) -> list:
+    """Monte-Carlo error of each tree against f, and its xi fraction.
 
-    labeled is an iterable of (x, f(x)) pairs, at least one.  Returns the
-    fraction of them t gets wrong, the distribution-free 99% half-width
-    for that many samples, and the fraction whose path in t queries an x
-    coordinate before it has queried more than `cutoff` y's.  t is a
-    binary-mode tree, walked once per point.
+    labeled is an iterable of (x, f(x)) pairs, at least one, read once:
+    each point walks every tree.  Returns, per tree, the fraction of points
+    it gets wrong, the distribution-free 99% half-width for that many
+    samples, and the fraction whose path in it queries an x coordinate
+    before it has queried more than `cutoff` y's.  The trees are binary-mode.
     """
     ell = h.params.ell
-    count = errors = early_x = 0
+    roots = [t.root for t in trees]
+    count, errors, early_x = 0, [0] * len(roots), [0] * len(roots)
     for x, fx in labeled:
         count += 1
-        node = t.root
-        y_seen = 0
-        while isinstance(node, Internal):  # until the xi rule is decided
-            if node.coord <= ell:
-                early_x += 1
-                break
-            y_seen += 1
-            if y_seen > cutoff:
-                break
-            node = node.hi if x[node.coord - 1] == 1 else node.lo
-        while isinstance(node, Internal):
-            node = node.hi if x[node.coord - 1] == 1 else node.lo
-        if node.label != fx:
-            errors += 1
+        for j, node in enumerate(roots):
+            y_seen = 0
+            while isinstance(node, Internal):  # until the xi rule is decided
+                if node.coord <= ell:
+                    early_x[j] += 1
+                    break
+                y_seen += 1
+                if y_seen > cutoff:
+                    break
+                node = node.hi if x[node.coord - 1] == 1 else node.lo
+            while isinstance(node, Internal):
+                node = node.hi if x[node.coord - 1] == 1 else node.lo
+            if node.label != fx:
+                errors[j] += 1
     if count == 0:
         raise ValueError("mc_check needs at least one sample")
     halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * count))
-    return errors / count, halfwidth, early_x / count
+    return [(e / count, halfwidth, x / count) for e, x in zip(errors, early_x)]
 
 
 def labeled_points(h: HardInstance, count: int, rng):
@@ -517,4 +519,4 @@ def lower_bound_experiment(
         raise ValueError(f"the Monte-Carlo check needs at least one sample, got {mc_samples}")
     dtree, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
     points = labeled_points(h, mc_samples, derived_rng(seed, "hard", "mc"))
-    return dtree, trace, mc_check(h, dtree, points, xi_cutoff(h.k))
+    return dtree, trace, mc_check(h, [dtree], points, xi_cutoff(h.k))[0]

@@ -68,7 +68,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import tree as treemod
 from .boolfn import derived_rng
@@ -191,6 +191,14 @@ class ProductDistribution:
         return tuple(c.sample(rng) for c in self.coords)
 
 
+class PointError(ValueError):
+    """A RealSample point that breaks a rule; index is its position in points."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"point {index}: {problem}")
+        self.index, self.problem = index, problem
+
+
 @dataclass(frozen=True)
 class RealSample:
     """Labeled points; the empirical grower treats them as the distribution."""
@@ -202,13 +210,13 @@ class RealSample:
         if not self.points:
             raise ValueError("empty sample")
         n = len(self.points[0][0])
-        for x, label in self.points:
+        for i, (x, label) in enumerate(self.points):
             if len(x) != n:
-                raise ValueError("inconsistent point dimensions")
+                raise PointError(i, "inconsistent point dimensions")
             if not all(map(math.isfinite, x)):
-                raise ValueError(f"feature values must be finite, got {x}")
+                raise PointError(i, f"feature values must be finite, got {x}")
             if label not in (0, 1):
-                raise ValueError(f"labels must be 0 or 1, got {label}")
+                raise PointError(i, f"labels must be 0 or 1, got {label}")
 
     @property
     def n(self) -> int:
@@ -351,9 +359,10 @@ def booleanize(t: DecisionTree, w: int) -> DecisionTree:
     return DecisionTree(transform(t.root, {}))
 
 
-def booleanized_evaluate(t: DecisionTree, w: int, bits: Sequence[int]) -> int:
+def booleanized_evaluate(t: DecisionTree, w: int, bits: Sequence[int] | Mapping[int, int]) -> int:
     """booleanize(t, w) on encoded bits, unbuilt: a query x_i >= c/2^w reads
-    coordinate i's w bits (MSB first, +1 as 1) as floor(x_i 2^w), tests >= c."""
+    coordinate i's w bits (MSB first, +1 as 1) as floor(x_i 2^w), tests >= c.
+    bits[p] is bit p of encode_point's layout; only the queried ones are read."""
     _check_width(w)
     node = t.root
     while isinstance(node, Internal):

@@ -455,7 +455,59 @@ class TestParser:
         assert cli._resolve_config(parser.parse_args(["grow"])).impurity == "gini"
 
 
+def _past_cap(kind: str, name: str) -> str:
+    return str(cli.SUBCOMMANDS[kind].caps[name] + 1)
+
+
+def _bound_cases():
+    """(argv, the whole stderr) one past each bound of every subcommand's flags."""
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for kind, command in sorted(cli.SUBCOMMANDS.items()):
+        for name in command.flags:
+            if name not in cli.LOWEST:
+                continue
+            low, flag = cli.LOWEST[name], cli._flag(name)
+            cases = [(low - 1, f"is below the minimum {low}")]
+            if name in command.caps:
+                cases.append((command.caps[name] + 1, f"exceeds the cap {command.caps[name]}"))
+            for bad, bound in cases:
+                # a list's entries are checked one by one: the bad one comes second
+                text = f"{low},{bad}" if types[name].startswith("tuple") else str(bad)
+                yield pytest.param(
+                    [kind, flag, text], f"error: {flag} {bad} {bound}\n", id=f"{kind}{flag}={bad}"
+                )
+
+
 class TestBadInputsExitTwo:
+    def test_every_cap_is_a_bounded_flag(self):
+        for kind, command in cli.SUBCOMMANDS.items():
+            assert set(command.caps) <= set(command.flags) & set(cli.LOWEST), kind
+
+    @pytest.mark.parametrize("argv, message", list(_bound_cases()))
+    def test_size_bound_refused_before_the_runner(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def refuse(config, out):
+            raise AssertionError("the runner started")
+
+        command = cli.SUBCOMMANDS[argv[0]]
+        monkeypatch.setitem(cli.SUBCOMMANDS, argv[0], dataclasses.replace(command, runner=refuse))
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_label_named_twice_exits_two(self, tmp_path, capsys):
+        # the second label column used to be kept as a feature
+        data = tmp_path / "data.csv"
+        data.write_text("x,label,label\n0.2,0,1\n0.8,1,0\n")
+        out = tmp_path / "x"
+        rc = main(["grow-real", "--data", str(data), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: column 'label' appears more than once in the header\n"
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("kind", ["grow", "grow-real", "hard"])
     def test_impurity_all_only_for_verify_impurity(self, tmp_path, capsys, kind):
         data = tmp_path / "data.csv"
@@ -474,7 +526,7 @@ class TestBadInputsExitTwo:
         monkeypatch.setattr(cli, "random_monotone_tree", refuse)
         rc = main(["realizable", "--teacher-leaves", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "teacher_leaves" in capsys.readouterr().err
+        assert "--teacher-leaves 1 is below the minimum 2" in capsys.readouterr().err
         with pytest.raises(ValueError, match="at least 2 leaves"):
             random_monotone_tree(4, 1, seed=0)
 
@@ -687,13 +739,11 @@ FUZZ_ADVERSARIAL = {
     "tuple[int, ...]": ("", "0", "-1", "nan"),
     "tuple[str, ...]": ("", "nosuch", "gini,nosuch"),
 }
-# one past each size cap: refused before any work, so never slow
+# one past each size cap, from every subcommand's caps: refused before any
+# work, so never slow
 FUZZ_PAST_CAP = {
-    "arity": (str(cli.MAX_ROUND_CHECK_ARITY + 1),),
-    "budget": (str(cli.MAX_HARD_BUDGET + 1),),
-    "leaves": (str(cli.MAX_ROUND_CHECK_LEAVES + 1),),
-    "samples": (str(cli.MAX_SAMPLES + 1),),
-    "trials": (str(cli.MAX_TRIALS + 1),),
+    name: tuple({str(c.caps[name] + 1): None for c in cli.SUBCOMMANDS.values() if name in c.caps})
+    for name in cli.LOWEST
 }
 
 
@@ -745,11 +795,12 @@ def _materialize(root: Path, token: str) -> str:
 @settings(max_examples=60, deadline=None)
 @example(argv=["grow-real", "--data", "@data-dir", "--budget", "2"])
 @example(argv=["grow-real", "--data", "@data-not-utf8", "--budget", "2"])
-@example(argv=["hard", "--budget", FUZZ_PAST_CAP["budget"][0]])
-@example(argv=["round-check", "--leaves", FUZZ_PAST_CAP["leaves"][0]])
-@example(argv=["round-check", "--arity", FUZZ_PAST_CAP["arity"][0]])
-@example(argv=["hard", "--samples", FUZZ_PAST_CAP["samples"][0]])
-@example(argv=["round-check", "--trials", FUZZ_PAST_CAP["trials"][0]])
+@example(argv=["hard", "--budget", _past_cap("hard", "budget")])
+@example(argv=["round-check", "--leaves", _past_cap("round-check", "leaves")])
+@example(argv=["round-check", "--arity", _past_cap("round-check", "arity")])
+@example(argv=["hard", "--samples", _past_cap("hard", "samples")])
+@example(argv=["round-check", "--trials", _past_cap("round-check", "trials")])
+@example(argv=["agnostic-sweep", "--sizes", _past_cap("agnostic-sweep", "sizes")])
 @given(argv=fuzz_argvs())
 def test_fuzzed_argv_exits_zero_one_or_two(argv):
     with contextlib.ExitStack() as stack:

@@ -516,8 +516,11 @@ class TestMcCheck:
             ),
             label="labeled",
         )
-        got = mc_check(h, t, labeled, cutoff)
+        # a second tree walks the same points, read once from an iterator
+        other = DecisionTree(_draw_node(data, xs | ys, depth))
+        got, got_other = mc_check(h, [t, other], iter(labeled), cutoff)
         assert got == _mc_check_reference(h, t, labeled, cutoff)
+        assert got_other == _mc_check_reference(h, other, labeled, cutoff)
         if shape == "y-chain":
             assert got[2] == (1.0 if len(chain) <= cutoff else 0.0)
         if shape == "y-only":
@@ -526,6 +529,6 @@ class TestMcCheck:
     def test_refuses_an_empty_stream(self):
         h = choose_params(4, 3)
         with pytest.raises(ValueError, match="at least one sample"):
-            mc_check(h, DecisionTree(Leaf(0)), [], cutoff=0)
+            mc_check(h, [DecisionTree(Leaf(0))], [], cutoff=0)
         with pytest.raises(ValueError, match="at least one sample"):
             lower_bound_experiment(h, builtin("gini"), budget=4, mc_samples=0)
