@@ -695,8 +695,7 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
         queried = sorted({step.coord for info in treemod.leaves(tr) for step in info.path})
         rng = derived_rng(seed, "agreement")
         fails = 0
-        for _ in range(agree_per_trial):
-            x = d.sample(rng)
+        for x in d.draw(rng, agree_per_trial):
             bits = {(c - 1) * w + p: b for c in queried for p, b in enumerate(encode(x[c - 1], w))}
             if treemod.evaluate(tr, x) != booleanized_evaluate(tr, w, bits):
                 fails += 1
@@ -768,9 +767,9 @@ COMMON_FLAGS = ("seed", "out")
 #   --monitor-size): OptTable.error(16) takes 132 s and 566 MB on a random
 #   12-bit table, 41 s and 292 MB on a monotone one; opt --size 32 on a
 #   monotone 12-bit function did not finish in 60 s;
-# - round-check --arity 1024: a trial with 2 leaves and 1 sample takes 3.3 s;
+# - round-check --arity 1024: a trial with 2 leaves and 1 sample takes 0.8-1.3 s;
 # - --samples 524288: hard --l 8 --k 63 --budget 256 takes 14 s and 22 MB;
-# - --trials 1024: every other flag at its default, round-check takes 68 s
+# - --trials 1024: every other flag at its default, round-check takes 39-43 s
 #   and agnostic-sweep 23 s.
 # Arity is also capped at boolfn.MAX_ARITY for a truth table, at
 # oracle.OPT_MAX_ARITY for the exact oracle and at 16 for jz-sweep.

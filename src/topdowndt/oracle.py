@@ -198,7 +198,7 @@ def verify_jz(f: BoolFunc, g: DecisionTree) -> JZReport:
     if s < 2:
         raise ValueError("the bound needs a tree of size >= 2")
     view = SubcubeView.of_function(f)
-    lhs = max(view.influence(i) for i in range(1, f.n + 1))
+    lhs = Fraction(max(view.coord_counts()[2::3]), view.size >> 1)
     numerator = view.bias() - distance(g, f)
     rhs = float(numerator) / math.log2(s)
     passed = numerator <= 0 or float(lhs) >= rhs - 1e-12

@@ -68,7 +68,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import tree as treemod
 from .boolfn import derived_rng
@@ -93,7 +93,8 @@ class CoordinateDist:
 
     kind "uniform01": the analytic uniform on [0,1].
     kind "cdf_table": piecewise-linear CDF through the given (value, F)
-    knots; first F must be 0 and last must be 1.
+    knots; first F must be 0 and last must be 1.  A value given twice is a
+    jump, where F takes the upper value (F(v) = Pr[X <= v]).
     kind "empirical": the step CDF of the given data values,
     right-continuous (F(v) = fraction of values <= v).
     """
@@ -141,34 +142,12 @@ class CoordinateDist:
         if self.kind == "empirical":
             return Fraction(bisect.bisect_right(self.values, v), len(self.values))
         v = Fraction(v)
-        if v <= self.knots[0][0]:
-            return self.knots[0][1] if v == self.knots[0][0] else Fraction(0)
+        if v < self.knots[0][0]:
+            return Fraction(0)
         for (v0, f0), (v1, f1) in zip(self.knots, self.knots[1:]):
-            if v <= v1:
-                if v1 == v0:
-                    return f1
+            if v < v1:  # v >= v0 here, so at a jump (v0 == v1) the next pair answers
                 return f0 + (f1 - f0) * (v - v0) / (v1 - v0)
         return Fraction(1)
-
-    def quantile(self, u: float) -> float:
-        if not 0 <= u <= 1:
-            raise ValueError("quantile argument must lie in [0,1]")
-        if self.kind == "uniform01":
-            return float(u)
-        if self.kind == "empirical":
-            n = len(self.values)
-            idx = min(n - 1, max(0, math.ceil(u * n) - 1))
-            return self.values[idx]
-        u = Fraction(u)
-        for (v0, f0), (v1, f1) in zip(self.knots, self.knots[1:]):
-            if u <= f1:
-                if f1 == f0:
-                    return float(v0)
-                return float(v0 + (v1 - v0) * (u - f0) / (f1 - f0))
-        return float(self.knots[-1][0])
-
-    def sample(self, rng) -> float:
-        return self.quantile(rng.random())
 
 
 @dataclass(frozen=True)
@@ -187,8 +166,16 @@ class ProductDistribution:
     def n(self) -> int:
         return len(self.coords)
 
-    def sample(self, rng) -> tuple[float, ...]:
-        return tuple(c.sample(rng) for c in self.coords)
+    def draw(self, rng, count: int) -> Iterator[tuple[float, ...]]:
+        """count points, each one rng.random() per coordinate in coordinate order.
+
+        Only uniform01 coordinates are drawn; cdf_transform carries any other
+        product distribution to the uniform cube, where the draws live.
+        """
+        if any(c.kind != "uniform01" for c in self.coords):
+            raise ValueError("only uniform01 coordinates can be drawn")
+        random, dims = rng.random, range(self.n)
+        return (tuple([random() for _ in dims]) for _ in range(count))
 
 
 class PointError(ValueError):
@@ -389,11 +376,7 @@ def estimate_dist(
     if samples < 1:
         raise ValueError("sample count must be >= 1")
     rng = derived_rng(seed, "estimate-dist")
-    disagree = 0
-    for _ in range(samples):
-        x = d.sample(rng)
-        if treemod.evaluate(t1, x) != treemod.evaluate(t2, x):
-            disagree += 1
+    disagree = sum(treemod.evaluate(t1, x) != treemod.evaluate(t2, x) for x in d.draw(rng, samples))
     # 1 - 0.99 is not 0.01 in floats; the recorded half-widths use this form
     halfwidth = math.sqrt(math.log(2 / (1 - 0.99)) / (2 * samples))
     return disagree / samples, halfwidth
@@ -425,11 +408,8 @@ def sample_teacher(t: DecisionTree, d: ProductDistribution, count: int, seed: in
     if count < 1:
         raise ValueError("sample count must be >= 1")
     rng = derived_rng(seed, "teacher-sample")
-    pts = []
-    for _ in range(count):
-        x = d.sample(rng)
-        pts.append((x, treemod.evaluate(t, x)))
-    return RealSample(tuple(pts), provenance=f"teacher seed={seed} count={count}")
+    pts = tuple((x, treemod.evaluate(t, x)) for x in d.draw(rng, count))
+    return RealSample(pts, provenance=f"teacher seed={seed} count={count}")
 
 
 # ---------------------------------------------------------------------------

@@ -101,24 +101,26 @@ class TestCoordinateDist:
         assert d.cdf(0.25) == Fraction(1, 4)  # dyadic floats stay exact
         assert d.cdf(Fraction(3, 10)) == Fraction(3, 10)
         assert d.cdf(-1) == 0 and d.cdf(2) == 1
-        assert d.quantile(0.25) == 0.25
 
     def test_cdf_table(self):
         d = CoordinateDist.from_table([(0, 0), (0.5, 0.25), (1, 1)])
         assert d.cdf(0.5) == Fraction(1, 4)
         assert d.cdf(0.25) == Fraction(1, 8)
         assert d.cdf(0.75) == Fraction(5, 8)
-        assert d.quantile(0.25) == 0.5
-        assert d.quantile(0.125) == 0.25
+
+    def test_cdf_table_takes_the_upper_value_at_a_jump(self):
+        # F(v) = Pr[X <= v] is right-continuous, as the empirical kind is
+        assert CoordinateDist.from_table([(0, 0), (1, 0.5), (1, 1)]).cdf(1) == 1
+        assert CoordinateDist.from_table([(0, 0), (0, 0.5), (1, 1)]).cdf(0) == Fraction(1, 2)
+        d = CoordinateDist.from_table([(0, 0), (0.5, 0.2), (0.5, 0.7), (1, 1)])
+        assert d.cdf(0.5) == Fraction(0.7)  # the knots are the floats' exact values
+        assert d.cdf(0.25) == Fraction(0.2) / 2
 
     def test_empirical(self):
         d = CoordinateDist.from_data([3.0, 1.0, 2.0])  # sorted internally
         assert d.cdf(2.0) == Fraction(2, 3)
         assert d.cdf(0.5) == 0
         assert d.cdf(3.0) == 1
-        assert d.quantile(0.5) == 2.0
-        assert d.quantile(0.0) == 1.0
-        assert d.quantile(1.0) == 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -131,12 +133,23 @@ class TestCoordinateDist:
             CoordinateDist.from_data([])
         with pytest.raises(ValueError):
             CoordinateDist("gaussian")
-        with pytest.raises(ValueError):
-            CoordinateDist.uniform01().quantile(1.5)
 
     def test_product_needs_coords(self):
         with pytest.raises(ValueError):
             ProductDistribution(())
+
+    def test_draw_reads_rng_random_point_by_point(self):
+        points = list(ProductDistribution.uniform(3).draw(random.Random(5), 4))
+        ref = random.Random(5)
+        assert points == [tuple(ref.random() for _ in range(3)) for _ in range(4)]
+
+    def test_draw_refuses_a_non_uniform_coordinate_before_drawing(self):
+        for other in (CoordinateDist.from_data([1.0, 2.0]), CoordinateDist.from_table([(0, 0), (1, 1)])):
+            rng = random.Random(5)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match="uniform01"):
+                ProductDistribution((CoordinateDist.uniform01(), other)).draw(rng, 4)
+            assert rng.getstate() == state
 
     def test_cdf_transform(self):
         d = ProductDistribution(
@@ -149,10 +162,10 @@ class TestCoordinateDist:
     def test_transform_is_measure_preserving(self):
         # F(v) = v^2 on [0,1]; transformed samples must look uniform
         knots = [(i / 100, (i / 100) ** 2) for i in range(101)]
-        d = CoordinateDist.from_table(knots)
+        d = CoordinateDist.from_table(knots)  # within 2.5e-5 of v^2 between knots
         rng = random.Random(123)
         n = 20000
-        us = sorted(float(d.cdf(d.sample(rng))) for _ in range(n))
+        us = sorted(float(d.cdf(math.sqrt(rng.random()))) for _ in range(n))  # sqrt(u) has CDF v^2
         ks = max(abs(u - (i + 1) / n) for i, u in enumerate(us))
         assert ks <= 1.63 / math.sqrt(n)  # 99% KS band
 
