@@ -534,7 +534,7 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
     flags = []
     for i in range(cfg.trials):
         f = random_monotone(n, seed=_trial_seed(cfg, i))
-        table = oracle.OptTable(f)  # one memo serves every size
+        table = oracle.OptTable(f)  # one table serves every size
         runs = [grow(f, GrowthConfig(top, spec, stop_on_zero_gain=True))[1] for spec in specs]
         for s in cfg.sizes:
             opt_s = table.error(s)
@@ -764,9 +764,8 @@ COMMON_FLAGS = ("seed", "out")
 # - jz-sweep --leaves 8192: a random tree of 8192 leaves takes 3.5 s to draw,
 #   one of 16384 leaves 15 s;
 # - the oracle's size, 16 (opt --size, agnostic-sweep --sizes, grow
-#   --monitor-size): OptTable.error(16) takes 132 s and 566 MB on a random
-#   12-bit table, 41 s and 292 MB on a monotone one; opt --size 32 on a
-#   monotone 12-bit function did not finish in 60 s;
+#   --monitor-size): opt --size 16 takes 6 s and 60 MB on a random or a
+#   monotone 12-bit table; OptTable.error(32) on the monotone one 21 s;
 # - round-check --arity 1024: a trial with 2 leaves and 1 sample takes 0.8-1.3 s;
 # - --samples 524288: hard --l 8 --k 63 --budget 256 takes 14 s and 22 MB;
 # - --trials 1024: every other flag at its default, round-check takes 39-43 s

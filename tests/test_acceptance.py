@@ -34,7 +34,7 @@ from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, Restriction, correlation, influence, random_monotone
 from topdowndt.grower import GrowthConfig, Monitor, grow, rule_agreement, verify_split_inequalities
 from topdowndt.impurity import builtin, verify_strong_concavity
-from topdowndt.oracle import OptTable, enumerate_decision_trees, verify_jz
+from topdowndt.oracle import OptTable, verify_jz
 from topdowndt.realvalued import (
     ProductDistribution,
     RealSample,
@@ -46,6 +46,8 @@ from topdowndt.realvalued import (
     round_thresholds,
 )
 from topdowndt.tree import random_monotone_tree, to_boolfunc
+
+from reference import enumerate_decision_trees
 
 BUILTIN_NAMES = ("gini", "entropy", "kearns-mansour")
 EPS = Fraction(1, 10)

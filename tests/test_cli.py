@@ -101,6 +101,16 @@ class TestSubcommands:
         assert summary["checks"]["witness-distance-matches"] is True
         assert summary["checks"]["witness-within-budget"] is True
 
+    def test_opt_at_the_size_cap(self, tmp_path):
+        fn = tmp_path / "mono10.json"
+        fn.write_text(json.dumps(boolfn.to_spec(boolfn.random_monotone(10, seed=3))))
+        out = tmp_path / "opt"
+        rc = main(["opt", "--fn", str(fn), "--size", "16", "--out", str(out)])
+        assert rc == 0
+        checks = read_json(out / "summary.json")["checks"]
+        assert checks["witness-distance-matches"] is True
+        assert checks["witness-within-budget"] is True
+
     def test_jz_sweep(self, tmp_path):
         out = tmp_path / "jz"
         rc = main(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -17,15 +18,10 @@ from topdowndt.boolfn import (
     point_of,
     random_monotone,
 )
-from topdowndt.oracle import (
-    OPT_MAX_ARITY,
-    OptTable,
-    enumerate_decision_trees,
-    enumerate_partial_trees,
-    opt,
-    verify_jz,
-)
+from topdowndt.oracle import OPT_MAX_ARITY, OptTable, _jz_holds, opt, verify_jz
 from topdowndt.tree import distance, random_monotone_tree, size
+
+from reference import RefOptTable, enumerate_decision_trees, enumerate_partial_trees
 
 
 class TestOptAnchors:
@@ -173,6 +169,37 @@ class TestOptTableReuse:
             assert _answers(OptTable(f), order) == fresh
 
 
+class TestOptAgainstReference:
+    """The lane-packed tables against the memoized recursive search they
+    replaced: equal errors and equal witness trees at every budget."""
+
+    @staticmethod
+    def _assert_same(f, sizes):
+        fast, ref = OptTable(f), RefOptTable(f)
+        for s in sizes:
+            assert _answers(fast, [s]) == _answers(ref, [s]), (f.n, hex(f.table), s)
+
+    @given(f=_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_random_tables(self, f):
+        self._assert_same(f, range(1, min(1 << f.n, 16) + 1))
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_monotone_n8(self, seed):
+        self._assert_same(random_monotone(8, seed), range(1, 17))
+
+    def test_widest_lanes(self):
+        # at the arity cap a lane holds counts up to 2^12 (the constant
+        # functions'), with the guard bit just above: lanes one bit
+        # narrower get the constant-1 table wrong
+        n = OPT_MAX_ARITY
+        full = (1 << (1 << n)) - 1
+        rng = derived_rng(0, "oracle", "edge")
+        for f in (parity(n), BoolFunc(n, rng.getrandbits(1 << n)), BoolFunc(n, full), BoolFunc(n, 0)):
+            self._assert_same(f, (1, 2, 3))
+
+
 class TestEnumeration:
     def test_partial_tree_counts_n2(self):
         by_size = {}
@@ -224,6 +251,52 @@ class TestJZBound:
             g = opt(BoolFunc(3, 0b0110_1001), 4)[1]
         for bits in range(256):
             assert verify_jz(BoolFunc(3, bits), g).passed
+
+
+def _jz_exact(lhs: Fraction, numerator: Fraction, s: int) -> bool:
+    """lhs * log2(s) >= numerator, without floats: exactly when log2(s) is
+    an integer, else with 100 digits of log2(s), which is then irrational."""
+    m = s.bit_length() - 1
+    if s == 1 << m:
+        return lhs * m >= numerator
+    with localcontext() as ctx:
+        ctx.prec = 100
+        log2s = Decimal(s).ln() / Decimal(2).ln()
+        left = Decimal(lhs.numerator) / lhs.denominator * log2s
+        return left >= Decimal(numerator.numerator) / numerator.denominator
+
+
+@st.composite
+def _jz_near_boundary(draw):
+    """(lhs, numerator, s) with numerator / lhs at or near log2(s): an exact
+    log2 with small dyadic offsets, or a close rational approximation of an
+    irrational one; lhs is dyadic, down to 2^-40."""
+    s = draw(st.one_of(st.integers(1, 13).map(lambda m: 1 << m), st.integers(3, 1 << 13)))
+    e = draw(st.integers(0, 40))
+    lhs = Fraction(draw(st.integers(1, 1 << min(e, 12))), 1 << e)
+    m = s.bit_length() - 1
+    if s == 1 << m:
+        ratio = m + Fraction(draw(st.integers(-2, 2)), 1 << draw(st.integers(0, 16)))
+    else:
+        with localcontext() as ctx:
+            ctx.prec = 60
+            log2s = Fraction(Decimal(s).ln() / Decimal(2).ln())
+        ratio = log2s.limit_denominator(draw(st.integers(1, 1 << 16)))
+    return lhs, lhs * ratio, s
+
+
+class TestJZVerdict:
+    @given(case=_jz_near_boundary())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_reference(self, case):
+        assert _jz_holds(*case) == _jz_exact(*case)
+
+    def test_equality_holds_without_slack(self):
+        # numerator / lhs == log2(s) exactly: the bound holds with equality
+        assert _jz_holds(Fraction(3, 8), Fraction(9, 8), 8)
+        # one part in 2^45 above it fails; a 1e-12 slack on the floats passes it
+        assert not _jz_holds(Fraction(1, 2**30), Fraction(3, 2**30) * (1 + Fraction(1, 2**45)), 8)
+        assert not _jz_holds(Fraction(0), Fraction(1, 1024), 2)
 
 
 def DecisionTreeSingleLeaf():
