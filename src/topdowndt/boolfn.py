@@ -5,15 +5,16 @@ A function f: {-1,+1}^n -> {0,1} is stored as a single Python int holding
 
     index(x) = sum(2^(i-1) for i with x_i = +1)
 
-so coordinate i (1-indexed) corresponds to bit i-1 of the index.  All
-probabilistic quantities (expectation, bias, influence, correlation) are
-exact dyadic rationals and are returned as Fraction values whose
-denominators are powers of two.
+so coordinate i (1-indexed) corresponds to bit i-1 of the index.
 
-The heavy lifting happens on SubcubeView, a compacted truth table over the
-free coordinates of a restriction.  A cofactor swaps the coordinate's index
-bit with the top index bit over one cached coordinate mask and takes the two
-halves, so extracting any coordinate costs O(1) big-int operations.
+Every run reads a table through SubcubeView, a compacted truth table over
+the free coordinates of a subcube: split(coord) gives the two children
+and coord_counts() each free coordinate's hi ones, lo ones and influence
+numerator, all exact integer counts over the view's size.  A cofactor
+swaps the coordinate's index bit with the top index bit over one cached
+coordinate mask and takes the two halves, so extracting any coordinate
+costs O(1) big-int operations.  Tables come from from_dnf,
+random_monotone or a serialized spec (from_spec, to_spec).
 """
 
 from __future__ import annotations
@@ -56,36 +57,6 @@ def _mask_set(f: int, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# restrictions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """A partial assignment of coordinates to {-1,+1}.
-
-    Stored as a sorted tuple of (coordinate, value) pairs so restrictions
-    hash and compare by the subcube they denote.
-    """
-
-    fixed: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        seen = set()
-        for coord, value in self.fixed:
-            if coord < 1:
-                raise ValueError(f"coordinate {coord} out of range (1-indexed)")
-            if value not in (-1, 1):
-                raise ValueError(f"restriction value must be -1 or +1, got {value}")
-            if coord in seen:
-                raise ValueError(f"coordinate {coord} fixed twice")
-            seen.add(coord)
-        ordered = tuple(sorted(self.fixed))
-        if ordered != self.fixed:
-            object.__setattr__(self, "fixed", ordered)
-
-
-# ---------------------------------------------------------------------------
 # the function type
 # ---------------------------------------------------------------------------
 
@@ -125,11 +96,6 @@ def index_of(x: Sequence[int]) -> int:
         elif v != -1:
             raise ValueError(f"coordinate value must be -1 or +1, got {v}")
     return idx
-
-
-def point_of(idx: int, n: int) -> tuple[int, ...]:
-    """Inverse of index_of."""
-    return tuple(1 if (idx >> i) & 1 else -1 for i in range(n))
 
 
 def coordinate_mask(n: int, i: int) -> int:
@@ -209,10 +175,6 @@ class SubcubeView:
             SubcubeView(lo, new_free, lo.bit_count()),
         )
 
-    def child_ones(self, coord: int) -> tuple[int, int]:
-        hi, lo = self._halves(self._local(coord))
-        return hi.bit_count(), lo.bit_count()
-
     def coord_counts(self) -> tuple[int, ...]:
         """(hi ones, lo ones, influence numerator) of each free coordinate,
         flattened in local order, from one pair of halves each."""
@@ -222,77 +184,10 @@ class SubcubeView:
             counts += (hi.bit_count(), lo.bit_count(), (hi ^ lo).bit_count())
         return tuple(counts)
 
-    def influence_numerator(self, coord: int) -> int:
-        """popcount(f_hi XOR f_lo); influence = this / 2^(free-1)."""
-        hi, lo = self._halves(self._local(coord))
-        return (hi ^ lo).bit_count()
-
-    def influence(self, coord: int) -> Fraction:
-        return Fraction(self.influence_numerator(coord), self.size >> 1)
-
-    def correlation(self, coord: int) -> Fraction:
-        hi, lo = self._halves(self._local(coord))
-        return Fraction(hi.bit_count() - lo.bit_count(), self.size)
-
-    def total_influence(self) -> Fraction:
-        num = sum(self.influence_numerator(c) for c in self.free)
-        return Fraction(num, self.size >> 1) if self.free else Fraction(0)
-
-    def restrict(self, r: Restriction) -> "SubcubeView":
-        view = self
-        for coord, value in r.fixed:
-            hi, lo = view.split(coord)
-            view = hi if value == 1 else lo
-        return view
-
-
-def _view(f: BoolFunc, r: Restriction | None) -> SubcubeView:
-    view = SubcubeView.of_function(f)
-    if r is None or not r.fixed:
-        return view
-    for coord, _ in r.fixed:
-        if coord > f.n:
-            raise ValueError(f"restriction fixes coordinate {coord} > arity {f.n}")
-    return view.restrict(r)
-
 
 # ---------------------------------------------------------------------------
-# spec operations
+# monotonicity
 # ---------------------------------------------------------------------------
-
-
-def expectation(f: BoolFunc, r: Restriction | None = None) -> Fraction:
-    """E[f_r(x)] over the uniform distribution on the free coordinates."""
-    return _view(f, r).expectation()
-
-
-def bias(f: BoolFunc, r: Restriction | None = None) -> Fraction:
-    """min(E[f_r], 1 - E[f_r]): the error of the best constant."""
-    return _view(f, r).bias()
-
-
-def _free_view(f: BoolFunc, r: Restriction | None, i: int) -> SubcubeView:
-    """The view of f_r, checked to leave coordinate i free."""
-    view = _view(f, r)
-    if i not in view.free:
-        if not 1 <= i <= f.n:
-            raise ValueError(f"coordinate {i} out of range")
-        raise ValueError(f"coordinate {i} is fixed by the restriction")
-    return view
-
-
-def influence(f: BoolFunc, r: Restriction | None, i: int) -> Fraction:
-    """Pr[f_r(x) != f_r(x with coordinate i flipped)], x uniform."""
-    return _free_view(f, r, i).influence(i)
-
-
-def correlation(f: BoolFunc, r: Restriction | None, i: int) -> Fraction:
-    """E[f_r(x) * x_i], signed."""
-    return _free_view(f, r, i).correlation(i)
-
-
-def total_influence(f: BoolFunc, r: Restriction | None = None) -> Fraction:
-    return _view(f, r).total_influence()
 
 
 def is_monotone(f: BoolFunc) -> bool:
@@ -310,42 +205,6 @@ def is_monotone(f: BoolFunc) -> bool:
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-
-def constant(n: int, value: int) -> BoolFunc:
-    if value not in (0, 1):
-        raise ValueError("constant value must be 0 or 1")
-    return BoolFunc(n, _full_mask(n) if value else 0)
-
-
-def dictator(n: int, i: int) -> BoolFunc:
-    """1[x_i = +1]."""
-    if not 1 <= i <= n:
-        raise ValueError(f"coordinate {i} out of range")
-    return BoolFunc(n, _mask_set(n, i - 1))
-
-
-def conjunction(n: int) -> BoolFunc:
-    """AND of all n coordinates: 1 iff every x_i = +1."""
-    return BoolFunc(n, 1 << ((1 << n) - 1))
-
-
-def parity(n: int) -> BoolFunc:
-    """1 iff an odd number of coordinates are +1."""
-    t = 0
-    for idx in range(1 << n):
-        if idx.bit_count() & 1:
-            t |= 1 << idx
-    return BoolFunc(n, t)
-
-
-def majority(n: int) -> BoolFunc:
-    """1 iff sum(x) >= 0.  Unbiased when n is odd."""
-    t = 0
-    for idx in range(1 << n):
-        if 2 * idx.bit_count() >= n:
-            t |= 1 << idx
-    return BoolFunc(n, t)
 
 
 def from_dnf(n: int, terms: Sequence[Sequence[int]]) -> BoolFunc:

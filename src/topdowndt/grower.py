@@ -74,7 +74,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import tree as treemod
 from .boolfn import BoolFunc, SubcubeView, is_monotone
 from .impurity import ImpuritySpec, evaluate
 from .tree import DecisionTree, Frontier
@@ -230,12 +229,6 @@ class GrowthTrace:
     def distances(self) -> list[Fraction]:
         """Exact distance of the completion at sizes 1..final_size, in order."""
         return [self.initial_distance, *(st.distance for st in self.steps)]
-
-    def distance_at_size(self, s: int) -> Fraction:
-        """Distance of the completion when the tree first had size s."""
-        if s < 1:
-            raise ValueError("size must be >= 1")
-        return self.distances()[min(s, self.final_size) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -472,27 +465,6 @@ def _split_paths(trace: GrowthTrace):
 def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
     """Run top-down growth to the leaf budget; return (f-completion, trace)."""
     return _greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)
-
-
-# ---------------------------------------------------------------------------
-# potentials as standalone operations
-# ---------------------------------------------------------------------------
-
-
-def g_impurity(t: treemod.Tree, f: BoolFunc, spec: ImpuritySpec) -> float:
-    """sum over leaves of 2^-|l| * G(E[f_l]), summed in DFS preorder."""
-    total = 0.0
-    for _, depth, view in treemod.leaf_views(t, f):
-        total += math.ldexp(evaluate(spec, view.expectation()), -depth)
-    return total
-
-
-def influence_potential(t: treemod.Tree, f: BoolFunc) -> Fraction:
-    """sum over leaves of 2^-|l| * Inf(f_l), with Inf the total influence."""
-    total = Fraction(0)
-    for _, depth, view in treemod.leaf_views(t, f):
-        total += Fraction(1, 1 << depth) * view.total_influence()
-    return total
 
 
 # ---------------------------------------------------------------------------

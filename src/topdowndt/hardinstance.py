@@ -16,11 +16,8 @@ disjoint), which gives closed forms for the expectation and every
 coordinate influence under any restriction, each an integer count over a
 power of two (a term with j free coordinates misses 2^j - 1 of its 2^j
 settings).  Those closed forms back a grower cursor, so greedy growth
-runs on instances far beyond truth-table size; the restricted_*
-functions read them as Fractions.  to_boolfunc() materializes the table
-(arity <= 24 only) from two boolfn.from_dnf tables over the x's, T where
-Maj_k(y) = 1 and T' elsewhere, to cross-check the formulas by brute
-force; terms_tree() is tree.chain_tree over the m terms.
+runs on instances far beyond truth-table size; the root cursor's count
+gives the instance's expectation.
 
 The cursor holds each term's free count (None once the term is dead),
 the free y count u with the fixed y's sum sigma, and the fixed set.
@@ -57,10 +54,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .boolfn import MAX_ARITY, BoolFunc, Restriction, derived_rng, from_dnf
+from .boolfn import derived_rng
 from .grower import GrowthConfig, GrowthTrace, grow
 from .impurity import ImpuritySpec
-from .tree import DecisionTree, Internal, chain_tree
+from .tree import DecisionTree, Internal
 
 # the largest ell + k choose_params accepts: tribes_params takes O(ell^2)
 # exact Fraction steps, and the run's exact counts have ell + k bits
@@ -174,7 +171,9 @@ class HardInstance:
 
     @property
     def expectation(self) -> Fraction:
-        return restricted_expectation(self, None)
+        c = self.root_cursor()
+        # the closed form itself: cursor method calls are growth work, which traced runs count
+        return Fraction(c._ones(c.live, c.u, c.sigma, c.nfree), c.size)
 
     @property
     def distance_to_terms(self) -> Fraction:
@@ -210,32 +209,6 @@ def _misses(m_prime: int, live: tuple) -> tuple[int, int, int, int]:
             num *= (1 << free) - 1
             bits += free
     return (*prime, num, bits)
-
-
-def _restricted(h: HardInstance, r: Restriction | None) -> "_HardCursor":
-    cursor = h.root_cursor()
-    for c, v in r.fixed if r else ():
-        cursor = cursor._fix(c, v)
-    return cursor
-
-
-def restricted_expectation(h: HardInstance, r: Restriction | None = None) -> Fraction:
-    """E[f given r] = Pr[T'] + Pr[T and not T'] * Pr[Maj], all exact."""
-    c = _restricted(h, r)
-    # the closed form itself: cursor method calls are growth work, which traced runs count
-    return Fraction(c._ones(c.live, c.u, c.sigma, c.nfree), c.size)
-
-
-def restricted_influence(h: HardInstance, r: Restriction | None, i: int) -> Fraction:
-    """Pr[f changes when coordinate i is flipped], given the restriction."""
-    c = _restricted(h, r)
-    return Fraction(c.influence_num(i), c.size)
-
-
-def restricted_total_influence(h: HardInstance, r: Restriction | None = None) -> Fraction:
-    """Sum of the influences of all free coordinates."""
-    c = _restricted(h, r)
-    return Fraction(c.total_influence_num(), c.size)
 
 
 def evaluate(h: HardInstance, x) -> int:
@@ -352,9 +325,6 @@ class _HardCursor:
     def ones(self) -> int:
         return self._ones(self.live, self.u, self.sigma, self.nfree)
 
-    def free_coords(self) -> tuple[int, ...]:
-        return tuple(c for c in range(1, self.inst.arity + 1) if c not in self.fixed)
-
     def candidate_coords(self) -> tuple[int, ...]:
         """The smallest free coordinate of each orbit, ascending: one per
         live term with a free x, one inert x, one y."""
@@ -406,47 +376,6 @@ class _HardCursor:
 
     def split(self, coord: int) -> tuple["_HardCursor", "_HardCursor"]:
         return self._fix(coord, 1), self._fix(coord, -1)
-
-
-# ---------------------------------------------------------------------------
-# materialization (small arities) and reference structures
-# ---------------------------------------------------------------------------
-
-
-def to_boolfunc(h: HardInstance) -> BoolFunc:
-    """Materialize the truth table; refuses arity beyond the table cap.
-
-    With the y's fixed, f is T where Maj_k(y) = 1 and T' elsewhere, so the
-    table is one 2^ell-bit block per y index (x bits are the low index bits).
-    """
-    if h.arity > MAX_ARITY:
-        raise ValueError(f"arity {h.arity} exceeds the truth-table cap {MAX_ARITY}")
-    p = h.params
-    terms = [p.term_coords(j) for j in range(1, p.m + 1)]
-    width = f"0{1 << p.ell}b"
-    t_full = format(from_dnf(p.ell, terms).table, width)
-    t_prime = format(from_dnf(p.ell, terms[: p.m_prime]).table, width)
-    # int(bits, 2) reads the highest y block first
-    blocks = (t_full if 2 * y.bit_count() > h.k else t_prime for y in reversed(range(1 << h.k)))
-    return BoolFunc(h.arity, int("".join(blocks), 2))
-
-
-def terms_boolfunc(h: HardInstance) -> BoolFunc:
-    """T as a function on the full arity (ignores the y block)."""
-    terms = [h.params.term_coords(j) for j in range(1, h.params.m + 1)]
-    return from_dnf(h.arity, terms)
-
-
-def terms_tree(params: TribesParams) -> DecisionTree:
-    """A decision tree computing T: chained term tests, a failed one falls through."""
-    return chain_tree([params.term_coords(j) for j in range(1, params.m + 1)])
-
-
-def terms_tree_size(params: TribesParams) -> int:
-    size = 1
-    for _ in range(params.m):
-        size = params.w * size + 1
-    return size
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,10 @@ quantile in [0,1) is approximated by its first w bits.  Concretely:
     0 -> -1 and 1 -> +1;
   * round_thresholds snaps every threshold of a tree to the nearest
     multiple of 2^-w (ties to the even multiple);
-  * booleanize replaces each threshold node of a rounded tree by a bit
-    comparator over the encoded coordinates, so the result is an ordinary
-    binary-feature tree computing the same function on encoded inputs.
-    Comparators re-reading bits already fixed on the path are collapsed,
-    which keeps paths free of repeated queries; the blowup is capped.
-    booleanized_evaluate() computes the same function straight from the
-    encoded bits, with no construction, for trees too large to materialize.
+  * booleanized_evaluate() evaluates a rounded tree on encoded inputs: a
+    test x_i >= c/2^w reads the cell floor(x_i 2^w) off coordinate i's w
+    bits and compares it with c, so the encoded bits alone compute the
+    rounded tree's function.
 
 grow_real runs grower's one greedy loop (the one grower.grow runs) over
 leaf states that score (coordinate, threshold) candidates, in the scan
@@ -79,7 +76,6 @@ from .tree import DecisionTree, Internal, Leaf
 MAX_BITS = 53  # beyond float precision the grid is not representable
 BLOCK = 16  # the midpoint scan scores a block of at most this many cuts one by one
 SLACK = 1e-9  # margin on the block bound, in gain units; a gain's float error is ~1e-14
-BOOLEANIZE_NODE_CAP = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +240,6 @@ def encode(x: float, w: int) -> tuple[int, ...]:
     return tuple(1 if (b >> (w - p)) & 1 else -1 for p in range(1, w + 1))
 
 
-def encode_point(x: Sequence[float], w: int) -> tuple[int, ...]:
-    """Concatenated coordinate encodings: real coord i owns bit coords (i-1)w+1..iw."""
-    out: list[int] = []
-    for v in x:
-        out.extend(encode(v, w))
-    return tuple(out)
-
-
 def round_thresholds(t, w: int):
     """Snap each threshold to the nearest multiple of 2^-w, ties to even."""
     _check_width(w)
@@ -267,7 +255,7 @@ def round_thresholds(t, w: int):
 
 
 # ---------------------------------------------------------------------------
-# the comparator construction: threshold tree -> binary-feature tree
+# rounded trees on encoded bits
 # ---------------------------------------------------------------------------
 
 
@@ -281,75 +269,11 @@ def _grid_value(theta: float, w: int) -> int:
     return c
 
 
-def booleanize(t: DecisionTree, w: int) -> DecisionTree:
-    """Rewrite a grid-threshold tree over encoded bits, one comparator per query.
-
-    Each query x_i >= c/2^w becomes an MSB-first walk over coordinate i's
-    bits; bits already fixed on the path are not re-queried, so the output
-    is a valid binary-mode tree.  Raises if the rewrite exceeds
-    BOOLEANIZE_NODE_CAP nodes.
-    """
-    _check_width(w)
-    count = 0
-
-    def bump():
-        nonlocal count
-        count += 1
-        if count > BOOLEANIZE_NODE_CAP:
-            raise ValueError(
-                f"booleanized tree exceeds {BOOLEANIZE_NODE_CAP} nodes; "
-                "use booleanized_evaluate for functional access"
-            )
-
-    def transform(node, ctx: dict[int, int]):
-        bump()
-        if isinstance(node, Leaf):
-            return Leaf(node.label)
-        c = _grid_value(node.theta, w)
-        return comparator(node, c, 1, ctx)
-
-    def comparator(node, c: int, p: int, ctx: dict[int, int]):
-        # decide floor(x_i 2^w) >= c given bits 1..p-1 matched c so far
-        if c <= 0:
-            return transform(node.hi, ctx)
-        if c >= 1 << w:
-            return transform(node.lo, ctx)
-        if p > w or (c & ((1 << (w - p + 1)) - 1)) == 0:
-            return transform(node.hi, ctx)  # remaining suffix of c is zero
-        bit_coord = (node.coord - 1) * w + p
-        cbit = (c >> (w - p)) & 1
-        known = ctx.get(bit_coord)
-        if cbit == 1:
-            if known == 1:
-                return comparator(node, c, p + 1, ctx)
-            if known == -1:
-                return transform(node.lo, ctx)
-            bump()
-            return Internal(
-                bit_coord,
-                None,
-                comparator(node, c, p + 1, {**ctx, bit_coord: 1}),
-                transform(node.lo, {**ctx, bit_coord: -1}),
-            )
-        if known == 1:
-            return transform(node.hi, ctx)
-        if known == -1:
-            return comparator(node, c, p + 1, ctx)
-        bump()
-        return Internal(
-            bit_coord,
-            None,
-            transform(node.hi, {**ctx, bit_coord: 1}),
-            comparator(node, c, p + 1, {**ctx, bit_coord: -1}),
-        )
-
-    return DecisionTree(transform(t.root, {}))
-
-
 def booleanized_evaluate(t: DecisionTree, w: int, bits: Sequence[int] | Mapping[int, int]) -> int:
-    """booleanize(t, w) on encoded bits, unbuilt: a query x_i >= c/2^w reads
-    coordinate i's w bits (MSB first, +1 as 1) as floor(x_i 2^w), tests >= c.
-    bits[p] is bit p of encode_point's layout; only the queried ones are read."""
+    """t's label on encoded bits: a query x_i >= c/2^w reads coordinate
+    i's w bits (MSB first, +1 as 1) as floor(x_i 2^w) and tests >= c.
+    bits[(i - 1) w + p] is bit p + 1 of encode(x_i, w); only the queried
+    coordinates' bits are read."""
     _check_width(w)
     node = t.root
     while isinstance(node, Internal):

@@ -14,11 +14,10 @@ therefore builds its trees on a Frontier instead (grower.tree_at): a
 preorder list of open leaves where a split is one list splice, from which
 build() assembles the labeled tree once, in one pass, validated once by
 the DecisionTree constructor.
-A PartialTree has unlabeled leaves; complete() turns it into a
-DecisionTree by labeling each leaf with the rounded conditional
-expectation of a reference function (ties round to 1).  leaf_views() is
-the one walk that reads a binary-mode tree against a truth table; complete(),
-distance() and grower's potentials are sums over it.
+A PartialTree has unlabeled leaves; split() returns one.  leaf_views()
+is the one walk that reads a binary-mode tree against a truth table;
+distance() sums it, the distance of a PartialTree being that of its
+f-completion (each leaf labeled by the majority of f on its subcube).
 
 Every node knows its leaf count (Internal caches it outside the dataclass
 fields), so size() is O(1) and path_of() recovers the preorder id of the
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterator, Sequence, Union
 
-from .boolfn import BoolFunc, Restriction, SubcubeView, derived_rng, from_dnf
+from .boolfn import BoolFunc, SubcubeView, derived_rng, from_dnf
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,6 @@ class LeafInfo:
     def depth(self) -> int:
         return len(self.path)
 
-    def restriction(self) -> Restriction:
-        """The subcube this leaf owns (binary mode only)."""
-        for step in self.path:
-            if step.theta is not None:
-                raise ValueError("restriction() only applies to binary-mode paths")
-        return Restriction(tuple((s.coord, s.side) for s in self.path))
-
 
 def _check(root: Node, labeled: bool) -> None:
     """One walk: every leaf labeled (with labeled unset, none), one query
@@ -144,10 +136,6 @@ class PartialTree(_TreeBase):
     """Tree whose leaves are unlabeled placeholders."""
 
     _labeled = False
-
-    @classmethod
-    def empty(cls) -> "PartialTree":
-        return cls(Leaf())
 
 
 class DecisionTree(_TreeBase):
@@ -302,7 +290,7 @@ class Frontier:
 
 
 # ---------------------------------------------------------------------------
-# completion against a reference function, exact distance
+# reading a tree against a truth table: exact distance, materialization
 # ---------------------------------------------------------------------------
 
 
@@ -322,11 +310,6 @@ def leaf_views(t: Tree, f: BoolFunc) -> Iterator[tuple[Leaf, int, SubcubeView]]:
             hi, lo = view.split(node.coord)
             stack.append((node.lo, d + 1, lo))
             stack.append((node.hi, d + 1, hi))
-
-
-def complete(t: PartialTree, f: BoolFunc) -> DecisionTree:
-    """Label every leaf with round(E[f on that subcube]); E = 1/2 rounds to 1."""
-    return label_leaves(t, [int(2 * v.ones >= v.size) for _, _, v in leaf_views(t, f)])
 
 
 def distance(g: Tree, f: BoolFunc) -> Fraction:
@@ -371,21 +354,6 @@ def _node_to_json(node: Node) -> dict:
 
 def to_json(t: Tree) -> dict:
     return _node_to_json(t.root)
-
-
-def label_leaves(t: PartialTree, labels: Sequence[int]) -> DecisionTree:
-    """Label the leaves in preorder (leaf-id order) with the given 0/1 values."""
-    labels = list(labels)
-    if len(labels) != size(t):
-        raise ValueError(f"{size(t)} leaves but {len(labels)} labels")
-    it = iter(labels)
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return Leaf(next(it))
-        return Internal(node.coord, node.theta, walk(node.hi), walk(node.lo))
-
-    return DecisionTree(walk(t.root))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,27 @@
-"""Slow references that fast paths in the package are tested against.
+"""Slow references that the package's fast paths are tested against, and
+the test-only fixtures built on them.
+
+Pointwise anchor: point_of, table_of and the brute_* counts read a table
+one point at a time and share no code with the bit kernel (SubcubeView's
+cofactor halves).  They check SubcubeView.coord_counts and the table
+references (test_boolfn).  constant, dictator, conjunction, parity and
+majority are small tables built by table_of.
+
+Table references: expectation, bias, influence, correlation and
+total_influence of f under a fixed assignment {coord: +-1}, read through
+SubcubeView.split (view_at; path_assignment is a leaf's assignment).  They
+back criterion 1, the per-leaf reads of test_tree_walks and the
+hard-instance checks against hard_table(h), whose other side,
+hard_expectation and hard_influence, reads the cursor's closed forms at an
+assignment.  hard_table is the instance's truth table (arity
+<= 24); terms_boolfunc, terms_tree and terms_tree_size are its terms block
+T and T's chain tree (criterion 8's T').
+
+Tree readers over tree.leaf_views: complete (the f-completion) and
+label_leaves, the old way of labeling a tree that Frontier.build and
+tree_at are checked against, and the potentials g_impurity and
+influence_potential that back the grower's exact accounting.
+encode_point is the bit layout booleanized_evaluate reads.
 
 RefOptTable is the memoized recursive search that oracle.OptTable's
 all-subcube dynamic program replaced.  A subcube, named by its fixed
@@ -17,11 +40,230 @@ and every labeled tree up to a leaf count, for brute-force checks at small n.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from topdowndt.boolfn import BoolFunc, coordinate_mask
+from topdowndt import tree as treemod
+from topdowndt.boolfn import MAX_ARITY, BoolFunc, SubcubeView, coordinate_mask, from_dnf
+from topdowndt.impurity import evaluate
 from topdowndt.oracle import _budgets
-from topdowndt.tree import DecisionTree, Internal, Leaf, PartialTree, label_leaves, size
+from topdowndt.realvalued import encode
+from topdowndt.tree import DecisionTree, Internal, Leaf, PartialTree, chain_tree, size
+
+# ---------------------------------------------------------------------------
+# the pointwise anchor
+# ---------------------------------------------------------------------------
+
+
+def point_of(idx: int, n: int) -> tuple[int, ...]:
+    """The point at truth-table index idx: x_i = +1 iff bit i-1 is set."""
+    return tuple(1 if (idx >> i) & 1 else -1 for i in range(n))
+
+
+def table_of(n: int, rule) -> BoolFunc:
+    """The table of rule(x) at every point x of {-1,+1}^n."""
+    return BoolFunc(n, sum(1 << idx for idx in range(1 << n) if rule(point_of(idx, n))))
+
+
+def constant(n: int, value: int) -> BoolFunc:
+    return table_of(n, lambda x: value)
+
+
+def dictator(n: int, i: int) -> BoolFunc:
+    """1[x_i = +1]."""
+    return table_of(n, lambda x: x[i - 1] == 1)
+
+
+def conjunction(n: int) -> BoolFunc:
+    return table_of(n, lambda x: -1 not in x)
+
+
+def parity(n: int) -> BoolFunc:
+    """1 iff an odd number of coordinates are +1."""
+    return table_of(n, lambda x: x.count(1) % 2)
+
+
+def majority(n: int) -> BoolFunc:
+    """1 iff sum(x) >= 0."""
+    return table_of(n, lambda x: sum(x) >= 0)
+
+
+def _subcube(f: BoolFunc, fixed: dict[int, int]):
+    """Every point of f's domain that agrees with fixed."""
+    for idx in range(1 << f.n):
+        x = point_of(idx, f.n)
+        if all(x[c - 1] == v for c, v in fixed.items()):
+            yield x
+
+
+def brute_expectation(f: BoolFunc, fixed: dict[int, int]) -> Fraction:
+    values = [f.value(x) for x in _subcube(f, fixed)]
+    return Fraction(sum(values), len(values))
+
+
+def brute_influence(f: BoolFunc, fixed: dict[int, int], i: int) -> Fraction:
+    flips = [f.value(x) != f.value(x[: i - 1] + (-x[i - 1],) + x[i:]) for x in _subcube(f, fixed)]
+    return Fraction(sum(flips), len(flips))
+
+
+# ---------------------------------------------------------------------------
+# table references under a fixed assignment
+# ---------------------------------------------------------------------------
+
+
+def path_assignment(info) -> dict[int, int]:
+    """The assignment {coord: +-1} that fixes a leaf's subcube (binary mode)."""
+    return {step.coord: step.side for step in info.path}
+
+
+def _restrict(root, fixed: dict[int, int] | None):
+    """A view or cursor split down to the subcube of fixed = {coord: +-1}."""
+    for coord, side in sorted((fixed or {}).items()):
+        root = root.split(coord)[0 if side == 1 else 1]
+    return root
+
+
+def view_at(f: BoolFunc, fixed: dict[int, int] | None = None) -> SubcubeView:
+    return _restrict(SubcubeView.of_function(f), fixed)
+
+
+def _influence(view: SubcubeView, i: int) -> Fraction:
+    hi, lo = view.split(i)  # the two halves share one local order
+    return Fraction((hi.table ^ lo.table).bit_count(), hi.size)
+
+
+def _total_influence(view: SubcubeView) -> Fraction:
+    return sum((_influence(view, i) for i in view.free), Fraction(0))
+
+
+def expectation(f: BoolFunc, fixed: dict[int, int] | None = None) -> Fraction:
+    view = view_at(f, fixed)
+    return Fraction(view.ones, view.size)
+
+
+def bias(f: BoolFunc, fixed: dict[int, int] | None = None) -> Fraction:
+    """min(E, 1 - E): the error of the best constant on the subcube."""
+    e = expectation(f, fixed)
+    return min(e, 1 - e)
+
+
+def influence(f: BoolFunc, fixed: dict[int, int] | None, i: int) -> Fraction:
+    """Pr[f(x) != f(x with x_i flipped)] for x uniform on the subcube."""
+    return _influence(view_at(f, fixed), i)
+
+
+def correlation(f: BoolFunc, fixed: dict[int, int] | None, i: int) -> Fraction:
+    """E[f(x) x_i] for x uniform on the subcube."""
+    view = view_at(f, fixed)
+    hi, lo = view.split(i)
+    return Fraction(hi.ones - lo.ones, view.size)
+
+
+def total_influence(f: BoolFunc, fixed: dict[int, int] | None = None) -> Fraction:
+    return _total_influence(view_at(f, fixed))
+
+
+# ---------------------------------------------------------------------------
+# tree readers
+# ---------------------------------------------------------------------------
+
+
+def label_leaves(t: PartialTree, labels) -> DecisionTree:
+    """t with its leaves labeled in preorder (leaf-id order) by labels."""
+    labels = list(labels)
+    if len(labels) != size(t):
+        raise ValueError(f"{size(t)} leaves but {len(labels)} labels")
+    it = iter(labels)
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            return Leaf(next(it))
+        return Internal(node.coord, node.theta, walk(node.hi), walk(node.lo))
+
+    return DecisionTree(walk(t.root))
+
+
+def complete(t: PartialTree, f: BoolFunc) -> DecisionTree:
+    """Label every leaf with round(E[f on that subcube]); E = 1/2 rounds to 1."""
+    return label_leaves(t, [int(2 * v.ones >= v.size) for _, _, v in treemod.leaf_views(t, f)])
+
+
+def g_impurity(t, f: BoolFunc, spec) -> float:
+    """sum over leaves of 2^-|l| * G(E[f_l]), summed in DFS preorder."""
+    total = 0.0
+    for _, depth, view in treemod.leaf_views(t, f):
+        total += math.ldexp(evaluate(spec, Fraction(view.ones, view.size)), -depth)
+    return total
+
+
+def influence_potential(t, f: BoolFunc) -> Fraction:
+    """sum over leaves of 2^-|l| * Inf(f_l), with Inf the total influence."""
+    total = Fraction(0)
+    for _, depth, view in treemod.leaf_views(t, f):
+        total += Fraction(1, 1 << depth) * _total_influence(view)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# hard-instance fixtures
+# ---------------------------------------------------------------------------
+
+
+def hard_expectation(h, fixed: dict[int, int] | None = None) -> Fraction:
+    """E[f] on the subcube, read off the cursor's closed form."""
+    cursor = _restrict(h.root_cursor(), fixed)
+    return Fraction(cursor.ones(), cursor.size)
+
+
+def hard_influence(h, fixed: dict[int, int] | None, i: int) -> Fraction:
+    """Inf_i(f) on the subcube, read off the cursor's closed form."""
+    cursor = _restrict(h.root_cursor(), fixed)
+    return Fraction(cursor.influence_num(i), cursor.size)
+
+
+def hard_table(h) -> BoolFunc:
+    """The instance's truth table; refuses arity beyond the table cap.
+
+    With the y's fixed, f is T where Maj_k(y) = 1 and T' elsewhere, so the
+    table is one 2^ell-bit block per y index (x bits are the low index bits).
+    """
+    if h.arity > MAX_ARITY:
+        raise ValueError(f"arity {h.arity} exceeds the truth-table cap {MAX_ARITY}")
+    p = h.params
+    terms = [p.term_coords(j) for j in range(1, p.m + 1)]
+    width = f"0{1 << p.ell}b"
+    t_full = format(from_dnf(p.ell, terms).table, width)
+    t_prime = format(from_dnf(p.ell, terms[: p.m_prime]).table, width)
+    # int(bits, 2) reads the highest y block first
+    blocks = (t_full if 2 * y.bit_count() > h.k else t_prime for y in reversed(range(1 << h.k)))
+    return BoolFunc(h.arity, int("".join(blocks), 2))
+
+
+def terms_boolfunc(h) -> BoolFunc:
+    """T as a function on the full arity (ignores the y block)."""
+    return from_dnf(h.arity, [h.params.term_coords(j) for j in range(1, h.params.m + 1)])
+
+
+def terms_tree(params) -> DecisionTree:
+    """A decision tree computing T: chained term tests, a failed one falls through."""
+    return chain_tree([params.term_coords(j) for j in range(1, params.m + 1)])
+
+
+def terms_tree_size(params) -> int:
+    leaves = 1
+    for _ in range(params.m):
+        leaves = params.w * leaves + 1
+    return leaves
+
+
+def encode_point(x, w: int) -> tuple[int, ...]:
+    """Concatenated coordinate encodings: real coord i owns bits (i-1)w+1..iw."""
+    return tuple(b for v in x for b in encode(v, w))
+
+
+# ---------------------------------------------------------------------------
+# the exact oracle's old search, and tree enumeration
+# ---------------------------------------------------------------------------
 
 
 class RefOptTable:

@@ -31,7 +31,7 @@ import pytest
 from topdowndt import boolfn as bf
 from topdowndt import hardinstance as hi
 from topdowndt import tree as treemod
-from topdowndt.boolfn import BoolFunc, Restriction, correlation, influence, random_monotone
+from topdowndt.boolfn import BoolFunc, random_monotone
 from topdowndt.grower import GrowthConfig, Monitor, grow, rule_agreement, verify_split_inequalities
 from topdowndt.impurity import builtin, verify_strong_concavity
 from topdowndt.oracle import OptTable, verify_jz
@@ -40,14 +40,27 @@ from topdowndt.realvalued import (
     RealSample,
     balanced_random_tree,
     booleanized_evaluate,
-    encode_point,
     estimate_dist,
     grow_real,
     round_thresholds,
 )
 from topdowndt.tree import random_monotone_tree, to_boolfunc
 
-from reference import enumerate_decision_trees
+from reference import (
+    correlation,
+    encode_point,
+    enumerate_decision_trees,
+    expectation,
+    hard_expectation,
+    hard_influence,
+    hard_table,
+    influence,
+    path_assignment,
+    point_of,
+    terms_boolfunc,
+    terms_tree,
+    terms_tree_size,
+)
 
 BUILTIN_NAMES = ("gini", "entropy", "kearns-mansour")
 EPS = Fraction(1, 10)
@@ -56,6 +69,11 @@ LB_EPS = Fraction(1, 20)  # criterion 8 only; see its docstring
 
 def _sweep_budget(s: int, n: int) -> int:
     return min(1 << n, s ** math.ceil(math.log2(s)))
+
+
+def _distance_at(trace, s: int) -> Fraction:
+    """Distance of the completion when the tree first had s leaves (the final one past it)."""
+    return trace.distances()[min(s, trace.final_size) - 1]
 
 
 @pytest.fixture(scope="module")
@@ -155,11 +173,11 @@ def test_criterion_05_agnostic_guarantee_shape(agnostic_sweep):
     for f, opts, traces in agnostic_sweep:
         for name in BUILTIN_NAMES:
             trace = traces[name]
-            dists = [trace.distance_at_size(k) for k in range(1, 257)]
+            dists = trace.distances()
             assert all(b <= a for a, b in zip(dists, dists[1:]))
             for s in (2, 4, 8):
-                assert trace.distance_at_size(_sweep_budget(s, 8)) <= opts[s] + EPS
-                assert trace.distance_at_size(s) >= opts[s]
+                assert _distance_at(trace, _sweep_budget(s, 8)) <= opts[s] + EPS
+                assert _distance_at(trace, s) >= opts[s]
     elapsed = time.time() - t0
     print(f"criterion 5: 200 trials x 3 impurities within 0.1 of the oracle at the sweep budget, {elapsed:.1f}s")
 
@@ -182,7 +200,7 @@ def test_criterion_06_realizable_targets():
         _, trace_inf = grow(f, GrowthConfig(budget=1 << 16))
         for name in BUILTIN_NAMES:
             _, trace = grow(f, GrowthConfig(budget=1 << 16, impurity=builtin(name)))
-            hits = [s for s in range(1, trace.final_size + 1) if trace.distance_at_size(s) <= Fraction(1, 20)]
+            hits = [s for s, d in enumerate(trace.distances(), start=1) if d <= Fraction(1, 20)]
             assert hits, (trial, name)
             worst_size = max(worst_size, hits[0])
             common, mismatches = rule_agreement(trace, trace_inf)
@@ -205,29 +223,29 @@ def test_criterion_07_hard_instance_identities():
     # closed forms vs brute force wherever the truth table fits in memory
     for ell, k in ((8, 3), (4, 9), (6, 7)):
         h = hi.choose_params(ell, k)
-        F = hi.to_boolfunc(h)
+        F = hard_table(h)
         n = h.arity
-        assert hi.restricted_expectation(h) == bf.expectation(F)
+        assert h.expectation == expectation(F)
         for i in range(1, n + 1):
-            assert hi.restricted_influence(h, None, i) == bf.influence(F, None, i)
-        T = hi.terms_boolfunc(h)
+            assert hard_influence(h, None, i) == influence(F, None, i)
+        T = terms_boolfunc(h)
         mismatches = sum(
             1
             for idx in range(1 << n)
-            if F.value(bf.point_of(idx, n)) != T.value(bf.point_of(idx, n))
+            if F.value(point_of(idx, n)) != T.value(point_of(idx, n))
         )
         assert Fraction(mismatches, 1 << n) == h.distance_to_terms == h.params.p_rest / 2
 
     # 1000 random restrictions on a table-sized instance: zero mismatches
     rng = random.Random(7)
     h_small = hi.choose_params(8, 3)
-    F_small = hi.to_boolfunc(h_small)
+    F_small = hard_table(h_small)
     n_small = h_small.arity
     for _ in range(1000):
         fixed_count = rng.randrange(0, n_small + 1)
         coords = rng.sample(range(1, n_small + 1), fixed_count)
-        r = Restriction(tuple(sorted((c, rng.choice((-1, 1))) for c in coords)))
-        assert hi.restricted_expectation(h_small, r) == bf.expectation(F_small, r)
+        fixed = {c: rng.choice((-1, 1)) for c in sorted(coords)}
+        assert hard_expectation(h_small, fixed) == expectation(F_small, fixed)
 
     # the 23-coordinate instance: restrict enough to enumerate, then compare
     n_big = h_big.arity
@@ -246,7 +264,7 @@ def test_criterion_07_hard_instance_identities():
                 x[c - 1] = v
             ones += hi.evaluate(h_big, tuple(x))
         want = Fraction(ones, 1 << len(free))
-        assert hi.restricted_expectation(h_big, Restriction(fixed)) == want, (trial, fixed)
+        assert hard_expectation(h_big, dict(fixed)) == want, (trial, fixed)
     elapsed = time.time() - t0
     assert elapsed < 300
     print(f"criterion 7: closed forms match enumeration exactly (3 full tables, 1050 restrictions), {elapsed:.1f}s")
@@ -265,9 +283,9 @@ def _y_first(h: hi.HardInstance) -> bool:
     ys = list(h.y_coords())
     for j in range(hi.xi_cutoff(h.k) + 1):
         for vals in itertools.product((1, -1), repeat=j):
-            r = Restriction(tuple(zip(ys[:j], vals)))
-            y_inf = hi.restricted_influence(h, r, ys[j])
-            if any(hi.restricted_influence(h, r, i) >= y_inf for i in range(1, h.params.ell + 1)):
+            r = dict(zip(ys[:j], vals))
+            y_inf = hard_influence(h, r, ys[j])
+            if any(hard_influence(h, r, i) >= y_inf for i in range(1, h.params.ell + 1)):
                 return False
     return True
 
@@ -296,7 +314,7 @@ def test_criterion_08_lower_bound_separation():
     ell = next(ell for ell in itertools.count(2) if hi.choose_params(ell, k0).shape_satisfied)
     layout = hi.choose_params(ell, k0).params
     m_prime = max(
-        j for j in range(1, layout.m) if hi.terms_tree_size(dataclasses.replace(layout, m=j)) <= budget
+        j for j in range(1, layout.m) if terms_tree_size(dataclasses.replace(layout, m=j)) <= budget
     )
     params = dataclasses.replace(
         layout, m_prime=m_prime, p_prime=1 - (1 - Fraction(1, 1 << layout.w)) ** m_prime
@@ -306,10 +324,10 @@ def test_criterion_08_lower_bound_separation():
     assert h.shape_satisfied
 
     # T' inside the budget, its error exact from the closed forms
-    t_prime = hi.terms_tree(dataclasses.replace(params, m=m_prime))
+    t_prime = terms_tree(dataclasses.replace(params, m=m_prime))
     assert treemod.size(t_prime) <= budget
     ref = sum(
-        Fraction(1, 1 << info.depth) * abs(info.node.label - hi.restricted_expectation(h, info.restriction()))
+        Fraction(1, 1 << info.depth) * abs(info.node.label - hard_expectation(h, path_assignment(info)))
         for info in treemod.leaves(t_prime)
     )
     assert ref == h.distance_to_terms
@@ -373,7 +391,7 @@ def test_criterion_10_binary_consistency_of_grow_real():
     f = random_monotone(8, seed=42)
     points = []
     for idx in range(256):
-        x = bf.point_of(idx, 8)
+        x = point_of(idx, 8)
         points.append((tuple((b + 1) / 2 for b in x), f.value(x)))
     cfg = GrowthConfig(budget=256, impurity=builtin("gini"))
     _, trace_real = grow_real(RealSample(tuple(points)), cfg)

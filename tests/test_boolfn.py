@@ -7,51 +7,32 @@ from hypothesis import given, strategies as st
 from topdowndt import boolfn
 from topdowndt.boolfn import (
     BoolFunc,
-    Restriction,
     SubcubeView,
-    bias,
-    conjunction,
-    constant,
-    correlation,
     derived_rng,
-    dictator,
-    expectation,
     from_dnf,
     from_spec,
-    influence,
     is_monotone,
-    majority,
-    parity,
-    point_of,
     random_monotone,
     to_spec,
-    total_influence,
 )
 from topdowndt.grower import GrowthConfig, grow
 from topdowndt.impurity import builtin
 
-
-def brute_expectation(f: BoolFunc, fixed: dict[int, int]) -> Fraction:
-    ones = 0
-    count = 0
-    for idx in range(1 << f.n):
-        x = point_of(idx, f.n)
-        if all(x[c - 1] == v for c, v in fixed.items()):
-            count += 1
-            ones += (f.table >> idx) & 1
-    return Fraction(ones, count)
-
-
-def brute_influence(f: BoolFunc, fixed: dict[int, int], i: int) -> Fraction:
-    flips = 0
-    count = 0
-    for idx in range(1 << f.n):
-        x = point_of(idx, f.n)
-        if all(x[c - 1] == v for c, v in fixed.items()):
-            count += 1
-            if ((f.table >> idx) & 1) != ((f.table >> (idx ^ (1 << (i - 1)))) & 1):
-                flips += 1
-    return Fraction(flips, count)
+from reference import (
+    bias,
+    brute_expectation,
+    brute_influence,
+    conjunction,
+    constant,
+    correlation,
+    dictator,
+    expectation,
+    influence,
+    majority,
+    parity,
+    point_of,
+    total_influence,
+)
 
 
 class TestAnchors:
@@ -87,23 +68,8 @@ class TestAnchors:
 
     def test_restricted_expectation(self):
         f = conjunction(2)
-        r = Restriction(((1, 1),))
-        assert expectation(f, r) == Fraction(1, 2)
-        assert expectation(f, Restriction(((1, -1),))) == 0
-
-
-class TestRestriction:
-    def test_orders_and_dedups_coords(self):
-        r = Restriction(((2, -1), (1, 1)))
-        assert r.fixed == ((1, 1), (2, -1))
-
-    def test_conflicting_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            Restriction(((1, 1), (1, -1)))
-
-    def test_bad_value(self):
-        with pytest.raises(ValueError):
-            Restriction(((1, 0),))
+        assert expectation(f, {1: 1}) == Fraction(1, 2)
+        assert expectation(f, {1: -1}) == 0
 
 
 class TestAgainstBruteForce:
@@ -119,11 +85,10 @@ class TestAgainstBruteForce:
     )
     def test_restricted_ops_match_enumeration(self, table, fixed):
         f = BoolFunc(4, table)
-        r = Restriction(tuple(fixed.items()))
-        assert expectation(f, r) == brute_expectation(f, fixed)
+        assert expectation(f, fixed) == brute_expectation(f, fixed)
         free = [i for i in range(1, 5) if i not in fixed]
         for i in free:
-            assert influence(f, r, i) == brute_influence(f, fixed, i)
+            assert influence(f, fixed, i) == brute_influence(f, fixed, i)
 
     @given(st.integers(0, 2**8 - 1))
     def test_total_influence_is_coordinate_sum(self, table):
@@ -140,7 +105,7 @@ class TestUnateInfluenceCorrelation:
 
     def test_holds_under_restrictions(self):
         f = random_monotone(6, seed=11)
-        r = Restriction(((2, 1), (5, -1)))
+        r = {2: 1, 5: -1}
         for i in (1, 3, 4, 6):
             assert influence(f, r, i) == 2 * abs(correlation(f, r, i))
 
@@ -204,23 +169,27 @@ class TestSubcubeView:
         hi, lo = view.split(2)
         assert hi.size == lo.size == 4
         assert hi.ones + lo.ones == view.ones
-        assert view.child_ones(2) == (hi.ones, lo.ones)
+        j = 3 * view.free.index(2)
+        assert view.coord_counts()[j : j + 2] == (hi.ones, lo.ones)
 
     def test_restrict_matches_split(self):
         f = random_monotone(5, seed=3)
-        view = SubcubeView.of_function(f)
-        hi, _ = view.split(4)
-        via_restrict = view.restrict(Restriction(((4, 1),)))
-        assert hi.expectation() == via_restrict.expectation()
+        hi, _ = SubcubeView.of_function(f).split(4)
+        assert hi.expectation() == brute_expectation(f, {4: 1})
 
     @given(table=st.integers(0, (1 << 32) - 1), fixed=st.sampled_from(((), (2,), (5, 1))))
     def test_coord_counts_match_per_coordinate_reads(self, table, fixed):
-        view = SubcubeView.of_function(BoolFunc(5, table))
+        # (hi ones, lo ones, pairs) of each free coordinate, counted point by point
+        f = BoolFunc(5, table)
+        view = SubcubeView.of_function(f)
         for c in fixed:
             view = view.split(c)[1]
+        lo = dict.fromkeys(fixed, -1)
+        half = view.size >> 1
         want = []
         for c in view.free:
-            want += (*view.child_ones(c), view.influence_numerator(c))
+            sides = (brute_expectation(f, {**lo, c: v}) * half for v in (1, -1))
+            want += (*sides, brute_influence(f, lo, c) * half)
         assert view.coord_counts() == tuple(want)
 
     @given(data=st.data())
@@ -244,9 +213,8 @@ class TestSubcubeView:
 
     def test_coordinate_that_is_not_free_is_named(self):
         view = SubcubeView.of_function(majority(3)).split(2)[0]
-        for read in (view.split, view.child_ones, view.influence_numerator, view.correlation):
-            with pytest.raises(ValueError, match="coordinate 2 is not free"):
-                read(2)
+        with pytest.raises(ValueError, match="coordinate 2 is not free"):
+            view.split(2)
         with pytest.raises(ValueError, match="coordinate 7 is not free"):
             view.split(7)
 
@@ -254,14 +222,6 @@ class TestSubcubeView:
         view = SubcubeView.of_function(dictator(1, 1)).split(1)[0]
         with pytest.raises(ValueError, match="cannot split a fully restricted function"):
             view.split(1)
-
-    def test_spec_reads_name_a_coordinate_that_is_not_free(self):
-        f, r = majority(3), Restriction(((2, 1),))
-        for read in (influence, correlation):
-            with pytest.raises(ValueError, match="coordinate 4 out of range"):
-                read(f, r, 4)
-            with pytest.raises(ValueError, match="coordinate 2 is fixed by the restriction"):
-                read(f, r, 2)
 
     def test_constant_detection(self):
         assert SubcubeView.of_function(constant(3, 1)).is_constant()
@@ -311,7 +271,7 @@ class TestMasks:
     def test_coordinate_mask_marks_plus_one_points(self):
         for n in range(1, 7):
             for i in range(1, n + 1):
-                want = sum(1 << p for p in range(1 << n) if boolfn.point_of(p, n)[i - 1] == 1)
+                want = sum(1 << p for p in range(1 << n) if point_of(p, n)[i - 1] == 1)
                 assert boolfn.coordinate_mask(n, i) == want, (n, i)
 
 

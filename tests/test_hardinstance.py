@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from topdowndt import boolfn
 from topdowndt import tree as treemod
-from topdowndt.boolfn import Restriction, SubcubeView, is_monotone, point_of
+from topdowndt.boolfn import SubcubeView, is_monotone
 from topdowndt.grower import GrowthConfig, TableCursor, grow
 from topdowndt.hardinstance import (
     MAX_HARD_ARITY,
@@ -16,18 +16,24 @@ from topdowndt.hardinstance import (
     evaluate,
     lower_bound_experiment,
     mc_check,
-    restricted_expectation,
-    restricted_influence,
-    restricted_total_influence,
-    terms_boolfunc,
-    terms_tree,
-    terms_tree_size,
-    to_boolfunc,
     tribes_params,
     xi_cutoff,
 )
 from topdowndt.impurity import BUILTIN_NAMES, builtin
 from topdowndt.tree import DecisionTree, Internal, Leaf
+
+from reference import (
+    expectation,
+    hard_expectation,
+    hard_influence,
+    hard_table,
+    influence,
+    point_of,
+    terms_boolfunc,
+    terms_tree,
+    terms_tree_size,
+    total_influence,
+)
 
 
 class TestTribesParams:
@@ -70,8 +76,8 @@ class TestInstanceBasics:
         h = choose_params(8, 3)
         # a y coordinate matters iff T holds, T' fails, and the other two
         # majority votes are split
-        assert restricted_influence(h, None, 9) == Fraction(63, 512)
-        assert restricted_influence(h, None, 10) == restricted_influence(h, None, 9)
+        assert hard_influence(h, None, 9) == Fraction(63, 512)
+        assert hard_influence(h, None, 10) == hard_influence(h, None, 9)
 
     def test_root_influences_out_of_regime(self):
         # ell=8, k=63: f is monotone, so a split on i leaves children with
@@ -80,12 +86,12 @@ class TestInstanceBasics:
         # the terms first and nothing lures it into the y block.
         h = choose_params(8, 63)
         # prime terms 1-2 (coordinates 1-4), plain terms 3-4 (coordinates 5-8)
-        assert [restricted_influence(h, None, i) for i in range(1, 5)] == [Fraction(75, 256)] * 4
-        assert [restricted_influence(h, None, i) for i in range(5, 9)] == [Fraction(27, 256)] * 4
+        assert [hard_influence(h, None, i) for i in range(1, 5)] == [Fraction(75, 256)] * 4
+        assert [hard_influence(h, None, i) for i in range(5, 9)] == [Fraction(27, 256)] * 4
         # rest event times a tie among the other 62 votes
         y_inf = Fraction(63, 256) * Fraction(math.comb(62, 31), 1 << 62)
-        assert all(restricted_influence(h, None, i) == y_inf for i in h.y_coords())
-        assert max(restricted_influence(h, None, i) for i in range(1, 9)) > y_inf
+        assert all(hard_influence(h, None, i) == y_inf for i in h.y_coords())
+        assert max(hard_influence(h, None, i) for i in range(1, 9)) > y_inf
 
     def test_root_influences_at_regime_boundary(self):
         # ell=44, k=63, the least ell in the regime for k=63: 10 of the 11
@@ -95,8 +101,8 @@ class TestInstanceBasics:
         p = h.params
         assert (p.w, p.m, p.m_prime) == (4, 11, 10)
         y_inf = p.p_rest * Fraction(math.comb(62, 31), 1 << 62)
-        assert all(restricted_influence(h, None, i) == y_inf for i in h.y_coords())
-        assert max(restricted_influence(h, None, i) for i in range(1, 45)) > y_inf
+        assert all(hard_influence(h, None, i) == y_inf for i in h.y_coords())
+        assert max(hard_influence(h, None, i) for i in range(1, 45)) > y_inf
 
     def test_distance_to_terms(self):
         h = choose_params(8, 3)
@@ -128,7 +134,7 @@ class TestInstanceBasics:
 @pytest.fixture(scope="module")
 def pair():
     h = choose_params(4, 3)
-    return h, to_boolfunc(h)
+    return h, hard_table(h)
 
 
 class TestAgainstEnumeration:
@@ -146,13 +152,14 @@ class TestAgainstEnumeration:
 
     def test_expectation_matches(self, pair):
         h, F = pair
-        assert restricted_expectation(h, None) == boolfn.expectation(F)
+        assert h.expectation == expectation(F)
 
     def test_influences_match_at_root(self, pair):
         h, F = pair
         for i in range(1, h.arity + 1):
-            assert restricted_influence(h, None, i) == boolfn.influence(F, None, i)
-        assert restricted_total_influence(h, None) == boolfn.total_influence(F)
+            assert hard_influence(h, None, i) == influence(F, None, i)
+        cursor = h.root_cursor()
+        assert Fraction(cursor.total_influence_num(), cursor.size) == total_influence(F)
 
     @given(data=st.data())
     @settings(max_examples=50)
@@ -164,11 +171,11 @@ class TestAgainstEnumeration:
             st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
         )
         vals = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=k, max_size=k))
-        r = Restriction(tuple(zip(coords, vals)))
-        assert restricted_expectation(h, r) == boolfn.expectation(F, r)
+        fixed = dict(zip(coords, vals))
+        assert hard_expectation(h, fixed) == expectation(F, fixed)
         free = sorted(set(range(1, n + 1)) - set(coords))
         for i in free:
-            assert restricted_influence(h, r, i) == boolfn.influence(F, r, i)
+            assert hard_influence(h, fixed, i) == influence(F, fixed, i)
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,32 +189,31 @@ def test_cursor_split_chains_match_table(ell, k, data):
     h = choose_params(ell, k)
     n = h.arity
     cursor = h.root_cursor()
-    view = SubcubeView.of_function(to_boolfunc(h))
-    fixed = []
+    F = hard_table(h)
+    view = SubcubeView.of_function(F)
+    fixed = {}
     steps = data.draw(st.integers(0, n))
     while True:
-        free = cursor.free_coords()
-        assert free == tuple(sorted(view.free))
+        free = tuple(sorted(view.free))
+        assert free == tuple(c for c in range(1, n + 1) if c not in cursor.fixed)
         assert (cursor.ones(), cursor.size) == (view.ones, view.size)
         half = view.size >> 1
         table = TableCursor(view)
+        reads = {}  # each free coordinate's children's ones and influence, from the table
         for c in free:
-            hi_ones, lo_ones = view.child_ones(c)
+            hi, lo = view.split(c)
+            reads[c] = hi.ones, lo.ones, influence(F, fixed, c)
             pair = cursor.child_expectations(c)
-            assert pair == table.child_expectations(c) == (hi_ones / half, lo_ones / half)
+            assert pair == table.child_expectations(c) == (hi.ones / half, lo.ones / half)
             assert all(type(e) is float for e in (*pair, *table.child_expectations(c)))
-            assert Fraction(cursor.influence_num(c), cursor.size) == view.influence(c)
+            assert Fraction(cursor.influence_num(c), cursor.size) == reads[c][2]
         # one candidate per orbit: each free coordinate has a listed
         # representative at or below it with equal children and influence
         reps = cursor.candidate_coords()
         assert list(reps) == sorted(set(reps)) and set(reps) <= set(free)
         for c in free:
-            assert any(
-                view.child_ones(r) == view.child_ones(c) and view.influence(r) == view.influence(c)
-                for r in reps
-                if r <= c
-            ), c
-        assert Fraction(cursor.total_influence_num(), cursor.size) == view.total_influence()
+            assert any(reads[r] == reads[c] for r in reps if r <= c), c
+        assert Fraction(cursor.total_influence_num(), cursor.size) == total_influence(F, fixed)
         for c in (*fixed, 0, n + 1):
             with pytest.raises(ValueError):
                 cursor.influence_num(c)
@@ -217,7 +223,7 @@ def test_cursor_split_chains_match_table(ell, k, data):
         side = data.draw(st.sampled_from((0, 1)))  # 0: fix c to +1, 1: to -1
         cursor = cursor.split(c)[side]
         view = view.split(c)[side]
-        fixed.append(c)
+        fixed[c] = 1 - 2 * side
 
 
 # The Fraction closed forms the cursor's integer counts replaced, kept as a
@@ -298,7 +304,7 @@ def test_cursor_counts_match_fraction_reference(shape, data):
             assert all(type(e) is float for e in pair)
             assert pair == tuple(float(_ref_expectation(h, {**fixed, c: v})) for v in (1, -1))
             assert cursor.influence_num(c) == _ref_influence(h, state, c) * size
-        free = cursor.free_coords()
+        free = [c for c in range(1, h.arity + 1) if c not in fixed]
         total = sum(_ref_influence(h, state, c) for c in free)
         assert cursor.total_influence_num() == total * size
         if len(fixed) == steps:
@@ -310,7 +316,7 @@ def test_cursor_counts_match_fraction_reference(shape, data):
 
 
 class TestMaterialization:
-    """to_boolfunc against the pointwise definition, evaluate."""
+    """hard_table against the pointwise definition, evaluate."""
 
     SHAPES = [(ell, k) for ell in range(2, 14) for k in range(1, 15 - ell, 2)]
 
@@ -318,13 +324,13 @@ class TestMaterialization:
     def test_table_matches_evaluate_pointwise(self, ell, k):
         # every shape up to arity 14, including ell in {2, 3} (width 1, slack x's)
         h = choose_params(ell, k)
-        F = to_boolfunc(h)
+        F = hard_table(h)
         for idx in range(1 << h.arity):
             assert (F.table >> idx) & 1 == evaluate(h, point_of(idx, h.arity)), idx
 
     def test_arity_23_table_matches_evaluate_on_a_sample(self):
         h = choose_params(20, 3)
-        F = to_boolfunc(h)
+        F = hard_table(h)
         rng = boolfn.derived_rng(0, "hard-table-sample")
         for _ in range(2000):
             idx = rng.randrange(1 << h.arity)
@@ -332,7 +338,7 @@ class TestMaterialization:
 
     def test_refuses_arity_beyond_the_cap(self):
         with pytest.raises(ValueError):
-            to_boolfunc(choose_params(20, boolfn.MAX_ARITY - 19))
+            hard_table(choose_params(20, boolfn.MAX_ARITY - 19))
 
 
 class TestTermsTree:
@@ -357,7 +363,7 @@ class TestTermsTree:
 
     def test_distance_from_instance(self):
         h = choose_params(4, 3)
-        F = to_boolfunc(h)
+        F = hard_table(h)
         t = terms_tree(h.params)
         # pad the terms tree into the full arity by evaluating on x-part only
         errs = sum(
@@ -370,7 +376,7 @@ class TestTermsTree:
 class TestGrowthEquivalence:
     def test_cursor_trace_matches_table_trace(self):
         h = choose_params(4, 3)
-        F = to_boolfunc(h)
+        F = hard_table(h)
         cfg = GrowthConfig(budget=12, impurity=builtin("gini"))
         t_h, trace_h = grow(h, cfg)
         t_f, trace_f = grow(F, cfg)
@@ -382,7 +388,7 @@ class TestGrowthEquivalence:
 
     def test_influence_rule_equivalence(self):
         h = choose_params(4, 3)
-        F = to_boolfunc(h)
+        F = hard_table(h)
         cfg = GrowthConfig(budget=8, impurity=None)
         _, trace_h = grow(h, cfg)
         _, trace_f = grow(F, cfg)
@@ -405,7 +411,7 @@ def test_cursor_growth_matches_table_growth(ell, k, rule, data):
     budget = data.draw(st.integers(1, min(1 << h.arity, 512)), label="budget")
     cfg = GrowthConfig(budget=budget, impurity=builtin(rule) if rule else None)
     t_h, trace_h = grow(h, cfg)
-    t_f, trace_f = grow(to_boolfunc(h), cfg)
+    t_f, trace_f = grow(hard_table(h), cfg)
 
     def rows(trace):
         return [

@@ -9,19 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
-from topdowndt.boolfn import (
-    BoolFunc,
-    conjunction,
-    derived_rng,
-    majority,
-    parity,
-    point_of,
-    random_monotone,
-)
+from topdowndt.boolfn import BoolFunc, derived_rng, random_monotone
 from topdowndt.oracle import OPT_MAX_ARITY, OptTable, _jz_holds, opt, verify_jz
 from topdowndt.tree import distance, random_monotone_tree, size
 
-from reference import RefOptTable, enumerate_decision_trees, enumerate_partial_trees
+from reference import (
+    RefOptTable,
+    complete,
+    conjunction,
+    enumerate_decision_trees,
+    enumerate_partial_trees,
+    majority,
+    parity,
+    point_of,
+)
 
 
 class TestOptAnchors:
@@ -242,7 +243,7 @@ class TestJZBound:
         f = random_monotone(5, seed=fseed)
         g = random_monotone_tree(5, max_leaves=8, seed=tseed)
         if size(g) < 2:
-            g = treemod.complete(treemod.split(treemod.PartialTree.empty(), 0, 1), f)
+            g = complete(treemod.split(treemod.PartialTree(treemod.Leaf()), 0, 1), f)
         assert verify_jz(f, g).passed
 
     def test_arbitrary_functions_n3(self):

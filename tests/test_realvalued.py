@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topdowndt import realvalued
 from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
 from topdowndt.grower import GAIN_TOL, GrowthConfig, _greedy, grow
@@ -20,12 +19,10 @@ from topdowndt.realvalued import (
     ProductDistribution,
     RealSample,
     balanced_random_tree,
-    booleanize,
     booleanized_evaluate,
     cdf_transform,
     encode,
     encode_int,
-    encode_point,
     estimate_dist,
     grow_real,
     parse_policy,
@@ -33,6 +30,8 @@ from topdowndt.realvalued import (
     sample_teacher,
 )
 from topdowndt.tree import DecisionTree, Internal, Leaf
+
+from reference import encode_point
 
 GINI = builtin("gini")
 
@@ -225,50 +224,33 @@ class TestBooleanize:
 
     def test_cellwise_agreement(self, small_tree):
         w = 3
-        b = booleanize(small_tree, w)
         for c1 in range(8):
             for c2 in range(8):
                 x = ((c1 + 0.5) / 8, (c2 + 0.5) / 8)
                 bits = encode_point(x, w)
-                want = treemod.evaluate(small_tree, x)
-                assert booleanized_evaluate(small_tree, w, bits) == want
-                assert treemod.evaluate(b, bits) == want
-
-    def test_bit_coords_within_range(self, small_tree):
-        b = booleanize(small_tree, 3)
-        for info in treemod.leaves(b):
-            coords = [step.coord for step in info.path]
-            assert all(1 <= c <= 6 for c in coords)
-            assert len(coords) == len(set(coords))  # no re-queried bit
+                assert booleanized_evaluate(small_tree, w, bits) == treemod.evaluate(small_tree, x)
 
     def test_trivial_thresholds_collapse(self):
         always_hi = DecisionTree(Internal(1, 0.0, Leaf(1), Leaf(0)))
-        assert treemod.size(booleanize(always_hi, 3)) == 1
-        assert treemod.evaluate(booleanize(always_hi, 3), encode(0.2, 3)) == 1
+        assert booleanized_evaluate(always_hi, 3, encode(0.2, 3)) == 1
         # x >= 1 is unsatisfiable on the floor grid
         always_lo = DecisionTree(Internal(1, 1.0, Leaf(1), Leaf(0)))
-        assert treemod.evaluate(booleanize(always_lo, 3), encode(0.999, 3)) == 0
+        assert booleanized_evaluate(always_lo, 3, encode(0.999, 3)) == 0
 
     def test_off_grid_threshold_rejected(self, small_tree):
         with pytest.raises(ValueError, match="round_thresholds"):
-            booleanize(small_tree, 2)  # 0.375 needs three bits
-
-    def test_node_cap(self, monkeypatch):
-        monkeypatch.setattr(realvalued, "BOOLEANIZE_NODE_CAP", 4)
-        t = round_thresholds(balanced_random_tree(3, 16, seed=2), 6)
-        with pytest.raises(ValueError, match="booleanized_evaluate"):
-            booleanize(t, 6)
+            booleanized_evaluate(small_tree, 2, (1,) * 4)  # 0.375 needs three bits
 
     @given(seed=st.integers(0, 30), w=st.integers(2, 4))
     @settings(max_examples=40)
     def test_lazy_matches_materialized(self, seed, w):
+        # the rounded tree itself, read at each cell's midpoint
         t = round_thresholds(balanced_random_tree(2, 5, seed=seed), w)
-        b = booleanize(t, w)
         cells = 1 << w
         for c1 in range(cells):
             for c2 in range(cells):
-                bits = encode_point(((c1 + 0.5) / cells, (c2 + 0.5) / cells), w)
-                assert booleanized_evaluate(t, w, bits) == treemod.evaluate(b, bits)
+                x = ((c1 + 0.5) / cells, (c2 + 0.5) / cells)
+                assert booleanized_evaluate(t, w, encode_point(x, w)) == treemod.evaluate(t, x)
 
 
 class TestGrowRealEmpirical:

@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
 from topdowndt.grower import GrowthConfig, _split_paths, grow, rule_agreement, tree_at
-from topdowndt.hardinstance import choose_params, to_boolfunc
+from topdowndt.hardinstance import choose_params
 from topdowndt.impurity import BUILTIN_NAMES, builtin
 from topdowndt.realvalued import RealSample, grow_real
+
+from reference import hard_table
 
 RULES = st.sampled_from((*BUILTIN_NAMES, "influence"))
 
@@ -76,7 +78,7 @@ def test_replay_on_small_hard_instances(ell, k, rule, budget):
     h = choose_params(ell, k)
     _, trace = grow(h, GrowthConfig(budget=budget, impurity=_spec(rule)))
     _check_replay(trace)
-    _check_table_distances(trace, to_boolfunc(h))
+    _check_table_distances(trace, hard_table(h))
 
 
 @given(

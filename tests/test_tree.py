@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topdowndt import tree as treemod
-from topdowndt.boolfn import SubcubeView, conjunction, derived_rng, is_monotone, majority, random_monotone
+from topdowndt.boolfn import SubcubeView, derived_rng, is_monotone, random_monotone
 from topdowndt.tree import (
     DecisionTree,
     Frontier,
@@ -13,10 +13,8 @@ from topdowndt.tree import (
     Leaf,
     PartialTree,
     chain_tree,
-    complete,
     distance,
     evaluate,
-    label_leaves,
     leaves,
     path_of,
     random_monotone_tree,
@@ -26,10 +24,12 @@ from topdowndt.tree import (
     to_json,
 )
 
+from reference import complete, conjunction, label_leaves, majority, path_assignment, view_at
+
 
 def grow_by_splits(spec):
     """Build a partial tree from (leaf_id, coord) pairs."""
-    t = PartialTree.empty()
+    t = PartialTree(Leaf())
     for leaf_id, coord in spec:
         t = split(t, leaf_id, coord)
     return t
@@ -62,13 +62,13 @@ class TestSplit:
         assert size(t) == 4
 
     def test_real_mode_may_requery(self):
-        t = split(PartialTree.empty(), 0, 1, theta=0.5)
+        t = split(PartialTree(Leaf()), 0, 1, theta=0.5)
         t = split(t, 0, 1, theta=0.25)
         assert size(t) == 3
 
     def test_bad_leaf_id(self):
         with pytest.raises(ValueError):
-            split(PartialTree.empty(), 3, 1)
+            split(PartialTree(Leaf()), 3, 1)
 
 
 class TestFrontier:
@@ -148,7 +148,7 @@ class TestPathOf:
     @given(st.integers(0, 10**6))
     def test_binary_trees(self, seed):
         rng = derived_rng(seed, "path-of")
-        t = PartialTree.empty()
+        t = PartialTree(Leaf())
         for _ in range(rng.randint(0, 30)):
             infos = [i for i in leaves(t) if len(i.path) < 6]
             info = infos[rng.randrange(len(infos))]
@@ -194,14 +194,14 @@ class TestCompleteAndDistance:
 
     def test_tie_rounds_to_one(self):
         f = majority(3)
-        done = complete(PartialTree.empty(), f)
+        done = complete(PartialTree(Leaf()), f)
         assert leaves(done)[0].node.label == 1
 
     def test_distance_anchor(self):
         f = conjunction(2)
         best2 = DecisionTree(Internal(1, None, Leaf(1), Leaf(0)))
         assert distance(best2, f) == Fraction(1, 4)
-        assert distance(complete(PartialTree.empty(), f), f) == Fraction(1, 4)
+        assert distance(complete(PartialTree(Leaf()), f), f) == Fraction(1, 4)
 
     def test_partial_distance_is_completion_distance(self):
         f = random_monotone(5, seed=2)
@@ -212,7 +212,7 @@ class TestCompleteAndDistance:
     def test_split_never_increases_distance(self, seed):
         f = random_monotone(5, seed=seed)
         rng = derived_rng(seed, "split-walk")
-        t = PartialTree.empty()
+        t = PartialTree(Leaf())
         prev = distance(t, f)
         for _ in range(6):
             infos = leaves(t)
@@ -302,7 +302,7 @@ class TestLeafViews:
         t = grow_by_splits([(0, 1), (0, 2), (2, 3)])
         f = majority(3)
         want = [
-            (info.node, info.depth, SubcubeView.of_function(f).restrict(info.restriction()))
+            (info.node, info.depth, view_at(f, path_assignment(info)))
             for info in leaves(t)
         ]
         calls = []

@@ -1,11 +1,13 @@
 """Readers of a finished tree against the slow references they replaced.
 
-complete, distance, g_impurity and influence_potential read f on every
-leaf's subcube.  The reference takes each leaf from tree.leaves() and
-re-splits f from the root with SubcubeView.restrict(info.restriction()),
+distance, and the reference readers complete, g_impurity and
+influence_potential, read f on every leaf's subcube through one
+tree.leaf_views walk.  Their reference takes each leaf from tree.leaves()
+and re-splits f from the root along the leaf's path (reference.view_at),
 or evaluates the tree at all 2^n points; complete's majority labeling is
-also checked against every labeling of the same shape.  to_boolfunc is checked pointwise, and booleanized_evaluate
-against tree.evaluate of the rounded real-mode tree on every grid cell.
+also checked against every labeling of the same shape.  to_boolfunc is
+checked pointwise, and booleanized_evaluate against tree.evaluate of the
+rounded real-mode tree on every grid cell.
 """
 
 import itertools
@@ -15,11 +17,22 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
-from topdowndt.boolfn import BoolFunc, SubcubeView, point_of
-from topdowndt.grower import g_impurity, influence_potential
+from topdowndt.boolfn import BoolFunc
 from topdowndt.impurity import BUILTIN_NAMES, builtin, evaluate
-from topdowndt.realvalued import booleanize, booleanized_evaluate, encode_point, round_thresholds
-from topdowndt.tree import PartialTree, label_leaves, leaves, size, split
+from topdowndt.realvalued import booleanized_evaluate, round_thresholds
+from topdowndt.tree import Leaf, PartialTree, leaves, size, split
+
+from reference import (
+    complete,
+    encode_point,
+    g_impurity,
+    influence_potential,
+    label_leaves,
+    path_assignment,
+    point_of,
+    total_influence,
+    view_at,
+)
 
 MAX_LEAVES = 12
 
@@ -27,7 +40,7 @@ MAX_LEAVES = 12
 @st.composite
 def shapes(draw, n: int, max_leaves: int = MAX_LEAVES, real: bool = False):
     """A random tree shape on coordinates 1..n, grown by random splits."""
-    t = PartialTree.empty()
+    t = PartialTree(Leaf())
     for _ in range(draw(st.integers(0, max_leaves - 1))):
         if real:
             leaf_id = draw(st.integers(0, size(t) - 1))
@@ -59,8 +72,7 @@ def cases(draw, max_leaves: int = MAX_LEAVES):
 
 def restricted_views(t, f):
     """The old per-leaf loop: every leaf's view re-split from the root."""
-    root = SubcubeView.of_function(f)
-    return [(info, root.restrict(info.restriction())) for info in leaves(t)]
+    return [(info, view_at(f, path_assignment(info))) for info in leaves(t)]
 
 
 def pointwise_errors(t, f) -> int:
@@ -74,7 +86,7 @@ def pointwise_errors(t, f) -> int:
 @given(cases())
 def test_complete_labels_each_leaf_by_majority(case):
     f, t = case
-    done = treemod.complete(t, f)
+    done = complete(t, f)
     want = [int(2 * view.ones >= view.size) for _, view in restricted_views(t, f)]
     assert [info.node.label for info in leaves(done)] == want
     assert [info.path for info in leaves(done)] == [info.path for info in leaves(t)]
@@ -86,7 +98,7 @@ def test_distance_matches_pointwise_and_per_leaf(case):
     f, t = case
     if isinstance(t, PartialTree):
         want = sum(view.error_count() for _, view in restricted_views(t, f))
-        assert pointwise_errors(treemod.complete(t, f), f) == want
+        assert pointwise_errors(complete(t, f), f) == want
     else:
         want = pointwise_errors(t, f)
     assert treemod.distance(t, f) == Fraction(want, 1 << f.n)
@@ -100,9 +112,12 @@ def test_potentials_match_per_leaf_loop(case):
     for spec in map(builtin, BUILTIN_NAMES):
         want = 0.0
         for info, view in views:
-            want += math.ldexp(evaluate(spec, view.expectation()), -info.depth)
+            want += math.ldexp(evaluate(spec, Fraction(view.ones, view.size)), -info.depth)
         assert g_impurity(t, f, spec) == want  # same preorder sum, bit for bit
-    want = sum((Fraction(1, 1 << info.depth) * v.total_influence() for info, v in views), Fraction(0))
+    want = sum(
+        (Fraction(1, 1 << info.depth) * total_influence(f, path_assignment(info)) for info, _ in views),
+        Fraction(0),
+    )
     assert influence_potential(t, f) == want
 
 
@@ -116,7 +131,7 @@ def test_majority_completion_is_the_best_labeling(case):
         sum(labeling[leaf_of[idx]] != (f.table >> idx) & 1 for idx in range(denom))
         for labeling in itertools.product((0, 1), repeat=size(t))
     )
-    completion = pointwise_errors(treemod.complete(t, f), f)
+    completion = pointwise_errors(complete(t, f), f)
     assert completion == best
 
 
@@ -125,7 +140,7 @@ def test_majority_completion_is_the_best_labeling(case):
 def test_to_boolfunc_matches_pointwise(case):
     f, t = case
     if isinstance(t, PartialTree):
-        t = treemod.complete(t, f)
+        t = complete(t, f)
     g = treemod.to_boolfunc(t, f.n)
     assert g.n == f.n
     for idx in range(1 << f.n):
@@ -138,11 +153,9 @@ def test_booleanized_evaluate_matches_rounded_tree_on_every_cell(data, n, w):
     shape = data.draw(shapes(n, real=True))
     labels = data.draw(st.lists(st.integers(0, 1), min_size=size(shape), max_size=size(shape)))
     t = round_thresholds(label_leaves(shape, labels), w)
-    b = booleanize(t, w)
     cells = 1 << w
     for cell in itertools.product(range(cells), repeat=n):
         x = tuple(c / cells for c in cell)  # x_i >= theta iff cell_i >= theta * 2^w
         bits = encode_point(x, w)
         want = treemod.evaluate(t, x)
         assert booleanized_evaluate(t, w, bits) == want
-        assert treemod.evaluate(b, bits) == want
