@@ -24,7 +24,8 @@ config byte-reproduces every file.
 The runners only assemble experiments: growth is grower.grow or
 realvalued.grow_real (one greedy loop), the trees at the hard run's
 checkpoint sizes come from grower.tree_at, and its Monte-Carlo error and
-xi fraction from hardinstance.mc_check.
+xi fraction from hardinstance.mc_check; round-check's rounding distance is
+realvalued.disagreement, exact.
 
 Exit status: 0 when every enabled check passes, 1 when a check fails
 (the bundle is still written), 2 for an invalid config.
@@ -58,7 +59,6 @@ from .grower import (
     rule_agreement,
     tree_at,
     verify_split_inequalities,
-    write_trace_csv,
 )
 from .impurity import BUILTIN_NAMES, builtin, verify_shape, verify_strong_concavity
 from .realvalued import (
@@ -69,8 +69,8 @@ from .realvalued import (
     balanced_random_tree,
     booleanized_evaluate,
     cdf_transform,
+    disagreement,
     encode,
-    estimate_dist,
     grow_real,
     round_thresholds,
 )
@@ -198,22 +198,21 @@ def _dyadic(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _cell(v) -> str:
-    if isinstance(v, Fraction):
-        return _dyadic(v)
-    if isinstance(v, float):
-        return repr(v)
-    if v is None:
-        return ""
-    return str(v)
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """A Fraction cell is written by _dyadic; csv writes every other cell,
+    a float by repr and None as the empty string."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([_cell(v) for v in row])
+            # type(), not isinstance: Fraction's ABC check is slow on the other cells
+            w.writerow([_dyadic(v) if type(v) is Fraction else v for v in row])
+
+
+def _write_json(path: Path, value) -> None:
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _plot(out: Path, name: str, header, rows) -> str:
@@ -299,8 +298,24 @@ def _nonincreasing(curve) -> bool:
 
 
 def _write_trace(out: Path, trace: GrowthTrace) -> list[str]:
-    """trace.csv and its two plots, as grow and grow-real write them."""
-    write_trace_csv(trace, out / "trace.csv")
+    """trace.csv and its two plots, as grow and grow-real write them.
+
+    trace.csv writes its exact columns, u_f and distance, as str(fraction):
+    0 is "0" there, where _dyadic writes "0/1".
+    """
+
+    def exact(v: Fraction | None) -> str | None:
+        return None if v is None else str(v)
+
+    def rows():  # streamed: a deep trace has a row per split
+        yield (0, None, None, None, None, trace.initial_g_impurity,
+               exact(trace.initial_u_f), exact(trace.initial_distance))
+        for st in trace.steps:
+            yield (st.iteration, st.leaf_id, st.coord, st.theta, st.gain, st.g_impurity,
+                   exact(st.u_f), exact(st.distance))
+
+    header = ("iter", "leaf_id", "coord", "theta", "gain", "g_impurity", "u_f", "distance")
+    _write_csv(out / "trace.csv", header, rows())
     potential = [(0, trace.initial_g_impurity)]
     potential += [(st.iteration, st.g_impurity) for st in trace.steps]
     return [
@@ -441,9 +456,7 @@ def _run_grow_real(cfg: ExperimentConfig, out: Path):
         policy=cfg.thresholds,
     )
     files = _write_trace(out, trace)
-    with open(out / "tree.json", "w") as fh:
-        json.dump(treemod.to_json(dtree), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "tree.json", treemod.to_json(dtree))
     medians = [st.median_split for st in trace.steps]
     summary = {
         "dataset": sample.provenance,
@@ -469,14 +482,10 @@ def _run_opt(cfg: ExperimentConfig, out: Path):
         err, witness = oracle.opt(f, cfg.size)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    with open(out / "witness.json", "w") as fh:
-        json.dump(
-            {"size_budget": cfg.size, "error": _dyadic(err), "tree": treemod.to_json(witness)},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(
+        out / "witness.json",
+        {"size_budget": cfg.size, "error": _dyadic(err), "tree": treemod.to_json(witness)},
+    )
     checks = {
         "witness-distance-matches": treemod.distance(witness, f) == err,
         "witness-within-budget": treemod.size(witness) <= cfg.size,
@@ -690,7 +699,6 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
                 f"leaves at depth {depth}; w must be in 1..{realvalued.MAX_BITS}"
             )
         tr = round_thresholds(t, w)
-        est, hw = estimate_dist(t, tr, d, cfg.samples, seed)
         # booleanized_evaluate reads only the bits of the coordinates tr queries
         queried = sorted({step.coord for info in treemod.leaves(tr) for step in info.path})
         rng = derived_rng(seed, "agreement")
@@ -699,24 +707,20 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
             bits = {(c - 1) * w + p: b for c in queried for p, b in enumerate(encode(x[c - 1], w))}
             if treemod.evaluate(tr, x) != booleanized_evaluate(tr, w, bits):
                 fails += 1
-        rows.append((i, depth, w, est, hw, fails))
-    _write_csv(
-        out / "rows.csv",
-        ("trial", "depth", "w", "estimate", "halfwidth", "agreement_failures"),
-        rows,
-    )
+        rows.append((i, depth, w, disagreement(t, tr), fails))
+    _write_csv(out / "rows.csv", ("trial", "depth", "w", "distance", "agreement_failures"), rows)
     summary = {
         "arity": n,
         "trials": cfg.trials,
         "leaves": cfg.leaves,
         "epsilon": eps,
-        "samples": cfg.samples,
         "agreement_inputs": agree_per_trial * cfg.trials,
-        "max_estimate": max(r[3] for r in rows),
+        "max_distance": _dyadic(max(r[3] for r in rows)),
     }
     checks = {
-        "round-dist-within-eps": all(r[3] <= eps / 2 + r[4] for r in rows),
-        "s-construction-agreement": all(r[5] == 0 for r in rows),
+        # eps as the exact value of its float
+        "round-dist-within-eps": all(r[3] <= Fraction(eps) / 2 for r in rows),
+        "s-construction-agreement": all(r[4] == 0 for r in rows),
     }
     return summary, checks, ["rows.csv"]
 
@@ -760,15 +764,16 @@ COMMON_FLAGS = ("seed", "out")
 # Each subcommand's caps, refused before any work.  Measured on a 2-CPU VM with
 # Python 3.11; time grows faster than linearly past the first three caps:
 # - hard --budget 65536: --l 8 --k 63 grows in 65 s and 200 MB;
-# - round-check --leaves 262144: one trial at arity 8 takes 9 s and 130 MB;
+# - round-check --leaves 262144: one trial at arity 8 takes 10.4-10.8 s and
+#   279 MB, nearly all of it building the tree;
 # - jz-sweep --leaves 8192: a random tree of 8192 leaves takes 3.5 s to draw,
 #   one of 16384 leaves 15 s;
 # - the oracle's size, 16 (opt --size, agnostic-sweep --sizes, grow
 #   --monitor-size): opt --size 16 takes 6 s and 60 MB on a random or a
 #   monotone 12-bit table; OptTable.error(32) on the monotone one 21 s;
-# - round-check --arity 1024: a trial with 2 leaves and 1 sample takes 0.8-1.3 s;
+# - round-check --arity 1024: a trial with 2 leaves takes 0.75 s;
 # - --samples 524288: hard --l 8 --k 63 --budget 256 takes 14 s and 22 MB;
-# - --trials 1024: every other flag at its default, round-check takes 39-43 s
+# - --trials 1024: every other flag at its default, round-check takes 2.8 s
 #   and agnostic-sweep 23 s.
 # Arity is also capped at boolfn.MAX_ARITY for a truth table, at
 # oracle.OPT_MAX_ARITY for the exact oracle and at 16 for jz-sweep.
@@ -818,8 +823,8 @@ SUBCOMMANDS = {
     "round-check": Subcommand(
         _run_round_check,
         "threshold rounding and bit-encoding agreement",
-        ("arity", "trials", "leaves", "epsilon", "samples"),
-        caps={"arity": 1 << 10, "trials": 1 << 10, "leaves": 1 << 18, "samples": 1 << 19},
+        ("arity", "trials", "leaves", "epsilon"),
+        caps={"arity": 1 << 10, "trials": 1 << 10, "leaves": 1 << 18},
     ),
     "verify-impurity": Subcommand(
         _run_verify_impurity,
@@ -841,24 +846,18 @@ def run(config: ExperimentConfig) -> ResultBundle:
     out.mkdir(parents=True, exist_ok=True)
     summary, checks, files = SUBCOMMANDS[config.kind].runner(config, out)
 
-    with open(out / "config.json", "w") as fh:
-        json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(
-            {
-                "version": __version__,
-                "kind": config.kind,
-                "seed": config.seed,
-                "summary": summary,
-                "checks": checks,
-                "files": sorted(files),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(out / "config.json", dataclasses.asdict(config))
+    _write_json(
+        out / "summary.json",
+        {
+            "version": __version__,
+            "kind": config.kind,
+            "seed": config.seed,
+            "summary": summary,
+            "checks": checks,
+            "files": sorted(files),
+        },
+    )
     return ResultBundle(out, summary, checks)
 
 

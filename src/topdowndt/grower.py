@@ -68,7 +68,6 @@ The kappa/32 constant is the one the guarantees are stated with.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -577,53 +576,3 @@ def rule_agreement(trace_a: GrowthTrace, trace_b: GrowthTrace) -> tuple[int, lis
     common = a.keys() & b.keys()
     mismatches = [(key, a[key], b[key]) for key in common if a[key] != b[key]]
     return len(common), mismatches
-
-
-# ---------------------------------------------------------------------------
-# trace CSV
-# ---------------------------------------------------------------------------
-
-TRACE_COLUMNS = ("iter", "leaf_id", "coord", "theta", "gain", "g_impurity", "u_f", "distance")
-
-
-def _fmt_float(v: float | None) -> str:
-    return "" if v is None else repr(v)
-
-
-def _fmt_frac(v: Fraction | None) -> str:
-    return "" if v is None else str(v)
-
-
-def write_trace_csv(trace: GrowthTrace, path) -> None:
-    """Trace schema: exact columns as fractions, float columns via repr.
-
-    Rerunning an identical config reproduces the file byte for byte.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        w.writerow(
-            [
-                0,
-                "",
-                "",
-                "",
-                "",
-                _fmt_float(trace.initial_g_impurity),
-                _fmt_frac(trace.initial_u_f),
-                _fmt_frac(trace.initial_distance),
-            ]
-        )
-        for st in trace.steps:
-            w.writerow(
-                [
-                    st.iteration,
-                    st.leaf_id,
-                    st.coord,
-                    _fmt_float(st.theta),
-                    _fmt_float(st.gain),
-                    _fmt_float(st.g_impurity),
-                    _fmt_frac(st.u_f),
-                    _fmt_frac(st.distance),
-                ]
-            )

@@ -12,7 +12,9 @@ quantile in [0,1) is approximated by its first w bits.  Concretely:
   * booleanized_evaluate() evaluates a rounded tree on encoded inputs: a
     test x_i >= c/2^w reads the cell floor(x_i 2^w) off coordinate i's w
     bits and compares it with c, so the encoded bits alone compute the
-    rounded tree's function.
+    rounded tree's function;
+  * disagreement(t1, t2) is Pr[t1(x) != t2(x)] under the uniform cube,
+    exactly: what rounding a tree's thresholds costs in error.
 
 grow_real runs grower's one greedy loop (the one grower.grow runs) over
 leaf states that score (coordinate, threshold) candidates, in the scan
@@ -285,25 +287,49 @@ def booleanized_evaluate(t: DecisionTree, w: int, bits: Sequence[int] | Mapping[
 
 
 # ---------------------------------------------------------------------------
-# sampling utilities
+# exact disagreement and random trees
 # ---------------------------------------------------------------------------
 
 
-def estimate_dist(
-    t1: DecisionTree,
-    t2: DecisionTree,
-    d: ProductDistribution,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte-Carlo disagreement rate with a distribution-free 99% half-width."""
-    if samples < 1:
-        raise ValueError("sample count must be >= 1")
-    rng = derived_rng(seed, "estimate-dist")
-    disagree = sum(treemod.evaluate(t1, x) != treemod.evaluate(t2, x) for x in d.draw(rng, samples))
-    # 1 - 0.99 is not 0.01 in floats; the recorded half-widths use this form
-    halfwidth = math.sqrt(math.log(2 / (1 - 0.99)) / (2 * samples))
-    return disagree / samples, halfwidth
+def disagreement(t1: DecisionTree, t2: DecisionTree) -> Fraction:
+    """Pr[t1(x) != t2(x)] for x uniform on [0,1]^n, exactly.
+
+    One walk over the pairs of nodes, one from each tree, whose boxes meet:
+    the box holds the [lo, hi) side of every coordinate cut so far (x >= theta
+    goes hi; a threshold outside [0,1] is clamped to it), and every pair of
+    leaves with different labels adds its box's volume.  Every threshold is
+    a float, so every side is dyadic: bounds are compared as floats, which
+    is exact, and read as integers over a power of two only at those leaves.
+    """
+    box: dict[int, tuple[float, float]] = {}
+    terms = []  # (numerator, log2 denominator) of each disagreeing box's volume
+
+    def walk(a, b):
+        if type(a) is not Internal:
+            a, b = b, a
+        if type(a) is Internal:
+            coord = a.coord
+            theta = min(1.0, max(0.0, a.theta))
+            lo, hi = box.get(coord, (0.0, 1.0))
+            if theta < hi:
+                box[coord] = (max(lo, theta), hi)
+                walk(a.hi, b)
+            if lo < theta:
+                box[coord] = (lo, min(hi, theta))
+                walk(a.lo, b)
+            box[coord] = (lo, hi)
+        elif a.label != b.label:
+            volume, bits = 1, 0
+            for lo, hi in box.values():
+                (p, q), (r, s) = lo.as_integer_ratio(), hi.as_integer_ratio()
+                d = max(q, s)
+                volume *= r * (d // s) - p * (d // q)
+                bits += d.bit_length() - 1
+            terms.append((volume, bits))
+
+    walk(t1.root, t2.root)
+    top = max((bits for _, bits in terms), default=0)
+    return Fraction(sum(v << (top - bits) for v, bits in terms), 1 << top)
 
 
 def balanced_random_tree(n: int, size: int, seed: int) -> DecisionTree:

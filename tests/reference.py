@@ -22,6 +22,8 @@ label_leaves, the old way of labeling a tree that Frontier.build and
 tree_at are checked against, and the potentials g_impurity and
 influence_potential that back the grower's exact accounting.
 encode_point is the bit layout booleanized_evaluate reads.
+box_disagreement is realvalued.disagreement summed over every leaf pair,
+each pair's boxes intersected in Fractions.
 
 RefOptTable is the memoized recursive search that oracle.OptTable's
 all-subcube dynamic program replaced.  A subcube, named by its fixed
@@ -259,6 +261,34 @@ def terms_tree_size(params) -> int:
 def encode_point(x, w: int) -> tuple[int, ...]:
     """Concatenated coordinate encodings: real coord i owns bits (i-1)w+1..iw."""
     return tuple(b for v in x for b in encode(v, w))
+
+
+def _leaf_box(info) -> dict[int, tuple[Fraction, Fraction]]:
+    """A threshold leaf's box in [0,1]^n: coord -> [lo, hi), thresholds clamped."""
+    box = {}
+    for step in info.path:
+        theta = min(Fraction(1), max(Fraction(0), Fraction(step.theta)))
+        lo, hi = box.get(step.coord, (Fraction(0), Fraction(1)))
+        box[step.coord] = (max(lo, theta), hi) if step.side == 1 else (lo, min(hi, theta))
+    return box
+
+
+def box_disagreement(t1: DecisionTree, t2: DecisionTree) -> Fraction:
+    """Pr[t1(x) != t2(x)] for x uniform on [0,1]^n: over every pair of leaves
+    with different labels, the volume of their boxes' intersection."""
+    total = Fraction(0)
+    for a in treemod.leaves(t1):
+        for b in treemod.leaves(t2):
+            if a.node.label == b.node.label:
+                continue
+            box_a, box_b = _leaf_box(a), _leaf_box(b)
+            volume = Fraction(1)
+            for coord in box_a.keys() | box_b.keys():
+                lo_a, hi_a = box_a.get(coord, (0, 1))
+                lo_b, hi_b = box_b.get(coord, (0, 1))
+                volume *= max(0, min(hi_a, hi_b) - max(lo_a, lo_b))
+            total += volume
+    return total
 
 
 # ---------------------------------------------------------------------------

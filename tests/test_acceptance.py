@@ -36,11 +36,10 @@ from topdowndt.grower import GrowthConfig, Monitor, grow, rule_agreement, verify
 from topdowndt.impurity import builtin, verify_strong_concavity
 from topdowndt.oracle import OptTable, verify_jz
 from topdowndt.realvalued import (
-    ProductDistribution,
     RealSample,
     balanced_random_tree,
     booleanized_evaluate,
-    estimate_dist,
+    disagreement,
     grow_real,
     round_thresholds,
 )
@@ -365,7 +364,6 @@ def test_criterion_08_lower_bound_separation():
 
 def test_criterion_09_rounding_and_encoding():
     t0 = time.time()
-    dist = ProductDistribution.uniform(8)
     rng = random.Random(31)
     disagreements = 0
     for trial in range(100):
@@ -374,8 +372,8 @@ def test_criterion_09_rounding_and_encoding():
         assert depth <= 12
         w = math.ceil(math.log2(64 * depth / 0.1)) + 2
         t_round = round_thresholds(t, w)
-        est, halfwidth = estimate_dist(t, t_round, dist, samples=4000, seed=trial)
-        assert est <= 0.05 + halfwidth, (trial, est, halfwidth)
+        distance = disagreement(t, t_round)
+        assert distance <= Fraction(1, 20), (trial, distance)
         for _ in range(100):
             x = tuple(rng.random() for _ in range(8))
             if booleanized_evaluate(t_round, w, encode_point(x, w)) != treemod.evaluate(t_round, x):
@@ -383,7 +381,7 @@ def test_criterion_09_rounding_and_encoding():
     assert disagreements == 0
     elapsed = time.time() - t0
     assert elapsed < 300
-    print(f"criterion 9: 100 rounded trees within 0.05+CI, 10000 encoded evaluations with zero disagreements, {elapsed:.1f}s")
+    print(f"criterion 9: 100 rounded trees within exact distance 0.05, 10000 encoded evaluations with zero disagreements, {elapsed:.1f}s")
 
 
 def test_criterion_10_binary_consistency_of_grow_real():

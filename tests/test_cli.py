@@ -164,7 +164,7 @@ class TestSubcommands:
         out = tmp_path / "rc"
         rc = main(
             ["round-check", "--arity", "3", "--trials", "2", "--leaves", "8",
-             "--epsilon", "0.1", "--samples", "400", "--out", str(out)]
+             "--epsilon", "0.1", "--out", str(out)]
         )
         assert rc == 0
         summary = read_json(out / "summary.json")
@@ -253,12 +253,9 @@ class TestExitContract:
             ["hard", "--l", "60000", "--k", "3"],
             ["hard", "--l", "8", "--k", "20001", "--budget", "4"],
             ["hard", "--l", "8", "--k", "63", "--budget", "1000000000", "--samples", "1"],
-            ["round-check", "--arity", "8", "--trials", "1", "--leaves", "1000000000",
-             "--samples", "10"],
-            ["round-check", "--arity", "100000000", "--trials", "1", "--leaves", "2",
-             "--samples", "1"],
+            ["round-check", "--arity", "8", "--trials", "1", "--leaves", "1000000000"],
+            ["round-check", "--arity", "100000000", "--trials", "1", "--leaves", "2"],
             ["hard", "--l", "8", "--k", "63", "--budget", "2", "--samples", "1000000000"],
-            ["round-check", "--arity", "8", "--trials", "1", "--samples", "1000000000"],
             ["verify-impurity", "--impurity", "influence"],
             ["grow", "--arity", "4", "--impurity", "km"],
             ["jz-sweep", "--trials", "1000000000"],
@@ -272,7 +269,7 @@ class TestExitContract:
              "hard-wide-ell", "hard-wider-ell", "hard-wide-k",
              "hard-budget-past-cap", "round-check-leaves-past-cap",
              "round-check-arity-past-cap", "hard-samples-past-cap",
-             "round-check-samples-past-cap", "verify-impurity-influence", "impurity-km",
+             "verify-impurity-influence", "impurity-km",
              "jz-sweep-trials-past-cap", "agnostic-sweep-trials-past-cap",
              "realizable-trials-past-cap", "round-check-trials-past-cap"],
     )
@@ -409,7 +406,7 @@ class TestParser:
         "realizable": (
             "--arity", "--trials", "--teacher-leaves", "--target", "--budget", "--impurities"
         ),
-        "round-check": ("--arity", "--trials", "--leaves", "--epsilon", "--samples"),
+        "round-check": ("--arity", "--trials", "--leaves", "--epsilon"),
         "verify-impurity": ("--impurity",),
     }
     # (flag text, parsed value) by ExperimentConfig annotation
@@ -450,6 +447,13 @@ class TestParser:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_round_check_refuses_samples(self, capsys):
+        # its rounding distance is exact, so there is no sample count to set
+        with pytest.raises(SystemExit) as exc:
+            main(["round-check", "--samples", "10"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --samples 10" in capsys.readouterr().err
 
     def test_parser_has_exactly_the_subcommands(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,21 +1,22 @@
 """Golden digests of growth outputs on a fixed grid of cases.
 
-Each case grows one tree and hashes the two files the CLI writes from it:
-the trace CSV (write_trace_csv) and the tree JSON (tree.to_json, as
-grow-real writes tree.json).  The digests were recorded from the growth
-code as it stood before its loops were merged; any change to a split
-choice, a gain, a potential, a distance or a leaf label changes them.
+Each case grows one tree and hashes the two files the CLI writes from it,
+through the CLI's own writers: trace.csv (cli._write_trace) and tree.json
+(cli._write_json over tree.to_json, as grow-real writes it).  The digests
+were recorded from the growth code as it stood before its loops were
+merged; any change to a split choice, a gain, a potential, a distance or a
+leaf label changes them.
 """
 
 import hashlib
-import json
 
 import pytest
 
 from topdowndt import hardinstance
 from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, derived_rng
-from topdowndt.grower import GrowthConfig, grow, write_trace_csv
+from topdowndt import cli
+from topdowndt.grower import GrowthConfig, grow
 from topdowndt.impurity import builtin
 from topdowndt.realvalued import (
     ProductDistribution,
@@ -131,12 +132,11 @@ GOLDEN = {
 
 def _digests(name, tmp_path):
     t, trace = CASES[name]()
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    tree_json = json.dumps(treemod.to_json(t), indent=2, sort_keys=True) + "\n"
-    return (
-        hashlib.sha256(path.read_bytes()).hexdigest(),
-        hashlib.sha256(tree_json.encode()).hexdigest(),
+    cli._write_trace(tmp_path, trace)
+    cli._write_json(tmp_path / "tree.json", treemod.to_json(t))
+    return tuple(
+        hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+        for file in ("trace.csv", "tree.json")
     )
 
 
@@ -166,6 +166,5 @@ DEEP_GOLDEN = {
 @pytest.mark.parametrize("rule", sorted(DEEP_GOLDEN))
 def test_deep_table_trace_matches_golden_digest(rule, tmp_path):
     _, trace = grow(DEEP_TABLE, _cfg(rule, 2048))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEEP_GOLDEN[rule]
+    cli._write_trace(tmp_path, trace)
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == DEEP_GOLDEN[rule]

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topdowndt import cli
 from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, derived_rng, random_monotone
 from topdowndt.grower import (
     GAIN_TOL,
-    TRACE_COLUMNS,
     GrowthConfig,
     GrowthTrace,
     Monitor,
@@ -22,7 +22,6 @@ from topdowndt.grower import (
     grow,
     rule_agreement,
     verify_split_inequalities,
-    write_trace_csv,
 )
 from topdowndt.hardinstance import choose_params
 from topdowndt.impurity import BUILTIN_NAMES, builtin
@@ -248,10 +247,9 @@ class TestArgmaxAgreement:
 class TestTraceCsv:
     def test_structure(self, tmp_path):
         _, trace = grow(conjunction(2), GrowthConfig(budget=3, impurity=GINI))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(TRACE_COLUMNS)
+        cli._write_trace(tmp_path, trace)
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iter,leaf_id,coord,theta,gain,g_impurity,u_f,distance"
         assert len(lines) == 2 + len(trace.steps)
         iter0 = lines[1].split(",")
         assert iter0[0] == "0"
@@ -261,10 +259,9 @@ class TestTraceCsv:
     def test_matches_golden_file(self, tmp_path):
         f = random_monotone(6, seed=3)
         _, trace = grow(f, GrowthConfig(budget=8, impurity=GINI))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
+        cli._write_trace(tmp_path, trace)
         golden = DATA / "trace_n6_seed3_gini.csv"
-        assert path.read_text() == golden.read_text()
+        assert (tmp_path / "trace.csv").read_text() == golden.read_text()
 
 
 # ---------------------------------------------------------------------------

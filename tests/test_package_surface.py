@@ -7,10 +7,17 @@ in KEEP with the caller outside the package that needs it.  Code that only
 tests call belongs in tests/reference.py.  The match is by name alone, so a
 common method name such as split passes wherever any object's method of
 that name is read.
+
+No subcommand takes a flag it never reads: each field in a SUBCOMMANDS
+entry's flags is read as an attribute of the config by its runner, or by a
+module-level cli function that the runner (or such a function) passes the
+config to.
 """
 
 import ast
 from pathlib import Path
+
+from topdowndt import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "topdowndt"
 
@@ -71,3 +78,39 @@ def test_every_definition_is_reached_from_the_package_or_kept():
 def test_every_kept_name_is_defined():
     defined = {qualname for qualname, _, _ in _scan()[0]}
     assert sorted(KEEP.keys() - defined) == []
+
+
+def _config_reads(functions: dict, name: str, param: str, seen: set) -> set[str]:
+    """The attributes of parameter `param` that cli function `name` reads,
+    itself or through the cli functions it passes `param` to."""
+    if (name, param) in seen:
+        return set()
+    seen.add((name, param))
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == param:
+                reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callee = functions.get(node.func.id)
+            if callee is None:
+                continue
+            passed = [callee.args.args[i].arg for i, arg in enumerate(node.args)
+                      if isinstance(arg, ast.Name) and arg.id == param]
+            passed += [kw.arg for kw in node.keywords
+                       if isinstance(kw.value, ast.Name) and kw.value.id == param]
+            for callee_param in passed:
+                reads |= _config_reads(functions, callee.name, callee_param, seen)
+    return reads
+
+
+def test_every_subcommand_flag_is_read():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    unread = {}
+    for kind, command in cli.SUBCOMMANDS.items():
+        runner = functions[command.runner.__name__]
+        reads = _config_reads(functions, runner.name, runner.args.args[0].arg, set())
+        if set(command.flags) - reads:
+            unread[kind] = sorted(set(command.flags) - reads)
+    assert unread == {}

@@ -21,9 +21,9 @@ from topdowndt.realvalued import (
     balanced_random_tree,
     booleanized_evaluate,
     cdf_transform,
+    disagreement,
     encode,
     encode_int,
-    estimate_dist,
     grow_real,
     parse_policy,
     round_thresholds,
@@ -31,7 +31,7 @@ from topdowndt.realvalued import (
 )
 from topdowndt.tree import DecisionTree, Internal, Leaf
 
-from reference import encode_point
+from reference import box_disagreement, encode_point
 
 GINI = builtin("gini")
 
@@ -169,32 +169,40 @@ class TestCoordinateDist:
         assert ks <= 1.63 / math.sqrt(n)  # 99% KS band
 
 
-class TestEstimateDist:
-    def test_identical_trees(self):
-        t = balanced_random_tree(2, 4, seed=0)
-        d = ProductDistribution.uniform(2)
-        est, hw = estimate_dist(t, t, d, samples=500, seed=1)
-        assert est == 0.0
-        assert hw == pytest.approx(math.sqrt(math.log(2 / 0.01) / 1000), abs=1e-15)
+# thresholds from a few shared values, so that cuts of two trees coincide,
+# and from an interval past both ends of [0,1]
+THRESHOLDS = st.one_of(
+    st.sampled_from((-0.5, 0.0, 0.25, 0.5, 1.0, 1.5)), st.floats(-0.25, 1.25)
+)
 
-    def test_complementary_trees(self):
-        t1 = DecisionTree(Leaf(1))
-        t2 = DecisionTree(Leaf(0))
-        d = ProductDistribution.uniform(1)
-        est, _ = estimate_dist(t1, t2, d, samples=200, seed=0)
-        assert est == 1.0
 
-    def test_validation(self):
-        t = DecisionTree(Leaf(0))
-        d = ProductDistribution.uniform(1)
-        with pytest.raises(ValueError):
-            estimate_dist(t, t, d, samples=0, seed=0)
+def _threshold_tree(draw, n: int, leaves: int):
+    if leaves == 1:
+        return Leaf(draw(st.integers(0, 1)))
+    hi = draw(st.integers(1, leaves - 1))
+    coord, theta = draw(st.integers(1, n)), draw(THRESHOLDS)
+    return Internal(coord, theta, _threshold_tree(draw, n, hi), _threshold_tree(draw, n, leaves - hi))
 
-    def test_deterministic_in_seed(self):
-        t1 = balanced_random_tree(2, 6, seed=3)
-        t2 = balanced_random_tree(2, 6, seed=4)
-        d = ProductDistribution.uniform(2)
-        assert estimate_dist(t1, t2, d, 300, seed=7) == estimate_dist(t1, t2, d, 300, seed=7)
+
+class TestDisagreement:
+    def test_anchors(self):
+        t = balanced_random_tree(3, 12, seed=0)
+        assert disagreement(t, t) == 0
+        assert disagreement(DecisionTree(Leaf(1)), DecisionTree(Leaf(0))) == 1
+        # x1 >= 0.3 against x1 >= 1/4 differ on [1/4, 0.3), 0.3 as the float it is
+        cut = DecisionTree(Internal(1, 0.3, Leaf(1), Leaf(0)))
+        assert disagreement(cut, round_thresholds(cut, 2)) == Fraction(0.3) - Fraction(1, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_leaf_pair_sum(self, data):
+        n = data.draw(st.integers(1, 3))
+        t1 = DecisionTree(_threshold_tree(data.draw, n, data.draw(st.integers(1, 12))))
+        if data.draw(st.booleans()):
+            t2 = round_thresholds(t1, data.draw(st.integers(1, 8)))
+        else:
+            t2 = DecisionTree(_threshold_tree(data.draw, n, data.draw(st.integers(1, 12))))
+        assert disagreement(t1, t2) == box_disagreement(t1, t2) == disagreement(t2, t1)
 
 
 class TestBalancedRandomTree:
