@@ -185,10 +185,14 @@ def _threshold_tree(draw, n: int, leaves: int):
 
 
 class TestDisagreement:
-    def test_anchors(self):
+    def test_identical_trees(self):
         t = balanced_random_tree(3, 12, seed=0)
         assert disagreement(t, t) == 0
+
+    def test_complementary_trees(self):
         assert disagreement(DecisionTree(Leaf(1)), DecisionTree(Leaf(0))) == 1
+
+    def test_rounded_cut(self):
         # x1 >= 0.3 against x1 >= 1/4 differ on [1/4, 0.3), 0.3 as the float it is
         cut = DecisionTree(Internal(1, 0.3, Leaf(1), Leaf(0)))
         assert disagreement(cut, round_thresholds(cut, 2)) == Fraction(0.3) - Fraction(1, 4)
