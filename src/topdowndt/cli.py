@@ -690,7 +690,9 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
     for i in range(cfg.trials):
         seed = _trial_seed(cfg, i)
         t = balanced_random_tree(n, cfg.leaves, seed)
-        depth = treemod.depth(t)
+        # rounding keeps every query, and booleanized_evaluate reads only the
+        # bits of the coordinates queried
+        depth, queried = treemod.depth_and_coords(t)
         ratio = cfg.leaves * max(1, depth) / eps  # inf when it overflows
         w = math.ceil(math.log2(ratio)) + 2 if ratio < math.inf else math.inf
         if not 1 <= w <= realvalued.MAX_BITS:
@@ -699,8 +701,6 @@ def _run_round_check(cfg: ExperimentConfig, out: Path):
                 f"leaves at depth {depth}; w must be in 1..{realvalued.MAX_BITS}"
             )
         tr = round_thresholds(t, w)
-        # booleanized_evaluate reads only the bits of the coordinates tr queries
-        queried = sorted({step.coord for info in treemod.leaves(tr) for step in info.path})
         rng = derived_rng(seed, "agreement")
         fails = 0
         for x in d.draw(rng, agree_per_trial):

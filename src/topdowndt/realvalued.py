@@ -22,10 +22,12 @@ order and with the tie rule the grower module docstring states: it only
 builds the root leaf.  Its source is a RealSample, treated as the exact
 distribution: expectations are exact frequencies over the sample, so
 statistical error is separated from algorithmic behavior.  Each
-coordinate's points are sorted once, at the root, and every split hands
-its children their shares of those orders by a stable partition, as
-CART's presorting and SPRINT's attribute lists do; ties within an order
-are irrelevant, because every candidate sits between distinct keys.
+coordinate's points are sorted once, at the root, and each order carries
+its points' labels beside it, in the same order, as SPRINT's attribute
+lists carry the class.  Every split hands its children their shares of
+the orders and labels: the chosen coordinate's by slicing at the cut, the
+others' by a stable partition, as CART's presorting does; ties within an
+order are irrelevant, because every candidate sits between distinct keys.
 
 Threshold candidates come from the policy: "midpoints" (midpoints of
 consecutive distinct sample values a < b per coordinate; b itself when
@@ -42,20 +44,23 @@ One scan serves both policies; it is exact but pruned by G's concavity.
 In a leaf of count points, ones of them 1s, a cut putting k points, q of
 them 1s, on the lo side has gain (count G(E) - psi(k, q)) / N, where
 psi(k, q) = k G(q/k) + (count-k) G((ones-q)/(count-k)).  psi is concave in
-(k, q) when G is concave, being a sum of two perspectives of G.  For the
-cuts ka <= k <= kb the lo-side counts (k, prefix[k]) lie in the
-parallelogram with vertices (ka, qa), (kb, qb), (ka+U, qb) and (kb-U, qa),
-where qa = prefix[ka], qb = prefix[kb] and U = qb - qa; every vertex has
+(k, q) when G is concave, being a sum of two perspectives of G.  Let q(k)
+be the 1s among the first k labels of the coordinate's order.  For the
+cuts ka <= k <= kb the lo-side counts (k, q(k)) lie in the parallelogram
+with vertices (ka, qa), (kb, qb), (ka+U, qb) and (kb-U, qa), where
+qa = q(ka), qb = q(kb) and U = qb - qa; every vertex has
 1 <= k <= count-1, and no cut of the block gains more than the best
 vertex.  The scan walks each coordinate's cuts in order, halving blocks
-on an explicit stack.  It skips a block when that bound plus SLACK (1e-9,
-far above a gain's float error of ~1e-14) is at most the leader's gain,
-so that none of its cuts could pass the GAIN_TOL rule, and scores a block
-of at most BLOCK cuts cut by cut.  The leader chain, every gain float,
-the threshold and the median flag are therefore those of the full scan.
-Every trace records the policy,
-and every step records whether the chosen threshold is a median of the
-leaf's coordinate distribution.  A split that isolates an empty sample
+on an explicit stack that carries qa and qb with each block: halving
+counts the 1s of the lower half's labels, and a block scored cut by cut
+adds its labels up from qa, so no leaf builds a prefix-sum array.  It
+skips a block when that bound plus SLACK (1e-9, far above a gain's float
+error of ~1e-14) is at most the leader's gain, so that none of its cuts
+could pass the GAIN_TOL rule, and scores a block of at most BLOCK cuts
+cut by cut.  The leader chain, every gain float, the threshold and the
+median flag are therefore those of the full scan.  Every trace records
+the policy, and every step records whether the chosen threshold is a
+median of the leaf's coordinate distribution.  A split that isolates an empty sample
 set freezes the empty leaf with the parent's majority label.
 """
 
@@ -64,7 +69,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -392,37 +396,37 @@ def _psi(fn, count, ones, k, q):
     return k * fn(q / k) + (count - k) * fn((ones - q) / (count - k))
 
 
-def _split_orders(orders, ids):
-    """Every order split into (its entries in ids, the rest), each stable."""
-    inside = set(ids).__contains__
-    return (
-        tuple(list(filter(inside, order)) for order in orders),
-        tuple(list(itertools.filterfalse(inside, order)) for order in orders),
-    )
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a membership mask's complement
 
 
 class _SampleLeaf:
     """The sample points reaching one leaf, as grower._greedy's leaf state.
 
-    run is (keys, labels, spec, grid_w), shared by every leaf: grow_real's
-    keys, one tuple per coordinate, and the labels, indexed by point;
+    run is (keys, spec, grid_w, total), shared by every leaf: grow_real's
+    keys, one tuple per coordinate indexed by point, and the sample size;
     grid_w is None under midpoints.  orders holds, per coordinate, the
-    leaf's point indices in ascending key order.  grow_real sorts them once,
-    for the root, and children() splits each parent order by the chosen
-    cut, a stable partition, so no leaf sorts again.  A leaf keeps its
-    orders only while it may still be split.
+    leaf's point indices in ascending key order, and labs, per coordinate,
+    the labels of those points in that same order as bytes, as SPRINT's
+    attribute lists carry the class beside each entry.  grow_real sorts
+    the orders and reads the labels once, for the root; children() hands
+    each child its share of every order and its labels, so no leaf sorts or
+    looks a label up again.  A leaf keeps its orders only while it may
+    still be split, and a child that is pure or empty gets none.
 
     The scan of the module docstring records the split as (best_coord,
-    best_k); it reads the lo-side 1s of cut k from one prefix-sum array per
-    coordinate.  children() is the one place the threshold is read: it
-    derives best_theta and best_median from k, splits the chosen order at
-    index k, and filters every order through a set of the smaller side's
-    ids.  The scan's impurity arguments are ratios of counts, in [0,1] by
-    construction, so it calls spec.fn unchecked; G(E) at the leaf goes
-    through impurity.evaluate.  A split that isolates no point leaves an
-    empty leaf: it is frozen, never split, and labeled with its parent's
-    majority.  The run's scale is the sample size N, so err is the leaf's
-    minority count.
+    best_k).  Its block stack carries the lo-side 1s at both ends of each
+    block, (ka, qa, kb, qb): halving counts the 1s of the lower half's
+    labels, and a scored block adds them up from qa cut by cut, so no leaf
+    builds a prefix sum.  children() is the one place the threshold is
+    read: it derives best_theta and best_median from k and slices the
+    chosen coordinate's order and labels at index k.  Every other
+    coordinate is partitioned, order and labels at once, by one bytes mask
+    of membership in the smaller side.  The scan's impurity arguments are
+    ratios of counts, in [0,1] by construction, so it calls spec.fn
+    unchecked; G(E) at the leaf goes through impurity.evaluate.  A split
+    that isolates no point leaves an empty leaf: it is frozen, never split,
+    and labeled with its parent's majority.  The run's scale is the sample
+    size N, so err is the leaf's minority count.
     """
 
     u_term = None
@@ -430,11 +434,10 @@ class _SampleLeaf:
     best_theta = None
     best_median = None
 
-    def __init__(self, run, orders, count, ones, parent_label=None):
-        keys, labels, spec, grid_w = run
-        total = len(labels)
+    def __init__(self, run, orders, labs, count, ones, parent_label=None):
+        keys, spec, grid_w, total = run
         self.run = run
-        self.orders = None
+        self.orders = self.labs = None
         self.count = count
         self.ones = ones
         self.score = self.best_gain = -math.inf
@@ -452,22 +455,21 @@ class _SampleLeaf:
         self.active = 0 < ones < count
         if not self.active:
             return
-        self.orders = orders
+        self.orders, self.labs = orders, labs
         fn = spec.fn
         count_g = count * g_here
         best = -math.inf
         top = None if grid_w is None else (1 << grid_w) - 1
-        for coord, (key, order) in enumerate(zip(keys, orders), start=1):
+        for coord, (key, order, lab) in enumerate(zip(keys, orders, labs), start=1):
             if top is not None and key[order[0]] > 0 and 0.0 > best + GAIN_TOL:
                 best, self.best_coord, self.best_k = 0.0, coord, 0
-            prefix = array("q", itertools.accumulate(map(labels.__getitem__, order), initial=0))
-            blocks = [(1, count - 1)]  # cut k puts order[:k] lo; popped in order
+            # cut k puts order[:k] lo, with lab.count(1, 0, k) 1s; popped in order
+            blocks = [(1, lab[0], count - 1, ones - lab[-1])]
             while blocks:
-                ka, kb = blocks.pop()
+                ka, qa, kb, qb = blocks.pop()
                 if best > -math.inf:
                     # skip when every vertex has gain <= best - SLACK
                     floor = count_g - (best - SLACK) * total
-                    qa, qb = prefix[ka], prefix[kb]
                     u = qb - qa
                     if (
                         _psi(fn, count, ones, ka + u, qb) >= floor
@@ -482,13 +484,14 @@ class _SampleLeaf:
                         continue
                 if kb - ka >= BLOCK:
                     mid = (ka + kb) // 2
-                    blocks += ((mid + 1, kb), (ka, mid))
+                    q_mid = qa + lab.count(1, ka, mid)
+                    blocks += ((mid + 1, q_mid + lab[mid], kb, qb), (ka, qa, mid, q_mid))
                     continue
                 prev = key[order[ka - 1]]
+                lo_ones = qa
                 for lo_n in range(ka, kb + 1):
                     v = key[order[lo_n]]
                     if v != prev:
-                        lo_ones = prefix[lo_n]
                         hi_n = count - lo_n
                         gain = (
                             count_g
@@ -498,22 +501,23 @@ class _SampleLeaf:
                         if gain > best + GAIN_TOL:
                             best, self.best_coord, self.best_k = gain, coord, lo_n
                     prev = v
+                    lo_ones += lab[lo_n]
             if top is not None and key[order[-1]] < top and 0.0 > best + GAIN_TOL:
                 best, self.best_coord, self.best_k = 0.0, coord, count
         self.score = self.best_gain = best
 
     @property
     def scale(self) -> int:
-        return len(self.run[1])
+        return self.run[3]
 
     @property
     def expectation(self) -> Fraction | None:
         return Fraction(self.ones, self.count) if self.count else None
 
     def children(self) -> tuple["_SampleLeaf", "_SampleLeaf"]:
-        keys, labels, _, grid_w = self.run
-        key = keys[self.best_coord - 1]
-        chosen = self.orders[self.best_coord - 1]  # sorted, so cut k splits it at index k
+        keys, _, grid_w, _ = self.run
+        c = self.best_coord - 1
+        key, chosen = keys[c], self.orders[c]  # sorted, so cut k splits it at index k
         k, count = self.best_k, self.count
         if grid_w is not None:  # the first grid point above cell key[chosen[k - 1]]
             self.best_theta = (key[chosen[k - 1]] + 1 if k else 1) / (1 << grid_w)
@@ -523,15 +527,36 @@ class _SampleLeaf:
             # a midpoint that rounds onto a would send a's points hi
             self.best_theta = theta if a < theta <= b else b
         self.best_median = 2 * k <= count and 2 * (count - k) <= count
-        if 2 * k < count:  # the membership set holds the smaller side
-            lo_orders, hi_orders = _split_orders(self.orders, chosen[:k])
-        else:
-            hi_orders, lo_orders = _split_orders(self.orders, chosen[k:])
-        self.orders = chosen = None
-        hi_ones = sum(map(labels.__getitem__, hi_orders[0]))
-        hi = _SampleLeaf(self.run, hi_orders, len(hi_orders[0]), hi_ones, self.label)
-        lo = _SampleLeaf(self.run, lo_orders, count - hi.count, self.ones - hi_ones, self.label)
+        hi_ones = self.labs[c].count(1, k)
+        lo_ones = self.ones - hi_ones
+        # only a mixed child takes orders; the masks mark the smaller side
+        small_lo = 2 * k < count
+        masks = None
+        if 0 < hi_ones < count - k or 0 < lo_ones < k:
+            inside = set(chosen[:k] if small_lo else chosen[k:]).__contains__
+            masks = [bytes(map(inside, order)) if j != c else None
+                     for j, order in enumerate(self.orders)]
+        hi = self._child(masks, c, k, count, count - k, hi_ones, small_lo)
+        lo = self._child(masks, c, 0, k, k, lo_ones, not small_lo)
+        self.orders = self.labs = None
         return hi, lo
+
+    def _child(self, masks, c, start, stop, count, ones, flip):
+        """The child holding chosen positions start:stop; masks mark the smaller
+        side, so flip says this child is the larger one."""
+        if not 0 < ones < count:
+            return _SampleLeaf(self.run, None, None, count, ones, self.label)
+        orders, labs = [], []
+        for j, (order, lab, mask) in enumerate(zip(self.orders, self.labs, masks)):
+            if j == c:
+                orders.append(order[start:stop])
+                labs.append(lab[start:stop])
+            else:
+                if flip:
+                    mask = mask.translate(_FLIP)
+                orders.append(list(itertools.compress(order, mask)))
+                labs.append(bytes(itertools.compress(lab, mask)))
+        return _SampleLeaf(self.run, orders, labs, count, ones, self.label)
 
 
 def grow_real(source: RealSample, cfg: GrowthConfig, policy: str = "midpoints"):
@@ -554,8 +579,11 @@ def grow_real(source: RealSample, cfg: GrowthConfig, policy: str = "midpoints"):
             tuple(0 if v < 0 else top if v >= 1 else math.floor(math.ldexp(v, grid_w)) for v in col)
             for col in cols
         )
-    labels = tuple(label for _, label in source.points)
+    # a RealSample label is any number equal to 0 or 1 (1.0 and True pass too)
+    labels = bytes(label == 1 for _, label in source.points)
     base = list(range(len(labels)))  # one set of index ints, shared by every order
-    orders = tuple(sorted(base, key=key.__getitem__) for key in keys)
-    root = _SampleLeaf((keys, labels, spec, grid_w), orders, len(labels), sum(labels))
+    orders = [sorted(base, key=key.__getitem__) for key in keys]
+    labs = [bytes(map(labels.__getitem__, order)) for order in orders]
+    run = (keys, spec, grid_w, len(labels))
+    root = _SampleLeaf(run, orders, labs, len(labels), labels.count(1))
     return _greedy(root, cfg, "real-empirical", "midpoints" if kind == "midpoints" else f"grid:{grid_w}")

@@ -57,6 +57,8 @@ class Internal:
     def __post_init__(self):
         if self.coord < 1:
             raise ValueError(f"query coordinate must be >= 1, got {self.coord}")
+        if self.theta != self.theta:  # NaN: x >= theta is false for every x
+            raise ValueError("threshold must not be NaN")
         # leaf count of the subtree: not a field, so it stays out of eq, hash and repr
         object.__setattr__(self, "_size", self.hi._size + self.lo._size)
 
@@ -175,8 +177,18 @@ def size(t: Tree) -> int:
     return t.root._size
 
 
-def depth(t: Tree) -> int:
-    return max((info.depth for info in _walk_leaves(t.root)), default=0)
+def depth_and_coords(t: Tree) -> tuple[int, list[int]]:
+    """t's depth and the sorted coordinates its internal nodes query, in one
+    walk over the internal nodes."""
+    depth, coords = 0, set()
+    stack = [(t.root, 1)]  # (node, depth of the leaves just below it if it is internal)
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, Internal):
+            coords.add(node.coord)
+            depth = max(depth, d)
+            stack += ((node.hi, d + 1), (node.lo, d + 1))
+    return depth, sorted(coords)
 
 
 def path_of(t: Tree, x: Sequence) -> LeafInfo:

@@ -21,7 +21,8 @@ Tree readers over tree.leaf_views: complete (the f-completion) and
 label_leaves, the old way of labeling a tree that Frontier.build and
 tree_at are checked against, and the potentials g_impurity and
 influence_potential that back the grower's exact accounting.
-encode_point is the bit layout booleanized_evaluate reads.
+encode_point is the bit layout booleanized_evaluate reads, and depth a
+tree's longest path, read off every leaf.
 box_disagreement is realvalued.disagreement summed over every leaf pair,
 each pair's boxes intersected in Fractions.
 
@@ -261,6 +262,11 @@ def terms_tree_size(params) -> int:
 def encode_point(x, w: int) -> tuple[int, ...]:
     """Concatenated coordinate encodings: real coord i owns bits (i-1)w+1..iw."""
     return tuple(b for v in x for b in encode(v, w))
+
+
+def depth(t) -> int:
+    """The longest root-to-leaf path of t, read off every leaf's path."""
+    return max((info.depth for info in treemod.leaves(t)), default=0)
 
 
 def _leaf_box(info) -> dict[int, tuple[Fraction, Fraction]]:

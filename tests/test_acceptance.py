@@ -47,6 +47,7 @@ from topdowndt.tree import random_monotone_tree, to_boolfunc
 
 from reference import (
     correlation,
+    depth as tree_depth,
     encode_point,
     enumerate_decision_trees,
     expectation,
@@ -368,7 +369,7 @@ def test_criterion_09_rounding_and_encoding():
     disagreements = 0
     for trial in range(100):
         t = balanced_random_tree(8, 64, seed=trial)
-        depth = treemod.depth(t)
+        depth = tree_depth(t)
         assert depth <= 12
         w = math.ceil(math.log2(64 * depth / 0.1)) + 2
         t_round = round_thresholds(t, w)

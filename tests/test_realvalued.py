@@ -31,7 +31,7 @@ from topdowndt.realvalued import (
 )
 from topdowndt.tree import DecisionTree, Internal, Leaf
 
-from reference import box_disagreement, encode_point
+from reference import box_disagreement, depth, encode_point
 
 GINI = builtin("gini")
 
@@ -215,7 +215,7 @@ class TestBalancedRandomTree:
             t = balanced_random_tree(3, s, seed=11)
             assert treemod.size(t) == s
             if s >= 2:
-                assert treemod.depth(t) <= math.ceil(2 * math.log2(s))
+                assert depth(t) <= math.ceil(2 * math.log2(s))
 
     def test_deterministic(self):
         a = balanced_random_tree(4, 10, seed=5)
@@ -508,6 +508,32 @@ class TestPresortedSampleLeaf:
         coords = 2  # each scores <= points + 1 cuts, with two fn calls a cut
         assert calls <= leaves * (1 + coords * 2 * (len(sample) + 1))
 
+    @given(
+        n=st.integers(1, 3),
+        count=st.integers(40, 400),
+        pool=st.lists(
+            _DUPLICATED | st.floats(0, 1, allow_nan=False), min_size=2, max_size=8, unique=True
+        ),
+        spec=st.sampled_from([GINI, builtin("entropy"), builtin("kearns-mansour")]),
+        policy=st.sampled_from(["midpoints", "grid:2", "grid:8"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_leaf_sort_through_halved_blocks(self, n, count, pool, spec, policy, seed):
+        # 40-400 points halve a coordinate's cuts down to BLOCK over two to
+        # five levels, each half's lo-side 1s counted from its labels; with
+        # at most 8 values per coordinate, nearly every value carries both labels
+        rng = random.Random(seed)
+        pts = tuple(
+            (tuple(rng.choice(pool) for _ in range(n)), rng.randint(0, 1)) for _ in range(count)
+        )
+        sample = RealSample(pts)
+        cfg = GrowthConfig(budget=8, impurity=spec)
+        t, trace = grow_real(sample, cfg, policy)
+        ref_t, ref_trace = _reference_grow_real(sample, cfg, policy)
+        assert trace == ref_trace
+        assert _tree_bytes(t) == _tree_bytes(ref_t)
+
     @pytest.mark.parametrize(
         "spec", [GINI, builtin("entropy"), builtin("kearns-mansour")], ids=lambda s: s.name
     )
@@ -687,6 +713,12 @@ class TestRealSampleValidation:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             RealSample((((0.1,), 2),))
+
+    def test_float_labels_grow_as_ints(self):
+        pts = [((random.Random(i).random(), i % 3 / 2), int(i % 5 < 2)) for i in range(40)]
+        cfg = GrowthConfig(budget=6, impurity=GINI)
+        as_float = RealSample(tuple((x, float(label)) for x, label in pts))
+        assert grow_real(as_float, cfg) == grow_real(RealSample(tuple(pts)), cfg)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_features(self, value):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from topdowndt import tree as treemod
 from topdowndt.boolfn import SubcubeView, derived_rng, is_monotone, random_monotone
+from topdowndt.realvalued import balanced_random_tree
 from topdowndt.tree import (
     DecisionTree,
     Frontier,
@@ -24,7 +25,7 @@ from topdowndt.tree import (
     to_json,
 )
 
-from reference import complete, conjunction, label_leaves, majority, path_assignment, view_at
+from reference import complete, conjunction, depth, label_leaves, majority, path_assignment, view_at
 
 
 def grow_by_splits(spec):
@@ -111,6 +112,30 @@ class TestFrontier:
         fr.split(0, 1)
         with pytest.raises(ValueError):
             fr.build([1])
+
+
+class TestThreshold:
+    def test_nan_refused(self):
+        # a NaN threshold sends every point lo, yet reads as a cut to walks over boxes
+        with pytest.raises(ValueError, match="NaN"):
+            Internal(1, float("nan"), Leaf(1), Leaf(0))
+
+    def test_binary_and_infinite_thresholds_allowed(self):
+        assert Internal(1, None, Leaf(1), Leaf(0)).theta is None
+        t = DecisionTree(Internal(1, float("inf"), Leaf(1), Leaf(0)))
+        assert evaluate(t, (1e308,)) == 0
+
+
+class TestDepthAndCoords:
+    @pytest.mark.parametrize("build", [random_monotone_tree, balanced_random_tree])
+    @pytest.mark.parametrize("max_leaves", [2, 7, 64])
+    def test_matches_every_leaf_path(self, build, max_leaves):
+        t = build(5, max_leaves, seed=max_leaves)
+        queried = sorted({step.coord for info in leaves(t) for step in info.path})
+        assert treemod.depth_and_coords(t) == (depth(t), queried)
+
+    def test_lone_leaf(self):
+        assert treemod.depth_and_coords(DecisionTree(Leaf(0))) == (0, [])
 
 
 class TestLeafCount:
