@@ -78,25 +78,6 @@ class BoolFunc:
         if not 0 <= self.table < (1 << (1 << self.n)):
             raise ValueError("truth table has bits beyond 2^n")
 
-    def value(self, x: Sequence[int]) -> int:
-        if len(x) != self.n:
-            raise ValueError(f"point has {len(x)} coordinates, function has {self.n}")
-        return (self.table >> index_of(x)) & 1
-
-    def __call__(self, x: Sequence[int]) -> int:
-        return self.value(x)
-
-
-def index_of(x: Sequence[int]) -> int:
-    """Truth-table index of a point: bit i-1 set iff x_i = +1."""
-    idx = 0
-    for i, v in enumerate(x):
-        if v == 1:
-            idx |= 1 << i
-        elif v != -1:
-            raise ValueError(f"coordinate value must be -1 or +1, got {v}")
-    return idx
-
 
 def coordinate_mask(n: int, i: int) -> int:
     """Mask of the 2^n truth-table positions where x_i = +1 (i is 1-indexed)."""

@@ -22,10 +22,10 @@ per trial, and trials run one after another.  Re-running an identical
 config byte-reproduces every file.
 
 The runners only assemble experiments: growth is grower.grow or
-realvalued.grow_real (one greedy loop), the trees at the hard run's
-checkpoint sizes come from grower.tree_at, and its Monte-Carlo error and
-xi fraction from hardinstance.mc_check; round-check's rounding distance is
-realvalued.disagreement, exact.
+realvalued.grow_real (one greedy loop), the Monte-Carlo error and xi
+fraction at the hard run's checkpoint sizes come from hardinstance.mc_check
+(one walk of the final tree per point, read off the trace); round-check's
+rounding distance is realvalued.disagreement, exact.
 
 Exit status: 0 when every enabled check passes, 1 when a check fails
 (the bundle is still written), 2 for an invalid config.
@@ -57,7 +57,6 @@ from .grower import (
     Monitor,
     grow,
     rule_agreement,
-    tree_at,
     verify_split_inequalities,
 )
 from .impurity import BUILTIN_NAMES, builtin, verify_shape, verify_strong_concavity
@@ -601,10 +600,10 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
     cutoff = hardinstance.xi_cutoff(h.k)
     final_distance = trace.final_distance()
 
-    # one evaluation sample, drawn lazily, each point walking every checkpoint's tree
+    # one evaluation sample, drawn lazily, each point walking the final tree once for every checkpoint
     sizes = _hard_checkpoints(trace.final_size)
     labeled = hardinstance.labeled_points(h, cfg.samples, derived_rng(cfg.seed, "hard", "curve"))
-    checked = hardinstance.mc_check(h, [tree_at(trace, size) for size in sizes], labeled, cutoff)
+    checked = hardinstance.mc_check(h, trace, sizes, labeled, cutoff)
     rows = [(size, *result) for size, result in zip(sizes, checked)]
     _write_csv(out / "rows.csv", ("size", "error_estimate", "error_ci", "xi_fraction"), rows)
     curve = _distance_curve(trace)

@@ -461,6 +461,20 @@ def _split_paths(trace: GrowthTrace):
         yield st, path
 
 
+def _split_nodes(trace: GrowthTrace):
+    """Each step with the node it splits, nodes numbered as they are made.
+
+    The root is node 0, and step i (1-based iteration) splits one open leaf
+    into its hi child 2i - 1 and its lo child 2i: tree_at's splice, with the
+    nodes named instead of the leaves rebuilt.
+    """
+    leaves = [0]  # the open leaves in preorder, whose index a step's leaf_id is
+    for st in trace.steps:
+        v, hi = leaves[st.leaf_id], 2 * st.iteration - 1
+        leaves[st.leaf_id : st.leaf_id + 1] = [hi, hi + 1]
+        yield st, v
+
+
 def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
     """Run top-down growth to the leaf budget; return (f-completion, trace)."""
     return _greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)

@@ -42,22 +42,28 @@ lower_bound_experiment() grows a budgeted tree on an instance, Monte-Carlo
 checks the final tree, and measures how often it queries an x coordinate
 before its path has seen many y's; the trace carries the exact error
 curve.  mc_check() is that Monte-Carlo loop, over any stream of (x, f(x))
-pairs such as labeled_points(), walking each tree itself once per point;
-the hard CLI runs it again on its checkpoint trees, in one lazy pass.
+pairs such as labeled_points(), for the trace's tree at any list of
+sizes: each point walks the final tree once and settles every size on the
+way down; the hard CLI runs it again on its checkpoint sizes, in one lazy
+pass.  labeled_points() draws the stream of one rng.random() < 1/2 per
+coordinate, bit for bit, in batches of one getrandbits call.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .boolfn import derived_rng
-from .grower import GrowthConfig, GrowthTrace, grow
+from .grower import GrowthConfig, GrowthTrace, _split_nodes, grow
 from .impurity import ImpuritySpec
-from .tree import DecisionTree, Internal
+from .tree import DecisionTree
 
 # the largest ell + k choose_params accepts: tribes_params takes O(ell^2)
 # exact Fraction steps, and the run's exact counts have ell + k bits
@@ -391,45 +397,96 @@ def xi_cutoff(k: int) -> int:
     return int(0.5 * k / math.log2(k))
 
 
-def mc_check(h: HardInstance, trees: Sequence[DecisionTree], labeled, cutoff: int) -> list:
-    """Monte-Carlo error of each tree against f, and its xi fraction.
+def mc_check(h: HardInstance, trace: GrowthTrace, sizes: Sequence[int], labeled, cutoff: int) -> list:
+    """Monte-Carlo error and xi fraction of tree_at(trace, s) for each s in sizes.
 
-    labeled is an iterable of (x, f(x)) pairs, at least one, read once:
-    each point walks every tree.  Returns, per tree, the fraction of points
-    it gets wrong, the distribution-free 99% half-width for that many
-    samples, and the fraction whose path in it queries an x coordinate
-    before it has queried more than `cutoff` y's.  The trees are binary-mode.
+    labeled is an iterable of (x, f(x)) pairs, at least one, read once;
+    sizes ascend strictly within 1..trace.final_size.  Returns, per size,
+    the fraction of points the tree gets wrong, the distribution-free 99%
+    half-width for that many samples, and the fraction whose path in it
+    queries an x coordinate before it has queried more than `cutoff` y's.
+
+    The trace is replayed once into flat node arrays.  A node is internal
+    in tree_at(trace, s) exactly when the iteration that split it is below
+    s, and iterations grow along every path, so each point walks the final
+    tree once, a pointer j marking the first size whose tree it has not
+    left yet.  Each node settles the sizes whose tree has it as a leaf,
+    scoring the label it was created with; the xi rule, decided at most
+    once per point, holds for the sizes still open where it is decided.
     """
+    n = len(sizes)
+    if not (n and 1 <= sizes[0] and sizes[-1] <= trace.final_size) or any(
+        a >= b for a, b in zip(sizes, sizes[1:])
+    ):
+        raise ValueError(f"sizes must ascend strictly within 1..{trace.final_size}, got {sizes}")
+    # the final tree as flat node arrays, numbered as _split_nodes numbers
+    # them: split_at[v] is the iteration that split v (final_size for a
+    # leaf of the final tree), label[v] the label v was created with
+    m = 2 * trace.final_size - 1
+    coord, hi, lo = [0] * m, [0] * m, [0] * m
+    label, split_at = [trace.initial_label] * m, [trace.final_size] * m
+    for st, v in _split_nodes(trace):
+        new = 2 * st.iteration - 1
+        coord[v], hi[v], lo[v], split_at[v] = st.coord, new, new + 1, st.iteration
+        label[new], label[new + 1] = st.hi_label, st.lo_label
+    # the sizes s <= split_at[v], whose trees have v as a leaf or lack it,
+    # are settled once a walk reaches v
+    settled = [bisect_right(sizes, t) for t in split_at]
     ell = h.params.ell
-    roots = [t.root for t in trees]
-    count, errors, early_x = 0, [0] * len(roots), [0] * len(roots)
+    # +1 at the first size a point counts for, -1 past the last: summed at the end
+    count, wrong, early_x = 0, [0] * (n + 1), [0] * (n + 1)
     for x, fx in labeled:
         count += 1
-        for j, node in enumerate(roots):
-            y_seen = 0
-            while isinstance(node, Internal):  # until the xi rule is decided
-                if node.coord <= ell:
+        node, j, y_seen, deciding = 0, 0, 0, True
+        while True:
+            k = settled[node]
+            if k > j:
+                if label[node] != fx:
+                    wrong[j] += 1
+                    wrong[k] -= 1
+                j = k
+                if j == n:
+                    break
+            c = coord[node]
+            if deciding:  # the xi rule, for the sizes j.. still open
+                if c <= ell:
                     early_x[j] += 1
-                    break
-                y_seen += 1
-                if y_seen > cutoff:
-                    break
-                node = node.hi if x[node.coord - 1] == 1 else node.lo
-            while isinstance(node, Internal):
-                node = node.hi if x[node.coord - 1] == 1 else node.lo
-            if node.label != fx:
-                errors[j] += 1
+                    deciding = False
+                else:
+                    y_seen += 1
+                    deciding = y_seen <= cutoff
+            node = hi[node] if x[c - 1] == 1 else lo[node]
     if count == 0:
         raise ValueError("mc_check needs at least one sample")
     halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * count))
-    return [(e / count, halfwidth, x / count) for e, x in zip(errors, early_x)]
+    errors, early = list(accumulate(wrong[:n])), list(accumulate(early_x[:n]))
+    return [(e / count, halfwidth, x / count) for e, x in zip(errors, early)]
+
+
+# points per getrandbits call in labeled_points: 512 KiB of words at MAX_HARD_ARITY
+SAMPLE_BATCH = 64
+# byte -> signed byte of +1 when its top bit is clear (random() < 0.5), else -1
+_SIGN = bytes(1 if b < 0x80 else 0xFF for b in range(256))
 
 
 def labeled_points(h: HardInstance, count: int, rng):
-    """count uniform points x of {-1, +1}^arity as (x, f(x)), drawn lazily from rng."""
-    for _ in range(count):
-        x = [1 if rng.random() < 0.5 else -1 for _ in range(h.arity)]
-        yield x, _label(h.params, x)
+    """count uniform points x of {-1, +1}^arity as (x, f(x)), drawn lazily from rng.
+
+    The stream is the one that sets x_i = +1 iff rng.random() < 0.5, one
+    call per coordinate in order, point after point; the rng ends in the
+    same state too.  CPython's random() reads two 32-bit Mersenne Twister
+    words and is below 1/2 exactly when the first word's top bit is 0, and
+    getrandbits(64 * c) returns the next 2c words little-endian, so a batch
+    of SAMPLE_BATCH points is one getrandbits call whose every other word's
+    top bit (byte 8i + 3) gives a coordinate.  x is a tuple of +-1 ints.
+    """
+    p, arity = h.params, h.arity
+    unpack = struct.Struct(f"{arity}b").iter_unpack
+    for start in range(0, count, SAMPLE_BATCH):
+        nbytes = 8 * arity * min(SAMPLE_BATCH, count - start)
+        words = rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little")
+        for x in unpack(words[3::8].translate(_SIGN)):
+            yield x, _label(p, x)
 
 
 def lower_bound_experiment(
@@ -448,4 +505,4 @@ def lower_bound_experiment(
         raise ValueError(f"the Monte-Carlo check needs at least one sample, got {mc_samples}")
     dtree, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
     points = labeled_points(h, mc_samples, derived_rng(seed, "hard", "mc"))
-    return dtree, trace, mc_check(h, [dtree], points, xi_cutoff(h.k))[0]
+    return dtree, trace, mc_check(h, trace, [trace.final_size], points, xi_cutoff(h.k))[0]

@@ -1,9 +1,10 @@
 """Slow references that the package's fast paths are tested against, and
 the test-only fixtures built on them.
 
-Pointwise anchor: point_of, table_of and the brute_* counts read a table
-one point at a time and share no code with the bit kernel (SubcubeView's
-cofactor halves).  They check SubcubeView.coord_counts and the table
+Pointwise anchor: point_of, value_at (a table's bit at a point, through
+index_of), table_of and the brute_* counts read a table one point at a
+time and share no code with the bit kernel (SubcubeView's cofactor
+halves).  They check SubcubeView.coord_counts and the table
 references (test_boolfn).  constant, dictator, conjunction, parity and
 majority are small tables built by table_of.
 
@@ -15,7 +16,10 @@ hard-instance checks against hard_table(h), whose other side,
 hard_expectation and hard_influence, reads the cursor's closed forms at an
 assignment.  hard_table is the instance's truth table (arity
 <= 24); terms_boolfunc, terms_tree and terms_tree_size are its terms block
-T and T's chain tree (criterion 8's T').
+T and T's chain tree (criterion 8's T').  coordinate_points is the
+Monte-Carlo draw that hardinstance.labeled_points batches: one
+rng.random() per coordinate.  trace_of turns any binary tree into a
+growth trace that tree_at replays into it, the input mc_check reads.
 
 Tree readers over tree.leaf_views: complete (the f-completion) and
 label_leaves, the old way of labeling a tree that Frontier.build and
@@ -48,6 +52,8 @@ from fractions import Fraction
 
 from topdowndt import tree as treemod
 from topdowndt.boolfn import MAX_ARITY, BoolFunc, SubcubeView, coordinate_mask, from_dnf
+from topdowndt.grower import GrowthTrace, TraceStep
+from topdowndt.hardinstance import evaluate as hard_evaluate
 from topdowndt.impurity import evaluate
 from topdowndt.oracle import _budgets
 from topdowndt.realvalued import encode
@@ -61,6 +67,24 @@ from topdowndt.tree import DecisionTree, Internal, Leaf, PartialTree, chain_tree
 def point_of(idx: int, n: int) -> tuple[int, ...]:
     """The point at truth-table index idx: x_i = +1 iff bit i-1 is set."""
     return tuple(1 if (idx >> i) & 1 else -1 for i in range(n))
+
+
+def index_of(x) -> int:
+    """Truth-table index of a point: bit i-1 set iff x_i = +1."""
+    idx = 0
+    for i, v in enumerate(x):
+        if v == 1:
+            idx |= 1 << i
+        elif v != -1:
+            raise ValueError(f"coordinate value must be -1 or +1, got {v}")
+    return idx
+
+
+def value_at(f: BoolFunc, x) -> int:
+    """f(x), read off the table bit at x's index."""
+    if len(x) != f.n:
+        raise ValueError(f"point has {len(x)} coordinates, function has {f.n}")
+    return (f.table >> index_of(x)) & 1
 
 
 def table_of(n: int, rule) -> BoolFunc:
@@ -100,12 +124,14 @@ def _subcube(f: BoolFunc, fixed: dict[int, int]):
 
 
 def brute_expectation(f: BoolFunc, fixed: dict[int, int]) -> Fraction:
-    values = [f.value(x) for x in _subcube(f, fixed)]
+    values = [value_at(f, x) for x in _subcube(f, fixed)]
     return Fraction(sum(values), len(values))
 
 
 def brute_influence(f: BoolFunc, fixed: dict[int, int], i: int) -> Fraction:
-    flips = [f.value(x) != f.value(x[: i - 1] + (-x[i - 1],) + x[i:]) for x in _subcube(f, fixed)]
+    flips = [
+        value_at(f, x) != value_at(f, x[: i - 1] + (-x[i - 1],) + x[i:]) for x in _subcube(f, fixed)
+    ]
     return Fraction(sum(flips), len(flips))
 
 
@@ -240,6 +266,53 @@ def hard_table(h) -> BoolFunc:
     # int(bits, 2) reads the highest y block first
     blocks = (t_full if 2 * y.bit_count() > h.k else t_prime for y in reversed(range(1 << h.k)))
     return BoolFunc(h.arity, int("".join(blocks), 2))
+
+
+def coordinate_points(h, count: int, rng):
+    """count points as (x, f(x)), x_i = +1 iff rng.random() < 0.5, one call
+    per coordinate: the stream labeled_points draws in batches."""
+    for _ in range(count):
+        x = [1 if rng.random() < 0.5 else -1 for _ in range(h.arity)]
+        yield x, hard_evaluate(h, x)
+
+
+def trace_of(t: DecisionTree, draw_label) -> GrowthTrace:
+    """A trace whose splits build t in preorder: tree_at(trace, size(t)) == t.
+
+    The splits follow t's internal nodes in preorder, so a split's open
+    leaves before its node are t's leaves before it, and their count is
+    its leaf_id.  A child that t splits later is created with the label
+    draw_label() returns, a leaf of t with its own label.  Every exact
+    field is a placeholder: mc_check reads only the structure and labels.
+    """
+    steps = []
+
+    def created(node) -> int:
+        return node.label if isinstance(node, Leaf) else draw_label()
+
+    def walk(node, leaves_before: int) -> int:
+        """Append node's splits; return the leaves of t up to and in it."""
+        if isinstance(node, Leaf):
+            return leaves_before + 1
+        steps.append(
+            TraceStep(
+                iteration=len(steps) + 1,
+                leaf_id=leaves_before,
+                coord=node.coord,
+                theta=node.theta,
+                gain=0.0,
+                g_impurity=None,
+                u_f=None,
+                distance=Fraction(0),
+                hi_label=created(node.hi),
+                lo_label=created(node.lo),
+            )
+        )
+        return walk(node.lo, walk(node.hi, leaves_before))
+
+    initial_label = created(t.root)
+    walk(t.root, 0)
+    return GrowthTrace("impurity", Fraction(0), None, None, Fraction(0), initial_label, steps)
 
 
 def terms_boolfunc(h) -> BoolFunc:

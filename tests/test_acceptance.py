@@ -60,6 +60,7 @@ from reference import (
     terms_boolfunc,
     terms_tree,
     terms_tree_size,
+    value_at,
 )
 
 BUILTIN_NAMES = ("gini", "entropy", "kearns-mansour")
@@ -232,7 +233,7 @@ def test_criterion_07_hard_instance_identities():
         mismatches = sum(
             1
             for idx in range(1 << n)
-            if F.value(point_of(idx, n)) != T.value(point_of(idx, n))
+            if value_at(F, point_of(idx, n)) != value_at(T, point_of(idx, n))
         )
         assert Fraction(mismatches, 1 << n) == h.distance_to_terms == h.params.p_rest / 2
 
@@ -391,7 +392,7 @@ def test_criterion_10_binary_consistency_of_grow_real():
     points = []
     for idx in range(256):
         x = point_of(idx, 8)
-        points.append((tuple((b + 1) / 2 for b in x), f.value(x)))
+        points.append((tuple((b + 1) / 2 for b in x), value_at(f, x)))
     cfg = GrowthConfig(budget=256, impurity=builtin("gini"))
     _, trace_real = grow_real(RealSample(tuple(points)), cfg)
     _, trace_bool = grow(f, cfg)

@@ -32,6 +32,7 @@ from reference import (
     parity,
     point_of,
     total_influence,
+    value_at,
 )
 
 
@@ -117,7 +118,8 @@ def brute_is_monotone(f: BoolFunc) -> bool:
         steps = set()
         for idx in range(1 << f.n):
             if not (idx >> i) & 1:
-                steps.add(f.value(point_of(idx | 1 << i, f.n)) - f.value(point_of(idx, f.n)))
+                hi, lo = point_of(idx | 1 << i, f.n), point_of(idx, f.n)
+                steps.add(value_at(f, hi) - value_at(f, lo))
         if {1, -1} <= steps:
             return False
     return True
@@ -209,7 +211,7 @@ class TestSubcubeView:
             x = [fixed.get(i, 0) for i in range(1, n + 1)]
             for q, c in enumerate(view.free):
                 x[c - 1] = 1 if (p >> q) & 1 else -1
-            assert (view.table >> p) & 1 == f.value(x), (p, view.free, fixed)
+            assert (view.table >> p) & 1 == value_at(f, x), (p, view.free, fixed)
 
     def test_coordinate_that_is_not_free_is_named(self):
         view = SubcubeView.of_function(majority(3)).split(2)[0]

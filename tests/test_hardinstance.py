@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from topdowndt import boolfn
 from topdowndt import tree as treemod
 from topdowndt.boolfn import SubcubeView, is_monotone
-from topdowndt.grower import GrowthConfig, TableCursor, grow
+from topdowndt.grower import GrowthConfig, TableCursor, grow, tree_at
 from topdowndt.hardinstance import (
     MAX_HARD_ARITY,
+    SAMPLE_BATCH,
     HardInstance,
     choose_params,
     evaluate,
+    labeled_points,
     lower_bound_experiment,
     mc_check,
     tribes_params,
@@ -23,6 +26,7 @@ from topdowndt.impurity import BUILTIN_NAMES, builtin
 from topdowndt.tree import DecisionTree, Internal, Leaf
 
 from reference import (
+    coordinate_points,
     expectation,
     hard_expectation,
     hard_influence,
@@ -33,6 +37,8 @@ from reference import (
     terms_tree,
     terms_tree_size,
     total_influence,
+    trace_of,
+    value_at,
 )
 
 
@@ -144,7 +150,7 @@ class TestAgainstEnumeration:
         h, F = pair
         for idx in range(1 << h.arity):
             x = point_of(idx, h.arity)
-            assert evaluate(h, x) == F.value(x)
+            assert evaluate(h, x) == value_at(F, x)
 
     def test_materialized_is_monotone(self, pair):
         _, F = pair
@@ -359,7 +365,7 @@ class TestTermsTree:
         T = terms_boolfunc(h)  # full arity; ignores the y block
         for idx in range(1 << p.ell):
             x = point_of(idx, p.ell) + (-1,) * h.k
-            assert treemod.evaluate(t, x) == T.value(x)
+            assert treemod.evaluate(t, x) == value_at(T, x)
 
     def test_distance_from_instance(self):
         h = choose_params(4, 3)
@@ -367,7 +373,7 @@ class TestTermsTree:
         t = terms_tree(h.params)
         # pad the terms tree into the full arity by evaluating on x-part only
         errs = sum(
-            treemod.evaluate(t, x) != F.value(x)
+            treemod.evaluate(t, x) != value_at(F, x)
             for x in (point_of(i, h.arity) for i in range(1 << h.arity))
         )
         assert Fraction(errs, 1 << h.arity) == h.distance_to_terms
@@ -488,6 +494,9 @@ def _draw_node(data, coords, depth):
 
 
 class TestMcCheck:
+    # on choose_params(2, 1): x1 at the root, then y3 on its lo side
+    SMALL = DecisionTree(Internal(1, None, Leaf(1), Internal(3, None, Leaf(0), Leaf(1))))
+
     @settings(max_examples=100, deadline=None)
     @given(
         ell=st.integers(2, 5),
@@ -511,6 +520,11 @@ class TestMcCheck:
         else:
             root = _draw_node(data, ys if shape == "y-only" else xs | ys, depth)
         t = DecisionTree(root)
+        trace = trace_of(t, lambda: data.draw(st.sampled_from((0, 1))))
+        assert tree_at(trace, trace.final_size) == t
+        # the final size always, so the y-chain anchor below runs on every y-chain tree
+        drawn = data.draw(st.sets(st.integers(1, trace.final_size)), label="sizes")
+        sizes = sorted(drawn | {trace.final_size})
         labeled = data.draw(
             st.lists(
                 st.tuples(
@@ -522,19 +536,56 @@ class TestMcCheck:
             ),
             label="labeled",
         )
-        # a second tree walks the same points, read once from an iterator
-        other = DecisionTree(_draw_node(data, xs | ys, depth))
-        got, got_other = mc_check(h, [t, other], iter(labeled), cutoff)
-        assert got == _mc_check_reference(h, t, labeled, cutoff)
-        assert got_other == _mc_check_reference(h, other, labeled, cutoff)
+        # every checkpoint's tree walks the same points, read once from an iterator
+        got = mc_check(h, trace, sizes, iter(labeled), cutoff)
+        assert got == [
+            _mc_check_reference(h, tree_at(trace, s), labeled, cutoff) for s in sizes
+        ]
         if shape == "y-chain":
-            assert got[2] == (1.0 if len(chain) <= cutoff else 0.0)
+            assert got[-1][2] == (1.0 if len(chain) <= cutoff else 0.0)
         if shape == "y-only":
-            assert got[2] == 0.0
+            assert all(xi == 0.0 for _, _, xi in got)
+
+    def test_size_one_at_cutoff_zero(self):
+        # the root leaf of tree_at(trace, 1) settles every point before the
+        # x query at the root, so no point counts as early at size 1
+        h = choose_params(2, 1)
+        trace = trace_of(self.SMALL, lambda: 0)
+        labeled = [((1, 1, 1), 1), ((-1, 1, 1), 1), ((-1, 1, -1), 1)]
+        got = mc_check(h, trace, [1, 2, 3], iter(labeled), cutoff=0)
+        assert got == [
+            _mc_check_reference(h, tree_at(trace, s), labeled, 0) for s in (1, 2, 3)
+        ]
+        assert [(e, xi) for e, _, xi in got] == [(1.0, 0.0), (2 / 3, 1.0), (1 / 3, 1.0)]
 
     def test_refuses_an_empty_stream(self):
         h = choose_params(4, 3)
         with pytest.raises(ValueError, match="at least one sample"):
-            mc_check(h, [DecisionTree(Leaf(0))], [], cutoff=0)
+            mc_check(h, trace_of(DecisionTree(Leaf(0)), None), [1], [], cutoff=0)
         with pytest.raises(ValueError, match="at least one sample"):
             lower_bound_experiment(h, builtin("gini"), budget=4, mc_samples=0)
+
+    @pytest.mark.parametrize("sizes", [[], [0], [4], [2, 2], [3, 1]])
+    def test_refuses_sizes_off_the_trace(self, sizes):
+        h = choose_params(2, 1)
+        with pytest.raises(ValueError, match="ascend strictly within 1..3"):
+            mc_check(h, trace_of(self.SMALL, lambda: 0), sizes, [((1, 1, 1), 1)], cutoff=0)
+
+
+# counts around the batch size: one point, a short batch, exactly one, one
+# more, and two batches with a short tail
+_BATCH_COUNTS = (1, SAMPLE_BATCH - 1, SAMPLE_BATCH, SAMPLE_BATCH + 1, 2 * SAMPLE_BATCH + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), count=st.sampled_from(_BATCH_COUNTS), seed=st.integers(0, 2**32 - 1))
+def test_labeled_points_matches_coordinate_draw(data, count, seed):
+    """The batched draw against one rng.random() per coordinate: the same
+    (x, f(x)) pairs in order, and the rng left in the same state."""
+    ell = data.draw(st.integers(2, MAX_HARD_ARITY - 1), label="ell")
+    k = 2 * data.draw(st.integers(0, (MAX_HARD_ARITY - ell - 1) // 2), label="k // 2") + 1
+    h = choose_params(ell, k)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = [(tuple(x), fx) for x, fx in labeled_points(h, count, rng)]
+    assert got == [(tuple(x), fx) for x, fx in coordinate_points(h, count, ref_rng)]
+    assert rng.random() == ref_rng.random()

@@ -22,6 +22,7 @@ from reference import (
     majority,
     parity,
     point_of,
+    value_at,
 )
 
 
@@ -82,7 +83,7 @@ class TestOptExhaustive:
             # brute-force error counts per tree, then min over size classes
             best = {s: 8 for s in (1, 2, 3, 4)}
             for sz, g in trees:
-                errs = sum(treemod.evaluate(g, x) != f.value(x) for x in points)
+                errs = sum(treemod.evaluate(g, x) != value_at(f, x) for x in points)
                 for s in best:
                     if sz <= s and errs < best[s]:
                         best[s] = errs

@@ -31,7 +31,7 @@ from topdowndt.realvalued import (
 )
 from topdowndt.tree import DecisionTree, Internal, Leaf
 
-from reference import box_disagreement, depth, encode_point
+from reference import box_disagreement, depth, encode_point, value_at
 
 GINI = builtin("gini")
 
@@ -666,7 +666,7 @@ class TestBinaryConsistency:
         pts = []
         for idx in range(16):
             x = tuple((b + 1) / 2 for b in _point(idx, 4))
-            pts.append((x, f.value(_point(idx, 4))))
+            pts.append((x, value_at(f, _point(idx, 4))))
         sample = RealSample(tuple(pts))
         t_real, trace_real = grow_real(sample, GrowthConfig(budget=16, impurity=GINI))
         _, trace_bin = grow(f, GrowthConfig(budget=16, impurity=GINI))

@@ -7,7 +7,14 @@ from hypothesis import given, strategies as st
 
 from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
-from topdowndt.grower import GrowthConfig, _split_paths, grow, rule_agreement, tree_at
+from topdowndt.grower import (
+    GrowthConfig,
+    _split_nodes,
+    _split_paths,
+    grow,
+    rule_agreement,
+    tree_at,
+)
 from topdowndt.hardinstance import choose_params
 from topdowndt.impurity import BUILTIN_NAMES, builtin
 from topdowndt.realvalued import RealSample, grow_real
@@ -34,6 +41,14 @@ def _check_replay(trace) -> None:
     replay = list(_split_paths(trace))
     assert [step for step, _ in replay] == trace.steps
     assert [path for _, path in replay] == _reference_paths(trace)
+    # the numbered nodes: the node a step splits has the path of its leaf
+    nodes = list(_split_nodes(trace))
+    assert [step for step, _ in nodes] == trace.steps
+    node_paths = {0: ()}  # the open leaves' nodes, with their paths
+    for (step, v), (_, path) in zip(nodes, replay):
+        assert node_paths.pop(v) == path
+        hi = 2 * step.iteration - 1
+        node_paths[hi], node_paths[hi + 1] = path + ((step.coord, 1),), path + ((step.coord, -1),)
 
 
 def _check_table_distances(trace, f) -> None:
