@@ -138,11 +138,22 @@ def tribes_params(ell: int) -> TribesParams:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)  # growth visits few u at a time; a row holds u + 2 ints of <= u + 1 bits
+def _tail_row(u: int) -> tuple[int, ...]:
+    """row[t] = C(u, t) + C(u, t + 1) + ... + C(u, u) for t in 0..u + 1."""
+    row = [0] * (u + 2)
+    c = 1  # C(u, t), from t = u down
+    for t in range(u, -1, -1):
+        row[t] = row[t + 1] + c
+        c = c * t // (u - t + 1)  # C(u, t - 1), exactly
+    return tuple(row)
+
+
 @lru_cache(maxsize=None)
 def _maj_count(u: int, sigma: int) -> int:
     """2^u * Pr[sigma + (sum of u fresh signs) > 0]: the sign vectors with
     more than (u - sigma) / 2 plus signs."""
-    return sum(math.comb(u, t) for t in range(max(0, (u - sigma) // 2 + 1), u + 1))
+    return _tail_row(u)[min(u + 1, max(0, (u - sigma) // 2 + 1))]
 
 
 def _tie_count(u: int, sigma: int) -> int:

@@ -28,6 +28,9 @@ lists carry the class.  Every split hands its children their shares of
 the orders and labels: the chosen coordinate's by slicing at the cut, the
 others' by a stable partition, as CART's presorting does; ties within an
 order are irrelevant, because every candidate sits between distinct keys.
+The partition codes each point in one byte, its label plus 2 on the
+smaller side, gathers every other order's codes once, and reads each
+child's order and labels off them with bytes.translate.
 
 Threshold candidates come from the policy: "midpoints" (midpoints of
 consecutive distinct sample values a < b per coordinate; b itself when
@@ -67,10 +70,11 @@ set freezes the empty leaf with the parent's majority label.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from . import tree as treemod
@@ -396,21 +400,32 @@ def _psi(fn, count, ones, k, q):
     return k * fn(q / k) + (count - k) * fn((ones - q) / (count - k))
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a membership mask's complement
+# A split codes each of the leaf's points in one byte: its label, plus 2 when
+# it lies on the smaller side.  Per side, (a table marking the side's codes
+# nonzero, a table mapping them to labels, the other side's codes to delete).
+_SMALL = (bytes.maketrans(b"\0\1\2\3", b"\0\0\1\1"), bytes.maketrans(b"\2\3", b"\0\1"), b"\0\1")
+_LARGE = (bytes.maketrans(b"\0\1\2\3", b"\1\1\0\0"), None, b"\2\3")
+
+
+def _gather(seq, order) -> bytes:
+    """seq's bytes at the indices in order, in order."""
+    if len(order) < 2:  # itemgetter of one index returns the item, not a tuple
+        return bytes(seq[i] for i in order)
+    return bytes(itemgetter(*order)(seq))
 
 
 class _SampleLeaf:
     """The sample points reaching one leaf, as grower._greedy's leaf state.
 
-    run is (keys, spec, grid_w, total), shared by every leaf: grow_real's
-    keys, one tuple per coordinate indexed by point, and the sample size;
-    grid_w is None under midpoints.  orders holds, per coordinate, the
-    leaf's point indices in ascending key order, and labs, per coordinate,
-    the labels of those points in that same order as bytes, as SPRINT's
-    attribute lists carry the class beside each entry.  grow_real sorts
-    the orders and reads the labels once, for the root; children() hands
-    each child its share of every order and its labels, so no leaf sorts or
-    looks a label up again.  A leaf keeps its orders only while it may
+    run is (keys, labels, spec, grid_w), shared by every leaf: grow_real's
+    keys, one tuple per coordinate indexed by point, and its labels, bytes
+    indexed by point, whose length is the sample size; grid_w is None under
+    midpoints.  orders holds, per coordinate, the leaf's point indices in
+    ascending key order, and labs, per coordinate, the labels of those
+    points in that same order as bytes, as SPRINT's attribute lists carry
+    the class beside each entry.  grow_real sorts the orders and reads the
+    labels once, for the root; children() hands each child its share of
+    every order and its labels, so no leaf sorts or looks a label up again.  A leaf keeps its orders only while it may
     still be split, and a child that is pure or empty gets none.
 
     The scan of the module docstring records the split as (best_coord,
@@ -420,10 +435,13 @@ class _SampleLeaf:
     builds a prefix sum.  children() is the one place the threshold is
     read: it derives best_theta and best_median from k and slices the
     chosen coordinate's order and labels at index k.  Every other
-    coordinate is partitioned, order and labels at once, by one bytes mask
-    of membership in the smaller side.  The scan's impurity arguments are
-    ratios of counts, in [0,1] by construction, so it calls spec.fn
-    unchecked; G(E) at the leaf goes through impurity.evaluate.  A split
+    coordinate is partitioned through one code byte per point, its label
+    plus 2 on the smaller side: the codes are gathered along each order
+    once, and each child reads its order (compress by a translated mask)
+    and its labels (one translate that deletes the other side) off them.
+    The scan's impurity arguments are ratios of counts, in [0,1] by
+    construction, so it calls spec.fn unchecked; G(E) at the leaf goes
+    through impurity.evaluate.  A split
     that isolates no point leaves an empty leaf: it is frozen, never split,
     and labeled with its parent's majority.  The run's scale is the sample
     size N, so err is the leaf's minority count.
@@ -435,7 +453,8 @@ class _SampleLeaf:
     best_median = None
 
     def __init__(self, run, orders, labs, count, ones, parent_label=None):
-        keys, spec, grid_w, total = run
+        keys, labels, spec, grid_w = run
+        total = len(labels)
         self.run = run
         self.orders = self.labs = None
         self.count = count
@@ -508,14 +527,14 @@ class _SampleLeaf:
 
     @property
     def scale(self) -> int:
-        return self.run[3]
+        return len(self.run[1])
 
     @property
     def expectation(self) -> Fraction | None:
         return Fraction(self.ones, self.count) if self.count else None
 
     def children(self) -> tuple["_SampleLeaf", "_SampleLeaf"]:
-        keys, _, grid_w, _ = self.run
+        keys, labels, _, grid_w = self.run
         c = self.best_coord - 1
         key, chosen = keys[c], self.orders[c]  # sorted, so cut k splits it at index k
         k, count = self.best_k, self.count
@@ -529,33 +548,33 @@ class _SampleLeaf:
         self.best_median = 2 * k <= count and 2 * (count - k) <= count
         hi_ones = self.labs[c].count(1, k)
         lo_ones = self.ones - hi_ones
-        # only a mixed child takes orders; the masks mark the smaller side
+        # only a mixed child takes orders, read off the other orders' codes
         small_lo = 2 * k < count
-        masks = None
+        codes = None
         if 0 < hi_ones < count - k or 0 < lo_ones < k:
-            inside = set(chosen[:k] if small_lo else chosen[k:]).__contains__
-            masks = [bytes(map(inside, order)) if j != c else None
-                     for j, order in enumerate(self.orders)]
-        hi = self._child(masks, c, k, count, count - k, hi_ones, small_lo)
-        lo = self._child(masks, c, 0, k, k, lo_ones, not small_lo)
+            code = bytearray(labels)
+            for i in chosen[:k] if small_lo else chosen[k:]:
+                code[i] += 2
+            codes = [_gather(code, order) if j != c else None for j, order in enumerate(self.orders)]
+        hi = self._child(codes, c, k, count, count - k, hi_ones, _LARGE if small_lo else _SMALL)
+        lo = self._child(codes, c, 0, k, k, lo_ones, _SMALL if small_lo else _LARGE)
         self.orders = self.labs = None
         return hi, lo
 
-    def _child(self, masks, c, start, stop, count, ones, flip):
-        """The child holding chosen positions start:stop; masks mark the smaller
-        side, so flip says this child is the larger one."""
+    def _child(self, codes, c, start, stop, count, ones, side):
+        """The child holding chosen positions start:stop; side is _SMALL or
+        _LARGE, the side of the split it lies on."""
         if not 0 < ones < count:
             return _SampleLeaf(self.run, None, None, count, ones, self.label)
+        keep, relabel, other = side
         orders, labs = [], []
-        for j, (order, lab, mask) in enumerate(zip(self.orders, self.labs, masks)):
+        for j, (order, lab, code) in enumerate(zip(self.orders, self.labs, codes)):
             if j == c:
                 orders.append(order[start:stop])
                 labs.append(lab[start:stop])
             else:
-                if flip:
-                    mask = mask.translate(_FLIP)
-                orders.append(list(itertools.compress(order, mask)))
-                labs.append(bytes(itertools.compress(lab, mask)))
+                orders.append(list(compress(order, code.translate(keep))))
+                labs.append(code.translate(relabel, other))
         return _SampleLeaf(self.run, orders, labs, count, ones, self.label)
 
 
@@ -583,7 +602,7 @@ def grow_real(source: RealSample, cfg: GrowthConfig, policy: str = "midpoints"):
     labels = bytes(label == 1 for _, label in source.points)
     base = list(range(len(labels)))  # one set of index ints, shared by every order
     orders = [sorted(base, key=key.__getitem__) for key in keys]
-    labs = [bytes(map(labels.__getitem__, order)) for order in orders]
-    run = (keys, spec, grid_w, len(labels))
+    labs = [_gather(labels, order) for order in orders]
+    run = (keys, labels, spec, grid_w)
     root = _SampleLeaf(run, orders, labs, len(labels), labels.count(1))
     return _greedy(root, cfg, "real-empirical", "midpoints" if kind == "midpoints" else f"grid:{grid_w}")

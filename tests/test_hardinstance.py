@@ -14,6 +14,7 @@ from topdowndt.hardinstance import (
     MAX_HARD_ARITY,
     SAMPLE_BATCH,
     HardInstance,
+    _maj_count,
     choose_params,
     evaluate,
     labeled_points,
@@ -264,6 +265,15 @@ def _ref_misses(h, live):
 def _ref_maj(u, sigma):
     t0 = max(0, (u - sigma) // 2 + 1)
     return Fraction(sum(math.comb(u, t) for t in range(t0, u + 1)), 1 << u)
+
+
+def test_maj_count_matches_the_direct_sum():
+    # every sigma from where no sign vector wins to where every one does
+    for u in range(81):
+        for sigma in range(-u - 1, u + 2):
+            assert _maj_count(u, sigma) == _ref_maj(u, sigma) * (1 << u)
+    for sigma in range(-8, 9):  # a row as long as hard's largest k reaches
+        assert _maj_count(1015, sigma) == _ref_maj(1015, sigma) * (1 << 1015)
 
 
 def _ref_tie(u, sigma):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from topdowndt.realvalued import (
     CoordinateDist,
     ProductDistribution,
     RealSample,
+    _SampleLeaf,
     balanced_random_tree,
     booleanized_evaluate,
     cdf_transform,
@@ -556,6 +558,64 @@ class TestPresortedSampleLeaf:
             assert trace == ref_trace
             assert _tree_bytes(t) == _tree_bytes(ref_t)
             assert len(trace.steps) == budget - 1
+
+
+@st.composite
+def _tied_samples(draw):
+    n = draw(st.integers(2, 3))
+    point = st.tuples(st.tuples(*[_DUPLICATED] * n), st.integers(0, 1))
+    return draw(st.lists(point, min_size=2, max_size=40))
+
+
+class TestPartition:
+    @given(points=_tied_samples(), policy=st.sampled_from(["midpoints", "grid:2"]))
+    @settings(max_examples=200, deadline=None)
+    def test_children_filter_every_order_stably(self, points, policy):
+        xs = [x for x, _ in points]
+        labels = [label for _, label in points]
+        split = _SampleLeaf.children
+
+        def checked(leaf):
+            # each split is checked as it happens, before a wrong child can be grown
+            orders, labs = leaf.orders, leaf.labs
+            assert labs == [bytes(labels[i] for i in order) for order in orders]
+            children = split(leaf)
+            c, theta = leaf.best_coord - 1, leaf.best_theta
+            for child, hi in zip(children, (True, False)):
+                shares = [[i for i in order if (xs[i][c] >= theta) == hi] for order in orders]
+                assert child.count == len(shares[0])
+                assert child.ones == sum(labels[i] for i in shares[0])
+                if 0 < child.ones < child.count:
+                    assert child.orders == shares
+                    assert child.labs == [bytes(labels[i] for i in share) for share in shares]
+                else:  # a pure or empty child is never split
+                    assert child.orders is None
+            return children
+
+        with mock.patch.object(_SampleLeaf, "children", checked):
+            grow_real(RealSample(tuple(points)), GrowthConfig(budget=len(points), impurity=GINI), policy)
+
+    # one point gathers through itemgetter with a single index; two and
+    # three points split into children of one and two points
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [((0.5, 0.5, 0.5), 1)],
+            [((0.25, 0.5, 0.5), 0), ((0.75, 0.5, 0.5), 1)],
+            [((0.5, 0.5, 0.5), 0), ((0.5, 0.5, 0.5), 1)],
+            [((0.5, 0.25, 0.75), 1), ((0.5, 0.75, 0.25), 0)],
+            [((0.1, 0.5, 0.9), 0), ((0.5, 0.5, 0.5), 1), ((0.9, 0.5, 0.1), 0)],
+            [((0.3, 0.3, 0.7), 1), ((0.3, 0.7, 0.3), 0), ((0.7, 0.3, 0.3), 1)],
+        ],
+    )
+    @pytest.mark.parametrize("policy", ["midpoints", "grid:2"])
+    def test_smallest_samples(self, points, policy):
+        sample = RealSample(tuple(points))
+        cfg = GrowthConfig(budget=4, impurity=GINI)
+        t, trace = grow_real(sample, cfg, policy)
+        ref_t, ref_trace = _reference_grow_real(sample, cfg, policy)
+        assert trace == ref_trace
+        assert _tree_bytes(t) == _tree_bytes(ref_t)
 
 
 def _counted(spec):
