@@ -500,8 +500,9 @@ def _run_opt(cfg: ExperimentConfig, out: Path):
 
 
 def _random_binary_tree(n: int, max_leaves: int, rng) -> treemod.DecisionTree:
-    frontier = treemod.Frontier()
     paths = [()]  # the coordinates on each open leaf's path, in preorder
+    nodes = [0]  # each open leaf's node id, beside paths
+    splits = []
     target = rng.randint(2, max(2, max_leaves))
     while len(paths) < target:
         open_ids = [i for i, path in enumerate(paths) if len(path) < n]
@@ -510,9 +511,14 @@ def _random_binary_tree(n: int, max_leaves: int, rng) -> treemod.DecisionTree:
         leaf_id = rng.choice(open_ids)
         path = paths[leaf_id]
         coord = rng.choice([c for c in range(1, n + 1) if c not in path])
-        frontier.split(leaf_id, coord)
+        hi = 2 * len(splits) + 1
+        splits.append((nodes[leaf_id], coord, None))
         paths[leaf_id : leaf_id + 1] = [path + (coord,)] * 2
-    return frontier.build([rng.randint(0, 1) for _ in paths])
+        nodes[leaf_id : leaf_id + 1] = [hi, hi + 1]
+    labels = [0] * (2 * len(splits) + 1)  # an internal node's entry is never read
+    for v in nodes:  # the leaves' labels, drawn in preorder
+        labels[v] = rng.randint(0, 1)
+    return treemod.from_splits(splits, labels)
 
 
 def _run_jz_sweep(cfg: ExperimentConfig, out: Path):

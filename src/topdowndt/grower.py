@@ -3,12 +3,13 @@
 Every grower in the package runs one loop, _greedy: split the leaf with
 the best score, repeat until the leaf budget is spent.  It works on leaf
 states (see _LeafState for the protocol); grow() runs it over cursor
-leaves, realvalued.grow_real() over sample leaves.  The loop
-records each split, with its children's majority labels, in the trace, and
-tree_at() rebuilds the tree at any size from that record; the loop's own
-result is tree_at() at the final size.  The loop is deterministic and the
-budget only stops it, so a budget-b trace is any longer run's first b - 1
-steps with the same initial fields.
+leaves, realvalued.grow_real() over sample leaves.  The loop records
+each split in the trace: the node it splits, numbered as nodes are made
+(the root is 0, and step i makes hi 2i - 1 and lo 2i), and its children's
+majority labels.  tree_at() rebuilds the tree at any size from that
+record; the loop's own result is tree_at() at the final size.  The loop
+is deterministic and the budget only stops it, so a budget-b trace is any
+longer run's first b - 1 steps with the same initial fields.
 
 Two split rules drive grow():
 
@@ -75,7 +76,7 @@ from fractions import Fraction
 
 from .boolfn import BoolFunc, SubcubeView, is_monotone
 from .impurity import ImpuritySpec, evaluate
-from .tree import DecisionTree, Frontier
+from .tree import DecisionTree, from_splits
 
 GAIN_TOL = 1e-12
 CHECK_TOL = 1e-12
@@ -198,8 +199,10 @@ class TraceStep:
     g_impurity: float | None  # potential after the split (None: influence rule)
     u_f: Fraction | None  # influence potential after the split
     distance: Fraction  # exact distance of the f-completion after the split
-    # not part of the CSV schema: the children's majority labels (tree_at
-    # rebuilds the tree from them), then verification extras
+    # not part of the CSV schema: the node split (the root is 0, and step i
+    # makes hi 2i - 1 and lo 2i) and its children's majority labels, from
+    # which tree_at rebuilds the tree; then verification extras
+    node: int = field(repr=False)
     hi_label: int = field(repr=False, default=0)
     lo_label: int = field(repr=False, default=0)
     inf_split: Fraction | None = field(repr=False, default=None)
@@ -248,7 +251,7 @@ class _LeafState:
     inf_split, the TraceStep extra; and children(), called once, on the
     leaf being split.  The exact terms err and u_term, and an exact score,
     are integer numerators over the run's one denominator scale.  A leaf's
-    path and depth are not part of it: the trace's leaf ids fix them (see
+    path and depth are not part of it: the trace's node ids fix them (see
     _split_paths).
 
     Here scale = 2^n (free + depth = n at every leaf), so err is
@@ -385,6 +388,7 @@ def _greedy(
     tol = 0 if mode == "influence" else GAIN_TOL
     states = [root]
     keys = [_key(root)]  # in preorder, beside states
+    nodes = [0]  # the node ids, in preorder, beside states
     ranked = keys[:]  # the same keys, ascending
     steps = trace.steps
 
@@ -415,11 +419,15 @@ def _greedy(
         keys[best_idx : best_idx + 1] = [hi_key, lo_key]
         insort(ranked, hi_key)
         insort(ranked, lo_key)
+        i = len(steps) + 1
+        node = nodes[best_idx]
+        nodes[best_idx : best_idx + 1] = [2 * i - 1, 2 * i]
 
         steps.append(
             TraceStep(
-                iteration=len(steps) + 1,
+                iteration=i,
                 leaf_id=best_idx,
+                node=node,
                 coord=st.best_coord,
                 theta=st.best_theta,
                 gain=st.best_gain,
@@ -439,40 +447,26 @@ def _greedy(
 def tree_at(trace: GrowthTrace, size: int) -> DecisionTree:
     """The grown tree when it first had `size` leaves, labeled by majority.
 
-    Replays the trace's splits on a Frontier; at the final size this is the
-    tree the grower returned (the f-completion for binary growth).
+    Builds the trace's first size - 1 splits by node id; at the final size
+    this is the tree the grower returned (the f-completion for binary
+    growth).
     """
     if not 1 <= size <= trace.final_size:
         raise ValueError(f"size must be in 1..{trace.final_size}, got {size}")
-    frontier = Frontier()
+    steps = trace.steps[: size - 1]
     labels = [trace.initial_label]
-    for st in trace.steps[: size - 1]:
-        frontier.split(st.leaf_id, st.coord, st.theta)
-        labels[st.leaf_id : st.leaf_id + 1] = [st.hi_label, st.lo_label]
-    return frontier.build(labels)
+    for st in steps:
+        labels += (st.hi_label, st.lo_label)
+    return from_splits([(st.node, st.coord, st.theta) for st in steps], labels)
 
 
 def _split_paths(trace: GrowthTrace):
-    """Each step with the (coord, side) path of the leaf it split: tree_at's splice."""
-    paths = [()]
+    """Each step with the (coord, side) path of the node it split."""
+    paths = [()]  # paths[v]: node v's path
     for st in trace.steps:
-        path = paths[st.leaf_id]
-        paths[st.leaf_id : st.leaf_id + 1] = [path + ((st.coord, 1),), path + ((st.coord, -1),)]
+        path = paths[st.node]
+        paths += (path + ((st.coord, 1),), path + ((st.coord, -1),))
         yield st, path
-
-
-def _split_nodes(trace: GrowthTrace):
-    """Each step with the node it splits, nodes numbered as they are made.
-
-    The root is node 0, and step i (1-based iteration) splits one open leaf
-    into its hi child 2i - 1 and its lo child 2i: tree_at's splice, with the
-    nodes named instead of the leaves rebuilt.
-    """
-    leaves = [0]  # the open leaves in preorder, whose index a step's leaf_id is
-    for st in trace.steps:
-        v, hi = leaves[st.leaf_id], 2 * st.iteration - 1
-        leaves[st.leaf_id : st.leaf_id + 1] = [hi, hi + 1]
-        yield st, v
 
 
 def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:

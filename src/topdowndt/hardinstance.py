@@ -61,7 +61,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .boolfn import derived_rng
-from .grower import GrowthConfig, GrowthTrace, _split_nodes, grow
+from .grower import GrowthConfig, GrowthTrace, grow
 from .impurity import ImpuritySpec
 from .tree import DecisionTree
 
@@ -159,7 +159,10 @@ def _maj_count(u: int, sigma: int) -> int:
 def _tie_count(u: int, sigma: int) -> int:
     """2^u * Pr[sigma + (sum of u fresh signs) == 0]."""
     t, odd = divmod(u - sigma, 2)
-    return 0 if odd or t < 0 else math.comb(u, t)
+    if odd or not 0 <= t <= u:
+        return 0
+    row = _tail_row(u)
+    return row[t] - row[t + 1]  # C(u, t)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +420,7 @@ def mc_check(h: HardInstance, trace: GrowthTrace, sizes: Sequence[int], labeled,
     half-width for that many samples, and the fraction whose path in it
     queries an x coordinate before it has queried more than `cutoff` y's.
 
-    The trace is replayed once into flat node arrays.  A node is internal
+    The trace fills flat node arrays, by its node ids.  A node is internal
     in tree_at(trace, s) exactly when the iteration that split it is below
     s, and iterations grow along every path, so each point walks the final
     tree once, a pointer j marking the first size whose tree it has not
@@ -430,14 +433,15 @@ def mc_check(h: HardInstance, trace: GrowthTrace, sizes: Sequence[int], labeled,
         a >= b for a, b in zip(sizes, sizes[1:])
     ):
         raise ValueError(f"sizes must ascend strictly within 1..{trace.final_size}, got {sizes}")
-    # the final tree as flat node arrays, numbered as _split_nodes numbers
-    # them: split_at[v] is the iteration that split v (final_size for a
-    # leaf of the final tree), label[v] the label v was created with
+    # the final tree as flat node arrays, indexed by the trace's node ids
+    # (root 0, step i makes 2i - 1 and 2i): split_at[v] is the iteration
+    # that split v (final_size for a leaf of the final tree), label[v] the
+    # label v was created with
     m = 2 * trace.final_size - 1
     coord, hi, lo = [0] * m, [0] * m, [0] * m
     label, split_at = [trace.initial_label] * m, [trace.final_size] * m
-    for st, v in _split_nodes(trace):
-        new = 2 * st.iteration - 1
+    for st in trace.steps:
+        v, new = st.node, 2 * st.iteration - 1
         coord[v], hi[v], lo[v], split_at[v] = st.coord, new, new + 1, st.iteration
         label[new], label[new + 1] = st.hi_label, st.lo_label
     # the sizes s <= split_at[v], whose trees have v as a leaf or lack it,

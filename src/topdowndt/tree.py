@@ -10,10 +10,10 @@ Two tree flavors share one node representation:
 Trees are immutable values.  split() returns a new tree sharing structure
 with the old one, but it walks every leaf to find its target and
 re-validates the whole result, so one call costs O(size).  Growth
-therefore builds its trees on a Frontier instead (grower.tree_at): a
-preorder list of open leaves where a split is one list splice, from which
-build() assembles the labeled tree once, in one pass, validated once by
-the DecisionTree constructor.
+therefore records its splits by node id instead (the root is 0, and step
+i makes children 2i - 1 and 2i), and from_splits() assembles the labeled
+tree from that record once, in one pass, validated once by the
+DecisionTree constructor (grower.tree_at).
 A PartialTree has unlabeled leaves; split() returns one.  leaf_views()
 is the one walk that reads a binary-mode tree against a truth table;
 distance() sums it, the distance of a PartialTree being that of its
@@ -231,7 +231,7 @@ def split(t: PartialTree, leaf_id: int, coord: int, theta: float | None = None) 
     """Replace the identified leaf with a query node over two fresh leaves.
 
     Binary mode forbids re-querying a coordinate already on the leaf's path.
-    A one-off edit: it costs O(size), so growth loops use a Frontier.
+    A one-off edit: it costs O(size), so growth builds through from_splits.
     """
     infos = leaves(t)
     if not 0 <= leaf_id < len(infos):
@@ -256,49 +256,37 @@ def _rebuild(node: Node, path: tuple[PathStep, ...], replacement: Node) -> Node:
     return Internal(node.coord, node.theta, node.hi, _rebuild(node.lo, rest, replacement))
 
 
-class _Slot:
-    """One node of a Frontier: open until split, then a query over two slots."""
+def from_splits(
+    splits: Sequence[tuple[int, int, float | None]], labels: Sequence[int]
+) -> DecisionTree:
+    """The tree that splits grow from a single leaf, labeled node by node.
 
-    __slots__ = ("coord", "theta", "hi", "lo")
-
-    def __init__(self):
-        self.hi = None
-
-
-class Frontier:
-    """A tree being grown, kept as the preorder list of its open leaves.
-
-    split(leaf_id, ...) replaces the leaf_id-th open leaf (the id the
-    function split() takes) with its hi and lo children, in that order, so
-    the list stays in preorder.  It does no validation beyond the id range;
-    build() checks the whole tree once, through the DecisionTree
-    constructor, which rejects a coordinate repeated on a binary path.
+    Nodes are numbered as they are made: the root is 0, and splits[i - 1],
+    step i's (node, coord, theta), turns that open node into a query over
+    its hi child 2i - 1 and its lo child 2i.  labels[v] is node v's label,
+    read where v stays a leaf.  One walk builds the tree, and the
+    DecisionTree constructor validates it once, rejecting a coordinate
+    repeated on a binary path.
     """
+    made = 2 * len(splits) + 1
+    if len(labels) != made:
+        raise ValueError(f"{len(splits)} splits make {made} nodes but {len(labels)} labels")
+    queries: list = [None] * made  # queries[v]: (coord, theta, hi child) once v is split
+    for i, (v, coord, theta) in enumerate(splits, start=1):
+        if not 0 <= v < 2 * i - 1:
+            raise ValueError(f"split {i} names node {v}, which is not made yet")
+        if queries[v] is not None:
+            raise ValueError(f"split {i} names node {v}, which is already split")
+        queries[v] = (coord, theta, 2 * i - 1)
 
-    def __init__(self):
-        self._root = _Slot()
-        self._open = [self._root]
+    def walk(v: int) -> Node:
+        q = queries[v]
+        if q is None:
+            return Leaf(labels[v])
+        coord, theta, hi = q
+        return Internal(coord, theta, walk(hi), walk(hi + 1))
 
-    def split(self, leaf_id: int, coord: int, theta: float | None = None) -> None:
-        if not 0 <= leaf_id < len(self._open):
-            raise ValueError(f"no leaf with id {leaf_id} (tree has {len(self._open)} leaves)")
-        slot = self._open[leaf_id]
-        slot.coord, slot.theta, slot.hi, slot.lo = coord, theta, _Slot(), _Slot()
-        self._open[leaf_id : leaf_id + 1] = [slot.hi, slot.lo]
-
-    def build(self, labels: Sequence[int]) -> DecisionTree:
-        """The tree with its open leaves labeled in preorder by labels."""
-        labels = list(labels)
-        if len(labels) != len(self._open):
-            raise ValueError(f"{len(self._open)} leaves but {len(labels)} labels")
-        it = iter(labels)
-
-        def walk(slot: _Slot) -> Node:
-            if slot.hi is None:
-                return Leaf(next(it))
-            return Internal(slot.coord, slot.theta, walk(slot.hi), walk(slot.lo))
-
-        return DecisionTree(walk(self._root))
+    return DecisionTree(walk(0))
 
 
 # ---------------------------------------------------------------------------

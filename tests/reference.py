@@ -22,7 +22,7 @@ rng.random() per coordinate.  trace_of turns any binary tree into a
 growth trace that tree_at replays into it, the input mc_check reads.
 
 Tree readers over tree.leaf_views: complete (the f-completion) and
-label_leaves, the old way of labeling a tree that Frontier.build and
+label_leaves, the old way of labeling a tree that from_splits and
 tree_at are checked against, and the potentials g_impurity and
 influence_potential that back the grower's exact accounting.
 encode_point is the bit layout booleanized_evaluate reads, and depth a
@@ -281,7 +281,8 @@ def trace_of(t: DecisionTree, draw_label) -> GrowthTrace:
 
     The splits follow t's internal nodes in preorder, so a split's open
     leaves before its node are t's leaves before it, and their count is
-    its leaf_id.  A child that t splits later is created with the label
+    its leaf_id; its node is the id its parent's step gave it (the root
+    is 0, and step i makes hi 2i - 1 and lo 2i).  A child that t splits later is created with the label
     draw_label() returns, a leaf of t with its own label.  Every exact
     field is a placeholder: mc_check reads only the structure and labels.
     """
@@ -290,14 +291,16 @@ def trace_of(t: DecisionTree, draw_label) -> GrowthTrace:
     def created(node) -> int:
         return node.label if isinstance(node, Leaf) else draw_label()
 
-    def walk(node, leaves_before: int) -> int:
-        """Append node's splits; return the leaves of t up to and in it."""
+    def walk(node, v: int, leaves_before: int) -> int:
+        """Append the splits of node, numbered v; return the leaves of t up to and in it."""
         if isinstance(node, Leaf):
             return leaves_before + 1
+        i = len(steps) + 1
         steps.append(
             TraceStep(
-                iteration=len(steps) + 1,
+                iteration=i,
                 leaf_id=leaves_before,
+                node=v,
                 coord=node.coord,
                 theta=node.theta,
                 gain=0.0,
@@ -308,10 +311,10 @@ def trace_of(t: DecisionTree, draw_label) -> GrowthTrace:
                 lo_label=created(node.lo),
             )
         )
-        return walk(node.lo, walk(node.hi, leaves_before))
+        return walk(node.lo, 2 * i, walk(node.hi, 2 * i - 1, leaves_before))
 
     initial_label = created(t.root)
-    walk(t.root, 0)
+    walk(t.root, 0, 0)
     return GrowthTrace("impurity", Fraction(0), None, None, Fraction(0), initial_label, steps)
 
 

@@ -284,6 +284,7 @@ def _linear_greedy(root, cfg, mode):
     )
     tol = 0 if mode == "influence" else GAIN_TOL
     states = [root]
+    nodes = [0]  # the node ids, in preorder, beside states
     steps = trace.steps
 
     while 1 + len(steps) < cfg.budget:
@@ -308,11 +309,15 @@ def _linear_greedy(root, cfg, mode):
         if g_imp is not None:
             g_imp = g_imp - leaf.best_gain
         states[best_idx : best_idx + 1] = [hi, lo]
+        i = len(steps) + 1
+        node = nodes[best_idx]
+        nodes[best_idx : best_idx + 1] = [2 * i - 1, 2 * i]
 
         steps.append(
             TraceStep(
-                iteration=len(steps) + 1,
+                iteration=i,
                 leaf_id=best_idx,
+                node=node,
                 coord=leaf.best_coord,
                 theta=leaf.best_theta,
                 gain=leaf.best_gain,

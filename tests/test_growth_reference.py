@@ -1,15 +1,14 @@
 """Growth against the slow reference it replaced.
 
-Every grower runs one greedy loop, which records its splits in the trace
-and builds the tree once, in grower.tree_at, on a tree.Frontier.  The
-reference is the old algorithm: every split goes through tree.split, which
-re-walks and re-validates the whole PartialTree, and label_leaves labels
-the result.  Each case checks the loop two ways:
-
-  * it runs the same loop with a Frontier stand-in that edits through
-    tree.split, and asserts an equal tree and an identical trace;
-  * it replays the trace's (leaf_id, coord, theta) from PartialTree(Leaf())
-    through tree.split, labels the leaves, and asserts an equal tree.
+Every grower runs one greedy loop, which records its splits in the trace,
+each by the id of the node it splits, and grower.tree_at builds the tree
+from that record, through tree.from_splits.  The reference is the old
+algorithm: every split goes through tree.split, which re-walks and
+re-validates the whole PartialTree, finding its leaf by the step's
+leaf_id, and label_leaves labels the result with the children's labels
+spliced in preorder.  Each case replays the trace's (leaf_id, coord,
+theta) this way from PartialTree(Leaf()) and asserts that tree_at gives
+the same tree at every size, the loop's own tree at the final size.
 
 The hard CLI's checkpoint trees, once rebuilt by replaying cursor splits,
 now come from tree_at; they are checked against that replay.
@@ -18,7 +17,7 @@ now come from tree_at; they are checked against that replay.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topdowndt import grower, hardinstance
+from topdowndt import hardinstance
 from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, derived_rng, random_monotone
 from topdowndt.cli import _hard_checkpoints, main
@@ -30,30 +29,11 @@ from topdowndt.realvalued import (
     grow_real,
     sample_teacher,
 )
-from topdowndt.tree import Leaf, PartialTree, leaves
+from topdowndt.tree import Leaf, PartialTree
 
 from reference import complete, hard_table, label_leaves
 
 RULES = BUILTIN_NAMES + ("influence",)
-
-
-class _SplitFrontier:
-    """The old per-step edit behind the Frontier interface."""
-
-    def __init__(self):
-        self.t = PartialTree(Leaf())
-
-    def split(self, leaf_id, coord, theta=None):
-        self.t = treemod.split(self.t, leaf_id, coord, theta)
-
-    def build(self, labels):
-        return label_leaves(self.t, labels)
-
-
-def _reference_run(run):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grower, "Frontier", _SplitFrontier)
-        return run()
 
 
 def _replay(trace) -> PartialTree:
@@ -63,15 +43,24 @@ def _replay(trace) -> PartialTree:
     return t
 
 
+def _labeled_replays(trace):
+    """The reference tree at sizes 1, 2, ..., final_size: the trace's
+    splits through tree.split, its labels spliced at each step's leaf_id."""
+    t, labels = PartialTree(Leaf()), [trace.initial_label]
+    yield label_leaves(t, labels)
+    for step in trace.steps:
+        t = treemod.split(t, step.leaf_id, step.coord, step.theta)
+        labels[step.leaf_id : step.leaf_id + 1] = [step.hi_label, step.lo_label]
+        yield label_leaves(t, labels)
+
+
 def _check(run):
-    """Assert the loop matches the reference; return its tree and trace."""
+    """Assert tree_at matches the reference at every size, and the loop's
+    tree at the last; return that tree and its trace."""
     t, trace = run()
-    ref_t, ref_trace = _reference_run(run)
-    assert t == ref_t
-    assert trace == ref_trace
-    labels = [info.node.label for info in leaves(t)]
-    assert label_leaves(_replay(trace), labels) == t
-    assert treemod.size(t) == trace.final_size
+    sizes = range(1, trace.final_size + 1)
+    assert [tree_at(trace, s) for s in sizes] == list(_labeled_replays(trace))
+    assert tree_at(trace, trace.final_size) == t
     return t, trace
 
 

@@ -9,7 +9,6 @@ from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
 from topdowndt.grower import (
     GrowthConfig,
-    _split_nodes,
     _split_paths,
     grow,
     rule_agreement,
@@ -40,13 +39,12 @@ def _reference_paths(trace) -> list[tuple]:
 def _check_replay(trace) -> None:
     replay = list(_split_paths(trace))
     assert [step for step, _ in replay] == trace.steps
-    assert [path for _, path in replay] == _reference_paths(trace)
-    # the numbered nodes: the node a step splits has the path of its leaf
-    nodes = list(_split_nodes(trace))
-    assert [step for step, _ in nodes] == trace.steps
+    paths = _reference_paths(trace)
+    assert [path for _, path in replay] == paths
+    # the node ids: the node a step splits is open and has the path of its leaf
     node_paths = {0: ()}  # the open leaves' nodes, with their paths
-    for (step, v), (_, path) in zip(nodes, replay):
-        assert node_paths.pop(v) == path
+    for step, path in zip(trace.steps, paths):
+        assert node_paths.pop(step.node) == path
         hi = 2 * step.iteration - 1
         node_paths[hi], node_paths[hi + 1] = path + ((step.coord, 1),), path + ((step.coord, -1),)
 

@@ -9,13 +9,13 @@ from topdowndt.boolfn import SubcubeView, derived_rng, is_monotone, random_monot
 from topdowndt.realvalued import balanced_random_tree
 from topdowndt.tree import (
     DecisionTree,
-    Frontier,
     Internal,
     Leaf,
     PartialTree,
     chain_tree,
     distance,
     evaluate,
+    from_splits,
     leaves,
     path_of,
     random_monotone_tree,
@@ -72,46 +72,44 @@ class TestSplit:
             split(PartialTree(Leaf()), 3, 1)
 
 
-class TestFrontier:
+class TestFromSplits:
+    # (leaf_id, coord) splits, the node each one names, and the open nodes
+    # in preorder after each
     SPLITS = [(0, 1), (0, 2), (2, 3), (1, 3)]
+    NODES = [0, 1, 2, 4]
+    OPEN = [[1, 2], [3, 4, 2], [3, 4, 5, 6], [3, 7, 8, 5, 6]]
 
-    def test_build_matches_split_then_label(self):
-        fr = Frontier()
-        for i, (leaf_id, coord) in enumerate(self.SPLITS):
-            fr.split(leaf_id, coord)
-            labels = [(i + j) % 2 for j in range(i + 2)]
-            # build leaves the frontier open: every prefix builds its own tree
-            assert fr.build(labels) == label_leaves(grow_by_splits(self.SPLITS[: i + 1]), labels)
+    def test_every_prefix_matches_split_then_label(self):
+        for i in range(len(self.SPLITS)):
+            splits = [(v, coord, None) for v, (_, coord) in zip(self.NODES[: i + 1], self.SPLITS)]
+            labels = [(i + v) % 2 for v in range(2 * i + 3)]
+            leaf_labels = [labels[v] for v in self.OPEN[i]]
+            expected = label_leaves(grow_by_splits(self.SPLITS[: i + 1]), leaf_labels)
+            assert from_splits(splits, labels) == expected
 
     def test_single_leaf(self):
-        assert Frontier().build([1]) == DecisionTree(Leaf(1))
+        assert from_splits([], [1]) == DecisionTree(Leaf(1))
 
     def test_real_mode_may_requery(self):
-        fr = Frontier()
-        fr.split(0, 1, 0.5)
-        fr.split(0, 1, 0.25)
-        assert fr.build([0, 1, 0]) == DecisionTree(
+        assert from_splits([(0, 1, 0.5), (1, 1, 0.25)], [0, 0, 0, 0, 1]) == DecisionTree(
             Internal(1, 0.5, Internal(1, 0.25, Leaf(0), Leaf(1)), Leaf(0))
         )
 
     def test_repeat_on_path_rejected_at_build(self):
-        fr = Frontier()
-        fr.split(0, 1)
-        fr.split(0, 1)
         with pytest.raises(ValueError, match="repeats"):
-            fr.build([0, 1, 0])
+            from_splits([(0, 1, None), (1, 1, None)], [0, 0, 0, 1, 0])
 
-    def test_bad_leaf_id(self):
-        fr = Frontier()
-        for leaf_id in (1, -1):
-            with pytest.raises(ValueError):
-                fr.split(leaf_id, 1)
+    def test_bad_node(self):
+        for splits in ([(1, 1, None)], [(-1, 1, None)], [(0, 1, None), (3, 2, None)]):
+            with pytest.raises(ValueError, match="not made yet"):
+                from_splits(splits, [0] * (2 * len(splits) + 1))
+        with pytest.raises(ValueError, match="already split"):
+            from_splits([(0, 1, None), (0, 2, None)], [0] * 5)
 
     def test_wrong_label_count(self):
-        fr = Frontier()
-        fr.split(0, 1)
-        with pytest.raises(ValueError):
-            fr.build([1])
+        for labels in ([1], [1, 0], [1, 0, 1, 0]):
+            with pytest.raises(ValueError, match="labels"):
+                from_splits([(0, 1, None)], labels)
 
 
 class TestThreshold:
