@@ -159,10 +159,7 @@ def _maj_count(u: int, sigma: int) -> int:
 def _tie_count(u: int, sigma: int) -> int:
     """2^u * Pr[sigma + (sum of u fresh signs) == 0]."""
     t, odd = divmod(u - sigma, 2)
-    if odd or not 0 <= t <= u:
-        return 0
-    row = _tail_row(u)
-    return row[t] - row[t + 1]  # C(u, t)
+    return 0 if odd or t < 0 else math.comb(u, t)
 
 
 # ---------------------------------------------------------------------------
