@@ -72,14 +72,17 @@ class TestSplit:
             split(PartialTree(Leaf()), 3, 1)
 
 
-class TestFromSplits:
+class TestFrontier:
+    """from_splits: a tree grown by splitting open leaves (its frontier),
+    named by node id."""
+
     # (leaf_id, coord) splits, the node each one names, and the open nodes
     # in preorder after each
     SPLITS = [(0, 1), (0, 2), (2, 3), (1, 3)]
     NODES = [0, 1, 2, 4]
     OPEN = [[1, 2], [3, 4, 2], [3, 4, 5, 6], [3, 7, 8, 5, 6]]
 
-    def test_every_prefix_matches_split_then_label(self):
+    def test_build_matches_split_then_label(self):
         for i in range(len(self.SPLITS)):
             splits = [(v, coord, None) for v, (_, coord) in zip(self.NODES[: i + 1], self.SPLITS)]
             labels = [(i + v) % 2 for v in range(2 * i + 3)]
@@ -99,7 +102,8 @@ class TestFromSplits:
         with pytest.raises(ValueError, match="repeats"):
             from_splits([(0, 1, None), (1, 1, None)], [0, 0, 0, 1, 0])
 
-    def test_bad_node(self):
+    def test_bad_leaf_id(self):
+        # a split must name an open leaf: a node made and not yet split
         for splits in ([(1, 1, None)], [(-1, 1, None)], [(0, 1, None), (3, 2, None)]):
             with pytest.raises(ValueError, match="not made yet"):
                 from_splits(splits, [0] * (2 * len(splits) + 1))
