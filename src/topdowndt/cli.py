@@ -773,13 +773,13 @@ COMMON_FLAGS = ("seed", "out")
 #   279 MB, nearly all of it building the tree;
 # - jz-sweep --leaves 8192: a random tree of 8192 leaves takes 3.5 s to draw,
 #   one of 16384 leaves 15 s;
-# - the oracle's size, 16 (opt --size, agnostic-sweep --sizes, grow
-#   --monitor-size): opt --size 16 takes 6 s and 60 MB on a random or a
-#   monotone 12-bit table; OptTable.error(32) on the monotone one 21 s;
+# - the oracle's size, oracle.OPT_MAX_SIZE = 32 (opt --size,
+#   agnostic-sweep --sizes, grow --monitor-size): opt --size 32 takes
+#   1.1-2.0 s and 89 MB on a random or a monotone 12-bit table;
 # - round-check --arity 1024: a trial with 2 leaves takes 0.75 s;
 # - --samples 524288: hard --l 8 --k 63 --budget 256 takes 14 s and 22 MB;
 # - --trials 1024: every other flag at its default, round-check takes 2.8 s
-#   and agnostic-sweep 23 s.
+#   and agnostic-sweep 7.3 s.
 # Arity is also capped at boolfn.MAX_ARITY for a truth table, at
 # oracle.OPT_MAX_ARITY for the exact oracle and at 16 for jz-sweep.
 SUBCOMMANDS = {
@@ -787,7 +787,7 @@ SUBCOMMANDS = {
         _run_grow,
         "grow a tree for a boolean function",
         ("fn", "arity", "impurity", "budget", "monitor_size", "epsilon"),
-        caps={"arity": boolfn.MAX_ARITY, "monitor_size": 16},
+        caps={"arity": boolfn.MAX_ARITY, "monitor_size": oracle.OPT_MAX_SIZE},
     ),
     "grow-real": Subcommand(
         _run_grow_real,
@@ -799,7 +799,7 @@ SUBCOMMANDS = {
         "exact smallest-error tree of a given size",
         ("fn", "size"),
         echo="opt_{size} = {error}",
-        caps={"size": 16},
+        caps={"size": oracle.OPT_MAX_SIZE},
     ),
     "jz-sweep": Subcommand(
         _run_jz_sweep,
@@ -811,7 +811,7 @@ SUBCOMMANDS = {
         _run_agnostic_sweep,
         "greedy vs exact optimum on random monotone targets",
         ("arity", "trials", "sizes", "epsilon", "impurities"),
-        caps={"arity": oracle.OPT_MAX_ARITY, "trials": 1 << 10, "sizes": 16},
+        caps={"arity": oracle.OPT_MAX_ARITY, "trials": 1 << 10, "sizes": oracle.OPT_MAX_SIZE},
     ),
     "hard": Subcommand(
         _run_hard,

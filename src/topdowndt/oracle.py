@@ -7,27 +7,25 @@ most s leaves.  In misclassification counts (error = count / 2^n):
                        min over free i, s1 in 1..t-1 of
                          opt(rho with x_i=+1, s1) + opt(rho with x_i=-1, t-s1) )
 
-OptTable solves it bottom-up for all 3^n subcubes rho at once.  Budget t is
-one int, `_tables[t]`, with every subcube's count in its own lane of
-w = n + 2 bits (a count needs n + 1 bits; the top one is a guard).  rho's
-lane is sum_k d_k 3^k, with digit d_k 0, 1 or 2 when x_{k+1} is fixed to -1,
-fixed to +1 or free; the all-free cube is the top lane, and a cube's
-children on a free x_{k+1} lie 3^k (hi) and 2 * 3^k (lo) lanes below it.
-So each big-int operation below works on every subcube at once, in C:
-- leaf counts: place the truth table's bits in the lanes of the points (every
-  digit 0 or 1), then for each digit k fill the lanes where it is 2 with the
-  sum of their two halves;
-- a split on x_{k+1}: one table shifted up 3^k lanes plus another shifted up
-  2 * 3^k lanes is, at each lane with digit k = 2, a hi count plus a lo count;
-- the lane-wise min of a and b (SWAR): with G the guard bits and every lane
-  below 2^(w-1), lane L of (a | G) - b is 2^(w-1) + a_L - b_L, so no borrow
-  crosses lanes and the guard survives where a_L >= b_L; subtracting those
-  lanes' low bits from a leaves min(a_L, b_L).
+OptTable solves it bottom-up for all 3^n subcubes rho at once.  rho's index
+is sum_k d_k 3^k, with digit d_k 0, 1 or 2 when x_{k+1} is fixed to -1, fixed
+to +1 or free; the all-free cube is the last index.  Row t of `_tables`, a
+numpy uint16 array of one row per budget, holds every subcube's optimal error
+count at budget t.  Viewed as (3^(n-k-1), 3, 3^k), a row's [:, 2, :] are the
+cubes free on x_{k+1} and [:, 1, :], [:, 0, :] their hi and lo children, in
+the same order, so each numpy step below works on every subcube at once:
+- leaf counts: the truth table unpacked to shape (2,)*n, each axis extended
+  by the sum of its two halves (lo, hi, lo + hi), for the ones and the zeros;
+- budget t, split on x_{k+1}: hi at s1 plus lo at t - s1 is one add of two
+  ranges of rows, s1 over 1..t-1; the least over s1 is one min along them,
+  and the free cubes keep it where it beats their count so far.
+A count is at most 2^n <= 2^12 (OPT_MAX_ARITY), and a split's two child
+errors sum to at most 2^(n-1), so uint16 holds every value exactly.
 Budgets are clamped to 2^n, where the error is 0; a larger error(s) extends
-the list from the budgets already stored.  An arity's digit masks are built
-by tripling, and the last arity's are kept (11 MB at the cap, arity 12).
+the rows from the budgets already stored.  numpy is imported when a table is
+built, so importing this module loads none.
 
-The witness reads the stored lanes: a leaf when the optimum equals the leaf
+The witness reads the stored counts: a leaf when the optimum equals the leaf
 count, else the first split, in coordinate then balanced-budget order (most
 balanced size split, then smaller hi-side budget), that attains it.
 
@@ -51,6 +49,7 @@ from .boolfn import BoolFunc, SubcubeView, coordinate_mask
 from .tree import DecisionTree, Internal, Leaf, distance, size
 
 OPT_MAX_ARITY = 12
+OPT_MAX_SIZE = 32  # the largest budget the CLI asks of the oracle
 
 
 class OptTable:
@@ -62,11 +61,19 @@ class OptTable:
                 f"opt is exhaustive and capped at arity {OPT_MAX_ARITY} "
                 f"(got {f.n}); larger instances are out of scope here"
             )
+        import numpy as np
+
         self.f = f
-        guard, _ = _lanes(f.n)
-        full = (1 << (1 << f.n)) - 1
-        ones, zeros = _counts(f.n, f.table), _counts(f.n, f.table ^ full)
-        self._tables = [0, _min(ones, zeros, f.n + 2, guard, guard)]
+        n = f.n
+        raw = np.frombuffer(f.table.to_bytes((1 << n) + 7 >> 3, "little"), np.uint8)
+        # point p at index p: axis j of the (2,)*n view is bit n-1-j of p
+        points = np.unpackbits(raw, bitorder="little")[: 1 << n].reshape((2,) * n)
+        counts = np.stack([points, 1 - points]).astype(np.uint16)  # ones, zeros
+        for axis in range(1, n + 1):
+            half_sum = counts.sum(axis, np.uint16, keepdims=True)
+            counts = np.concatenate([counts, half_sum], axis)  # lo, hi, lo + hi
+        self._tables = np.zeros((2, 3**n), np.uint16)  # row 0 is never read
+        self._tables[1] = counts.min(0).ravel()  # a leaf's error
 
     def error(self, s: int) -> Fraction:
         s = self._extend(s)
@@ -82,26 +89,28 @@ class OptTable:
         """Fill the tables up to budget s, clamped to the cube size; return it."""
         if s < 1:
             raise ValueError("size budget must be >= 1")
-        n, tables = self.f.n, self._tables
+        n = self.f.n
         s = min(s, 1 << n)
-        w = n + 2
-        guard, free = _lanes(n)
-        for t in range(len(tables), s + 1):
-            best = tables[1]  # a leaf
-            for k, m in enumerate(free):
-                shift = 3**k * w
-                # at each lane whose digit k is 1 (a hi child): its count at s1
-                # plus its lo sibling's (digit 0) at t - s1, least over s1
-                pair = tables[1] + (tables[t - 1] << shift)
-                for s1 in range(2, t):
-                    pair = _min(pair, tables[s1] + (tables[t - s1] << shift), w, guard, guard)
-                best = _min(best, (pair << shift) & m, w, guard, guard & m)
-            tables.append(best)
+        stored = len(self._tables)
+        if stored > s:
+            return s
+        import numpy as np
+
+        tables = np.empty((s + 1, 3**n), np.uint16)
+        tables[:stored] = self._tables
+        for t in range(stored, s + 1):
+            tables[t] = tables[1]  # a leaf
+            for k in range(n):
+                rows = tables.reshape(-1, 3 ** (n - k - 1), 3, 3**k)
+                # each cube free on x_{k+1}: its hi child at s1 plus its lo
+                # child at t - s1, least over s1
+                pair = np.add(rows[1:t, :, 1], rows[t - 1 : 0 : -1, :, 0]).min(0)
+                np.minimum(rows[t, :, 2], pair, out=rows[t, :, 2])
+        self._tables = tables
         return s
 
     def _count(self, t: int, lane: int) -> int:
-        w = self.f.n + 2
-        return (self._tables[t] >> lane * w) & ((1 << w) - 1)
+        return int(self._tables[t, lane])
 
     def _build(self, sub: int, lane: int, s: int, size: int):
         s = min(s, size)
@@ -116,44 +125,6 @@ class OptTable:
                     if sum(self._count(t, at) for _, at, t in kids) == best:
                         return Internal(k + 1, None, *(self._build(*kid, size >> 1) for kid in kids))
         return Leaf(1 if 2 * ones >= size else 0)
-
-
-@functools.lru_cache(maxsize=1)
-def _lanes(n: int) -> tuple[int, tuple[int, ...]]:
-    """Arity n's guard bits and, per digit k, the mask of the lanes whose digit
-    k is 2, built by tripling the lane range one digit at a time."""
-    w = n + 2
-    every, guard, free = (1 << w) - 1, 1 << (w - 1), ()
-    for k in range(n):
-        shift = 3**k * w
-        free = tuple(m | m << shift | m << 2 * shift for m in free) + (every << 2 * shift,)
-        every |= every << shift | every << 2 * shift
-        guard |= guard << shift | guard << 2 * shift
-    return guard, free
-
-
-def _counts(n: int, bits: int) -> int:
-    """Each subcube's number of points in `bits`, a 2^n-bit table, one lane each."""
-    w = n + 2
-    # point p lands in the lane whose digit k is bit k of p
-    lanes = [(bits >> p) & 1 for p in range(1 << n)]
-    for k in range(n):
-        shift = 3**k * w
-        lanes = [lo | hi << shift for lo, hi in zip(lanes[::2], lanes[1::2])]
-    count = lanes[0]
-    for k, m in enumerate(_lanes(n)[1]):
-        # digit k = 2 lanes are empty so far: fill them with their halves' sum
-        shift = 3**k * w
-        count += ((count & m >> 2 * shift) << 2 * shift) + ((count & m >> shift) << shift)
-    return count
-
-
-def _min(a: int, b: int, w: int, guard: int, pick: int) -> int:
-    """Lane-wise min of a and b in the lanes whose guard bit is in `pick`;
-    a elsewhere.  Every lane of a and b is below 2^(w-1)."""
-    d = (a | guard) - b  # per lane 2^(w-1) + a - b: no borrow crosses a lane
-    g = d & pick  # guard set where a >= b
-    return a - (d & (g - (g >> (w - 1))))
 
 
 @functools.lru_cache(maxsize=None)

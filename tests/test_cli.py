@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from topdowndt import boolfn, cli
+from topdowndt import boolfn, cli, oracle
 from topdowndt.cli import ExperimentConfig, _sweep_budget, main, run
 from topdowndt.tree import random_monotone_tree
 
@@ -107,7 +107,7 @@ class TestSubcommands:
         fn = tmp_path / "mono10.json"
         fn.write_text(json.dumps(boolfn.to_spec(boolfn.random_monotone(10, seed=3))))
         out = tmp_path / "opt"
-        rc = main(["opt", "--fn", str(fn), "--size", "16", "--out", str(out)])
+        rc = main(["opt", "--fn", str(fn), "--size", str(oracle.OPT_MAX_SIZE), "--out", str(out)])
         assert rc == 0
         checks = read_json(out / "summary.json")["checks"]
         assert checks["witness-distance-matches"] is True

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topdowndt import tree as treemod
-from topdowndt.boolfn import BoolFunc, derived_rng, random_monotone
+from topdowndt.boolfn import BoolFunc, coordinate_mask, derived_rng, random_monotone
 from topdowndt.oracle import OPT_MAX_ARITY, OptTable, _jz_holds, opt, verify_jz
 from topdowndt.tree import distance, random_monotone_tree, size
 
@@ -153,8 +154,8 @@ class TestOptPinned:
 
 
 @st.composite
-def _tables(draw):
-    n = draw(st.integers(1, 6))
+def _tables(draw, max_arity=6):
+    n = draw(st.integers(1, max_arity))
     return BoolFunc(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
 
 
@@ -172,8 +173,9 @@ class TestOptTableReuse:
 
 
 class TestOptAgainstReference:
-    """The lane-packed tables against the memoized recursive search they
-    replaced: equal errors and equal witness trees at every budget."""
+    """The uint16 budget tables against the memoized recursive search they
+    replaced: equal errors and equal witness trees at every budget, and
+    equal counts for every subcube."""
 
     @staticmethod
     def _assert_same(f, sizes):
@@ -191,10 +193,40 @@ class TestOptAgainstReference:
     def test_monotone_n8(self, seed):
         self._assert_same(random_monotone(8, seed), range(1, 17))
 
+    @staticmethod
+    def _assert_every_lane(f):
+        """Every subcube's count at every budget 1..2^n, not only the root's."""
+        n, fast, ref = f.n, OptTable(f), RefOptTable(f)
+        budgets = range(1, (1 << n) + 1)
+        fast.error(budgets[-1])
+        full = (1 << (1 << n)) - 1
+        for digits in itertools.product(range(3), repeat=n):  # digits[k]: x_{k+1} -1, +1, free
+            lane = sum(d * 3**k for k, d in enumerate(digits))
+            sub, mask, vals = f.table, 0, 0
+            for k, d in enumerate(digits):
+                if d < 2:
+                    hi = coordinate_mask(n, k + 1)
+                    sub &= hi if d else full ^ hi
+                    mask |= 1 << k
+                    vals |= d << k
+            got = [fast._count(t, lane) for t in budgets]
+            want = [ref._solve(sub, mask, vals, t) for t in budgets]
+            assert got == want, (n, hex(f.table), digits)
+
+    def test_every_lane_n3(self):
+        for bits in range(256):
+            self._assert_every_lane(BoolFunc(3, bits))
+
+    @given(f=_tables(max_arity=5))
+    @settings(max_examples=100, deadline=None)
+    def test_every_lane_random_tables(self, f):
+        self._assert_every_lane(f)
+
     def test_widest_lanes(self):
-        # at the arity cap a lane holds counts up to 2^12 (the constant
-        # functions'), with the guard bit just above: lanes one bit
-        # narrower get the constant-1 table wrong
+        # at the arity cap the counts are widest: the constant-1 table puts
+        # 4096 ones in the top lane, and parity's and a random table's
+        # errors there are near 2^11, past uint8's 255, so uint8 tables get
+        # those two wrong
         n = OPT_MAX_ARITY
         full = (1 << (1 << n)) - 1
         rng = derived_rng(0, "oracle", "edge")

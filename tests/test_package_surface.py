@@ -12,10 +12,17 @@ No subcommand takes a flag it never reads: each field in a SUBCOMMANDS
 entry's flags is read as an attribute of the config by its runner, or by a
 module-level cli function that the runner (or such a function) passes the
 config to.
+
+Every module the package imports is declared: the standard library, the
+package itself, or a [project].dependencies entry of pyproject.toml.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 from topdowndt import cli
 
@@ -114,3 +121,26 @@ def test_every_subcommand_flag_is_read():
         if set(command.flags) - reads:
             unread[kind] = sorted(set(command.flags) - reads)
     assert unread == {}
+
+
+def test_every_import_is_declared():
+    """Each module the package imports, at module top or inside a function,
+    is in the standard library, is the package's own, or is named in
+    pyproject.toml's [project].dependencies."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep)[0] for dep in pyproject["project"]["dependencies"]}
+    imported = {}  # top-level module -> a file that imports it
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import is the package's own
+            for name in names:
+                imported.setdefault(name.partition(".")[0], path.name)
+    assert "numpy" in imported  # the oracle's, inside its methods
+    known = sys.stdlib_module_names | {PACKAGE.name} | declared
+    assert {m: f for m, f in imported.items() if m not in known} == {}
