@@ -121,9 +121,6 @@ class SubcubeView:
         """Points misclassified by the majority label on this subcube."""
         return min(self.ones, self.size - self.ones)
 
-    def is_constant(self) -> bool:
-        return self.ones == 0 or self.ones == self.size
-
     def _local(self, coord: int) -> int:
         """Local index bit of a free coordinate."""
         if not self.free:

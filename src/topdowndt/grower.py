@@ -33,20 +33,18 @@ _greedy).
 
 grow() runs on any function exposing the cursor interface below;
 boolfn truth tables and the structured hard instances both do.  A
-cursor views one leaf's restriction, a subcube of size = 2^free points;
-growth reads its size, ones(), candidate_coords(),
-child_expectations(coord), influence_num(coord), total_influence_num()
-and split(coord) -> (hi, lo).  Every number a cursor returns is an
-integer count over its size, or that ratio as an int / int float:
-ones() = E[f_l] * size, influence_num(coord) = Inf_i * size and
-total_influence_num() = Inf * size, and child_expectations(coord) is the
-children's (hi, lo) ones over size / 2 as floats.  candidate_coords() are
-free coordinates in ascending order, and a listed coordinate may stand
-for larger free ones whose children equal its own.  Such a coordinate
-scores exactly what the smaller one scored, and the leader's score only
-rises during the scan, so it could never displace the leader: skipping
-it leaves the pick unchanged.  A table cursor lists every free
-coordinate; the hard-instance cursor one per orbit.
+cursor views one leaf's restriction, a subcube of size = 2^free points,
+and has four members: size, ones = E[f_l] * size, candidates() and
+split(coord) -> (hi, lo).  candidates() gives one row per candidate
+coordinate, in ascending coordinate order: (coord, members, hi ones, lo
+ones, pairs), where hi and lo ones count the children's 1s over size / 2
+each and pairs = Inf_i * size / 2 counts the pairs of points across the
+coordinate on which f differs.  A row may stand for `members` free
+coordinates in all: the larger free ones whose children equal its own.
+Such a coordinate scores exactly what the row scored, and the leader's
+score only rises during the scan, so it could never displace the leader:
+skipping it leaves the pick unchanged.  A table cursor lists every free
+coordinate, members 1; the hard-instance cursor one per orbit.
 
 Growth is monitored: every iteration appends a TraceStep carrying the
 exact distance of the f-completion, the impurity potential, and the
@@ -73,6 +71,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from .boolfn import BoolFunc, SubcubeView, is_monotone
 from .impurity import ImpuritySpec, evaluate
@@ -90,48 +89,21 @@ CHECK_TOL = 1e-12
 class TableCursor:
     """Cursor over a boolfn truth table: the grower's view of one leaf.
 
-    The first influence read fills every free coordinate's (hi ones, lo
-    ones, influence pairs), from one pair of halves each (see
-    SubcubeView.coord_counts), so total_influence_num() and the gain scan
-    share them.  A constant leaf fills none.
+    candidates() reads every free coordinate's row from one
+    SubcubeView.coord_counts(); pairs is the XOR popcount of the halves,
+    since a table need not be monotone.
     """
 
-    __slots__ = ("view", "size", "_counts")
+    __slots__ = ("view", "size", "ones")
 
     def __init__(self, view: SubcubeView):
         self.view = view
         self.size = view.size
-        self._counts = None
+        self.ones = view.ones
 
-    def _all_counts(self) -> tuple[int, ...]:
-        if self._counts is None:
-            self._counts = self.view.coord_counts()
-        return self._counts
-
-    def _counts_of(self, coord: int) -> tuple[int, ...]:
-        j = 3 * self.view.free.index(coord)
-        return self._all_counts()[j : j + 3]
-
-    def ones(self) -> int:
-        return self.view.ones
-
-    def candidate_coords(self) -> tuple[int, ...]:
-        return tuple(sorted(self.view.free))
-
-    def child_expectations(self, coord: int) -> tuple[float, float]:
-        # int / int is correctly rounded: the float of the exact ratio
-        hi_ones, lo_ones, _ = self._counts_of(coord)
-        half = self.size >> 1
-        return hi_ones / half, lo_ones / half
-
-    def influence_num(self, coord: int) -> int:
-        # Inf_i = pairs / 2^(free-1), so Inf_i * size = 2 * pairs
-        return 2 * self._counts_of(coord)[2]
-
-    def total_influence_num(self) -> int:
-        if self.view.is_constant():  # every influence is 0: no counts needed
-            return 0
-        return 2 * sum(self._all_counts()[2::3])
+    def candidates(self) -> list[tuple[int, int, int, int, int]]:
+        counts = self.view.coord_counts()
+        return sorted(zip(self.view.free, repeat(1), counts[0::3], counts[1::3], counts[2::3]))
 
     def split(self, coord: int) -> tuple["TableCursor", "TableCursor"]:
         hi, lo = self.view.split(coord)
@@ -255,7 +227,12 @@ class _LeafState:
     _split_paths).
 
     Here scale = 2^n (free + depth = n at every leaf), so err is
-    min(ones, size - ones) and u_term is total influence * size.
+    min(ones, size - ones), and the leaf is active exactly when err != 0.
+    An active leaf reads its cursor's candidates() once: the gain scan
+    reads each row's hi and lo ones; 2 * pairs is Inf_i * size, the
+    influence rule's score (2^-depth * Inf_i * scale) and, on the chosen
+    row, inf_split's numerator; u_term, total influence times size, is
+    2 * the sum of members * pairs.  A constant leaf's influences are all 0.
     """
 
     __slots__ = (
@@ -271,6 +248,7 @@ class _LeafState:
         "score",
         "best_gain",
         "best_coord",
+        "best_inf",
         "inf_split",
     )
 
@@ -283,12 +261,10 @@ class _LeafState:
         self.depth = depth
         self.inf_split = None
         size = cursor.size
-        self.ones = ones = cursor.ones()
+        self.ones = ones = cursor.ones
         self.label = 1 if 2 * ones >= size else 0
         self.err = min(ones, size - ones)
-        self.u_term = cursor.total_influence_num()
-        candidates = cursor.candidate_coords()
-        self.active = bool(candidates) and self.err != 0
+        self.active = self.err != 0
         # G(E[f_l]) is read by the gain scan and, at the root, by _greedy;
         # int / int is correctly rounded, so it is G(float(E[f_l]))
         g_here = None
@@ -296,31 +272,27 @@ class _LeafState:
             g_here = evaluate(spec, ones / size)
         self.g_term = None if g_here is None else math.ldexp(g_here, -depth)
         self.score = self.best_gain = -math.inf
-        self.best_coord = None
+        self.best_coord = self.best_inf = None
         if not self.active:
+            self.u_term = 0
             return
+        rows = cursor.candidates()
+        self.u_term = 2 * sum(members * pairs for _, members, _, _, pairs in rows)
+        best = -math.inf
         if spec is not None:
-            best = -math.inf
-            best_coord = None
-            for coord in candidates:
-                e_hi, e_lo = cursor.child_expectations(coord)
-                local = g_here - 0.5 * (evaluate(spec, e_hi) + evaluate(spec, e_lo))
+            half = size >> 1
+            for coord, _, hi, lo, pairs in rows:
+                # int / int is correctly rounded: the float of the exact ratio
+                local = g_here - 0.5 * (evaluate(spec, hi / half) + evaluate(spec, lo / half))
                 gain = math.ldexp(local, -depth)
                 if gain > best + GAIN_TOL:
-                    best = gain
-                    best_coord = coord
+                    best, self.best_coord, self.best_inf = gain, coord, 2 * pairs
             self.score = self.best_gain = best
-            self.best_coord = best_coord
         else:
-            best = -1
-            best_coord = None
-            for coord in candidates:
-                inf = cursor.influence_num(coord)  # Inf_i * size = 2^-depth * Inf_i * scale
-                if inf > best:
-                    best = inf
-                    best_coord = coord
-            self.best_coord = best_coord
-            self.score = best
+            for coord, _, _, _, pairs in rows:
+                if 2 * pairs > best:
+                    best, self.best_coord = 2 * pairs, coord
+            self.score = self.best_inf = best
             # the gain column records the score's float value
             self.best_gain = best / (size << depth)
 
@@ -334,7 +306,7 @@ class _LeafState:
 
     def children(self) -> tuple["_LeafState", "_LeafState"]:
         cursor = self.cursor
-        self.inf_split = Fraction(cursor.influence_num(self.best_coord), cursor.size)
+        self.inf_split = Fraction(self.best_inf, cursor.size)
         hi_cur, lo_cur = cursor.split(self.best_coord)
         depth = self.depth + 1
         return _LeafState(hi_cur, depth, self.spec), _LeafState(lo_cur, depth, self.spec)

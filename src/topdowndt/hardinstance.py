@@ -12,12 +12,13 @@ the target is
 
 All coordinates enter positively, so f is monotone.  Probabilities under
 the uniform distribution factor over terms (their coordinate sets are
-disjoint), which gives closed forms for the expectation and every
-coordinate influence under any restriction, each an integer count over a
-power of two (a term with j free coordinates misses 2^j - 1 of its 2^j
-settings).  Those closed forms back a grower cursor, so greedy growth
-runs on instances far beyond truth-table size; the root cursor's count
-gives the instance's expectation.
+disjoint), which gives a closed form for the expectation under any
+restriction, an integer count over a power of two (a term with j free
+coordinates misses 2^j - 1 of its 2^j settings).  Since f is monotone,
+every influence is a difference of two of them:
+Inf_i = E[f | x_i = +1] - E[f | x_i = -1].  That closed form backs a
+grower cursor, so greedy growth runs on instances far beyond truth-table
+size; the root cursor's count gives the instance's expectation.
 
 The cursor holds each term's free count (None once the term is dead),
 the free y count u with the fixed y's sum sigma, and the fixed set.
@@ -26,9 +27,9 @@ or a scored candidate costs O(m), with no rescan of the restriction.
 The free coordinates fall into orbits whose members give equal children:
 the free x's of each live term, the inert x's (those of dead terms and
 the slack x's beyond m*w, whose children equal the parent), and the free
-y's.  Members of an orbit share one influence, and the grower scores a
-candidate once per orbit, on its smallest member (candidate_coords), so
-a leaf costs O(m) candidates rather than O(ell + k).
+y's.  Members of an orbit share one influence, and the cursor lists one
+candidate per orbit, on its smallest member, with the orbit's size
+(candidates), so a leaf costs O(m) candidates rather than O(ell + k).
 
 Parameter choice: w is picked so Pr[T] is as close to 1/2 as possible
 subject to m = ell//w >= 2, and m' < m so Pr[T'] is nearest 499/1000
@@ -156,12 +157,6 @@ def _maj_count(u: int, sigma: int) -> int:
     return _tail_row(u)[min(u + 1, max(0, (u - sigma) // 2 + 1))]
 
 
-def _tie_count(u: int, sigma: int) -> int:
-    """2^u * Pr[sigma + (sum of u fresh signs) == 0]."""
-    t, odd = divmod(u - sigma, 2)
-    return 0 if odd or t < 0 else math.comb(u, t)
-
-
 # ---------------------------------------------------------------------------
 # the instance
 # ---------------------------------------------------------------------------
@@ -189,8 +184,7 @@ class HardInstance:
     @property
     def expectation(self) -> Fraction:
         c = self.root_cursor()
-        # the closed form itself: cursor method calls are growth work, which traced runs count
-        return Fraction(c._ones(c.live, c.u, c.sigma, c.nfree), c.size)
+        return Fraction(c.ones, c.size)
 
     @property
     def distance_to_terms(self) -> Fraction:
@@ -250,23 +244,22 @@ def _label(p: TribesParams, x) -> int:
 
 
 class _HardCursor:
-    """Grower cursor over the closed forms: the state of one restriction.
+    """Grower cursor over the closed form: the state of one restriction.
 
     live[j] is the number of free coordinates of term j + 1, or None once
     one of them is fixed to -1 (the term is dead); u is the number of free
     y's and sigma the sum of the fixed ones; fixed is the set of fixed
-    coordinates.  candidate_coords() lists one coordinate per orbit (see
-    the module docstring), so the grower scores each orbit once.  misses
-    maps live to its _misses counts (a, A, c, C); every cursor split from
-    one root shares it, so a growth computes them once per distinct live.
+    coordinates.  misses maps live to its _misses counts (a, A, c, C);
+    every cursor split from one root shares it, so a growth computes them
+    once per distinct live.
 
-    size = 2^nfree, and every closed form is an integer count over it: with
+    size = 2^nfree, and ones = 2^nfree * E[f] is an integer count: with
     rest = a * 2^(C - A) - c = 2^C * Pr[T and not T'] and maj = 2^u * Pr[Maj],
-    ones() = 2^nfree - a * 2^(nfree - A) + rest * maj * 2^(nfree - C - u).
+    ones = 2^nfree - a * 2^(nfree - A) + rest * maj * 2^(nfree - C - u).
     The live x's and free y's are free coordinates, so C + u <= nfree and no
-    shift is negative.  influence_num() and total_influence_num() are Inf_i
-    and Inf times size; child_expectations() the children's ones over
-    size / 2, as floats.
+    shift is negative.  candidates() gives one row per orbit (see the
+    module docstring), whose hi and lo ones are the same count on the
+    children; f is monotone, so the row's pairs is hi - lo.
     """
 
     __slots__ = ("inst", "fixed", "live", "u", "sigma", "misses", "nfree", "size")
@@ -291,7 +284,6 @@ class _HardCursor:
 
     def _step(self, coord: int, v: int) -> tuple[tuple, int, int]:
         """(live, u, sigma) once the free coordinate coord is fixed to v."""
-        self._check_free(coord)
         p = self.inst.params
         if coord > p.ell:
             return self.live, self.u - 1, self.sigma + v
@@ -316,82 +308,45 @@ class _HardCursor:
         rest = (a << (C - A)) - c
         return (1 << nfree) - (a << (nfree - A)) + (rest * _maj_count(u, sigma) << (nfree - C - u))
 
-    def _x_influence_num(self, j: int) -> int:
-        """Influence of each free coordinate of the live term j + 1, times size."""
-        # Pr[no other prime term fires] = a / 2^A, Pr[no other term fires] = c / 2^C
-        a, A, c, C = self._misses(self.live[:j] + (None,) + self.live[j + 1 :])
-        u = self.u
-        maj = _maj_count(u, self.sigma)
-        if j < self.inst.params.m_prime:
-            # flip moves T'; f changes unless another prime term fires, or a
-            # plain term fires together with a positive majority
-            num = (c << u) + ((a << (C - A)) - c) * ((1 << u) - maj)
-        else:
-            # flip moves T only; f changes iff no other term fires and Maj = 1
-            num = c * maj
-        # over 2^(C + u), times the pivot 2^(1 - live[j]): the term's other
-        # free coordinates are +1
-        return num << (self.nfree + 1 - self.live[j] - C - u)
-
-    def _y_influence_num(self) -> int:
-        # a y flip matters iff the rest event holds and the other y's tie
-        a, A, c, C = self._misses(self.live)
-        rest = (a << (C - A)) - c
-        return rest * _tie_count(self.u - 1, self.sigma) << (self.nfree + 1 - C - self.u)
-
+    @property
     def ones(self) -> int:
         return self._ones(self.live, self.u, self.sigma, self.nfree)
 
-    def candidate_coords(self) -> tuple[int, ...]:
-        """The smallest free coordinate of each orbit, ascending: one per
-        live term with a free x, one inert x, one y."""
+    def candidates(self) -> list[tuple[int, int, int, int, int]]:
+        """(coord, members, hi ones, lo ones, pairs) of each orbit, on its
+        smallest free coordinate, ascending: one per live term with a free
+        x, one for the inert x's, one for the y's."""
         p = self.inst.params
         fixed = self.fixed
-        out = []
+        orbits = []  # (smallest member, members)
         inert = None
+        inert_count = self.nfree - self.u  # the free x's, less each live term's
         for j, free in enumerate(self.live):
             if free == 0:
                 continue  # every x of the term is fixed to +1
             first = next((c for c in p.term_coords(j + 1) if c not in fixed), None)
             if free is not None:
-                out.append(first)
+                orbits.append((first, free))
+                inert_count -= free
             elif inert is None:
                 inert = first
         if inert is None:  # no free x in a dead term: try the slack x's
             inert = next((c for c in range(p.m * p.w + 1, p.ell + 1) if c not in fixed), None)
         if inert is not None:
-            out.append(inert)
-            out.sort()
+            orbits.append((inert, inert_count))
+            orbits.sort()
         if self.u:
-            out.append(next(c for c in self.inst.y_coords() if c not in fixed))
-        return tuple(out)
-
-    def child_expectations(self, coord: int) -> tuple[float, float]:
-        # int / int is correctly rounded: the float of the exact ratio
-        half, nfree = self.size >> 1, self.nfree - 1
-        hi = self._ones(*self._step(coord, 1), nfree)
-        return hi / half, self._ones(*self._step(coord, -1), nfree) / half
-
-    def influence_num(self, coord: int) -> int:
-        """Influence of coord times size."""
-        self._check_free(coord)
-        p = self.inst.params
-        if coord > p.ell:
-            return self._y_influence_num()
-        j = (coord - 1) // p.w
-        if j >= p.m or self.live[j] is None:
-            return 0  # slack coordinate, or its term is dead
-        return self._x_influence_num(j)
-
-    def total_influence_num(self) -> int:
-        """Total influence times size."""
-        # every free x of a live term shares its term's value, every free y one value
-        total = sum(free * self._x_influence_num(j) for j, free in enumerate(self.live) if free)
-        if self.u:
-            total += self.u * self._y_influence_num()
-        return total
+            orbits.append((next(c for c in self.inst.y_coords() if c not in fixed), self.u))
+        nfree = self.nfree - 1
+        rows = []
+        for coord, members in orbits:
+            hi = self._ones(*self._step(coord, 1), nfree)
+            lo = self._ones(*self._step(coord, -1), nfree)
+            rows.append((coord, members, hi, lo, hi - lo))
+        return rows
 
     def split(self, coord: int) -> tuple["_HardCursor", "_HardCursor"]:
+        self._check_free(coord)
         return self._fix(coord, 1), self._fix(coord, -1)
 
 

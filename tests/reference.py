@@ -12,10 +12,14 @@ Table references: expectation, bias, influence, correlation and
 total_influence of f under a fixed assignment {coord: +-1}, read through
 SubcubeView.split (view_at; path_assignment is a leaf's assignment).  They
 back criterion 1, the per-leaf reads of test_tree_walks and the
-hard-instance checks against hard_table(h), whose other side,
-hard_expectation and hard_influence, reads the cursor's closed forms at an
-assignment.  hard_table is the instance's truth table (arity
-<= 24); terms_boolfunc, terms_tree and terms_tree_size are its terms block
+hard-instance checks against hard_table(h).  hard_expectation reads the
+cursor's closed form at an assignment.  The Fraction closed forms that the
+cursor's integer counts replaced are kept as a reference with no cursor in
+them: ref_state reads (live, u, sigma) off the assignment, and
+ref_expectation and ref_influence (behind hard_influence) give E[f] and
+Inf_i from it.  ref_influence is the direct influence formula, not the
+difference of the children's expectations that the cursor uses for a
+monotone f.  hard_table is the instance's truth table (arity <= 24); terms_boolfunc, terms_tree and terms_tree_size are its terms block
 T and T's chain tree (criterion 8's T').  coordinate_points is the
 Monte-Carlo draw that hardinstance.labeled_points batches: one
 rng.random() per coordinate.  trace_of turns any binary tree into a
@@ -46,6 +50,7 @@ and every labeled tree up to a leaf count, for brute-force checks at small n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -241,13 +246,80 @@ def influence_potential(t, f: BoolFunc) -> Fraction:
 def hard_expectation(h, fixed: dict[int, int] | None = None) -> Fraction:
     """E[f] on the subcube, read off the cursor's closed form."""
     cursor = _restrict(h.root_cursor(), fixed)
-    return Fraction(cursor.ones(), cursor.size)
+    return Fraction(cursor.ones, cursor.size)
 
 
 def hard_influence(h, fixed: dict[int, int] | None, i: int) -> Fraction:
-    """Inf_i(f) on the subcube, read off the cursor's closed form."""
-    cursor = _restrict(h.root_cursor(), fixed)
-    return Fraction(cursor.influence_num(i), cursor.size)
+    """Inf_i(f) on the subcube, from the Fraction closed form."""
+    return ref_influence(h, ref_state(h, fixed or {}), i)
+
+
+def ref_state(h, fixed: dict[int, int]) -> tuple[tuple, int, int]:
+    """(live, u, sigma) of the restriction fixed = {coord: +-1}: each term's
+    free count (None once a coordinate is -1), the free y's and the fixed
+    y's sum."""
+    p = h.params
+    live = tuple(
+        None if -1 in (vals := [fixed.get(c) for c in p.term_coords(j)]) else vals.count(None)
+        for j in range(1, p.m + 1)
+    )
+    ys = [fixed[c] for c in h.y_coords() if c in fixed]
+    return live, h.k - len(ys), sum(ys)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_misses(h, live) -> tuple[Fraction, Fraction]:
+    """(Pr[not T'], Pr[not T]) for the live counts."""
+
+    def miss(terms):
+        out = Fraction(1)
+        for free in terms:
+            if free is not None:
+                out *= 1 - Fraction(1, 1 << free)
+        return out
+
+    qp = miss(live[: h.params.m_prime])
+    return qp, qp * miss(live[h.params.m_prime :])
+
+
+@functools.lru_cache(maxsize=None)
+def ref_maj(u: int, sigma: int) -> Fraction:
+    """Pr[sigma + (sum of u fresh signs) > 0], summed term by term."""
+    t0 = max(0, (u - sigma) // 2 + 1)
+    return Fraction(sum(math.comb(u, t) for t in range(t0, u + 1)), 1 << u)
+
+
+def _ref_tie(u: int, sigma: int) -> Fraction:
+    """Pr[sigma + (sum of u fresh signs) == 0]."""
+    t = (u - sigma) // 2
+    return Fraction(0) if (u - sigma) % 2 or not 0 <= t <= u else Fraction(math.comb(u, t), 1 << u)
+
+
+def ref_expectation(h, fixed: dict[int, int]) -> Fraction:
+    live, u, sigma = ref_state(h, fixed)
+    qp, q = _ref_misses(h, live)
+    return (1 - qp) + (qp - q) * ref_maj(u, sigma)
+
+
+def ref_influence(h, state, coord: int) -> Fraction:
+    """Inf_coord(f) on the restriction with ref_state `state`: the
+    probability that flipping coord changes f."""
+    p = h.params
+    live, u, sigma = state
+    if coord > p.ell:
+        # a y flip matters iff T holds, T' fails and the other y's tie
+        qp, q = _ref_misses(h, live)
+        return (qp - q) * _ref_tie(u - 1, sigma)
+    j = (coord - 1) // p.w
+    if j >= p.m or live[j] is None:
+        return Fraction(0)  # slack coordinate, or its term is dead
+    # the term's other free coordinates are +1 (the pivot), and then a
+    # prime term's flip matters unless another prime term fires, or a plain
+    # one fires with a positive majority; a plain term's iff no other term
+    # fires and the majority is positive
+    a, b = _ref_misses(h, live[:j] + (None,) + live[j + 1 :])
+    pivot, mp = Fraction(1, 1 << (live[j] - 1)), ref_maj(u, sigma)
+    return pivot * (b + (a - b) * (1 - mp)) if j < p.m_prime else pivot * b * mp
 
 
 def hard_table(h) -> BoolFunc:

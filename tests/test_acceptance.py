@@ -229,6 +229,9 @@ def test_criterion_07_hard_instance_identities():
         assert h.expectation == expectation(F)
         for i in range(1, n + 1):
             assert hard_influence(h, None, i) == influence(F, None, i)
+        cursor = h.root_cursor()
+        for c, _, _, _, pairs in cursor.candidates():
+            assert Fraction(2 * pairs, cursor.size) == influence(F, None, c)
         T = terms_boolfunc(h)
         mismatches = sum(
             1

@@ -15,7 +15,7 @@ from topdowndt.boolfn import (
     random_monotone,
     to_spec,
 )
-from topdowndt.grower import GrowthConfig, grow
+from topdowndt.grower import GrowthConfig, TableCursor, grow
 from topdowndt.impurity import builtin
 
 from reference import (
@@ -194,6 +194,18 @@ class TestSubcubeView:
             want += (*sides, brute_influence(f, lo, c) * half)
         assert view.coord_counts() == tuple(want)
 
+    @given(table=st.integers(0, (1 << 32) - 1), fixed=st.sampled_from(((), (2,), (5, 1), (1, 5, 3))))
+    def test_table_cursor_rows_hold_coord_counts_in_coordinate_order(self, table, fixed):
+        # a split moves the top coordinate into the split slot, so the
+        # view's local order is not ascending; the rows are
+        view = SubcubeView.of_function(BoolFunc(5, table))
+        for c in fixed:
+            view = view.split(c)[1]
+        counts = view.coord_counts()
+        by_coord = {c: counts[3 * j : 3 * j + 3] for j, c in enumerate(view.free)}
+        rows = TableCursor(view).candidates()
+        assert rows == [(c, 1, *by_coord[c]) for c in sorted(view.free)]
+
     @given(data=st.data())
     def test_split_chain_keeps_every_bit_in_place(self, data):
         # bit p of a view's table is f at the point whose free[q] is +1 iff bit q of p is set
@@ -226,8 +238,10 @@ class TestSubcubeView:
             view.split(1)
 
     def test_constant_detection(self):
-        assert SubcubeView.of_function(constant(3, 1)).is_constant()
-        assert not SubcubeView.of_function(majority(3)).is_constant()
+        # a constant view is the one its majority label gets entirely right
+        assert SubcubeView.of_function(constant(3, 1)).error_count() == 0
+        assert SubcubeView.of_function(constant(3, 0)).error_count() == 0
+        assert SubcubeView.of_function(majority(3)).error_count() != 0
 
 
 class TestConstructors:

@@ -141,7 +141,7 @@ def _cursor_replay(h, trace, sizes):
     t = PartialTree(Leaf())
 
     def labeled():
-        return label_leaves(t, [1 if 2 * c.ones() >= c.size else 0 for c in cursors])
+        return label_leaves(t, [1 if 2 * c.ones >= c.size else 0 for c in cursors])
 
     out = {1: labeled()} if 1 in want else {}
     for step in trace.steps:

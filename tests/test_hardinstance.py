@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 from fractions import Fraction
@@ -34,6 +33,10 @@ from reference import (
     hard_table,
     influence,
     point_of,
+    ref_expectation,
+    ref_influence,
+    ref_maj,
+    ref_state,
     terms_boolfunc,
     terms_tree,
     terms_tree_size,
@@ -166,7 +169,8 @@ class TestAgainstEnumeration:
         for i in range(1, h.arity + 1):
             assert hard_influence(h, None, i) == influence(F, None, i)
         cursor = h.root_cursor()
-        assert Fraction(cursor.total_influence_num(), cursor.size) == total_influence(F)
+        u_num = 2 * sum(members * pairs for _, members, _, _, pairs in cursor.candidates())
+        assert Fraction(u_num, cursor.size) == total_influence(F)
 
     @given(data=st.data())
     @settings(max_examples=50)
@@ -192,7 +196,7 @@ class TestAgainstEnumeration:
     data=st.data(),
 )
 def test_cursor_split_chains_match_table(ell, k, data):
-    """Every cursor method, along random split chains, against the truth table."""
+    """Every cursor member, along random split chains, against the truth table."""
     h = choose_params(ell, k)
     n = h.arity
     cursor = h.root_cursor()
@@ -203,27 +207,31 @@ def test_cursor_split_chains_match_table(ell, k, data):
     while True:
         free = tuple(sorted(view.free))
         assert free == tuple(c for c in range(1, n + 1) if c not in cursor.fixed)
-        assert (cursor.ones(), cursor.size) == (view.ones, view.size)
+        assert (cursor.ones, cursor.size) == (view.ones, view.size)
         half = view.size >> 1
-        table = TableCursor(view)
         reads = {}  # each free coordinate's children's ones and influence, from the table
         for c in free:
             hi, lo = view.split(c)
             reads[c] = hi.ones, lo.ones, influence(F, fixed, c)
-            pair = cursor.child_expectations(c)
-            assert pair == table.child_expectations(c) == (hi.ones / half, lo.ones / half)
-            assert all(type(e) is float for e in (*pair, *table.child_expectations(c)))
-            assert Fraction(cursor.influence_num(c), cursor.size) == reads[c][2]
-        # one candidate per orbit: each free coordinate has a listed
+        table_rows = TableCursor(view).candidates()
+        assert [row[0] for row in table_rows] == list(free)
+        for c, members, hi_ones, lo_ones, pairs in table_rows:
+            assert (members, hi_ones, lo_ones, Fraction(pairs, half)) == (1, *reads[c])
+        # one row per orbit: each free coordinate has a listed
         # representative at or below it with equal children and influence
-        reps = cursor.candidate_coords()
-        assert list(reps) == sorted(set(reps)) and set(reps) <= set(free)
+        rows = cursor.candidates()
+        reps = [row[0] for row in rows]
+        assert reps == sorted(set(reps)) and set(reps) <= set(free)
+        for c, _, hi_ones, lo_ones, pairs in rows:
+            assert all(type(v) is int for v in (hi_ones, lo_ones, pairs))
+            assert (hi_ones, lo_ones, Fraction(pairs, half)) == reads[c]
         for c in free:
             assert any(reads[r] == reads[c] for r in reps if r <= c), c
-        assert Fraction(cursor.total_influence_num(), cursor.size) == total_influence(F, fixed)
+        u_num = 2 * sum(members * pairs for _, members, _, _, pairs in rows)
+        assert Fraction(u_num, cursor.size) == total_influence(F, fixed)
         for c in (*fixed, 0, n + 1):
             with pytest.raises(ValueError):
-                cursor.influence_num(c)
+                cursor.split(c)
         if len(fixed) == steps:
             break
         c = data.draw(st.sampled_from(free))
@@ -233,72 +241,69 @@ def test_cursor_split_chains_match_table(ell, k, data):
         fixed[c] = 1 - 2 * side
 
 
-# The Fraction closed forms the cursor's integer counts replaced, kept as a
-# reference; the state is read off the assignment, not the cursor.
-
-
-def _ref_state(h, fixed):
-    """(live, u, sigma) of the restriction fixed = {coord: +-1}."""
+def _orbit(h, fixed, coord):
+    """The free coordinates in coord's orbit, read off the assignment: the
+    free y's, the free x's of coord's live term, or the inert x's (those of
+    dead terms and the slack x's)."""
     p = h.params
-    live = tuple(
-        None if -1 in (vals := [fixed.get(c) for c in p.term_coords(j)]) else vals.count(None)
-        for j in range(1, p.m + 1)
-    )
-    ys = [fixed[c] for c in h.y_coords() if c in fixed]
-    return live, h.k - len(ys), sum(ys)
+
+    def term(c):  # the live term of x c, or None when x c is inert
+        j = (c - 1) // p.w
+        live = j < p.m and -1 not in (fixed.get(t) for t in p.term_coords(j + 1))
+        return j if live else None
+
+    free = [c for c in range(1, h.arity + 1) if c not in fixed]
+    if coord > p.ell:
+        return [c for c in free if c > p.ell]
+    return [c for c in free if c <= p.ell and term(c) == term(coord)]
 
 
-@functools.lru_cache(maxsize=None)
-def _ref_misses(h, live):
-    def miss(terms):
-        out = Fraction(1)
-        for free in terms:
-            if free is not None:
-                out *= 1 - Fraction(1, 1 << free)
-        return out
-
-    qp = miss(live[: h.params.m_prime])
-    return qp, qp * miss(live[h.params.m_prime :])
-
-
-@functools.lru_cache(maxsize=None)
-def _ref_maj(u, sigma):
-    t0 = max(0, (u - sigma) // 2 + 1)
-    return Fraction(sum(math.comb(u, t) for t in range(t0, u + 1)), 1 << u)
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(2, 10), st.sampled_from((1, 3, 5, 7))),
+        st.sampled_from(((44, 63), (8, 1015))),
+    ),
+    data=st.data(),
+)
+def test_split_ones_differ_by_the_influence(shape, data):
+    """f is monotone, so Inf_i * size = 2 * (hi ones - lo ones) of split(i)
+    for every free coordinate i, not only the orbit representatives.  The
+    influence comes from the truth table where it fits (ell <= 10, k <= 7),
+    else from the Fraction closed form.  Each row's members is the size of
+    its orbit, and the rows' orbits partition the free coordinates."""
+    h = choose_params(*shape)
+    F = hard_table(h) if h.arity <= 17 else None
+    cursor = h.root_cursor()
+    fixed = {}
+    steps = data.draw(st.integers(0, 6))
+    while True:
+        state = ref_state(h, fixed)
+        free = [c for c in range(1, h.arity + 1) if c not in fixed]
+        for c in free:
+            hi, lo = cursor.split(c)
+            want = influence(F, fixed, c) if F is not None else ref_influence(h, state, c)
+            assert 2 * (hi.ones - lo.ones) == want * cursor.size, c
+        rows = cursor.candidates()
+        orbits = [_orbit(h, fixed, row[0]) for row in rows]
+        assert sorted(c for orbit in orbits for c in orbit) == free
+        for (c, members, *_), orbit in zip(rows, orbits):
+            assert (c, members) == (orbit[0], len(orbit))
+        if len(fixed) == steps:
+            break
+        c = data.draw(st.sampled_from(free))
+        v = data.draw(st.sampled_from((1, -1)))
+        cursor = cursor.split(c)[0 if v == 1 else 1]
+        fixed[c] = v
 
 
 def test_maj_count_matches_the_direct_sum():
     # every sigma from where no sign vector wins to where every one does
     for u in range(81):
         for sigma in range(-u - 1, u + 2):
-            assert _maj_count(u, sigma) == _ref_maj(u, sigma) * (1 << u)
+            assert _maj_count(u, sigma) == ref_maj(u, sigma) * (1 << u)
     for sigma in range(-8, 9):  # a row as long as hard's largest k reaches
-        assert _maj_count(1015, sigma) == _ref_maj(1015, sigma) * (1 << 1015)
-
-
-def _ref_tie(u, sigma):
-    t = (u - sigma) // 2
-    return Fraction(0) if (u - sigma) % 2 or not 0 <= t <= u else Fraction(math.comb(u, t), 1 << u)
-
-
-def _ref_expectation(h, fixed):
-    live, u, sigma = _ref_state(h, fixed)
-    qp, q = _ref_misses(h, live)
-    return (1 - qp) + (qp - q) * _ref_maj(u, sigma)
-
-
-def _ref_influence(h, state, coord):
-    p = h.params
-    live, u, sigma = state
-    if coord > p.ell:
-        qp, q = _ref_misses(h, live)
-        return (qp - q) * _ref_tie(u - 1, sigma)
-    j = (coord - 1) // p.w
-    if j >= p.m or live[j] is None:
-        return Fraction(0)
-    a, b = _ref_misses(h, live[:j] + (None,) + live[j + 1 :])
-    pivot, mp = Fraction(1, 1 << (live[j] - 1)), _ref_maj(u, sigma)
-    return pivot * (b + (a - b) * (1 - mp)) if j < p.m_prime else pivot * b * mp
+        assert _maj_count(1015, sigma) == ref_maj(1015, sigma) * (1 << 1015)
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,17 +317,18 @@ def test_cursor_counts_match_fraction_reference(shape, data):
     steps = data.draw(st.integers(0, 24))
     while True:
         size = cursor.size
-        state = _ref_state(h, fixed)
+        state = ref_state(h, fixed)
         assert size == 1 << (h.arity - len(fixed))
-        assert cursor.ones() == _ref_expectation(h, fixed) * size
-        for c in cursor.candidate_coords():
-            pair = cursor.child_expectations(c)
-            assert all(type(e) is float for e in pair)
-            assert pair == tuple(float(_ref_expectation(h, {**fixed, c: v})) for v in (1, -1))
-            assert cursor.influence_num(c) == _ref_influence(h, state, c) * size
+        assert cursor.ones == ref_expectation(h, fixed) * size
+        rows = cursor.candidates()
+        for c, _, hi_ones, lo_ones, pairs in rows:
+            assert (hi_ones, lo_ones) == tuple(
+                ref_expectation(h, {**fixed, c: v}) * (size >> 1) for v in (1, -1)
+            )
+            assert 2 * pairs == ref_influence(h, state, c) * size
         free = [c for c in range(1, h.arity + 1) if c not in fixed]
-        total = sum(_ref_influence(h, state, c) for c in free)
-        assert cursor.total_influence_num() == total * size
+        total = sum(ref_influence(h, state, c) for c in free)
+        assert 2 * sum(members * pairs for _, members, _, _, pairs in rows) == total * size
         if len(fixed) == steps:
             break
         c = data.draw(st.sampled_from(free))
