@@ -156,6 +156,8 @@ class ExperimentConfig:
                     f"unknown impurity {self.impurity!r}; use {other} or one of "
                     f"{', '.join(BUILTIN_NAMES)}"
                 ) from None
+        if self.kind == "grow-real" and self.impurity == "influence":
+            raise ConfigError("real-valued growth needs an impurity rule, not influence")
         for name in self.impurities:
             try:
                 builtin(name)
@@ -211,6 +213,13 @@ def _write_csv(path: Path, header, rows) -> None:
 def _write_json(path: Path, value) -> None:
     with open(path, "w") as fh:
         json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_tree(path: Path, t: treemod.Tree) -> None:
+    """_write_json(path, treemod.to_json(t)), byte for byte, at any depth."""
+    with open(path, "w") as fh:
+        fh.write(treemod.to_json_text(t))
         fh.write("\n")
 
 
@@ -447,15 +456,13 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
 
 def _run_grow_real(cfg: ExperimentConfig, out: Path):
     sample, feature_names = _load_real_sample(cfg)
-    if cfg.impurity == "influence":
-        raise ConfigError("real-valued growth needs an impurity rule")
     dtree, trace = grow_real(
         sample,
         GrowthConfig(budget=cfg.budget, impurity=builtin(cfg.impurity), stop_on_zero_gain=True),
         policy=cfg.thresholds,
     )
     files = _write_trace(out, trace)
-    _write_json(out / "tree.json", treemod.to_json(dtree))
+    _write_tree(out / "tree.json", dtree)
     medians = [st.median_split for st in trace.steps]
     summary = {
         "dataset": sample.provenance,

@@ -21,15 +21,20 @@ grower cursor, so greedy growth runs on instances far beyond truth-table
 size; the root cursor's count gives the instance's expectation.
 
 The cursor holds each term's free count (None once the term is dead),
-the free y count u with the fixed y's sum sigma, and the fixed set.
-Fixing a coordinate changes one term's count or (u, sigma), so a split
-or a scored candidate costs O(m), with no rescan of the restriction.
-The free coordinates fall into orbits whose members give equal children:
-the free x's of each live term, the inert x's (those of dead terms and
-the slack x's beyond m*w, whose children equal the parent), and the free
-y's.  Members of an orbit share one influence, and the cursor lists one
-candidate per orbit, on its smallest member, with the orbit's size
-(candidates), so a leaf costs O(m) candidates rather than O(ell + k).
+the free y count u with the fixed y's sum sigma, and the free
+coordinates as one bitmask (bit c set when coordinate c is free).
+Fixing a coordinate clears one bit and changes one term's count or
+(u, sigma), so a split or a scored candidate costs O(m), with no rescan
+of the restriction.  The free coordinates fall into orbits whose members
+give equal children: the free x's of each live term, the inert x's
+(those of dead terms and the slack x's beyond m*w, whose children equal
+the parent), and the free y's.  Members of an orbit share one influence,
+and the cursor lists one candidate per orbit, on its smallest member,
+with the orbit's size (candidates): the lowest set bit of the free mask
+under the orbit's mask, each instance's term and y masks built once.  So
+a leaf costs O(m) candidates rather than O(ell + k).  The miss counts of
+a state's live counts are cached for the process (_misses), as the
+majority counts are (_maj_count).
 
 Parameter choice: w is picked so Pr[T] is as close to 1/2 as possible
 subject to m = ell//w >= 2, and m' < m so Pr[T'] is nearest 499/1000
@@ -57,7 +62,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -194,9 +199,17 @@ class HardInstance:
     def y_coords(self) -> range:
         return range(self.params.ell + 1, self.arity + 1)
 
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], int]:
+        """(term masks, y mask): bit c of term_masks[j] set for each
+        coordinate c of term j + 1, of the y mask for each y."""
+        p = self.params
+        terms = tuple(sum(1 << c for c in p.term_coords(j)) for j in range(1, p.m + 1))
+        return terms, sum(1 << c for c in self.y_coords())
+
     def root_cursor(self) -> "_HardCursor":
         p = self.params
-        return _HardCursor(self, frozenset(), (p.w,) * p.m, self.k, 0, {})
+        return _HardCursor(self, (2 << self.arity) - 2, (p.w,) * p.m, self.k, 0)
 
 
 def choose_params(ell: int, k: int) -> HardInstance:
@@ -208,6 +221,7 @@ def choose_params(ell: int, k: int) -> HardInstance:
     return HardInstance(tribes_params(ell), k)
 
 
+@lru_cache(maxsize=None)  # few distinct live: 552 in criterion 8's growth to 16384 leaves
 def _misses(m_prime: int, live: tuple) -> tuple[int, int, int, int]:
     """(a, A, c, C) with Pr[not T'] = a / 2^A and Pr[not T] = c / 2^C for the
     cursor state's live counts: a term with `free` free coordinates misses
@@ -246,15 +260,14 @@ def _label(p: TribesParams, x) -> int:
 class _HardCursor:
     """Grower cursor over the closed form: the state of one restriction.
 
-    live[j] is the number of free coordinates of term j + 1, or None once
-    one of them is fixed to -1 (the term is dead); u is the number of free
-    y's and sigma the sum of the fixed ones; fixed is the set of fixed
-    coordinates.  misses maps live to its _misses counts (a, A, c, C);
-    every cursor split from one root shares it, so a growth computes them
-    once per distinct live.
+    free has bit c set when coordinate c is free; live[j] is the number of
+    free coordinates of term j + 1, or None once one of them is fixed to
+    -1 (the term is dead); u is the number of free y's and sigma the sum
+    of the fixed ones.
 
     size = 2^nfree, and ones = 2^nfree * E[f] is an integer count: with
-    rest = a * 2^(C - A) - c = 2^C * Pr[T and not T'] and maj = 2^u * Pr[Maj],
+    _misses' (a, A, c, C), rest = a * 2^(C - A) - c = 2^C * Pr[T and not T']
+    and maj = 2^u * Pr[Maj],
     ones = 2^nfree - a * 2^(nfree - A) + rest * maj * 2^(nfree - C - u).
     The live x's and free y's are free coordinates, so C + u <= nfree and no
     shift is negative.  candidates() gives one row per orbit (see the
@@ -262,25 +275,16 @@ class _HardCursor:
     children; f is monotone, so the row's pairs is hi - lo.
     """
 
-    __slots__ = ("inst", "fixed", "live", "u", "sigma", "misses", "nfree", "size")
+    __slots__ = ("inst", "free", "live", "u", "sigma", "nfree", "size")
 
-    def __init__(
-        self, inst: HardInstance, fixed: frozenset, live: tuple, u: int, sigma: int, misses: dict
-    ):
+    def __init__(self, inst: HardInstance, free: int, live: tuple, u: int, sigma: int):
         self.inst = inst
-        self.fixed = fixed
+        self.free = free
         self.live = live
         self.u = u
         self.sigma = sigma
-        self.misses = misses
-        self.nfree = inst.arity - len(fixed)
+        self.nfree = free.bit_count()
         self.size = 1 << self.nfree
-
-    def _check_free(self, coord: int) -> None:
-        if not 1 <= coord <= self.inst.arity:
-            raise ValueError(f"coordinate {coord} out of range 1..{self.inst.arity}")
-        if coord in self.fixed:
-            raise ValueError(f"coordinate {coord} is fixed by the restriction")
 
     def _step(self, coord: int, v: int) -> tuple[tuple, int, int]:
         """(live, u, sigma) once the free coordinate coord is fixed to v."""
@@ -293,18 +297,9 @@ class _HardCursor:
             live = live[:j] + (live[j] - 1 if v == 1 else None,) + live[j + 1 :]
         return live, self.u, self.sigma
 
-    def _fix(self, coord: int, v: int) -> "_HardCursor":
-        return _HardCursor(self.inst, self.fixed | {coord}, *self._step(coord, v), self.misses)
-
-    def _misses(self, live: tuple) -> tuple[int, int, int, int]:
-        counts = self.misses.get(live)
-        if counts is None:
-            counts = self.misses[live] = _misses(self.inst.params.m_prime, live)
-        return counts
-
     def _ones(self, live: tuple, u: int, sigma: int, nfree: int) -> int:
         """2^nfree * E[f] on a restriction with cursor state (live, u, sigma)."""
-        a, A, c, C = self._misses(live)
+        a, A, c, C = _misses(self.inst.params.m_prime, live)
         rest = (a << (C - A)) - c
         return (1 << nfree) - (a << (nfree - A)) + (rest * _maj_count(u, sigma) << (nfree - C - u))
 
@@ -316,27 +311,22 @@ class _HardCursor:
         """(coord, members, hi ones, lo ones, pairs) of each orbit, on its
         smallest free coordinate, ascending: one per live term with a free
         x, one for the inert x's, one for the y's."""
-        p = self.inst.params
-        fixed = self.fixed
+        terms, ys = self.inst._masks
+        free = self.free
         orbits = []  # (smallest member, members)
-        inert = None
-        inert_count = self.nfree - self.u  # the free x's, less each live term's
-        for j, free in enumerate(self.live):
-            if free == 0:
-                continue  # every x of the term is fixed to +1
-            first = next((c for c in p.term_coords(j + 1) if c not in fixed), None)
-            if free is not None:
-                orbits.append((first, free))
-                inert_count -= free
-            elif inert is None:
-                inert = first
-        if inert is None:  # no free x in a dead term: try the slack x's
-            inert = next((c for c in range(p.m * p.w + 1, p.ell + 1) if c not in fixed), None)
-        if inert is not None:
-            orbits.append((inert, inert_count))
+        inert = free & ~ys  # the free x's, less each live term's below
+        for mask, count in zip(terms, self.live):
+            if count is not None:
+                inert &= ~mask
+                if count:
+                    own = free & mask
+                    orbits.append(((own & -own).bit_length() - 1, count))
+        if inert:
+            orbits.append(((inert & -inert).bit_length() - 1, inert.bit_count()))
             orbits.sort()
         if self.u:
-            orbits.append((next(c for c in self.inst.y_coords() if c not in fixed), self.u))
+            own = free & ys
+            orbits.append(((own & -own).bit_length() - 1, self.u))
         nfree = self.nfree - 1
         rows = []
         for coord, members in orbits:
@@ -346,8 +336,15 @@ class _HardCursor:
         return rows
 
     def split(self, coord: int) -> tuple["_HardCursor", "_HardCursor"]:
-        self._check_free(coord)
-        return self._fix(coord, 1), self._fix(coord, -1)
+        if not 1 <= coord <= self.inst.arity:  # first: a negative shift raises its own error
+            raise ValueError(f"coordinate {coord} out of range 1..{self.inst.arity}")
+        if not self.free >> coord & 1:
+            raise ValueError(f"coordinate {coord} is fixed by the restriction")
+        free = self.free ^ (1 << coord)
+        return (
+            _HardCursor(self.inst, free, *self._step(coord, 1)),
+            _HardCursor(self.inst, free, *self._step(coord, -1)),
+        )
 
 
 # ---------------------------------------------------------------------------

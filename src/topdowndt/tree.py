@@ -30,6 +30,7 @@ deterministic tie-breaking order used by the growers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterator, Sequence, Union
@@ -264,9 +265,9 @@ def from_splits(
     Nodes are numbered as they are made: the root is 0, and splits[i - 1],
     step i's (node, coord, theta), turns that open node into a query over
     its hi child 2i - 1 and its lo child 2i.  labels[v] is node v's label,
-    read where v stays a leaf.  One walk builds the tree, and the
-    DecisionTree constructor validates it once, rejecting a coordinate
-    repeated on a binary path.
+    read where v stays a leaf.  One pass over the node ids builds the
+    tree, and the DecisionTree constructor validates it once, rejecting a
+    coordinate repeated on a binary path.
     """
     made = 2 * len(splits) + 1
     if len(labels) != made:
@@ -279,14 +280,17 @@ def from_splits(
             raise ValueError(f"split {i} names node {v}, which is already split")
         queries[v] = (coord, theta, 2 * i - 1)
 
-    def walk(v: int) -> Node:
+    # bottom-up in descending id, so no depth reaches the recursion limit:
+    # the step i that splits v makes its children 2i - 1 and 2i, above v
+    nodes: list = [None] * made
+    for v in range(made - 1, -1, -1):
         q = queries[v]
         if q is None:
-            return Leaf(labels[v])
-        coord, theta, hi = q
-        return Internal(coord, theta, walk(hi), walk(hi + 1))
-
-    return DecisionTree(walk(0))
+            nodes[v] = Leaf(labels[v])
+        else:
+            coord, theta, hi = q
+            nodes[v] = Internal(coord, theta, nodes[hi], nodes[hi + 1])
+    return DecisionTree(nodes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +358,30 @@ def _node_to_json(node: Node) -> dict:
 
 def to_json(t: Tree) -> dict:
     return _node_to_json(t.root)
+
+
+def to_json_text(t: Tree) -> str:
+    """json.dumps(to_json(t), indent=2, sort_keys=True), written without
+    recursion, so a tree of any depth serializes: an internal node's keys
+    sort as hi, lo, q, theta."""
+    out = []
+    stack: list = [(t.root, "")]  # (node, its indent) or text, popped in order
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, pad = item
+        inner = pad + "  "
+        if isinstance(node, Leaf):
+            out.append(f'{{\n{inner}"label": {json.dumps(node.label)}\n{pad}}}')
+            continue
+        tail = f',\n{inner}"q": {json.dumps(node.coord)}'
+        if node.theta is not None:
+            tail += f',\n{inner}"theta": {json.dumps(node.theta)}'
+        out.append(f'{{\n{inner}"hi": ')
+        stack += (f"{tail}\n{pad}}}", (node.lo, inner), f',\n{inner}"lo": ', (node.hi, inner))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

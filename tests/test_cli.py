@@ -76,6 +76,29 @@ class TestSubcommands:
         summary = read_json(out / "summary.json")
         assert summary["summary"]["threshold_policy"] == "midpoints"
 
+    def test_grow_real_deeper_than_the_recursion_limit(self, tmp_path):
+        # alternating labels on one column: a chain 1499 queries deep, past
+        # Python's recursion limit; tree.json is read as text, since
+        # json.load recurses too
+        data = tmp_path / "alternating.csv"
+        data.write_text("x1,label\n" + "".join(f"{i / 1500},{i % 2}\n" for i in range(1500)))
+        out = tmp_path / "deep"
+        rc = main(["grow-real", "--data", str(data), "--budget", "1500", "--out", str(out)])
+        assert rc == 0
+        assert (out / "trace.csv").read_text().splitlines()[-1].endswith(",0")
+        lines = (out / "tree.json").read_text().splitlines()
+        assert sum('"q"' in line for line in lines) == 1499
+        assert sum('"label"' in line for line in lines) == 1500
+
+    def test_grow_real_refuses_influence_before_reading_data(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["grow-real", "--impurity", "influence", "--data", str(tmp_path / "missing.csv"),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "impurity rule" in err and "not found" not in err
+        assert not out.exists()
+
     def test_grow_real_with_dist_spec(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("x1,label\n0.5,0\n1.0,0\n2.0,1\n3.0,1\n")

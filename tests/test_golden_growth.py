@@ -2,7 +2,7 @@
 
 Each case grows one tree and hashes the two files the CLI writes from it,
 through the CLI's own writers: trace.csv (cli._write_trace) and tree.json
-(cli._write_json over tree.to_json, as grow-real writes it).  The digests
+(cli._write_tree, as grow-real writes it).  The digests
 were recorded from the growth code as it stood before its loops were
 merged; any change to a split choice, a gain, a potential, a distance or a
 leaf label changes them.
@@ -133,7 +133,7 @@ GOLDEN = {
 def _digests(name, tmp_path):
     t, trace = CASES[name]()
     cli._write_trace(tmp_path, trace)
-    cli._write_json(tmp_path / "tree.json", treemod.to_json(t))
+    cli._write_tree(tmp_path / "tree.json", t)
     return tuple(
         hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
         for file in ("trace.csv", "tree.json")

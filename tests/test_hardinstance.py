@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from topdowndt.hardinstance import (
     SAMPLE_BATCH,
     HardInstance,
     _maj_count,
+    _misses,
     choose_params,
     evaluate,
     labeled_points,
@@ -206,7 +208,7 @@ def test_cursor_split_chains_match_table(ell, k, data):
     steps = data.draw(st.integers(0, n))
     while True:
         free = tuple(sorted(view.free))
-        assert free == tuple(c for c in range(1, n + 1) if c not in cursor.fixed)
+        assert free == tuple(c for c in range(1, n + 1) if cursor.free >> c & 1)
         assert (cursor.ones, cursor.size) == (view.ones, view.size)
         half = view.size >> 1
         reads = {}  # each free coordinate's children's ones and influence, from the table
@@ -229,7 +231,7 @@ def test_cursor_split_chains_match_table(ell, k, data):
             assert any(reads[r] == reads[c] for r in reps if r <= c), c
         u_num = 2 * sum(members * pairs for _, members, _, _, pairs in rows)
         assert Fraction(u_num, cursor.size) == total_influence(F, fixed)
-        for c in (*fixed, 0, n + 1):
+        for c in (*fixed, -1, 0, n + 1):
             with pytest.raises(ValueError):
                 cursor.split(c)
         if len(fixed) == steps:
@@ -335,6 +337,40 @@ def test_cursor_counts_match_fraction_reference(shape, data):
         v = data.draw(st.sampled_from((1, -1)))
         cursor = cursor.split(c)[0 if v == 1 else 1]
         fixed[c] = v
+
+
+@pytest.mark.parametrize("first", ["criterion-8", "choose-params"])
+def test_misses_cache_is_shared_across_m_prime(first):
+    """_misses caches by (m', live) for the process.  Criterion 8's
+    instance (m' = 3, k = 7) and choose_params(44, 63) (m' = 10) share one
+    terms layout, so the same split chain over the x's reaches the same
+    live tuples on both; whichever grows first, each reads its own counts."""
+    h63 = choose_params(44, 63)
+    params = dataclasses.replace(
+        h63.params, m_prime=3, p_prime=1 - (1 - Fraction(1, 1 << h63.params.w)) ** 3
+    )
+    h8 = HardInstance(params, 7)
+    lives = []
+    _misses.cache_clear()
+    for h in (h8, h63) if first == "criterion-8" else (h63, h8):
+        rng = random.Random(5)
+        cursor, fixed = h.root_cursor(), {}
+        seen = set()
+        for _ in range(16):
+            size, state = cursor.size, ref_state(h, fixed)
+            seen.add(state[0])
+            assert cursor.ones == ref_expectation(h, fixed) * size
+            for c, _, hi_ones, lo_ones, pairs in cursor.candidates():
+                assert (hi_ones, lo_ones) == tuple(
+                    ref_expectation(h, {**fixed, c: v}) * (size >> 1) for v in (1, -1)
+                )
+                assert 2 * pairs == ref_influence(h, state, c) * size
+            c = rng.choice([c for c in range(1, h.params.ell + 1) if c not in fixed])
+            v = rng.choice((1, -1))
+            cursor = cursor.split(c)[0 if v == 1 else 1]
+            fixed[c] = v
+        lives.append(seen)
+    assert len(lives[0] & lives[1]) > 1
 
 
 class TestMaterialization:

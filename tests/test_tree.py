@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from topdowndt.tree import (
     split,
     to_boolfunc,
     to_json,
+    to_json_text,
 )
 
 from reference import complete, conjunction, depth, label_leaves, majority, path_assignment, view_at
@@ -114,6 +117,33 @@ class TestFrontier:
         for labels in ([1], [1, 0], [1, 0, 1, 0]):
             with pytest.raises(ValueError, match="labels"):
                 from_splits([(0, 1, None)], labels)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # a chain down the hi side: step i splits node 2i - 3, the hi child of step i - 1
+        steps = sys.getrecursionlimit() + 100
+        splits = [(max(0, 2 * i - 3), 1, float(i)) for i in range(1, steps + 1)]
+        t = from_splits(splits, [i % 2 for i in range(2 * steps + 1)])
+        assert size(t) == steps + 1
+        assert treemod.depth_and_coords(t) == (steps, [1])
+        text = to_json_text(t)
+        assert (text.count('"q"'), text.count('"label"')) == (steps, steps + 1)
+
+
+class TestJsonText:
+    @pytest.mark.parametrize(
+        "t",
+        [
+            DecisionTree(Leaf(1)),
+            PartialTree(Leaf()),
+            grow_by_splits([(0, 1), (1, 2), (0, 3)]),
+            random_monotone_tree(6, 20, 3),
+            balanced_random_tree(5, 64, 1),
+            DecisionTree(Internal(2, float("inf"), Leaf(1), Internal(1, -0.0, Leaf(0), Leaf(1)))),
+        ],
+        ids=["leaf", "open-leaf", "partial", "monotone", "threshold", "infinite-threshold"],
+    )
+    def test_matches_json_dumps(self, t):
+        assert to_json_text(t) == json.dumps(to_json(t), indent=2, sort_keys=True)
 
 
 class TestThreshold:
