@@ -57,6 +57,7 @@ from .grower import (
     Monitor,
     grow,
     rule_agreement,
+    tree_at,
     verify_split_inequalities,
 )
 from .impurity import BUILTIN_NAMES, builtin, verify_shape, verify_strong_concavity
@@ -355,7 +356,7 @@ def _run_grow(cfg: ExperimentConfig, out: Path):
             raise ConfigError(f"the monitor's guarantees need a monotone target; {fname} is not")
         opt_s = oracle.OptTable(f).error(cfg.monitor_size)
         monitor = Monitor(cfg.monitor_size, cfg.epsilon, opt_s)
-    _, trace = grow(f, GrowthConfig(budget=cfg.budget, impurity=spec, stop_on_zero_gain=True))
+    trace = grow(f, GrowthConfig(budget=cfg.budget, impurity=spec, stop_on_zero_gain=True))
     files = _write_trace(out, trace)
     checks = {"distance-nonincreasing": _nonincreasing(_distance_curve(trace))}
     if monitor is not None:
@@ -456,13 +457,13 @@ def _load_real_sample(cfg: ExperimentConfig) -> tuple[RealSample, list[str]]:
 
 def _run_grow_real(cfg: ExperimentConfig, out: Path):
     sample, feature_names = _load_real_sample(cfg)
-    dtree, trace = grow_real(
+    trace = grow_real(
         sample,
         GrowthConfig(budget=cfg.budget, impurity=builtin(cfg.impurity), stop_on_zero_gain=True),
         policy=cfg.thresholds,
     )
     files = _write_trace(out, trace)
-    _write_tree(out / "tree.json", dtree)
+    _write_tree(out / "tree.json", tree_at(trace, trace.final_size))
     medians = [st.median_split for st in trace.steps]
     summary = {
         "dataset": sample.provenance,
@@ -556,7 +557,7 @@ def _run_agnostic_sweep(cfg: ExperimentConfig, out: Path):
     for i in range(cfg.trials):
         f = random_monotone(n, seed=_trial_seed(cfg, i))
         table = oracle.OptTable(f)  # one table serves every size
-        runs = [grow(f, GrowthConfig(top, spec, stop_on_zero_gain=True))[1] for spec in specs]
+        runs = [grow(f, GrowthConfig(top, spec, stop_on_zero_gain=True)) for spec in specs]
         for s in cfg.sizes:
             opt_s = table.error(s)
             monitor = Monitor(s, cfg.epsilon, opt_s)
@@ -607,7 +608,7 @@ def _run_hard(cfg: ExperimentConfig, out: Path):
     except ValueError as e:
         raise ConfigError(str(e)) from None
     spec = _impurity_or_none(cfg.impurity)
-    _, trace, (mc_estimate, mc_halfwidth, xi_fraction) = hardinstance.lower_bound_experiment(
+    trace, (mc_estimate, mc_halfwidth, xi_fraction) = hardinstance.lower_bound_experiment(
         h, spec, cfg.budget, mc_samples=cfg.samples, seed=cfg.seed
     )
     cutoff = hardinstance.xi_cutoff(h.k)
@@ -663,9 +664,9 @@ def _run_realizable(cfg: ExperimentConfig, out: Path):
     for i in range(cfg.trials):
         teacher = random_monotone_tree(n, cfg.teacher_leaves, _trial_seed(cfg, i))
         f = treemod.to_boolfunc(teacher, n)
-        _, inf_trace = grow(f, GrowthConfig(budget=budget, impurity=None, stop_on_zero_gain=True))
+        inf_trace = grow(f, GrowthConfig(budget=budget, impurity=None, stop_on_zero_gain=True))
         for name in names:
-            _, trace = grow(
+            trace = grow(
                 f, GrowthConfig(budget=budget, impurity=builtin(name), stop_on_zero_gain=True)
             )
             reached = next((s for s, d in _distance_curve(trace) if float(d) <= cfg.target), None)

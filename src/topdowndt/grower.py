@@ -6,9 +6,9 @@ states (see _LeafState for the protocol); grow() runs it over cursor
 leaves, realvalued.grow_real() over sample leaves.  The loop records
 each split in the trace: the node it splits, numbered as nodes are made
 (the root is 0, and step i makes hi 2i - 1 and lo 2i), and its children's
-majority labels.  tree_at() rebuilds the tree at any size from that
-record; the loop's own result is tree_at() at the final size.  The loop
-is deterministic and the budget only stops it, so a budget-b trace is any
+majority labels.  Growth returns that trace alone; node_table() decodes
+its node ids, and tree_at() rebuilds the tree at any size.  The loop is
+deterministic and the budget only stops it, so a budget-b trace is any
 longer run's first b - 1 steps with the same initial fields.
 
 Two split rules drive grow():
@@ -72,6 +72,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 from .boolfn import BoolFunc, SubcubeView, is_monotone
 from .impurity import ImpuritySpec, evaluate
@@ -172,11 +173,9 @@ class TraceStep:
     u_f: Fraction | None  # influence potential after the split
     distance: Fraction  # exact distance of the f-completion after the split
     # not part of the CSV schema: the node split (the root is 0, and step i
-    # makes hi 2i - 1 and lo 2i) and its children's majority labels, from
-    # which tree_at rebuilds the tree; then verification extras
+    # makes hi 2i - 1 and lo 2i), which node_table decodes; then
+    # verification extras
     node: int = field(repr=False)
-    hi_label: int = field(repr=False, default=0)
-    lo_label: int = field(repr=False, default=0)
     inf_split: Fraction | None = field(repr=False, default=None)
     median_split: bool | None = field(repr=False, default=None)
 
@@ -188,7 +187,7 @@ class GrowthTrace:
     initial_g_impurity: float | None
     initial_u_f: Fraction | None
     initial_distance: Fraction
-    initial_label: int  # majority label of the root
+    labels: list[int]  # by node id: the majority label each node was made with
     steps: list[TraceStep] = field(default_factory=list)
     stop_reason: str = "budget"
     threshold_policy: str | None = None  # real-valued runs record their grid here
@@ -224,7 +223,7 @@ class _LeafState:
     leaf being split.  The exact terms err and u_term, and an exact score,
     are integer numerators over the run's one denominator scale.  A leaf's
     path and depth are not part of it: the trace's node ids fix them (see
-    _split_paths).
+    node_table).
 
     Here scale = 2^n (free + depth = n at every leaf), so err is
     min(ones, size - ones), and the leaf is active exactly when err != 0.
@@ -332,7 +331,7 @@ def _scan(states, tol) -> int:
 
 def _greedy(
     root, cfg: GrowthConfig, mode: str, threshold_policy: str | None = None
-) -> tuple[DecisionTree, GrowthTrace]:
+) -> GrowthTrace:
     """The greedy loop every grower runs: split the best leaf until the budget.
 
     root is a leaf state (see _LeafState).  The leader is the first active
@@ -354,7 +353,7 @@ def _greedy(
         initial_g_impurity=g_imp,
         initial_u_f=None if u_num is None else Fraction(u_num, scale),
         initial_distance=Fraction(err, scale),
-        initial_label=root.label,
+        labels=[root.label],
         threshold_policy=threshold_policy,
     )
     tol = 0 if mode == "influence" else GAIN_TOL
@@ -392,58 +391,64 @@ def _greedy(
         insort(ranked, hi_key)
         insort(ranked, lo_key)
         i = len(steps) + 1
-        node = nodes[best_idx]
-        nodes[best_idx : best_idx + 1] = [2 * i - 1, 2 * i]
-
         steps.append(
             TraceStep(
                 iteration=i,
                 leaf_id=best_idx,
-                node=node,
+                node=nodes[best_idx],
                 coord=st.best_coord,
                 theta=st.best_theta,
                 gain=st.best_gain,
                 g_impurity=g_imp,
                 u_f=None if u_num is None else Fraction(u_num, scale),
                 distance=Fraction(err, scale),
-                hi_label=hi.label,
-                lo_label=lo.label,
                 inf_split=st.inf_split,
                 median_split=st.best_median,
             )
         )
+        nodes[best_idx : best_idx + 1] = [2 * i - 1, 2 * i]
+        trace.labels += hi.label, lo.label
 
-    return tree_at(trace, trace.final_size), trace
+    return trace
+
+
+def grow(f, cfg: GrowthConfig) -> GrowthTrace:
+    """Run top-down growth to the leaf budget; return its trace."""
+    return _greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)
+
+
+class NodeTable(NamedTuple):  # node_table's columns, each indexed by node id
+    label: list[int]  # the majority label the node was made with
+    depth: list[int]
+    split: list[int]  # the iteration that split the node; final_size if none did
+    coord: list[int]  # the coordinate it was split on (0 if never split)
+    hi: list[int]  # its hi child (0 if never split); its lo child is hi + 1
+
+
+def node_table(trace: GrowthTrace) -> NodeTable:
+    """Decode the trace's node ids: the root is 0, and step i splits node
+    steps[i - 1].node into hi 2i - 1 and lo 2i.  Node v is internal in
+    tree_at(trace, s) exactly when split[v] < s, and that tree has the nodes
+    below 2s - 1.  Readers use only that, so the table reads the same for a
+    trace cut to its first b - 1 steps by dataclasses.replace, labels whole.
+    """
+    m = 2 * trace.final_size - 1
+    depth, split, coord, hi = [0] * m, [trace.final_size] * m, [0] * m, [0] * m
+    for st in trace.steps:
+        v, c = st.node, 2 * st.iteration - 1
+        split[v], coord[v], hi[v] = st.iteration, st.coord, c
+        depth[c] = depth[c + 1] = depth[v] + 1
+    return NodeTable(trace.labels[:m], depth, split, coord, hi)
 
 
 def tree_at(trace: GrowthTrace, size: int) -> DecisionTree:
-    """The grown tree when it first had `size` leaves, labeled by majority.
-
-    Builds the trace's first size - 1 splits by node id; at the final size
-    this is the tree the grower returned (the f-completion for binary
-    growth).
-    """
+    """The grown tree when it first had `size` leaves, labeled by majority
+    (the f-completion for binary growth): the trace's first size - 1 splits
+    and the labels of the 2 * size - 1 nodes they make, built by node id."""
     if not 1 <= size <= trace.final_size:
         raise ValueError(f"size must be in 1..{trace.final_size}, got {size}")
-    steps = trace.steps[: size - 1]
-    labels = [trace.initial_label]
-    for st in steps:
-        labels += (st.hi_label, st.lo_label)
-    return from_splits([(st.node, st.coord, st.theta) for st in steps], labels)
-
-
-def _split_paths(trace: GrowthTrace):
-    """Each step with the (coord, side) path of the node it split."""
-    paths = [()]  # paths[v]: node v's path
-    for st in trace.steps:
-        path = paths[st.node]
-        paths += (path + ((st.coord, 1),), path + ((st.coord, -1),))
-        yield st, path
-
-
-def grow(f, cfg: GrowthConfig) -> tuple[DecisionTree, GrowthTrace]:
-    """Run top-down growth to the leaf budget; return (f-completion, trace)."""
-    return _greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)
+    splits = [(st.node, st.coord, st.theta) for st in trace.steps[: size - 1]]
+    return from_splits(splits, trace.labels[: 2 * size - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +522,14 @@ def verify_split_inequalities(
     threshold = monitor.opt_s + monitor.eps
 
     checks = []
-    monitored_count = 0
     distances = trace.distances()
-    for st, path in _split_paths(trace):
+    depth = node_table(trace).depth
+    for st in trace.steps:
         monitored = distances[st.iteration - 1] > threshold  # distance before the split
-        if monitored:
-            monitored_count += 1
-            bound = spec.kappa * eps_f * eps_f / (32.0 * st.iteration * log2s_sq)
-            score_ok = st.gain > bound
-        else:
-            bound = None
-            score_ok = True
+        bound = spec.kappa * eps_f * eps_f / (32.0 * st.iteration * log2s_sq) if monitored else None
+        score_ok = bound is None or st.gain > bound
         inf_sq = float(st.inf_split) ** 2
-        b32 = math.ldexp(spec.kappa / 32.0 * inf_sq, -len(path))
+        b32 = math.ldexp(spec.kappa / 32.0 * inf_sq, -depth[st.node])
         claim3_ok = st.gain >= b32 - CHECK_TOL
         claim2_ok = float(st.distance) <= st.g_impurity + CHECK_TOL
         checks.append(
@@ -544,6 +544,7 @@ def verify_split_inequalities(
                 claim2_ok=claim2_ok,
             )
         )
+    monitored_count = sum(c.monitored for c in checks)
     return SplitInequalityReport(claim1_ok, initial_claim2_ok, checks, monitored_count)
 
 
@@ -552,7 +553,15 @@ def rule_agreement(trace_a: GrowthTrace, trace_b: GrowthTrace) -> tuple[int, lis
 
     Returns (number of common subcubes, list of disagreements).
     """
-    a, b = ({frozenset(path): st.coord for st, path in _split_paths(t)} for t in (trace_a, trace_b))
+
+    def splits(trace):  # each split's subcube, as its node's (coord, side) queries, and coord
+        hi, subcube = node_table(trace).hi, {0: frozenset()}
+        for st in trace.steps:
+            key, c = subcube.pop(st.node), hi[st.node]
+            subcube[c], subcube[c + 1] = key | {(st.coord, 1)}, key | {(st.coord, -1)}
+            yield key, st.coord
+
+    a, b = dict(splits(trace_a)), dict(splits(trace_b))
     common = a.keys() & b.keys()
     mismatches = [(key, a[key], b[key]) for key in common if a[key] != b[key]]
     return len(common), mismatches

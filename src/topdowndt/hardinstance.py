@@ -44,15 +44,15 @@ p_rest = Pr[T and not T'], and dist(f, T) = p_rest / 2 exactly.  That
 share is small when m is large: at ell = 8 (m = 4, m' = 2) p_rest is
 0.246, but at ell = 44 (m = 11, m' = 10) it is 0.033.
 
-lower_bound_experiment() grows a budgeted tree on an instance, Monte-Carlo
-checks the final tree, and measures how often it queries an x coordinate
-before its path has seen many y's; the trace carries the exact error
-curve.  mc_check() is that Monte-Carlo loop, over any stream of (x, f(x))
-pairs such as labeled_points(), for the trace's tree at any list of
-sizes: each point walks the final tree once and settles every size on the
-way down; the hard CLI runs it again on its checkpoint sizes, in one lazy
-pass.  labeled_points() draws the stream of one rng.random() < 1/2 per
-coordinate, bit for bit, in batches of one getrandbits call.
+lower_bound_experiment() grows a budgeted tree on an instance and returns
+its trace, which carries the exact error curve, with a Monte-Carlo check
+of its error and how often it queries an x coordinate before its path has
+seen many y's.  mc_check() is that Monte-Carlo loop, over any stream of
+(x, f(x)) pairs such as labeled_points(), for the trace's tree at any list
+of sizes: each point walks the trace's node table once, settling every
+size on the way; the hard CLI runs it again on its checkpoint sizes, in
+one lazy pass.  labeled_points() draws the stream of one rng.random() <
+1/2 per coordinate, bit for bit, in batches of one getrandbits call.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ from itertools import accumulate
 from typing import Sequence
 
 from .boolfn import derived_rng
-from .grower import GrowthConfig, GrowthTrace, grow
+from .grower import GrowthConfig, GrowthTrace, grow, node_table
 from .impurity import ImpuritySpec
-from .tree import DecisionTree
 
 # the largest ell + k choose_params accepts: tribes_params takes O(ell^2)
 # exact Fraction steps, and the run's exact counts have ell + k bits
@@ -369,9 +368,9 @@ def mc_check(h: HardInstance, trace: GrowthTrace, sizes: Sequence[int], labeled,
     half-width for that many samples, and the fraction whose path in it
     queries an x coordinate before it has queried more than `cutoff` y's.
 
-    The trace fills flat node arrays, by its node ids.  A node is internal
-    in tree_at(trace, s) exactly when the iteration that split it is below
-    s, and iterations grow along every path, so each point walks the final
+    The walk reads the trace's grower.node_table.  A node is internal in
+    tree_at(trace, s) exactly when the iteration that split it is below s,
+    and iterations grow along every path, so each point walks the final
     tree once, a pointer j marking the first size whose tree it has not
     left yet.  Each node settles the sizes whose tree has it as a leaf,
     scoring the label it was created with; the xi rule, decided at most
@@ -382,20 +381,10 @@ def mc_check(h: HardInstance, trace: GrowthTrace, sizes: Sequence[int], labeled,
         a >= b for a, b in zip(sizes, sizes[1:])
     ):
         raise ValueError(f"sizes must ascend strictly within 1..{trace.final_size}, got {sizes}")
-    # the final tree as flat node arrays, indexed by the trace's node ids
-    # (root 0, step i makes 2i - 1 and 2i): split_at[v] is the iteration
-    # that split v (final_size for a leaf of the final tree), label[v] the
-    # label v was created with
-    m = 2 * trace.final_size - 1
-    coord, hi, lo = [0] * m, [0] * m, [0] * m
-    label, split_at = [trace.initial_label] * m, [trace.final_size] * m
-    for st in trace.steps:
-        v, new = st.node, 2 * st.iteration - 1
-        coord[v], hi[v], lo[v], split_at[v] = st.coord, new, new + 1, st.iteration
-        label[new], label[new + 1] = st.hi_label, st.lo_label
-    # the sizes s <= split_at[v], whose trees have v as a leaf or lack it,
-    # are settled once a walk reaches v
-    settled = [bisect_right(sizes, t) for t in split_at]
+    label, _, split, coord, hi = node_table(trace)
+    # the sizes s <= split[v], whose trees have v as a leaf or lack it, are
+    # settled once a walk reaches v
+    settled = [bisect_right(sizes, t) for t in split]
     ell = h.params.ell
     # +1 at the first size a point counts for, -1 past the last: summed at the end
     count, wrong, early_x = 0, [0] * (n + 1), [0] * (n + 1)
@@ -419,7 +408,7 @@ def mc_check(h: HardInstance, trace: GrowthTrace, sizes: Sequence[int], labeled,
                 else:
                     y_seen += 1
                     deciding = y_seen <= cutoff
-            node = hi[node] if x[c - 1] == 1 else lo[node]
+            node = hi[node] if x[c - 1] == 1 else hi[node] + 1
     if count == 0:
         raise ValueError("mc_check needs at least one sample")
     halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * count))
@@ -459,14 +448,14 @@ def lower_bound_experiment(
     budget: int,
     mc_samples: int = 20000,
     seed: int = 0,
-) -> tuple[DecisionTree, GrowthTrace, tuple[float, float, float]]:
+) -> tuple[GrowthTrace, tuple[float, float, float]]:
     """Grow on the instance, then measure how far the result stays from f.
 
-    Returns the tree, its trace and mc_check()'s (error estimate, 99%
-    half-width, xi fraction) for the tree at xi_cutoff(k).
+    Returns the trace and mc_check()'s (error estimate, 99% half-width, xi
+    fraction) for its final tree at xi_cutoff(k).
     """
     if mc_samples < 1:
         raise ValueError(f"the Monte-Carlo check needs at least one sample, got {mc_samples}")
-    dtree, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
+    trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
     points = labeled_points(h, mc_samples, derived_rng(seed, "hard", "mc"))
-    return dtree, trace, mc_check(h, trace, [trace.final_size], points, xi_cutoff(h.k))[0]
+    return trace, mc_check(h, trace, [trace.final_size], points, xi_cutoff(h.k))[0]

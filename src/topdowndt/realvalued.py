@@ -79,7 +79,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import tree as treemod
 from .boolfn import derived_rng
-from .grower import GAIN_TOL, GrowthConfig, _greedy
+from .grower import GAIN_TOL, GrowthConfig, GrowthTrace, _greedy
 from .impurity import evaluate as g_eval
 from .tree import DecisionTree, Internal, Leaf
 
@@ -578,7 +578,7 @@ class _SampleLeaf:
         return _SampleLeaf(self.run, orders, labs, count, ones, self.label)
 
 
-def grow_real(source: RealSample, cfg: GrowthConfig, policy: str = "midpoints"):
+def grow_real(source: RealSample, cfg: GrowthConfig, policy: str = "midpoints") -> GrowthTrace:
     """Greedy threshold growth on a sample, treated as the exact distribution."""
     spec = cfg.impurity
     if spec is None:

@@ -23,7 +23,9 @@ monotone f.  hard_table is the instance's truth table (arity <= 24); terms_boolf
 T and T's chain tree (criterion 8's T').  coordinate_points is the
 Monte-Carlo draw that hardinstance.labeled_points batches: one
 rng.random() per coordinate.  trace_of turns any binary tree into a
-growth trace that tree_at replays into it, the input mc_check reads.
+growth trace that tree_at replays into it, the input mc_check reads;
+with_tree pairs a grown trace with its final tree, tree_at at its final
+size.
 
 Tree readers over tree.leaf_views: complete (the f-completion) and
 label_leaves, the old way of labeling a tree that from_splits and
@@ -57,7 +59,7 @@ from fractions import Fraction
 
 from topdowndt import tree as treemod
 from topdowndt.boolfn import MAX_ARITY, BoolFunc, SubcubeView, coordinate_mask, from_dnf
-from topdowndt.grower import GrowthTrace, TraceStep
+from topdowndt.grower import GrowthTrace, TraceStep, tree_at
 from topdowndt.hardinstance import evaluate as hard_evaluate
 from topdowndt.impurity import evaluate
 from topdowndt.oracle import _budgets
@@ -358,7 +360,7 @@ def trace_of(t: DecisionTree, draw_label) -> GrowthTrace:
     draw_label() returns, a leaf of t with its own label.  Every exact
     field is a placeholder: mc_check reads only the structure and labels.
     """
-    steps = []
+    steps, labels = [], []
 
     def created(node) -> int:
         return node.label if isinstance(node, Leaf) else draw_label()
@@ -379,15 +381,19 @@ def trace_of(t: DecisionTree, draw_label) -> GrowthTrace:
                 g_impurity=None,
                 u_f=None,
                 distance=Fraction(0),
-                hi_label=created(node.hi),
-                lo_label=created(node.lo),
             )
         )
+        labels.extend((created(node.hi), created(node.lo)))
         return walk(node.lo, 2 * i, walk(node.hi, 2 * i - 1, leaves_before))
 
-    initial_label = created(t.root)
+    labels.append(created(t.root))
     walk(t.root, 0, 0)
-    return GrowthTrace("impurity", Fraction(0), None, None, Fraction(0), initial_label, steps)
+    return GrowthTrace("impurity", Fraction(0), None, None, Fraction(0), labels, steps)
+
+
+def with_tree(trace: GrowthTrace) -> tuple[DecisionTree, GrowthTrace]:
+    """(tree_at(trace, trace.final_size), trace): the grown tree beside its trace."""
+    return tree_at(trace, trace.final_size), trace
 
 
 def terms_boolfunc(h) -> BoolFunc:

@@ -88,7 +88,7 @@ def agnostic_sweep():
         opts = {s: table.error(s) for s in (2, 4, 8)}
         traces = {}
         for name in BUILTIN_NAMES:
-            _, traces[name] = grow(f, GrowthConfig(budget=256, impurity=builtin(name)))
+            traces[name] = grow(f, GrowthConfig(budget=256, impurity=builtin(name)))
         trials.append((f, opts, traces))
     return trials
 
@@ -198,9 +198,9 @@ def test_criterion_06_realizable_targets():
     for trial in range(100):
         teacher = random_monotone_tree(10, max_leaves=16, seed=trial)
         f = to_boolfunc(teacher, 10)
-        _, trace_inf = grow(f, GrowthConfig(budget=1 << 16))
+        trace_inf = grow(f, GrowthConfig(budget=1 << 16))
         for name in BUILTIN_NAMES:
-            _, trace = grow(f, GrowthConfig(budget=1 << 16, impurity=builtin(name)))
+            trace = grow(f, GrowthConfig(budget=1 << 16, impurity=builtin(name)))
             hits = [s for s, d in enumerate(trace.distances(), start=1) if d <= Fraction(1, 20)]
             assert hits, (trial, name)
             worst_size = max(worst_size, hits[0])
@@ -339,7 +339,7 @@ def test_criterion_08_lower_bound_separation():
 
     results = {}
     for name in BUILTIN_NAMES:
-        _, trace, (mc_estimate, mc_halfwidth, xi_fraction) = hi.lower_bound_experiment(
+        trace, (mc_estimate, mc_halfwidth, xi_fraction) = hi.lower_bound_experiment(
             h, builtin(name), budget=budget, mc_samples=20_000, seed=11
         )
         exact = trace.final_distance()
@@ -397,8 +397,8 @@ def test_criterion_10_binary_consistency_of_grow_real():
         x = point_of(idx, 8)
         points.append((tuple((b + 1) / 2 for b in x), value_at(f, x)))
     cfg = GrowthConfig(budget=256, impurity=builtin("gini"))
-    _, trace_real = grow_real(RealSample(tuple(points)), cfg)
-    _, trace_bool = grow(f, cfg)
+    trace_real = grow_real(RealSample(tuple(points)), cfg)
+    trace_bool = grow(f, cfg)
     real_cols = [(s.leaf_id, s.coord) for s in trace_real.steps]
     bool_cols = [(s.leaf_id, s.coord) for s in trace_bool.steps]
     assert real_cols == bool_cols

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from topdowndt import boolfn, cli, oracle
+from topdowndt import boolfn, cli, grower, oracle
+from topdowndt import tree as treemod
 from topdowndt.cli import ExperimentConfig, _sweep_budget, main, run
 from topdowndt.tree import random_monotone_tree
 
@@ -700,7 +701,55 @@ def test_cli_import_loads_no_numpy():
     assert done.stdout.strip() == "[]"
 
 
+# the grown-tree builders, under every name a module imported them by
+TREE_BUILDERS = (
+    (treemod, "from_splits"),
+    (grower, "from_splits"),
+    (grower, "tree_at"),
+    (cli, "tree_at"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["grow", "--arity", "5", "--budget", "12", "--monitor-size", "2"], 0),
+        (["agnostic-sweep", "--arity", "4", "--trials", "2", "--sizes", "2,4"], 0),
+        (["realizable", "--arity", "4", "--trials", "2", "--teacher-leaves", "4",
+          "--budget", "16"], 0),
+        (["hard", "--l", "4", "--k", "3", "--budget", "12", "--samples", "100"], 0),
+        (["grow-real", "--data", "@data", "--budget", "6"], 1),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_runs_build_no_tree_they_drop(tmp_path, monkeypatch, argv, builds):
+    """Growth returns its trace alone: only grow-real, which writes tree.json,
+    builds a tree, once, through tree_at."""
+    calls = []
+    for module, name in TREE_BUILDERS:
+
+        def counted(*args, _real=getattr(module, name), _name=f"{module.__name__}.{name}"):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2,label\n0.1,0.9,0\n0.2,0.8,0\n0.8,0.3,1\n0.9,0.1,1\n0.5,0.5,0\n")
+    argv = [str(data) if a == "@data" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["topdowndt.cli.tree_at", "topdowndt.grower.from_splits"][: 2 * builds]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    # the one ```python block of the README's "Library example", run as written
+    text = README.read_text().split("## Library example", 1)[1]
+    (block,) = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    exec(compile(block, "README library example", "exec"), {})
+    size, distance, opt4 = capsys.readouterr().out.split()
+    assert int(size) > 1 and 0 <= float(distance) and 0 <= float(opt4)
 
 
 def test_readme_commands_resolve_to_valid_configs():

@@ -51,7 +51,7 @@ def _check_every_size(trace, f, spec) -> None:
 def test_table_accounting_matches_recomputation(n, seed, rule, budget):
     f = BoolFunc(n, derived_rng(seed, "exact-accounting").getrandbits(1 << n))
     spec = _spec(rule)
-    _, trace = grow(f, GrowthConfig(budget=budget, impurity=spec))
+    trace = grow(f, GrowthConfig(budget=budget, impurity=spec))
     _check_every_size(trace, f, spec)
 
 
@@ -65,7 +65,7 @@ def test_table_accounting_matches_recomputation(n, seed, rule, budget):
 def test_hard_instance_accounting_matches_its_table(ell, k, rule, budget):
     h = choose_params(ell, k)
     spec = _spec(rule)
-    _, trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
+    trace = grow(h, GrowthConfig(budget=budget, impurity=spec))
     _check_every_size(trace, hard_table(h), spec)
 
 
@@ -87,7 +87,7 @@ def _samples(draw):
     budget=st.integers(1, 16),
 )
 def test_sample_distances_match_routed_points(sample, rule, policy, budget):
-    _, trace = grow_real(sample, GrowthConfig(budget=budget, impurity=builtin(rule)), policy)
+    trace = grow_real(sample, GrowthConfig(budget=budget, impurity=builtin(rule)), policy)
     ones = sum(label for _, label in sample.points)
     assert trace.initial_expectation == Fraction(ones, len(sample))
     assert trace.initial_u_f is None

@@ -16,7 +16,7 @@ from topdowndt import hardinstance
 from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, derived_rng
 from topdowndt import cli
-from topdowndt.grower import GrowthConfig, grow
+from topdowndt.grower import GrowthConfig, grow, tree_at
 from topdowndt.impurity import builtin
 from topdowndt.realvalued import (
     ProductDistribution,
@@ -131,9 +131,9 @@ GOLDEN = {
 
 
 def _digests(name, tmp_path):
-    t, trace = CASES[name]()
+    trace = CASES[name]()
     cli._write_trace(tmp_path, trace)
-    cli._write_tree(tmp_path / "tree.json", t)
+    cli._write_tree(tmp_path / "tree.json", tree_at(trace, trace.final_size))
     return tuple(
         hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
         for file in ("trace.csv", "tree.json")
@@ -146,7 +146,8 @@ def test_growth_outputs_match_golden_digests(name, tmp_path):
 
 
 def test_grid_case_leaves_empty_children():
-    t, _ = CASES["sample-grid3"]()
+    trace = CASES["sample-grid3"]()
+    t = tree_at(trace, trace.final_size)
     reached = {treemod.path_of(t, x).leaf_id for x, _ in SAMPLE.points}
     empty = [info.node.label for info in treemod.leaves(t) if info.leaf_id not in reached]
     # they carry their parent's majority, 0 here; an empty count would round to 1
@@ -165,6 +166,6 @@ DEEP_GOLDEN = {
 
 @pytest.mark.parametrize("rule", sorted(DEEP_GOLDEN))
 def test_deep_table_trace_matches_golden_digest(rule, tmp_path):
-    _, trace = grow(DEEP_TABLE, _cfg(rule, 2048))
+    trace = grow(DEEP_TABLE, _cfg(rule, 2048))
     cli._write_trace(tmp_path, trace)
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == DEEP_GOLDEN[rule]

@@ -26,7 +26,7 @@ from topdowndt.grower import (
 from topdowndt.hardinstance import choose_params
 from topdowndt.impurity import BUILTIN_NAMES, builtin
 
-from reference import conjunction, g_impurity, influence_potential, majority, parity
+from reference import conjunction, g_impurity, influence_potential, majority, parity, with_tree
 
 GINI = builtin("gini")
 DATA = Path(__file__).parent / "data"
@@ -41,31 +41,31 @@ class TestAnd2GiniTrace:
     """Fully hand-checked run: f = x1 AND x2, gini, budget 3."""
 
     def test_initial_potentials(self, run):
-        _, trace = run
+        trace = run
         assert trace.initial_expectation == Fraction(1, 4)
         assert trace.initial_g_impurity == pytest.approx(0.75, abs=1e-12)
         assert trace.initial_u_f == 1  # both coords have influence 1/2
         assert trace.initial_distance == Fraction(1, 4)
 
     def test_split_sequence(self, run):
-        _, trace = run
+        trace = run
         assert [(s.leaf_id, s.coord) for s in trace.steps] == [(0, 1), (0, 2)]
         assert trace.steps[0].gain == pytest.approx(0.25, abs=1e-12)
         assert trace.steps[1].gain == pytest.approx(0.5, abs=1e-12)
 
     def test_potential_telescopes(self, run):
-        _, trace = run
+        trace = run
         assert trace.steps[0].g_impurity == pytest.approx(0.5, abs=1e-12)
         assert trace.steps[1].g_impurity == pytest.approx(0.0, abs=1e-12)
 
     def test_distance_sequence(self, run):
-        _, trace = run
+        trace = run
         assert [s.distance for s in trace.steps] == [Fraction(1, 4), Fraction(0)]
         assert trace.final_distance() == 0
         assert trace.stop_reason == "budget"
 
     def test_completion_is_exact(self, run):
-        t, _ = run
+        t, _ = with_tree(run)
         f = conjunction(2)
         assert treemod.distance(t, f) == 0
         assert treemod.size(t) == 3
@@ -74,15 +74,15 @@ class TestAnd2GiniTrace:
 class TestInfluenceRule:
     def test_same_splits_as_gini_on_and2(self):
         f = conjunction(2)
-        _, trace_g = grow(f, GrowthConfig(budget=3, impurity=GINI))
-        _, trace_i = grow(f, GrowthConfig(budget=3, impurity=None))
+        trace_g = grow(f, GrowthConfig(budget=3, impurity=GINI))
+        trace_i = grow(f, GrowthConfig(budget=3, impurity=None))
         assert trace_i.mode == "influence"
         common, mismatches = rule_agreement(trace_g, trace_i)
         assert common == 2
         assert mismatches == []
 
     def test_gain_column_is_weighted_influence(self):
-        _, trace = grow(conjunction(2), GrowthConfig(budget=3, impurity=None))
+        trace = grow(conjunction(2), GrowthConfig(budget=3, impurity=None))
         # root: Inf_1 = 1/2 at depth 0; then the hi leaf: Inf_2 = 1 at depth 1
         assert trace.steps[0].gain == pytest.approx(0.5, abs=1e-15)
         assert trace.steps[1].gain == pytest.approx(0.5, abs=1e-15)
@@ -92,12 +92,12 @@ class TestInfluenceRule:
 
 class TestStops:
     def test_budget_stop(self):
-        _, trace = grow(majority(3), GrowthConfig(budget=2, impurity=GINI))
+        trace = grow(majority(3), GrowthConfig(budget=2, impurity=GINI))
         assert len(trace.steps) == 1
         assert trace.stop_reason == "budget"
 
     def test_budget_one_grows_nothing(self):
-        t, trace = grow(majority(3), GrowthConfig(budget=1, impurity=GINI))
+        t, trace = with_tree(grow(majority(3), GrowthConfig(budget=1, impurity=GINI)))
         assert treemod.size(t) == 1
         assert trace.steps == []
         # E = 1/2 ties toward label 1
@@ -105,22 +105,21 @@ class TestStops:
 
     def test_zero_gain_stop_on_parity(self):
         # any single split of parity leaves both children at expectation 1/2
-        t, trace = grow(
-            parity(2), GrowthConfig(budget=4, impurity=GINI, stop_on_zero_gain=True)
-        )
+        cfg = GrowthConfig(budget=4, impurity=GINI, stop_on_zero_gain=True)
+        t, trace = with_tree(grow(parity(2), cfg))
         assert treemod.size(t) == 1
         assert trace.stop_reason == "zero-gain"
 
     def test_without_zero_gain_stop_parity_is_solved(self):
         # the full parity tree has 4 leaves; budget 6 leaves slack to observe
         # the stop on pure leaves rather than on the budget
-        t, trace = grow(parity(2), GrowthConfig(budget=6, impurity=GINI))
+        t, trace = with_tree(grow(parity(2), GrowthConfig(budget=6, impurity=GINI)))
         assert trace.stop_reason == "no-candidates"
         assert treemod.size(t) == 4
         assert treemod.distance(t, parity(2)) == 0
 
     def test_no_candidates_when_all_leaves_pure(self):
-        _, trace = grow(conjunction(2), GrowthConfig(budget=16, impurity=GINI))
+        trace = grow(conjunction(2), GrowthConfig(budget=16, impurity=GINI))
         assert trace.final_size == 3
         assert trace.stop_reason == "no-candidates"
 
@@ -140,7 +139,7 @@ class TestPotentialFunctions:
 
     def test_trace_initials_match(self):
         f = random_monotone(5, seed=7)
-        _, trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
         empty = treemod.PartialTree(treemod.Leaf())
         assert trace.initial_g_impurity == pytest.approx(g_impurity(empty, f, GINI))
         assert trace.initial_u_f == influence_potential(empty, f)
@@ -148,13 +147,13 @@ class TestPotentialFunctions:
 
 class TestDistanceAtSize:
     def test_anchors_on_and2(self):
-        _, trace = grow(conjunction(2), GrowthConfig(budget=3, impurity=GINI))
+        trace = grow(conjunction(2), GrowthConfig(budget=3, impurity=GINI))
         assert trace.distances() == [Fraction(1, 4), Fraction(1, 4), 0]
 
     @given(seed=st.integers(0, 200))
     def test_distance_never_increases(self, seed):
         f = random_monotone(4, seed=seed)
-        _, trace = grow(f, GrowthConfig(budget=10, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=10, impurity=GINI))
         curve = [trace.initial_distance] + [s.distance for s in trace.steps]
         assert all(a >= b for a, b in zip(curve, curve[1:]))
 
@@ -163,7 +162,7 @@ class TestSplitInequalities:
     def test_monitored_run_passes(self):
         f = majority(3)
         mon = Monitor(s=2, eps=Fraction(1, 10), opt_s=Fraction(1, 4))
-        _, trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
         report = verify_split_inequalities(trace, f, GINI, monitor=mon)
         assert report.passed
         # initial distance 1/2 exceeds opt_2 + eps = 7/20, so step 1 is monitored
@@ -176,7 +175,7 @@ class TestSplitInequalities:
     def test_gain_beats_claim3_bound_everywhere(self):
         f = random_monotone(6, seed=11)
         mon = Monitor(s=4, eps=Fraction(1, 10), opt_s=Fraction(0))
-        _, trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
         report = verify_split_inequalities(trace, f, GINI, monitor=mon)
         assert report.passed
         for check in report.checks:
@@ -185,7 +184,7 @@ class TestSplitInequalities:
     def test_first_failure_names_the_edited_step(self):
         f = random_monotone(6, seed=11)
         mon = Monitor(s=4, eps=Fraction(1, 10), opt_s=Fraction(0))
-        _, trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
         assert verify_split_inequalities(trace, f, GINI, monitor=mon).first_failure is None
         # edit the gains of steps 5 and 8 down to 0: step 5 is the first to fail
         for i in (4, 7):
@@ -202,7 +201,7 @@ class TestSplitInequalities:
     def test_first_failure_names_claim1_then_initial_claim2(self):
         f = random_monotone(6, seed=11)
         mon = Monitor(s=4, eps=Fraction(1, 10), opt_s=Fraction(0))
-        _, trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=12, impurity=GINI))
         trace.steps[2] = replace(trace.steps[2], gain=0.0)
         # G-impurity 0 at the root is not G(E[f]) (claim 1) and is below the distance
         trace.initial_g_impurity = 0.0
@@ -215,14 +214,14 @@ class TestSplitInequalities:
 
     def test_refuses_non_monotone_target(self):
         f = parity(3)
-        _, trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=4, impurity=GINI))
         mon = Monitor(s=2, eps=Fraction(1, 10), opt_s=Fraction(0))
         with pytest.raises(ValueError, match="monotone"):
             verify_split_inequalities(trace, f, GINI, monitor=mon)
 
     def test_refuses_targets_other_than_truth_tables(self):
         h = choose_params(4, 3)  # monotone, but opt_s needs a truth table
-        _, trace = grow(h, GrowthConfig(budget=4, impurity=GINI))
+        trace = grow(h, GrowthConfig(budget=4, impurity=GINI))
         mon = Monitor(s=2, eps=Fraction(1, 10), opt_s=Fraction(0))
         for f in (None, h):
             with pytest.raises(ValueError, match="monotone"):
@@ -230,7 +229,7 @@ class TestSplitInequalities:
 
     def test_refuses_influence_trace(self):
         f = conjunction(2)
-        _, trace = grow(f, GrowthConfig(budget=3, impurity=None))
+        trace = grow(f, GrowthConfig(budget=3, impurity=None))
         with pytest.raises(ValueError, match="impurity-rule"):
             verify_split_inequalities(trace, f, GINI, monitor=Monitor(2, Fraction(1, 10), 0))
 
@@ -238,7 +237,7 @@ class TestSplitInequalities:
 class TestArgmaxAgreement:
     def test_rule_agreement_with_itself(self):
         f = random_monotone(5, seed=9)
-        _, trace = grow(f, GrowthConfig(budget=8, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=8, impurity=GINI))
         common, mismatches = rule_agreement(trace, trace)
         assert common == len(trace.steps)
         assert mismatches == []
@@ -246,7 +245,7 @@ class TestArgmaxAgreement:
 
 class TestTraceCsv:
     def test_structure(self, tmp_path):
-        _, trace = grow(conjunction(2), GrowthConfig(budget=3, impurity=GINI))
+        trace = grow(conjunction(2), GrowthConfig(budget=3, impurity=GINI))
         cli._write_trace(tmp_path, trace)
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "iter,leaf_id,coord,theta,gain,g_impurity,u_f,distance"
@@ -258,7 +257,7 @@ class TestTraceCsv:
 
     def test_matches_golden_file(self, tmp_path):
         f = random_monotone(6, seed=3)
-        _, trace = grow(f, GrowthConfig(budget=8, impurity=GINI))
+        trace = grow(f, GrowthConfig(budget=8, impurity=GINI))
         cli._write_trace(tmp_path, trace)
         golden = DATA / "trace_n6_seed3_gini.csv"
         assert (tmp_path / "trace.csv").read_text() == golden.read_text()
@@ -280,7 +279,7 @@ def _linear_greedy(root, cfg, mode):
         initial_g_impurity=g_imp,
         initial_u_f=None if u_num is None else Fraction(u_num, scale),
         initial_distance=Fraction(err, scale),
-        initial_label=root.label,
+        labels=[root.label],
     )
     tol = 0 if mode == "influence" else GAIN_TOL
     states = [root]
@@ -312,6 +311,7 @@ def _linear_greedy(root, cfg, mode):
         i = len(steps) + 1
         node = nodes[best_idx]
         nodes[best_idx : best_idx + 1] = [2 * i - 1, 2 * i]
+        trace.labels += hi.label, lo.label
 
         steps.append(
             TraceStep(
@@ -324,8 +324,6 @@ def _linear_greedy(root, cfg, mode):
                 g_impurity=g_imp,
                 u_f=None if u_num is None else Fraction(u_num, scale),
                 distance=Fraction(err, scale),
-                hi_label=hi.label,
-                lo_label=lo.label,
                 inf_split=leaf.inf_split,
                 median_split=leaf.best_median,
             )
@@ -383,7 +381,7 @@ _FRACTION_SCORES = st.one_of(
 )
 def test_indexed_pick_matches_scan_on_synthetic_leaves(scores, seed, mode, budget, stop):
     cfg = GrowthConfig(budget=budget, stop_on_zero_gain=stop)
-    _, trace = _greedy(_PoolLeaf(scores, seed), cfg, mode)
+    trace = _greedy(_PoolLeaf(scores, seed), cfg, mode)
     assert trace == _linear_greedy(_PoolLeaf(scores, seed), cfg, mode)
 
 
@@ -409,7 +407,7 @@ def test_indexed_pick_matches_scan_on_growth(kind, size, seed, rule, k, budget, 
     else:
         f = random_monotone(size, seed)
     cfg = GrowthConfig(budget=budget, impurity=_spec(rule), stop_on_zero_gain=stop)
-    _, trace = grow(f, cfg)
+    trace = grow(f, cfg)
     assert trace == _linear_greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)
 
 
@@ -429,8 +427,11 @@ def test_smaller_budget_trace_is_a_prefix(kind, size, k, seed, rule, stop, budge
     else:
         f = BoolFunc(size, derived_rng(seed, "prefix").getrandbits(1 << size))
     small_b, big_b = budgets
-    _, small = grow(f, GrowthConfig(budget=small_b, impurity=_spec(rule), stop_on_zero_gain=stop))
-    _, big = grow(f, GrowthConfig(budget=big_b, impurity=_spec(rule), stop_on_zero_gain=stop))
+    small = grow(f, GrowthConfig(budget=small_b, impurity=_spec(rule), stop_on_zero_gain=stop))
+    big = grow(f, GrowthConfig(budget=big_b, impurity=_spec(rule), stop_on_zero_gain=stop))
     assert small.steps == big.steps[: small_b - 1]
-    assert replace(small, steps=[], stop_reason="") == replace(big, steps=[], stop_reason="")
+    # each node's label is fixed when it is made, so the labels are a prefix too
+    assert small.labels == big.labels[: 2 * small.final_size - 1]
+    bare = dict(steps=[], labels=[], stop_reason="")
+    assert replace(small, **bare) == replace(big, **bare)
     assert small.stop_reason == ("budget" if big.final_size >= small_b else big.stop_reason)

@@ -8,7 +8,7 @@ re-validates the whole PartialTree, finding its leaf by the step's
 leaf_id, and label_leaves labels the result with the children's labels
 spliced in preorder.  Each case replays the trace's (leaf_id, coord,
 theta) this way from PartialTree(Leaf()) and asserts that tree_at gives
-the same tree at every size, the loop's own tree at the final size.
+the same tree at every size.
 
 The hard CLI's checkpoint trees, once rebuilt by replaying cursor splits,
 now come from tree_at; they are checked against that replay.
@@ -46,22 +46,22 @@ def _replay(trace) -> PartialTree:
 def _labeled_replays(trace):
     """The reference tree at sizes 1, 2, ..., final_size: the trace's
     splits through tree.split, its labels spliced at each step's leaf_id."""
-    t, labels = PartialTree(Leaf()), [trace.initial_label]
+    t, labels = PartialTree(Leaf()), [trace.labels[0]]
     yield label_leaves(t, labels)
     for step in trace.steps:
         t = treemod.split(t, step.leaf_id, step.coord, step.theta)
-        labels[step.leaf_id : step.leaf_id + 1] = [step.hi_label, step.lo_label]
+        hi = 2 * step.iteration - 1  # the ids of the children the step makes
+        labels[step.leaf_id : step.leaf_id + 1] = trace.labels[hi : hi + 2]
         yield label_leaves(t, labels)
 
 
 def _check(run):
-    """Assert tree_at matches the reference at every size, and the loop's
-    tree at the last; return that tree and its trace."""
-    t, trace = run()
+    """Assert tree_at matches the reference at every size; return the final
+    tree and its trace."""
+    trace = run()
     sizes = range(1, trace.final_size + 1)
     assert [tree_at(trace, s) for s in sizes] == list(_labeled_replays(trace))
-    assert tree_at(trace, trace.final_size) == t
-    return t, trace
+    return tree_at(trace, trace.final_size), trace
 
 
 def _config(budget, rule):
@@ -120,11 +120,11 @@ def test_growth_never_edits_through_tree_split(monkeypatch, tmp_path):
 
     monkeypatch.setattr(treemod, "split", refuse)
     f = BoolFunc(8, derived_rng(4, "guard").getrandbits(1 << 8))
-    _, trace = grow(f, _config(24, "gini"))
+    trace = grow(f, _config(24, "gini"))
     assert trace.final_size == 24
     teacher = balanced_random_tree(2, 5, 3)
     sample = sample_teacher(teacher, ProductDistribution.uniform(2), 80, 3)
-    _, trace = grow_real(sample, _config(8, "gini"))
+    trace = grow_real(sample, _config(8, "gini"))
     assert trace.steps
     out = tmp_path / "hard"
     rc = main(["hard", "--l", "6", "--k", "5", "--budget", "24", "--samples", "200",
@@ -161,7 +161,7 @@ def _cursor_replay(h, trace, sizes):
 )
 def test_tree_at_checkpoints_match_cursor_replay(ell, k, budget, rule):
     h = hardinstance.choose_params(ell, k)
-    _, trace = grow(h, _config(budget, rule))
+    trace = grow(h, _config(budget, rule))
     sizes = _hard_checkpoints(trace.final_size)
     expected = _cursor_replay(h, trace, sizes)
     assert sorted(expected) == sizes
@@ -171,7 +171,7 @@ def test_tree_at_checkpoints_match_cursor_replay(ell, k, budget, rule):
 
 def test_tree_at_checkpoints_on_benchmark_instance():
     h = hardinstance.choose_params(8, 63)
-    _, trace = grow(h, _config(64, "gini"))
+    trace = grow(h, _config(64, "gini"))
     sizes = _hard_checkpoints(trace.final_size)
     expected = _cursor_replay(h, trace, sizes)
     assert [tree_at(trace, size) for size in sizes] == [expected[size] for size in sizes]
@@ -179,7 +179,7 @@ def test_tree_at_checkpoints_on_benchmark_instance():
 
 def test_tree_at_every_size_is_the_table_completion():
     f = BoolFunc(6, derived_rng(9, "tree-at").getrandbits(1 << 6))
-    _, trace = grow(f, _config(30, "entropy"))
+    trace = grow(f, _config(30, "entropy"))
     t = PartialTree(Leaf())
     assert tree_at(trace, 1) == complete(t, f)
     for size, step in enumerate(trace.steps, start=2):

@@ -45,6 +45,7 @@ from reference import (
     total_influence,
     trace_of,
     value_at,
+    with_tree,
 )
 
 
@@ -436,8 +437,8 @@ class TestGrowthEquivalence:
         h = choose_params(4, 3)
         F = hard_table(h)
         cfg = GrowthConfig(budget=12, impurity=builtin("gini"))
-        t_h, trace_h = grow(h, cfg)
-        t_f, trace_f = grow(F, cfg)
+        t_h, trace_h = with_tree(grow(h, cfg))
+        t_f, trace_f = with_tree(grow(F, cfg))
         assert [(s.leaf_id, s.coord) for s in trace_h.steps] == [
             (s.leaf_id, s.coord) for s in trace_f.steps
         ]
@@ -448,8 +449,8 @@ class TestGrowthEquivalence:
         h = choose_params(4, 3)
         F = hard_table(h)
         cfg = GrowthConfig(budget=8, impurity=None)
-        _, trace_h = grow(h, cfg)
-        _, trace_f = grow(F, cfg)
+        trace_h = grow(h, cfg)
+        trace_f = grow(F, cfg)
         assert [(s.leaf_id, s.coord) for s in trace_h.steps] == [
             (s.leaf_id, s.coord) for s in trace_f.steps
         ]
@@ -468,8 +469,8 @@ def test_cursor_growth_matches_table_growth(ell, k, rule, data):
     h = choose_params(ell, k)
     budget = data.draw(st.integers(1, min(1 << h.arity, 512)), label="budget")
     cfg = GrowthConfig(budget=budget, impurity=builtin(rule) if rule else None)
-    t_h, trace_h = grow(h, cfg)
-    t_f, trace_f = grow(hard_table(h), cfg)
+    t_h, trace_h = with_tree(grow(h, cfg))
+    t_f, trace_f = with_tree(grow(hard_table(h), cfg))
 
     def rows(trace):
         return [
@@ -492,7 +493,7 @@ class TestXiCutoff:
 class TestLowerBoundExperiment:
     def test_small_instance_smoke(self):
         h = choose_params(4, 3)
-        _, trace, (mc_estimate, mc_halfwidth, xi_fraction) = lower_bound_experiment(
+        trace, (mc_estimate, mc_halfwidth, xi_fraction) = lower_bound_experiment(
             h, builtin("gini"), budget=8, mc_samples=4000, seed=1
         )
         assert (h.params.ell, h.k, h.params.w) == (4, 3, 2)
@@ -505,13 +506,13 @@ class TestLowerBoundExperiment:
 
     def test_influence_rule_runs(self):
         h = choose_params(4, 3)
-        _, trace, _ = lower_bound_experiment(h, None, budget=4, mc_samples=500, seed=0)
+        trace, _ = lower_bound_experiment(h, None, budget=4, mc_samples=500, seed=0)
         assert trace.final_size <= 4
 
     def test_exact_wins_at_full_budget(self):
         # budget 2^7 covers the whole cube, so growth must reach distance 0
         h = choose_params(4, 3)
-        _, trace, _ = lower_bound_experiment(h, builtin("gini"), budget=128, mc_samples=200, seed=0)
+        trace, _ = lower_bound_experiment(h, builtin("gini"), budget=128, mc_samples=200, seed=0)
         assert trace.final_distance() == 0
 
 

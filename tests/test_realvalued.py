@@ -33,7 +33,7 @@ from topdowndt.realvalued import (
 )
 from topdowndt.tree import DecisionTree, Internal, Leaf
 
-from reference import box_disagreement, depth, encode_point, value_at
+from reference import box_disagreement, depth, encode_point, value_at, with_tree
 
 GINI = builtin("gini")
 
@@ -271,7 +271,7 @@ class TestGrowRealEmpirical:
     def test_separable_data_solved_by_one_split(self):
         pts = (((0.2,), 0), ((0.3,), 0), ((0.7,), 1), ((0.8,), 1))
         sample = RealSample(pts)
-        t, trace = grow_real(sample, GrowthConfig(budget=4, impurity=GINI))
+        t, trace = with_tree(grow_real(sample, GrowthConfig(budget=4, impurity=GINI)))
         assert trace.mode == "real-empirical"
         assert trace.threshold_policy == "midpoints"
         assert trace.steps[0].theta == 0.5  # midpoint of 0.3 and 0.7
@@ -282,7 +282,7 @@ class TestGrowRealEmpirical:
 
     def test_grid_policy_snaps_candidates(self):
         pts = (((0.2,), 0), ((0.3,), 0), ((0.7,), 1), ((0.8,), 1))
-        t, trace = grow_real(RealSample(pts), GrowthConfig(budget=4, impurity=GINI), "grid:2")
+        trace = grow_real(RealSample(pts), GrowthConfig(budget=4, impurity=GINI), "grid:2")
         assert trace.threshold_policy == "grid:2"
         assert trace.steps[0].theta == 0.5
         assert trace.final_distance() == 0
@@ -291,9 +291,8 @@ class TestGrowRealEmpirical:
         # both points sit on the same value, so any grid split leaves one
         # side empty; the empty side must inherit the parent's majority
         pts = (((0.5,), 0), ((0.5,), 1))
-        t, trace = grow_real(
-            RealSample(pts), GrowthConfig(budget=2, impurity=GINI), "grid:2"
-        )
+        cfg = GrowthConfig(budget=2, impurity=GINI)
+        t, trace = with_tree(grow_real(RealSample(pts), cfg, "grid:2"))
         assert len(trace.steps) == 1
         assert trace.steps[0].gain == pytest.approx(0.0, abs=1e-12)
         labels = [info.node.label for info in treemod.leaves(t)]
@@ -302,11 +301,8 @@ class TestGrowRealEmpirical:
 
     def test_zero_gain_stop(self):
         pts = (((0.5,), 0), ((0.5,), 1))
-        t, trace = grow_real(
-            RealSample(pts),
-            GrowthConfig(budget=4, impurity=GINI, stop_on_zero_gain=True),
-            "grid:2",
-        )
+        cfg = GrowthConfig(budget=4, impurity=GINI, stop_on_zero_gain=True)
+        t, trace = with_tree(grow_real(RealSample(pts), cfg, "grid:2"))
         assert treemod.size(t) == 1
         assert trace.stop_reason == "zero-gain"
 
@@ -315,7 +311,7 @@ class TestGrowRealEmpirical:
         pts = tuple(
             ((rng.random(), rng.random()), rng.randrange(2)) for _ in range(40)
         )
-        _, trace = grow_real(RealSample(pts), GrowthConfig(budget=12, impurity=GINI))
+        trace = grow_real(RealSample(pts), GrowthConfig(budget=12, impurity=GINI))
         curve = [trace.initial_distance] + [s.distance for s in trace.steps]
         assert all(a >= b for a, b in zip(curve, curve[1:]))
 
@@ -328,7 +324,7 @@ class TestGrowRealEmpirical:
     )
     def test_midpoint_separates_adjacent_values(self, a, b):
         pts = (((a,), 0), ((b,), 1))
-        t, trace = grow_real(RealSample(pts), GrowthConfig(budget=2, impurity=GINI))
+        t, trace = with_tree(grow_real(RealSample(pts), GrowthConfig(budget=2, impurity=GINI)))
         (step,) = trace.steps
         assert math.isfinite(step.theta) and a < step.theta <= b
         # route every point through the built tree: the trace's gain is the tree's
@@ -470,8 +466,8 @@ class TestPresortedSampleLeaf:
         random.Random(seed).shuffle(permuted)
         runs = []
         for pts in (points, permuted):
-            t, trace = grow_real(RealSample(tuple(pts)), cfg, policy)
-            ref_t, ref_trace = _reference_grow_real(RealSample(tuple(pts)), cfg, policy)
+            t, trace = with_tree(grow_real(RealSample(tuple(pts)), cfg, policy))
+            ref_t, ref_trace = with_tree(_reference_grow_real(RealSample(tuple(pts)), cfg, policy))
             assert trace == ref_trace  # every TraceStep field, repr=False ones too
             assert _tree_bytes(t) == _tree_bytes(ref_t)
             runs.append((trace, _tree_bytes(t)))
@@ -485,8 +481,8 @@ class TestPresortedSampleLeaf:
         labels = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0]
         sample = RealSample(tuple(((x, y), b) for x, y, b in zip(xs, reversed(xs), labels)))
         cfg = GrowthConfig(budget=8, impurity=GINI)
-        t, trace = grow_real(sample, cfg, policy)
-        ref_t, ref_trace = _reference_grow_real(sample, cfg, policy)
+        t, trace = with_tree(grow_real(sample, cfg, policy))
+        ref_t, ref_trace = with_tree(_reference_grow_real(sample, cfg, policy))
         assert trace == ref_trace
         assert _tree_bytes(t) == _tree_bytes(ref_t)
         assert trace.steps and all(0 < step.theta < 1 for step in trace.steps)
@@ -505,7 +501,7 @@ class TestPresortedSampleLeaf:
         sample = RealSample(
             tuple(((rng.random(), rng.random()), rng.randint(0, 1)) for _ in range(20))
         )
-        _, trace = grow_real(sample, GrowthConfig(budget=6, impurity=spec), "grid:12")
+        trace = grow_real(sample, GrowthConfig(budget=6, impurity=spec), "grid:12")
         leaves = 1 + 2 * len(trace.steps)  # every leaf state ever scored
         coords = 2  # each scores <= points + 1 cuts, with two fn calls a cut
         assert calls <= leaves * (1 + coords * 2 * (len(sample) + 1))
@@ -531,8 +527,8 @@ class TestPresortedSampleLeaf:
         )
         sample = RealSample(pts)
         cfg = GrowthConfig(budget=8, impurity=spec)
-        t, trace = grow_real(sample, cfg, policy)
-        ref_t, ref_trace = _reference_grow_real(sample, cfg, policy)
+        t, trace = with_tree(grow_real(sample, cfg, policy))
+        ref_t, ref_trace = with_tree(_reference_grow_real(sample, cfg, policy))
         assert trace == ref_trace
         assert _tree_bytes(t) == _tree_bytes(ref_t)
 
@@ -553,8 +549,8 @@ class TestPresortedSampleLeaf:
                 pts.append(((x1, x1, x3), label))
             sample = RealSample(tuple(pts))
             cfg = GrowthConfig(budget=budget, impurity=spec)
-            t, trace = grow_real(sample, cfg)
-            ref_t, ref_trace = _reference_grow_real(sample, cfg, "midpoints")
+            t, trace = with_tree(grow_real(sample, cfg))
+            ref_t, ref_trace = with_tree(_reference_grow_real(sample, cfg, "midpoints"))
             assert trace == ref_trace
             assert _tree_bytes(t) == _tree_bytes(ref_t)
             assert len(trace.steps) == budget - 1
@@ -612,8 +608,8 @@ class TestPartition:
     def test_smallest_samples(self, points, policy):
         sample = RealSample(tuple(points))
         cfg = GrowthConfig(budget=4, impurity=GINI)
-        t, trace = grow_real(sample, cfg, policy)
-        ref_t, ref_trace = _reference_grow_real(sample, cfg, policy)
+        t, trace = with_tree(grow_real(sample, cfg, policy))
+        ref_t, ref_trace = with_tree(_reference_grow_real(sample, cfg, policy))
         assert trace == ref_trace
         assert _tree_bytes(t) == _tree_bytes(ref_t)
 
@@ -660,7 +656,7 @@ def sample():
 class TestPrunedMidpointScan:
     def test_concave_bound_skips_most_cuts(self, sample):
         spec, calls = _counted(GINI)
-        t, trace = grow_real(sample, GrowthConfig(budget=16, impurity=spec))
+        t, trace = with_tree(grow_real(sample, GrowthConfig(budget=16, impurity=spec)))
         assert len(trace.steps) == 15
         assert calls[0] < _full_scan_calls(t, sample) / 4
 
@@ -669,13 +665,13 @@ class TestPrunedGridScan:
     def test_bound_as_under_midpoints(self, sample):
         # grid:16 keeps nearly every value in a cell of its own
         spec, calls = _counted(GINI)
-        t, trace = grow_real(sample, GrowthConfig(budget=16, impurity=spec), "grid:16")
+        t, trace = with_tree(grow_real(sample, GrowthConfig(budget=16, impurity=spec), "grid:16"))
         assert len(trace.steps) == 15
         assert calls[0] < _full_scan_calls(t, sample, "grid:16") / 4
         # grid:8 leaves many points per cell, so the cuts are between cells
         cfg = GrowthConfig(budget=16, impurity=GINI)
-        t, trace = grow_real(sample, cfg, "grid:8")
-        ref_t, ref_trace = _reference_grow_real(sample, cfg, "grid:8")
+        t, trace = with_tree(grow_real(sample, cfg, "grid:8"))
+        ref_t, ref_trace = with_tree(_reference_grow_real(sample, cfg, "grid:8"))
         assert trace == ref_trace
         assert _tree_bytes(t) == _tree_bytes(ref_t)
 
@@ -685,10 +681,10 @@ class TestPrunedGridScan:
         # puts every point lo at gain exactly 0.0
         sample = RealSample((((0.1,), 1), ((0.2,), 1), ((0.2,), 0)))
         cfg = GrowthConfig(budget=2, impurity=GINI)
-        t, trace = grow_real(sample, cfg, "grid:2")
+        t, trace = with_tree(grow_real(sample, cfg, "grid:2"))
         (step,) = trace.steps
         assert (step.coord, step.theta, step.gain) == (1, 0.25, 0.0)
-        ref_t, ref_trace = _reference_grow_real(sample, cfg, "grid:2")
+        ref_t, ref_trace = with_tree(_reference_grow_real(sample, cfg, "grid:2"))
         assert trace == ref_trace
         assert _tree_bytes(t) == _tree_bytes(ref_t)
 
@@ -728,8 +724,8 @@ class TestBinaryConsistency:
             x = tuple((b + 1) / 2 for b in _point(idx, 4))
             pts.append((x, value_at(f, _point(idx, 4))))
         sample = RealSample(tuple(pts))
-        t_real, trace_real = grow_real(sample, GrowthConfig(budget=16, impurity=GINI))
-        _, trace_bin = grow(f, GrowthConfig(budget=16, impurity=GINI))
+        trace_real = grow_real(sample, GrowthConfig(budget=16, impurity=GINI))
+        trace_bin = grow(f, GrowthConfig(budget=16, impurity=GINI))
         assert [(s.leaf_id, s.coord) for s in trace_real.steps] == [
             (s.leaf_id, s.coord) for s in trace_bin.steps
         ]

@@ -1,6 +1,8 @@
-"""Differential tests: what the growth trace's replay reads back against the
-trees tree_at rebuilds from the same trace."""
+"""Differential tests: grower.node_table, the one decoder of a trace's node
+ids, and rule_agreement, which reads it, against the trees tree_at rebuilds
+from the same trace, and against every cut of the trace."""
 
+import dataclasses
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -9,8 +11,8 @@ from topdowndt import tree as treemod
 from topdowndt.boolfn import random_monotone
 from topdowndt.grower import (
     GrowthConfig,
-    _split_paths,
     grow,
+    node_table,
     rule_agreement,
     tree_at,
 )
@@ -36,17 +38,44 @@ def _reference_paths(trace) -> list[tuple]:
     return paths
 
 
-def _check_replay(trace) -> None:
-    replay = list(_split_paths(trace))
-    assert [step for step, _ in replay] == trace.steps
-    paths = _reference_paths(trace)
-    assert [path for _, path in replay] == paths
-    # the node ids: the node a step splits is open and has the path of its leaf
-    node_paths = {0: ()}  # the open leaves' nodes, with their paths
-    for step, path in zip(trace.steps, paths):
-        assert node_paths.pop(step.node) == path
-        hi = 2 * step.iteration - 1
-        node_paths[hi], node_paths[hi + 1] = path + ((step.coord, 1),), path + ((step.coord, -1),)
+def _open_nodes(trace):
+    """The open leaves' node ids in preorder, at sizes 1..final_size: the
+    numbering (step i makes hi 2i - 1 and lo 2i) spliced at each leaf_id."""
+    nodes = [0]
+    yield nodes[:]
+    for step in trace.steps:
+        assert nodes[step.leaf_id] == step.node
+        nodes[step.leaf_id : step.leaf_id + 1] = [2 * step.iteration - 1, 2 * step.iteration]
+        yield nodes[:]
+
+
+def _check_node_table(trace) -> None:
+    table = node_table(trace)
+    assert all(len(column) == 2 * trace.final_size - 1 for column in table)
+    # at every size: each leaf's node has the leaf's depth and label and is
+    # split at that size or later, every other node made so far before it
+    for s, open_ids in enumerate(_open_nodes(trace), start=1):
+        leaves = treemod.leaves(tree_at(trace, s))
+        assert len(leaves) == len(open_ids)
+        for v, info in zip(open_ids, leaves):
+            assert (table.depth[v], table.label[v]) == (len(info.path), info.node.label)
+            assert table.split[v] >= s
+        assert all(table.split[v] < s for v in set(range(2 * s - 1)) - set(open_ids))
+    # each step's node: its split, and the depth of the leaf it split
+    for step, path in zip(trace.steps, _reference_paths(trace)):
+        i, v = step.iteration, step.node
+        assert (table.split[v], table.coord[v], table.hi[v]) == (i, step.coord, 2 * i - 1)
+        assert table.depth[v] == len(path)
+    # a trace cut as the agnostic sweep cuts it reads the same on its nodes
+    for b in range(1, trace.final_size + 1):
+        cut_trace = dataclasses.replace(trace, steps=trace.steps[: b - 1])
+        cut, m = node_table(cut_trace), 2 * b - 1
+        assert (cut.label, cut.depth) == (table.label[:m], table.depth[:m])
+        assert cut.split == [min(t, b) for t in table.split[:m]]
+        kept = [t < b for t in table.split[:m]]
+        assert cut.coord == [c if k else 0 for c, k in zip(table.coord, kept)]
+        assert cut.hi == [c if k else 0 for c, k in zip(table.hi, kept)]
+        assert tree_at(cut_trace, b) == tree_at(trace, b)
 
 
 def _check_table_distances(trace, f) -> None:
@@ -72,9 +101,9 @@ def _reference_agreement(trace_a, trace_b) -> tuple[int, set]:
 )
 def test_replay_on_monotone_tables(n, seed, rule, other, budget):
     f = random_monotone(n, seed=seed)
-    _, trace = grow(f, GrowthConfig(budget=budget, impurity=_spec(rule)))
-    _, trace_other = grow(f, GrowthConfig(budget=budget, impurity=_spec(other)))
-    _check_replay(trace)
+    trace = grow(f, GrowthConfig(budget=budget, impurity=_spec(rule)))
+    trace_other = grow(f, GrowthConfig(budget=budget, impurity=_spec(other)))
+    _check_node_table(trace)
     _check_table_distances(trace, f)
     common, mismatches = rule_agreement(trace, trace_other)
     assert len(set(mismatches)) == len(mismatches)
@@ -89,8 +118,8 @@ def test_replay_on_monotone_tables(n, seed, rule, other, budget):
 )
 def test_replay_on_small_hard_instances(ell, k, rule, budget):
     h = choose_params(ell, k)
-    _, trace = grow(h, GrowthConfig(budget=budget, impurity=_spec(rule)))
-    _check_replay(trace)
+    trace = grow(h, GrowthConfig(budget=budget, impurity=_spec(rule)))
+    _check_node_table(trace)
     _check_table_distances(trace, hard_table(h))
 
 
@@ -105,8 +134,8 @@ def test_replay_on_small_hard_instances(ell, k, rule, budget):
 )
 def test_replay_on_samples(points, policy, budget):
     sample = RealSample(tuple((tuple(v / 8 for v in x), label) for x, label in points))
-    _, trace = grow_real(sample, GrowthConfig(budget=budget, impurity=builtin("gini")), policy)
-    _check_replay(trace)
+    trace = grow_real(sample, GrowthConfig(budget=budget, impurity=builtin("gini")), policy)
+    _check_node_table(trace)
     for s, d in enumerate(trace.distances(), start=1):
         t = tree_at(trace, s)
         errors = sum(treemod.evaluate(t, x) != label for x, label in sample.points)
