@@ -2,7 +2,7 @@
 
 Every grower in the package runs one loop, _greedy: split the leaf with
 the best score, repeat until the leaf budget is spent.  It works on leaf
-states (see _LeafState for the protocol); grow() runs it over cursor
+states (_greedy states their protocol); grow() runs it over cursor
 leaves, realvalued.grow_real() over sample leaves.  The loop records
 each split in the trace: the node it splits, numbered as nodes are made
 (the root is 0, and step i makes hi 2i - 1 and lo 2i), and its children's
@@ -21,15 +21,16 @@ Two split rules drive grow():
     most influential free coordinate i.
 
 Candidates are scanned leaves in preorder, then each leaf's candidates in
-coordinate order (then threshold order), and a later candidate displaces
-the leader only if it beats it by more than GAIN_TOL = 1e-12, or by any
-amount under the influence rule, whose scores are exact rationals.  Pure
-leaves (bias 0) are never split; they lose every argmax, and once nothing
-splittable remains the loop halts regardless of the remaining budget.
-With stop_on_zero_gain unset (the default) zero-gain splits of impure
-leaves do happen, in tie-break order, until the leaf budget is spent.
-The loop finds the leader from a sorted index of the leaves' scores (see
-_greedy).
+coordinate order (then threshold order).  Between leaves, a later one
+displaces the leader only if its score beats the leader's by more than
+GAIN_TOL = 1e-12, under every rule; within a leaf the gain scan uses the
+same tolerance, and the influence scan compares its integer scores
+exactly.  Pure leaves (bias 0) are never split; they score -inf, and once
+nothing splittable remains the loop halts regardless of the remaining
+budget.  With stop_on_zero_gain unset (the default) zero-gain splits of
+impure leaves do happen, in tie-break order, until the leaf budget is
+spent.  The loop finds the leader from a sorted index of the leaves'
+scores (see _greedy).
 
 grow() runs on any function exposing the cursor interface below;
 boolfn truth tables and the structured hard instances both do.  A
@@ -50,10 +51,10 @@ Growth is monitored: every iteration appends a TraceStep carrying the
 exact distance of the f-completion, the impurity potential, and the
 influence potential  u(T) = sum over leaves of 2^-|l| * Inf(f_l)  (total
 influence of the leaf's subfunction).  The loop keeps the exact terms as
-integers over the run's one denominator, scale (2^n for a cursor, N for
-a sample), and builds a Fraction only for what the trace records.
-verify_split_inequalities() then replays the per-step guarantees for
-monotone truth-table targets:
+integers over the run's one denominator, the root's size (2^n for a
+cursor, N for a sample), and builds a Fraction only for what the trace
+records.  verify_split_inequalities() then replays the per-step
+guarantees for monotone truth-table targets:
 
   step 0:        G-impurity = G(E[f]) <= 1
   every step:    distance <= G-impurity
@@ -210,40 +211,29 @@ class GrowthTrace:
 
 
 class _LeafState:
-    """A leaf over a cursor (truth table or hard instance), for _greedy.
+    """A leaf over a cursor (truth table or hard instance): _greedy's leaf
+    state, with the cursor's size and ones.
 
-    The leaf-state protocol, whose one other implementor is realvalued's
-    _SampleLeaf: active; score, the selection key (best_gain under an
-    impurity, the exact 2^-depth * Inf_i under the influence rule); the
-    best split best_gain, best_coord, best_theta, best_median; err, the
-    error mass of the majority label, and u_term, the influence-potential
-    term (None when untracked); g_term, the float G-impurity term; label;
-    scale and expectation (read at the root only, as is g_term);
-    inf_split, the TraceStep extra; and children(), called once, on the
-    leaf being split.  The exact terms err and u_term, and an exact score,
-    are integer numerators over the run's one denominator scale.  A leaf's
-    path and depth are not part of it: the trace's node ids fix them (see
-    node_table).
-
-    Here scale = 2^n (free + depth = n at every leaf), so err is
-    min(ones, size - ones), and the leaf is active exactly when err != 0.
-    An active leaf reads its cursor's candidates() once: the gain scan
-    reads each row's hi and lo ones; 2 * pairs is Inf_i * size, the
-    influence rule's score (2^-depth * Inf_i * scale) and, on the chosen
-    row, inf_split's numerator; u_term, total influence times size, is
-    2 * the sum of members * pairs.  A constant leaf's influences are all 0.
+    The run's denominator is the root's size 2^n, and free + depth = n at
+    every leaf, so err is min(ones, size - ones).  A leaf with err = 0 is
+    constant: it has no split, and its score stays -inf.  Any other leaf
+    reads its cursor's candidates() once.  The gain scan reads each row's hi
+    and lo ones, and calls spec.fn on ratios of counts, which lie in [0, 1]
+    and are correctly rounded (int / int).  2 * pairs is Inf_i * size: the
+    influence rule's score (2^-depth * Inf_i * 2^n) and, on the chosen row,
+    inf_split's numerator.  u_term, total influence times size, is 2 * the
+    sum of members * pairs; a constant leaf's influences are all 0.
     """
 
     __slots__ = (
         "cursor",
         "spec",
         "depth",
+        "size",
         "ones",
         "label",
         "err",
-        "g_term",
         "u_term",
-        "active",
         "score",
         "best_gain",
         "best_coord",
@@ -259,30 +249,24 @@ class _LeafState:
         self.spec = spec
         self.depth = depth
         self.inf_split = None
-        size = cursor.size
+        self.size = size = cursor.size
         self.ones = ones = cursor.ones
         self.label = 1 if 2 * ones >= size else 0
         self.err = min(ones, size - ones)
-        self.active = self.err != 0
-        # G(E[f_l]) is read by the gain scan and, at the root, by _greedy;
-        # int / int is correctly rounded, so it is G(float(E[f_l]))
-        g_here = None
-        if spec is not None and (self.active or depth == 0):
-            g_here = evaluate(spec, ones / size)
-        self.g_term = None if g_here is None else math.ldexp(g_here, -depth)
         self.score = self.best_gain = -math.inf
         self.best_coord = self.best_inf = None
-        if not self.active:
+        if self.err == 0:
             self.u_term = 0
             return
         rows = cursor.candidates()
         self.u_term = 2 * sum(members * pairs for _, members, _, _, pairs in rows)
         best = -math.inf
         if spec is not None:
+            fn = spec.fn
             half = size >> 1
+            g_here = fn(ones / size)
             for coord, _, hi, lo, pairs in rows:
-                # int / int is correctly rounded: the float of the exact ratio
-                local = g_here - 0.5 * (evaluate(spec, hi / half) + evaluate(spec, lo / half))
+                local = g_here - 0.5 * (fn(hi / half) + fn(lo / half))
                 gain = math.ldexp(local, -depth)
                 if gain > best + GAIN_TOL:
                     best, self.best_coord, self.best_inf = gain, coord, 2 * pairs
@@ -295,36 +279,21 @@ class _LeafState:
             # the gain column records the score's float value
             self.best_gain = best / (size << depth)
 
-    @property
-    def scale(self) -> int:
-        return self.cursor.size << self.depth
-
-    @property
-    def expectation(self) -> Fraction:
-        return Fraction(self.ones, self.cursor.size)
-
     def children(self) -> tuple["_LeafState", "_LeafState"]:
-        cursor = self.cursor
-        self.inf_split = Fraction(self.best_inf, cursor.size)
-        hi_cur, lo_cur = cursor.split(self.best_coord)
+        self.inf_split = Fraction(self.best_inf, self.size)
+        hi_cur, lo_cur = self.cursor.split(self.best_coord)
         depth = self.depth + 1
         return _LeafState(hi_cur, depth, self.spec), _LeafState(lo_cur, depth, self.spec)
 
 
-def _key(st) -> float | int:
-    """A leaf's place in the score index: its score when the scan could pick
-    it (active, score > -inf; NaN never is), else -inf."""
-    return st.score if st.active and st.score > -math.inf else -math.inf
-
-
-def _scan(states, tol) -> int:
-    """The leader rule itself: the index of the first active leaf in preorder
-    whose score beats the best so far by more than tol (-1 if none does)."""
+def _scan(scores) -> int:
+    """The leader rule itself: the index of the first score in preorder that
+    beats the best so far by more than GAIN_TOL (-1 if none does)."""
     best_idx = -1
     bar = -math.inf
-    for idx, st in enumerate(states):
-        if st.active and st.score > bar:
-            bar = st.score + tol
+    for idx, score in enumerate(scores):
+        if score > bar:
+            bar = score + GAIN_TOL
             best_idx = idx
     return best_idx
 
@@ -334,33 +303,56 @@ def _greedy(
 ) -> GrowthTrace:
     """The greedy loop every grower runs: split the best leaf until the budget.
 
-    root is a leaf state (see _LeafState).  The leader is the first active
-    leaf in preorder whose score beats the best so far by more than
-    GAIN_TOL, or, under the influence rule, by any amount (its scores are
-    exact); _scan states the rule.  The loop finds it from a sorted index
-    of the leaves' keys (see _key), kept beside the preorder list.  Let M
-    be the top key and r the largest key below it.  When r + tol < M, no
-    leaf ahead of the first M-scored one can raise the scan's bar to M, and
-    none after it can beat M + tol, so the leader is the first leaf in
-    preorder with key M.  Otherwise, only for that step, the loop runs
-    _scan.  Under the influence rule tol is 0 and the test always holds.
+    root is a leaf state.  _LeafState (over a cursor) and realvalued's
+    _SampleLeaf (over sample points) implement the protocol, which is:
+
+      score        the leader rule's one input: -inf exactly when the leaf
+                   has no split, and never NaN (a scan's `gain > best +
+                   GAIN_TOL` chain starts at -inf and never takes a NaN).
+                   Under an impurity it is best_gain; under the influence
+                   rule, the exact integer 2^-depth * Inf_i * 2^n;
+      best_gain, best_coord, best_theta, best_median
+                   the leaf's best split, as the trace records it;
+      err, u_term  the error mass of the majority label and the
+                   influence-potential term (None when untracked), exact
+                   integer numerators over the run's one denominator;
+      label        the leaf's majority label;
+      inf_split    the TraceStep extra, set by children();
+      children()   the (hi, lo) leaf states, called once, on the leaf split;
+      ones, size   read at the root only: E[f] = ones / size, and size is
+                   the run's denominator (2^n for a cursor, N for a sample).
+
+    A leaf's path and depth are not part of it: the trace's node ids fix
+    them (see node_table).  The root's G-impurity is evaluate(G, E[f]).
+
+    The leader is the first leaf in preorder whose score beats the best so
+    far by more than GAIN_TOL; _scan states the rule.  Influence scores are
+    integers at least 1 apart, so on them the tolerance never binds while
+    they are exact as floats: a score is at most 2^n, exact for n <= 53.
+    The loop finds the leader from a sorted index of the scores, kept
+    beside the preorder list.  Let M be the top score and r the largest
+    score below it.  When r + GAIN_TOL < M, no leaf ahead of the first
+    M-scored one can raise the scan's bar to M, and none after it can beat
+    M + GAIN_TOL, so the leader is the first leaf in preorder with score M.
+    Otherwise, only for that step, the loop runs _scan.
     """
-    scale = root.scale
-    g_imp, u_num, err = root.g_term, root.u_term, root.err
+    scale = root.size
+    expectation = Fraction(root.ones, scale)
+    g_imp = None if cfg.impurity is None else evaluate(cfg.impurity, expectation)
+    u_num, err = root.u_term, root.err
     trace = GrowthTrace(
         mode=mode,
-        initial_expectation=root.expectation,
+        initial_expectation=expectation,
         initial_g_impurity=g_imp,
         initial_u_f=None if u_num is None else Fraction(u_num, scale),
         initial_distance=Fraction(err, scale),
         labels=[root.label],
         threshold_policy=threshold_policy,
     )
-    tol = 0 if mode == "influence" else GAIN_TOL
     states = [root]
-    keys = [_key(root)]  # in preorder, beside states
+    keys = [root.score]  # in preorder, beside states
     nodes = [0]  # the node ids, in preorder, beside states
-    ranked = keys[:]  # the same keys, ascending
+    ranked = keys[:]  # the same scores, ascending
     steps = trace.steps
 
     while 1 + len(steps) < cfg.budget:
@@ -369,10 +361,10 @@ def _greedy(
             trace.stop_reason = "no-candidates"
             break
         below = bisect_left(ranked, top)
-        if below == 0 or ranked[below - 1] + tol < top:
+        if below == 0 or ranked[below - 1] + GAIN_TOL < top:
             best_idx = keys.index(top)
         else:
-            best_idx = _scan(states, tol)
+            best_idx = _scan(keys)
         st = states[best_idx]
         if cfg.stop_on_zero_gain and st.best_gain <= GAIN_TOL:
             trace.stop_reason = "zero-gain"
@@ -386,10 +378,9 @@ def _greedy(
             g_imp = g_imp - st.best_gain  # telescoping: potential drops by the gain
         states[best_idx : best_idx + 1] = [hi, lo]
         del ranked[bisect_left(ranked, keys[best_idx])]
-        hi_key, lo_key = _key(hi), _key(lo)
-        keys[best_idx : best_idx + 1] = [hi_key, lo_key]
-        insort(ranked, hi_key)
-        insort(ranked, lo_key)
+        keys[best_idx : best_idx + 1] = [hi.score, lo.score]
+        insort(ranked, hi.score)
+        insort(ranked, lo.score)
         i = len(steps) + 1
         steps.append(
             TraceStep(
@@ -477,7 +468,6 @@ class SplitInequalityReport:
     claim1_ok: bool
     initial_claim2_ok: bool
     checks: list[IterationCheck]
-    monitored_count: int
 
     @property
     def first_failure(self) -> IterationCheck | str | None:
@@ -544,8 +534,7 @@ def verify_split_inequalities(
                 claim2_ok=claim2_ok,
             )
         )
-    monitored_count = sum(c.monitored for c in checks)
-    return SplitInequalityReport(claim1_ok, initial_claim2_ok, checks, monitored_count)
+    return SplitInequalityReport(claim1_ok, initial_claim2_ok, checks)
 
 
 def rule_agreement(trace_a: GrowthTrace, trace_b: GrowthTrace) -> tuple[int, list]:

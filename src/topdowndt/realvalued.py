@@ -19,10 +19,12 @@ quantile in [0,1) is approximated by its first w bits.  Concretely:
 grow_real runs grower's one greedy loop (the one grower.grow runs) over
 leaf states that score (coordinate, threshold) candidates, in the scan
 order and with the tie rule the grower module docstring states: it only
-builds the root leaf.  Its source is a RealSample, treated as the exact
-distribution: expectations are exact frequencies over the sample, so
-statistical error is separated from algorithmic behavior.  Each
-coordinate's points are sorted once, at the root, and each order carries
+builds the root leaf.  A leaf gives the loop what grower._greedy's
+protocol asks: its score, -inf when it is pure or empty, its best split,
+its minority count and its label.  Its source is a RealSample, treated
+as the exact distribution: expectations are exact frequencies over the
+sample, so statistical error is separated from algorithmic behavior.
+Each coordinate's points are sorted once, at the root, and each order carries
 its points' labels beside it, in the same order, as SPRINT's attribute
 lists carry the class.  Every split hands its children their shares of
 the orders and labels: the chosen coordinate's by slicing at the cut, the
@@ -80,7 +82,6 @@ from typing import Iterator, Mapping, Sequence
 from . import tree as treemod
 from .boolfn import derived_rng
 from .grower import GAIN_TOL, GrowthConfig, GrowthTrace, _greedy
-from .impurity import evaluate as g_eval
 from .tree import DecisionTree, Internal, Leaf
 
 MAX_BITS = 53  # beyond float precision the grid is not representable
@@ -415,7 +416,8 @@ def _gather(seq, order) -> bytes:
 
 
 class _SampleLeaf:
-    """The sample points reaching one leaf, as grower._greedy's leaf state.
+    """The sample points reaching one leaf, as grower._greedy's leaf state:
+    count points (its size), ones of them 1s.
 
     run is (keys, labels, spec, grid_w), shared by every leaf: grow_real's
     keys, one tuple per coordinate indexed by point, and its labels, bytes
@@ -439,12 +441,12 @@ class _SampleLeaf:
     plus 2 on the smaller side: the codes are gathered along each order
     once, and each child reads its order (compress by a translated mask)
     and its labels (one translate that deletes the other side) off them.
-    The scan's impurity arguments are ratios of counts, in [0,1] by
-    construction, so it calls spec.fn unchecked; G(E) at the leaf goes
-    through impurity.evaluate.  A split
-    that isolates no point leaves an empty leaf: it is frozen, never split,
-    and labeled with its parent's majority.  The run's scale is the sample
-    size N, so err is the leaf's minority count.
+    The scan's impurity arguments, G(E) at the leaf included, are ratios
+    of counts, in [0,1] by construction, so it calls spec.fn unchecked.  A
+    leaf that is pure or empty has no split and scores -inf.  A split that
+    isolates no point leaves an empty leaf: it is frozen, never split, and
+    labeled with its parent's majority.  The run's denominator is the
+    sample size N, the root's size, so err is the leaf's minority count.
     """
 
     u_term = None
@@ -457,26 +459,20 @@ class _SampleLeaf:
         total = len(labels)
         self.run = run
         self.orders = self.labs = None
-        self.count = count
+        self.size = count
         self.ones = ones
         self.score = self.best_gain = -math.inf
         self.best_coord = self.best_k = None
         if count == 0:
             self.label = parent_label
-            self.err = 0
-            self.g_term = 0.0
-            self.active = False
-            return
-        self.label = 1 if 2 * ones >= count else 0
+        else:
+            self.label = 1 if 2 * ones >= count else 0
         self.err = min(ones, count - ones)
-        g_here = g_eval(spec, ones / count)  # correctly rounded, as float(Fraction) is
-        self.g_term = count / total * g_here
-        self.active = 0 < ones < count
-        if not self.active:
+        if not 0 < ones < count:
             return
         self.orders, self.labs = orders, labs
         fn = spec.fn
-        count_g = count * g_here
+        count_g = count * fn(ones / count)
         best = -math.inf
         top = None if grid_w is None else (1 << grid_w) - 1
         for coord, (key, order, lab) in enumerate(zip(keys, orders, labs), start=1):
@@ -525,19 +521,11 @@ class _SampleLeaf:
                 best, self.best_coord, self.best_k = 0.0, coord, count
         self.score = self.best_gain = best
 
-    @property
-    def scale(self) -> int:
-        return len(self.run[1])
-
-    @property
-    def expectation(self) -> Fraction | None:
-        return Fraction(self.ones, self.count) if self.count else None
-
     def children(self) -> tuple["_SampleLeaf", "_SampleLeaf"]:
         keys, labels, _, grid_w = self.run
         c = self.best_coord - 1
         key, chosen = keys[c], self.orders[c]  # sorted, so cut k splits it at index k
-        k, count = self.best_k, self.count
+        k, count = self.best_k, self.size
         if grid_w is not None:  # the first grid point above cell key[chosen[k - 1]]
             self.best_theta = (key[chosen[k - 1]] + 1 if k else 1) / (1 << grid_w)
         else:

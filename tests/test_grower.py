@@ -1,13 +1,15 @@
 import math
 import random
+from bisect import insort
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topdowndt import cli
+from topdowndt import cli, grower, realvalued
 from topdowndt import tree as treemod
 from topdowndt.boolfn import BoolFunc, derived_rng, random_monotone
 from topdowndt.grower import (
@@ -24,7 +26,8 @@ from topdowndt.grower import (
     verify_split_inequalities,
 )
 from topdowndt.hardinstance import choose_params
-from topdowndt.impurity import BUILTIN_NAMES, builtin
+from topdowndt.impurity import BUILTIN_NAMES, ImpuritySpec, builtin
+from topdowndt.impurity import evaluate as impurity_evaluate
 
 from reference import conjunction, g_impurity, influence_potential, majority, parity, with_tree
 
@@ -166,7 +169,7 @@ class TestSplitInequalities:
         report = verify_split_inequalities(trace, f, GINI, monitor=mon)
         assert report.passed
         # initial distance 1/2 exceeds opt_2 + eps = 7/20, so step 1 is monitored
-        assert report.monitored_count == 1
+        assert sum(c.monitored for c in report.checks) == 1
         first = report.checks[0]
         assert first.monitored
         assert first.score_bound == pytest.approx(2 * 0.01 / 32, abs=1e-15)
@@ -268,20 +271,23 @@ class TestTraceCsv:
 # ---------------------------------------------------------------------------
 
 
-def _linear_greedy(root, cfg, mode):
+def _linear_greedy(root, cfg, mode, threshold_policy=None, tol=GAIN_TOL):
     """The greedy loop as it was before the score index: every step scans
-    all open leaves in preorder.  Returns the trace only."""
-    scale = root.scale
-    g_imp, u_num, err = root.g_term, root.u_term, root.err
+    all open leaves' scores in preorder, with tolerance tol.  Returns the
+    trace only."""
+    scale = root.size
+    expectation = Fraction(root.ones, scale)
+    g_imp = None if cfg.impurity is None else impurity_evaluate(cfg.impurity, expectation)
+    u_num, err = root.u_term, root.err
     trace = GrowthTrace(
         mode=mode,
-        initial_expectation=root.expectation,
+        initial_expectation=expectation,
         initial_g_impurity=g_imp,
         initial_u_f=None if u_num is None else Fraction(u_num, scale),
         initial_distance=Fraction(err, scale),
         labels=[root.label],
+        threshold_policy=threshold_policy,
     )
-    tol = 0 if mode == "influence" else GAIN_TOL
     states = [root]
     nodes = [0]  # the node ids, in preorder, beside states
     steps = trace.steps
@@ -290,7 +296,7 @@ def _linear_greedy(root, cfg, mode):
         best_idx = -1
         bar = -math.inf
         for idx, leaf in enumerate(states):
-            if leaf.active and leaf.score > bar:
+            if leaf.score > bar:
                 bar = leaf.score + tol
                 best_idx = idx
         if best_idx < 0:
@@ -333,18 +339,19 @@ def _linear_greedy(root, cfg, mode):
 
 class _PoolLeaf:
     """A synthetic leaf state: its path fixes its score, drawn from a small
-    pool, and whether it is active, so both loops see the same leaves."""
+    pool, or -inf for one leaf in five, which has no split, so both loops
+    see the same leaves."""
 
-    best_theta = best_median = inf_split = g_term = u_term = None
-    expectation = Fraction(1, 2)
+    best_theta = best_median = inf_split = u_term = None
     label = 0
-    scale = 1 << 40  # deeper than any budget below
+    size = 1 << 40  # deeper than any budget below
+    ones = size >> 1
 
     def __init__(self, pool, seed, path=()):
         self.pool, self.seed, self.path = pool, seed, path
         rng = random.Random(f"{seed}:{path}")
-        self.score = rng.choice(pool)
-        self.active = rng.random() < 0.8
+        score = rng.choice(pool)
+        self.score = score if rng.random() < 0.8 else -math.inf
         self.best_gain = float(self.score)
         self.best_coord = len(path) + 1
         self.err = rng.randrange(4) << (40 - len(path))  # randrange(4) / 2^depth
@@ -354,14 +361,15 @@ class _PoolLeaf:
 
 
 # near-ties: steps of 0.4 GAIN_TOL around a few values, some pairs inside the
-# tolerance, some outside; exact ties come from drawing one value twice
+# tolerance, some outside; exact ties come from drawing one value twice.  A
+# score is never NaN (TestNanImpurity checks the leaf states that promise it)
 _FLOAT_SCORES = st.one_of(
     st.builds(
         lambda base, k: base + k * 0.4 * GAIN_TOL,
         st.sampled_from((0.0, 0.25, 1.0)),
         st.integers(-4, 4),
     ),
-    st.sampled_from((-math.inf, math.nan)),
+    st.just(-math.inf),
 )
 _FRACTION_SCORES = st.one_of(
     st.builds(Fraction, st.integers(0, 4), st.sampled_from((1, 2, 16))),
@@ -408,7 +416,78 @@ def test_indexed_pick_matches_scan_on_growth(kind, size, seed, rule, k, budget, 
         f = random_monotone(size, seed)
     cfg = GrowthConfig(budget=budget, impurity=_spec(rule), stop_on_zero_gain=stop)
     trace = grow(f, cfg)
-    assert trace == _linear_greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule)
+    # the reference compares influence scores exactly, as integers: the one
+    # tolerance must not change an influence pick
+    tol = 0 if rule == "influence" else GAIN_TOL
+    assert trace == _linear_greedy(_LeafState(_root_cursor(f), 0, cfg.impurity), cfg, cfg.rule, tol=tol)
+
+
+def _nan_gini():
+    """Gini, but NaN on (0.6, 0.9); and the count of NaNs it returned."""
+    nans = [0]
+
+    def fn(p):
+        if 0.6 < p < 0.9:
+            nans[0] += 1
+            return math.nan
+        return 4.0 * p * (1.0 - p)
+
+    return ImpuritySpec("gini-nan", fn, 2.0), nans
+
+
+def _grow_filing(grow_fn):
+    """grow_fn()'s trace, and every score the loop put in its sorted index:
+    the root's, then each insort's."""
+    filed = []
+    greedy = grower._greedy
+
+    def greedy_filing(root, *args):
+        filed.append(root.score)
+        return greedy(root, *args)
+
+    def insort_filing(ranked, score):
+        filed.append(score)
+        insort(ranked, score)
+
+    with (
+        mock.patch.object(grower, "_greedy", greedy_filing),
+        mock.patch.object(realvalued, "_greedy", greedy_filing),
+        mock.patch.object(grower, "insort", insort_filing),
+    ):
+        return grow_fn(), filed
+
+
+class TestNanImpurity:
+    """An impurity that is NaN on part of (0, 1): a scan never takes a NaN
+    gain, so no score is NaN and the index picks what the plain scan does."""
+
+    @staticmethod
+    def _check(trace, filed, nans):
+        assert nans[0] > 0  # the impurity did return NaN during the run
+        assert len(filed) == 1 + 2 * len(trace.steps)
+        assert not any(math.isnan(score) for score in filed)
+        assert not any(math.isnan(st.gain) or math.isnan(st.g_impurity) for st in trace.steps)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_table(self, seed):
+        f = BoolFunc(6, derived_rng(seed, "nan-impurity").getrandbits(64))
+        spec, nans = _nan_gini()
+        cfg = GrowthConfig(budget=64, impurity=spec)
+        trace, filed = _grow_filing(lambda: grow(f, cfg))
+        self._check(trace, filed, nans)
+        assert trace == _linear_greedy(_LeafState(_root_cursor(f), 0, spec), cfg, cfg.rule)
+
+    @pytest.mark.parametrize("policy", ["midpoints", "grid:4"])
+    def test_sample(self, policy):
+        rng = random.Random(5)
+        xs = [(rng.random(), rng.random()) for _ in range(200)]
+        sample = realvalued.RealSample(tuple((x, int(rng.random() < 0.2 + 0.6 * x[0])) for x in xs))
+        spec, nans = _nan_gini()
+        cfg = GrowthConfig(budget=64, impurity=spec)
+        trace, filed = _grow_filing(lambda: realvalued.grow_real(sample, cfg, policy))
+        self._check(trace, filed, nans)
+        with mock.patch.object(realvalued, "_greedy", _linear_greedy):
+            assert trace == realvalued.grow_real(sample, cfg, policy)
 
 
 @settings(max_examples=150, deadline=None)

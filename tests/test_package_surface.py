@@ -34,7 +34,6 @@ TRACER = "bench/tracer.py wraps it by name; ROADMAP item 7 takes the wrapper out
 KEEP = {
     "tree.split": TRACER,
     "tree.path_of": TRACER,
-    "tree.evaluate": TRACER,
     "hardinstance.evaluate": TRACER,
     "boolfn.to_spec": "bench/workloads.py writes its function specs with it",
     "realvalued.sample_teacher": "bench/workloads.py draws its real-sample CSVs with it",
@@ -44,7 +43,10 @@ KEEP = {
 
 def _scan():
     """(definitions, references): (qualified name, module, node) of every
-    checked definition, and (name, module, line) of every name read."""
+    checked definition, and (name, module, line, target) of every name
+    read.  target is the package module the read resolves to when that can
+    be told (a bare name, a name imported from a package module, or an
+    attribute of an imported package module), else None."""
     defs, refs = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
@@ -58,28 +60,54 @@ def _scan():
                     for sub in node.body
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
                 ]
+        imported, modules = {}, {}  # local name -> (module, name); local name -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((node.id, module, node.lineno))
+                target, name = imported.get(node.id, (module, node.id))
+                refs.append((name, module, node.lineno, target))
             elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, module, node.lineno))
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                refs.append((node.attr, module, node.lineno, modules.get(owner)))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.append((node.value, module, node.lineno))
+                refs.append((node.value, module, node.lineno, None))
     return defs, refs
 
 
-def test_every_definition_is_reached_from_the_package_or_kept():
+def _reached(resolved: bool) -> dict[str, bool]:
+    """Whether each checked definition is read in the package outside its
+    own body, by qualified name: by name alone, or, when resolved, a
+    module-level definition only by a read that resolves to its module."""
     defs, refs = _scan()
-    unreached = []
+    reached = {}
     for qualname, module, node in defs:
         name = qualname.rsplit(".", 1)[1]
-        outside = (
-            r == name and not (m == module and node.lineno <= line <= node.end_lineno)
-            for r, m, line in refs
+        method = qualname.count(".") == 2
+        reached[qualname] = any(
+            r == name
+            and (method or not resolved or t == module)
+            and not (m == module and node.lineno <= line <= node.end_lineno)
+            for r, m, line, t in refs
         )
-        if not any(outside) and qualname not in KEEP:
-            unreached.append(qualname)
+    return reached
+
+
+def test_every_definition_is_reached_from_the_package_or_kept():
+    unreached = [q for q, hit in _reached(resolved=False).items() if not hit and q not in KEEP]
     assert unreached == []
+
+
+def test_no_kept_name_is_reached_from_the_package():
+    """A KEEP entry names what the package itself never reads.  Module-level
+    names are resolved, so another object's split does not reach tree.split."""
+    reached = _reached(resolved=True)
+    assert sorted(q for q in KEEP if reached.get(q)) == []
 
 
 def test_every_kept_name_is_defined():

@@ -353,31 +353,24 @@ class _PerLeafSortSampleLeaf:
         sample, spec, policy, grid_w = run
         total = len(sample)
         self.run = run
-        self.scale = total
         self.idx = idx
-        self.count = len(idx)
+        self.size = len(idx)
         self.score = self.best_gain = -math.inf
         self.best_coord = None
         self.best_theta = None
         self.best_median = None
-        if self.count == 0:
+        if self.size == 0:
             self.ones = 0
-            self.expectation = None
             self.label = parent_label
             self.err = 0
-            self.g_term = 0.0
-            self.active = False
             return
         pts = sample.points
         self.ones = sum(pts[i][1] for i in idx)
-        self.expectation = Fraction(self.ones, self.count)
-        self.label = 1 if 2 * self.ones >= self.count else 0
-        self.err = min(self.ones, self.count - self.ones)
-        g_here = impurity_evaluate(spec, self.expectation)
-        self.g_term = self.count / total * g_here
-        self.active = 0 < self.ones < self.count
-        if not self.active:
-            return
+        self.label = 1 if 2 * self.ones >= self.size else 0
+        self.err = min(self.ones, self.size - self.ones)
+        if not 0 < self.ones < self.size:
+            return  # a pure leaf has no split: its score stays -inf
+        g_here = impurity_evaluate(spec, Fraction(self.ones, self.size))
         for coord in range(1, sample.n + 1):
             ordered = sorted((pts[i][0][coord - 1], pts[i][1]) for i in idx)
             values = [v for v, _ in ordered]
@@ -387,7 +380,7 @@ class _PerLeafSortSampleLeaf:
             if policy == "midpoints":
                 candidates = [
                     (_midpoint(values[j - 1], values[j]), j)
-                    for j in range(1, self.count)
+                    for j in range(1, self.size)
                     if values[j] != values[j - 1]
                 ]
             else:
@@ -396,10 +389,10 @@ class _PerLeafSortSampleLeaf:
                     for c in range(1, 1 << grid_w)
                 ]
             for theta, j in candidates:
-                lo_n, hi_n = j, self.count - j
+                lo_n, hi_n = j, self.size - j
                 lo_ones = prefix[j]
                 hi_ones = self.ones - lo_ones
-                total_g = self.count * g_here
+                total_g = self.size * g_here
                 if lo_n:
                     total_g -= lo_n * impurity_evaluate(spec, lo_ones / lo_n)
                 if hi_n:
@@ -409,7 +402,7 @@ class _PerLeafSortSampleLeaf:
                     self.score = self.best_gain = gain
                     self.best_coord = coord
                     self.best_theta = theta
-                    self.best_median = 2 * lo_n <= self.count and 2 * hi_n <= self.count
+                    self.best_median = 2 * lo_n <= self.size and 2 * hi_n <= self.size
 
     def children(self):
         pts = self.run[0].points
@@ -579,9 +572,9 @@ class TestPartition:
             c, theta = leaf.best_coord - 1, leaf.best_theta
             for child, hi in zip(children, (True, False)):
                 shares = [[i for i in order if (xs[i][c] >= theta) == hi] for order in orders]
-                assert child.count == len(shares[0])
+                assert child.size == len(shares[0])
                 assert child.ones == sum(labels[i] for i in shares[0])
-                if 0 < child.ones < child.count:
+                if 0 < child.ones < child.size:
                     assert child.orders == shares
                     assert child.labs == [bytes(labels[i] for i in share) for share in shares]
                 else:  # a pure or empty child is never split
