@@ -339,8 +339,8 @@ def _linear_greedy(root, cfg, mode, threshold_policy=None, tol=GAIN_TOL):
 
 class _PoolLeaf:
     """A synthetic leaf state: its path fixes its score, drawn from a small
-    pool, or -inf for one leaf in five, which has no split, so both loops
-    see the same leaves."""
+    pool, or -inf (no split) for about one leaf in five, so both loops see
+    the same leaves."""
 
     best_theta = best_median = inf_split = u_term = None
     label = 0
